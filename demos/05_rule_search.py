@@ -1,8 +1,11 @@
 """Run the geometrical design rules as an executable search.
 
 The restriction stages cut the candidate set down to {T, T-dagger} on
-octants; brute-force simulation over the surviving configurations then
-finds every rotation pattern that realizes a requested Boolean function.
+octants; an exhaustive search over the surviving configurations then finds
+every rotation pattern that realizes a requested Boolean function.  The
+search evaluates each configuration's four control branches (2x2 products
+on the target wire) as one numpy batch, and only the candidates it keeps
+are rebuilt, simulated and graded exactly.
 """
 from hexsynth.library import THETA_KINDS, AX_ENTRIES
 from hexsynth.rules import SearchQuery, apply_rules, count_space, search

@@ -52,12 +52,6 @@ class GateKind(Enum):
 
 _TWO_QUBIT = frozenset({GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.SWAP, GateKind.ECR})
 
-CLIFFORD_T_KINDS = (
-    GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
-    GateKind.SX, GateKind.SXDG, GateKind.S, GateKind.SDG,
-    GateKind.T, GateKind.TDG, GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.SWAP,
-)
-
 
 class CircuitError(ValueError):
     """Raised for structurally invalid gates, circuits, or circuit text."""

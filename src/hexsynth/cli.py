@@ -16,7 +16,7 @@ from .circuit import Circuit, CircuitError, emit_text, parse_text
 from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATE_BUILDERS, build_gate
 from .layout import Placement, ishape_brisbane, heavy_hex_127, load_map, place, verify_no_swap
 from .rules import query_from_names, search
-from .simulator import (EquivalenceLevel, Statevector, apply, equivalence,
+from .simulator import (EquivalenceLevel, SimulationError, Statevector, apply, equivalence,
                         phase_trace, qsphere, truth_string, truth_table)
 from .transpiler import NativeBasis, cost_report, lower, lower_and_optimize
 
@@ -200,8 +200,6 @@ def cmd_tables(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hexsynth",
                                 description="layout-aware Clifford+T gate synthesis toolkit")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized steps (current commands are deterministic)")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a library gate as circuit text")
@@ -264,7 +262,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CircuitError, OSError) as e:
+    except (CircuitError, SimulationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,16 @@
 The circle of equatorial target states splits into semicircles (Z), quadrants
 (S, S-dagger), and octants (T, T-dagger).  Six successive restriction rules
 shrink the candidate gate set for the four rotation slots of the symmetric
-core down to {T, T-dagger} on octants; the final rule is realized here as a
-brute-force simulation over the remaining configuration space, with every
-surviving configuration re-verified and graded against a phase-exact oracle.
+core down to {T, T-dagger} on octants; the final rule is realized here as an
+exhaustive search over the remaining configuration space.
+
+No core gate touches a control wire, so for each control assignment
+(c1, c2) the core acts on the target as a product of 2x2 matrices,
+SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1.  The search evaluates
+p(target=1) on all four of these branches for every configuration as one
+numpy batch, keeps the configurations within a loose margin of the target
+function, and re-verifies only those candidates exactly: full-circuit
+simulation, truth table, then grading against a phase-exact oracle.
 """
 from __future__ import annotations
 
@@ -14,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitError, GateKind
+from .circuit import CircuitError, Gate, GateKind
 from .library import AX_ENTRIES, CoreSpec, ax_name, build_core
 from .simulator import (EquivalenceLevel, SimulationError, equivalence_of_unitaries,
-                        truth_string, truth_table, unitary_of)
+                        gate_matrix, truth_string, truth_table, unitary_of)
 
 K = GateKind
 
@@ -26,6 +33,12 @@ SEG_QUADRANTS = "quadrants"
 SEG_OCTANTS = "octants"
 
 SEARCH_SPACE_GUARD = 10 ** 7
+# A configuration is a candidate when p(target=1) on every branch lies within
+# this margin of the target bit.  The exact check's tolerance is ATOL_NORM
+# (1e-10), so rounding in the batch cannot drop an exact hit.
+CANDIDATE_MARGIN = 1e-6
+# Configurations per numpy block of the batch; bounds its peak memory.
+BLOCK_CONFIGS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,12 +111,17 @@ class SearchHit:
         return {"spec": self.spec.describe(), "level": self.level.name}
 
 
+def _alphabets(query: SearchQuery):
+    """The query's gate sets in enumeration order (duplicates kept)."""
+    return (sorted(query.sp_set, key=lambda g: g.value),
+            sorted((tuple(a) for a in query.ax1_set), key=ax_name),
+            sorted(query.theta_set, key=lambda g: g.value),
+            sorted((tuple(a) for a in query.ax2_set), key=ax_name))
+
+
 def iter_specs(query: SearchQuery):
     """Deterministic (sorted) enumeration of the query's configuration space."""
-    sp = sorted(query.sp_set, key=lambda g: g.value)
-    ax1 = sorted((tuple(a) for a in query.ax1_set), key=ax_name)
-    ax2 = sorted((tuple(a) for a in query.ax2_set), key=ax_name)
-    thetas = sorted(query.theta_set, key=lambda g: g.value)
+    sp, ax1, thetas, ax2 = _alphabets(query)
     for sp1, a1, th, a2, sp2 in itertools.product(
             sp, ax1, itertools.product(thetas, repeat=4), ax2, sp):
         spec = CoreSpec(sp1=sp1, ax1=a1, theta=th, ax2=a2, sp2=sp2)
@@ -132,27 +150,114 @@ def _oracle_unitary(target: str) -> np.ndarray:
     return u
 
 
+def _target_matrix(kinds) -> np.ndarray:
+    """2x2 matrix of single-qubit gates applied to the target in order."""
+    m = np.eye(2, dtype=complex)
+    for k in kinds:
+        Gate(k, (0,))  # raises the CircuitError build_core would for this kind
+        m = gate_matrix(k) @ m
+    return m
+
+
+class _BranchBatch:
+    """A query's configurations and p(target=1) on their four control branches.
+
+    Configurations are flat indices in C order over the shape
+    (sp1, ax1, theta tuple, ax2, sp2), which is iter_specs' order."""
+
+    def __init__(self, query: SearchQuery):
+        self.sp, self.ax1, self.thetas, self.ax2 = sp, ax1, thetas, ax2 = _alphabets(query)
+        # no CoreSpec is built for a non-candidate, so check every
+        # superposition and rotation entry here as CoreSpec would
+        for s in sp:
+            CoreSpec(sp1=s, sp2=s)
+        for t in thetas:
+            CoreSpec(theta=(t,) * 4)
+        # column 0 of AX1.SP1 and row 1 of SP2.AX2: the target starts in |0>
+        # and only its |1> amplitude is measured
+        self.first = np.array([[(_target_matrix(a) @ _target_matrix((s,)))[:, 0] for a in ax1]
+                               for s in sp])
+        self.last = np.array([[(_target_matrix((s,)) @ _target_matrix(a))[1] for s in sp]
+                              for a in ax2])
+        self.theta_mats = np.array([_target_matrix((t,)) for t in thetas])
+        # equal kinds share an id, so symmetry holds across duplicate entries
+        self.theta_ids = np.array([thetas.index(t) for t in thetas])
+        self.shape = (len(sp), len(ax1), len(thetas) ** 4, len(ax2), len(sp))
+        self.size = int(np.prod(self.shape))
+
+    def theta_digits(self, i_th):
+        return np.unravel_index(i_th, (len(self.thetas),) * 4)
+
+    def probabilities(self, flat: np.ndarray) -> np.ndarray:
+        """Shape (4, len(flat)); row (c2 << 1) | c1 is that branch's p(target=1)."""
+        i_sp1, i_ax1, i_th, i_ax2, i_sp2 = np.unravel_index(flat, self.shape)
+        slots = [self.theta_mats[d] for d in self.theta_digits(i_th)]
+        start, row = self.first[i_sp1, i_ax1], self.last[i_ax2, i_sp2]
+        probs = np.empty((4, len(flat)))
+        for branch in range(4):
+            c1, c2 = branch & 1, branch >> 1
+            psi = start
+            # th1, X^c2, th2, X^c1, th3, X^c2, th4; X swaps the two amplitudes
+            for theta, flip in zip(slots, (c2, c1, c2, 0)):
+                psi = np.einsum("bij,bj->bi", theta, psi)
+                if flip:
+                    psi = psi[:, ::-1]
+            probs[branch] = np.abs(np.sum(row * psi, axis=1)) ** 2
+        return probs
+
+    def symmetric(self, flat: np.ndarray) -> np.ndarray:
+        d1, d2, d3, d4 = (self.theta_ids[d] for d in
+                          self.theta_digits(np.unravel_index(flat, self.shape)[2]))
+        return (d1 == d3) & (d2 == d4)
+
+    def candidates(self, target: str, symmetric: bool):
+        """Flat indices, in enumeration order, whose four branches all lie
+        within CANDIDATE_MARGIN of the target bits."""
+        bits = np.array([int(ch) for ch in target])[:, None]
+        for start in range(0, self.size, BLOCK_CONFIGS):
+            flat = np.arange(start, min(start + BLOCK_CONFIGS, self.size))
+            if symmetric:
+                flat = flat[self.symmetric(flat)]
+            keep = np.all(np.abs(self.probabilities(flat) - bits) <= CANDIDATE_MARGIN, axis=0)
+            yield from flat[keep].tolist()
+
+    def spec(self, flat: int) -> CoreSpec:
+        i_sp1, i_ax1, i_th, i_ax2, i_sp2 = np.unravel_index(flat, self.shape)
+        return CoreSpec(sp1=self.sp[i_sp1], ax1=self.ax1[i_ax1],
+                        theta=tuple(self.thetas[d] for d in self.theta_digits(i_th)),
+                        ax2=self.ax2[i_ax2], sp2=self.sp[i_sp2])
+
+
+def _exact_hit(spec: CoreSpec, target: str, oracle: np.ndarray) -> SearchHit | None:
+    """Dense simulation of the built core decides the hit and grades it."""
+    circuit = build_core(spec)
+    try:
+        table = truth_table(circuit, target=1, controls=(0, 2))
+    except SimulationError:
+        return None
+    if truth_string(table) != target:
+        return None
+    return SearchHit(spec, equivalence_of_unitaries(unitary_of(circuit), oracle))
+
+
 def search(query: SearchQuery) -> list[SearchHit]:
     """All configurations in the query space realizing the target function.
 
-    Every hit is found by exact simulation (deterministic target outcome on
-    all four control assignments) and graded against the phase-exact oracle.
-    Results are sorted by configuration for determinism.
+    A numpy batch over the four control branches selects candidates; each
+    candidate is rebuilt, re-simulated (deterministic target outcome on all
+    four control assignments) and graded against the phase-exact oracle,
+    which alone decides the hits.  Results are sorted by configuration for
+    determinism.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
+    batch = _BranchBatch(query)
     oracle = _oracle_unitary(query.target)
     hits = []
-    for spec in iter_specs(query):
-        circuit = build_core(spec)
-        try:
-            table = truth_table(circuit, target=1, controls=(0, 2))
-        except SimulationError:
-            continue
-        if truth_string(table) != query.target:
-            continue
-        level = equivalence_of_unitaries(unitary_of(circuit), oracle)
-        hits.append(SearchHit(spec, level))
+    for flat in batch.candidates(query.target, query.symmetric):
+        hit = _exact_hit(batch.spec(flat), query.target, oracle)
+        if hit is not None:
+            hits.append(hit)
     hits.sort(key=lambda h: h.spec.sort_key())
     return hits
 

@@ -28,6 +28,8 @@ ATOL_NORM = 1e-10
 ATOL_UNITARY = 1e-12
 ATOL_EQUIV = 1e-9
 MAX_UNITARY_QUBITS = 12
+# 2^20 amplitudes of complex128 are 16 MiB; the family's widest gate has 7 qubits
+MAX_STATEVECTOR_QUBITS = 20
 
 
 class SimulationError(ValueError):
@@ -103,7 +105,14 @@ class Statevector:
             raise SimulationError("state is not normalized")
 
     @staticmethod
+    def _check_width(n: int) -> None:
+        if n > MAX_STATEVECTOR_QUBITS:
+            raise SimulationError(f"statevectors support at most {MAX_STATEVECTOR_QUBITS} qubits, "
+                                  f"got {n}")
+
+    @staticmethod
     def zeros(n: int) -> "Statevector":
+        Statevector._check_width(n)
         amps = np.zeros(2 ** n, dtype=complex)
         amps[0] = 1.0
         return Statevector(n, amps)
@@ -111,6 +120,7 @@ class Statevector:
     @staticmethod
     def basis(n: int, bits: dict[int, int]) -> "Statevector":
         """Computational basis state with the given {qubit: bit} values (others 0)."""
+        Statevector._check_width(n)
         index = sum((bit & 1) << q for q, bit in bits.items())
         amps = np.zeros(2 ** n, dtype=complex)
         amps[index] = 1.0

@@ -55,6 +55,12 @@ class TestTranspileAndSimulate:
         run("build", "and3", "-o", str(src))
         assert run("simulate", str(src), "--input", "01") == 1
 
+    def test_simulate_too_wide_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "wide.txt"
+        src.write_text("qubits 40\nx q[39]\n")
+        assert run("simulate", str(src), "--input", "0" * 40) == 1
+        assert "error: statevectors support at most 20 qubits" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_and3_l2_passes(self):
@@ -69,6 +75,10 @@ class TestVerify:
 
     def test_verify_needs_a_mode(self, capsys):
         assert run("verify", "and3") == 1
+
+    def test_verify_width_mismatch_is_an_error(self, capsys):
+        assert run("verify", "and4", "--against", "toffoli") == 1
+        assert "error: width mismatch: 5 vs 3" in capsys.readouterr().err
 
 
 class TestSearchCostTrace:

@@ -1,12 +1,47 @@
+import dataclasses
+
 import pytest
 
+from hexsynth import rules
 from hexsynth.circuit import CircuitError, GateKind
 from hexsynth.library import AX_ENTRIES, THETA_KINDS, BOOLEAN_TABLE, BooleanGateKind, build_core
-from hexsynth.rules import (SearchQuery, apply_rules, count_space, iter_specs,
+from hexsynth.rules import (SearchHit, SearchQuery, apply_rules, count_space, iter_specs,
                             query_from_names, search)
-from hexsynth.simulator import EquivalenceLevel, truth_string, truth_table
+from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_of_unitaries,
+                                truth_string, truth_table, unitary_of)
 
 K = GateKind
+TARGETS = tuple(format(m, "04b") for m in range(16))
+
+
+def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchHit]]:
+    """The per-configuration loop: build, simulate and grade every
+    configuration of the query's space.  Returns the sorted hits for each
+    of `targets` (default: the query's own target) from one pass."""
+    found = {t: [] for t in (targets or (query.target,))}
+    for spec in iter_specs(query):
+        circuit = build_core(spec)
+        try:
+            table = truth_table(circuit, target=1, controls=(0, 2))
+        except SimulationError:
+            continue
+        realized = truth_string(table)
+        if realized in found:
+            level = equivalence_of_unitaries(unitary_of(circuit), rules._oracle_unitary(realized))
+            found[realized].append(SearchHit(spec, level))
+    for hits in found.values():
+        hits.sort(key=lambda h: h.spec.sort_key())
+    return found
+
+
+# superposition gates other than H leave many branches non-deterministic
+MIXED = SearchQuery(target="0000", sp_set=(K.H, K.SX, K.SXDG), ax1_set=((), (K.X,)),
+                    ax2_set=((), (K.Z,), (K.SXDG,)), theta_set=(K.S, K.TDG))
+
+
+@pytest.fixture(scope="module")
+def mixed_reference():
+    return reference_search(MIXED, TARGETS)
 
 
 class TestRuleStages:
@@ -111,3 +146,47 @@ class TestSearch:
         assert q.ax2_set == ((), (K.Z,), (K.X, K.Z, K.X))
         with pytest.raises(CircuitError):
             query_from_names("0001", sp=("nope",))
+
+
+class TestBatchedSearchMatchesReference:
+    def test_all_targets_mixed_alphabet(self, mixed_reference):
+        for target in TARGETS:
+            assert search(dataclasses.replace(MIXED, target=target)) == mixed_reference[target]
+        assert sum(1 for hits in mixed_reference.values() if hits) >= 4
+
+    def test_blocks_smaller_than_the_space(self, mixed_reference, monkeypatch):
+        monkeypatch.setattr(rules, "BLOCK_CONFIGS", 100)  # 864 configurations: 9 blocks
+        for target in TARGETS:
+            assert search(dataclasses.replace(MIXED, target=target)) == mixed_reference[target]
+
+    def test_symmetric_query(self):
+        # the duplicated T makes symmetry a matter of kinds, not of alphabet positions
+        q = SearchQuery(target="0001", sp_set=(K.H, K.SX), theta_set=(K.T, K.TDG, K.T),
+                        symmetric=True)
+        hits = search(q)
+        assert hits and hits == reference_search(q)[q.target]
+        assert all(h.spec.symmetric for h in hits)
+
+    def test_minus_z_and_duplicated_ax2_entries(self):
+        q = SearchQuery(target="0111", ax2_set=((), AX_ENTRIES["z"], AX_ENTRIES["-z"], AX_ENTRIES["z"]),
+                        theta_set=(K.T, K.TDG, K.T))
+        hits = search(q)
+        assert hits and hits == reference_search(q)[q.target]
+        assert len(hits) > len(set(h.spec for h in hits))  # duplicates reported, as enumerated
+
+    def test_full_space_and(self):
+        ax = ("i", "x", "sx", "sxdg", "z", "s", "sdg", "t", "tdg")
+        q = query_from_names("0001", sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
+                             theta=("s", "sdg", "t", "tdg"))
+        assert rules._space_size(q) == 186624
+        hits = search(q)
+        assert len(hits) == 538
+        assert all(h.level.at_least(EquivalenceLevel.L2_RELATIVE_PHASE) for h in hits)
+
+    def test_bad_alphabet_entries_rejected(self):
+        with pytest.raises(CircuitError, match="superposition"):
+            search(SearchQuery(target="0001", sp_set=(K.H, K.T)))
+        with pytest.raises(CircuitError, match="theta"):
+            search(SearchQuery(target="0001", theta_set=(K.T, K.H)))
+        with pytest.raises(CircuitError, match="expects 2 qubit"):
+            search(SearchQuery(target="0001", ax2_set=((K.CX,),)))

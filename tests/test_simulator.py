@@ -92,6 +92,15 @@ class TestApplyAndUnitary:
         with pytest.raises(SimulationError):
             unitary_of(Circuit(13))
 
+    def test_statevector_guard(self):
+        # raised before the 2^n amplitudes are allocated
+        with pytest.raises(SimulationError, match="at most 20 qubits"):
+            Statevector.zeros(40)
+        with pytest.raises(SimulationError, match="at most 20 qubits"):
+            Statevector.basis(40, {0: 1})
+        with pytest.raises(SimulationError):
+            truth_table(Circuit(40), target=1, controls=(0,))
+
     def test_unitary_unitarity(self):
         c = Circuit(2, (G(K.H, 0), G(K.ECR, 0, 1), G(K.SXDG, 1)))
         assert is_unitary(unitary_of(c))
