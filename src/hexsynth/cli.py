@@ -28,6 +28,15 @@ def _basis(tag: str) -> NativeBasis:
     return NativeBasis.CX_BASIS if tag == "cx" else NativeBasis.ECR_BASIS
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a CircuitError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise CircuitError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def cmd_build(args) -> int:
     circuit = build_gate(args.gate)
     text = emit_text(circuit)
@@ -40,8 +49,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_transpile(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        circuit = parse_text(fh.read())
+    circuit = parse_text(_read_text(args.file))
     basis = _basis(args.basis)
     lowered = lower_and_optimize(circuit, basis) if args.peephole else lower(circuit, basis)
     text = emit_text(lowered)
@@ -54,8 +62,7 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        circuit = parse_text(fh.read())
+    circuit = parse_text(_read_text(args.file))
     bits = args.input
     if len(bits) != circuit.width or any(ch not in "01" for ch in bits):
         raise CircuitError(f"--input must be {circuit.width} bits (|q_n-1 ... q_0>)")
@@ -147,8 +154,11 @@ def cmd_cost(args) -> int:
     if args.layout or args.placement:
         cmap = load_map(args.layout) if args.layout else heavy_hex_127()
         if args.placement:
-            with open(args.placement, "r", encoding="utf-8") as fh:
-                placement = Placement.from_dict(json.load(fh))
+            try:
+                data = json.loads(_read_text(args.placement))
+            except json.JSONDecodeError as e:
+                raise CircuitError(f"{args.placement}: malformed placement JSON: {e}") from None
+            placement = Placement.from_dict(data)
         else:
             placement = place(args.gate, ishape_brisbane(cmap))
         ok, violations = verify_no_swap(lower_and_optimize(circuit, basis), cmap, placement)

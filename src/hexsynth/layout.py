@@ -74,16 +74,20 @@ def load_map(source) -> CouplingMap:
     """Read a coupling map from a JSON file path, file object, or dict."""
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            if hasattr(source, "read"):
+                data = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
         return CouplingMap(name=str(data.get("name", "unnamed")),
                            num_qubits=int(data["num_qubits"]),
                            edges=frozenset(tuple(e) for e in data["edges"]))
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise LayoutError(f"malformed coupling-map JSON: {e}") from None
 
 
@@ -172,7 +176,13 @@ class Placement:
 
     @staticmethod
     def from_dict(data: dict) -> "Placement":
-        return Placement(assignment=dict(data["assignment"]))
+        try:
+            assignment = dict(data["assignment"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise LayoutError(f"malformed placement: {e!r}") from None
+        if not all(type(p) is int for p in assignment.values()):
+            raise LayoutError(f"placement qubits must be integers: {assignment}")
+        return Placement(assignment=assignment)
 
 
 # wire-name -> I-shape slot, per gate family member; slots are

@@ -1,15 +1,21 @@
-"""Lowering to device-native bases with peephole rotation merging.
+"""Lowering to device-native bases, a one-sweep peephole, and naive routing.
 
 Two native bases are supported: {I, X, sqrt(X), RZ, CX} and
-{I, X, sqrt(X), RZ, ECR}.  Single-qubit rewrites follow the usual
-phase-gate-to-RZ table; CX maps to a single ECR dressed by fixed native
-single-qubit sequences (derived once by solving the conjugation algebra and
-verified to global-phase accuracy by the test suite).
+{I, X, sqrt(X), RZ, ECR}.  Lowering is one pass: each gate expands
+recursively through the usual phase-gate-to-RZ table, and CX maps to a single
+ECR dressed by fixed native single-qubit sequences (derived once by solving
+the conjugation algebra and verified to global-phase accuracy by the test
+suite).
 
-The peephole pass is strictly adjacent-gate: it merges adjacent RZ with exact
-rational-pi arithmetic, removes rotations that are the identity up to global
-phase, cancels self-inverse two-qubit pairs, and normalizes same-wire runs of
-{sqrt(X), X} using sqrt(X)^2 = X.  Rewrites never increase any gate count.
+The peephole is one left-to-right sweep that keeps a stack per wire.  It
+merges adjacent RZ with exact rational-pi arithmetic, cancels adjacent
+CX/ECR pairs, and reduces each same-wire run of {sqrt(X), X} by its value
+mod 4 (sqrt(X)^2 = X, X^2 = I).  A run of value 0 is the identity, so
+rotations and two-qubit gates on either side of it meet through it.  Runs
+are emitted once, at the end, in their shortest form; an X is emitted only
+against the X gates of its wire segment (the stretch between two surviving
+two-qubit gates), so the peephole never raises a gate count of any tag.  It
+does no resynthesis.
 """
 from __future__ import annotations
 
@@ -135,34 +141,35 @@ def rule_table_text(basis: NativeBasis) -> str:
     return "\n".join(f"{r.lhs.value:<{width}} -> {r.rhs_text}" for r in rule_table(basis))
 
 
-def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
-    """Rewrite to the native basis; equivalent to the input up to global phase."""
-    two_q = _two_qubit_rules(basis)
-    allowed = basis.allowed
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for g in gates:
-            if g.kind in allowed:
-                if g.kind is K.I:
-                    changed = True  # identity contributes nothing in either basis
-                    continue
-                if g.kind is K.RZ and g.angle.is_zero_mod_2pi():
-                    changed = True
-                    continue
-                out.append(g)
-            elif g.kind in _SINGLE_QUBIT_RULES:
-                out.extend(_SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle))
-                changed = True
-            elif g.kind in two_q:
-                out.extend(two_q[g.kind](*g.qubits))
-                changed = True
+class _Lowering:
+    """One basis's rewrite rules, applied recursively and memoized per gate."""
+
+    def __init__(self, basis: NativeBasis):
+        self.basis, self.allowed = basis, basis.allowed
+        self.two_q = _two_qubit_rules(basis)
+        self.memo: dict[Gate, tuple[Gate, ...]] = {}
+
+    def native(self, g: Gate) -> tuple[Gate, ...]:
+        if g.kind in self.allowed:
+            identity = g.kind is K.I or (g.kind is K.RZ and g.angle.is_zero_mod_2pi())
+            return () if identity else (g,)
+        native = self.memo.get(g)
+        if native is None:
+            if g.kind in _SINGLE_QUBIT_RULES:
+                rhs = _SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle)
+            elif g.kind in self.two_q:
+                rhs = self.two_q[g.kind](*g.qubits)
             else:
-                raise TranspileError(f"no rewrite for {g.kind.value} in {basis.value} basis")
-        gates = out
-    return circuit.with_gates(gates)
+                raise TranspileError(f"no rewrite for {g.kind.value} in {self.basis.value} basis")
+            native = self.memo[g] = tuple(n for r in rhs for n in self.native(r))
+        return native
+
+
+def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
+    """Rewrite to the native basis in one pass; equivalent to the input up to
+    global phase."""
+    lowering = _Lowering(basis)
+    return circuit.with_gates(n for g in circuit.gates for n in lowering.native(g))
 
 
 # --- peephole ------------------------------------------------------------------
@@ -170,92 +177,201 @@ def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
 _SELF_INVERSE_2Q = (K.CX, K.ECR)
 
 
-def _try_pair(a: Gate, b: Gate):
-    """Rewrite for two adjacent gates on identical qubits, or None."""
-    if a.qubits != b.qubits:
-        return None
-    if a.kind is K.RZ and b.kind is K.RZ:
-        merged = a.angle.plus(b.angle)
-        return [] if merged.is_zero_mod_2pi() else [Gate(K.RZ, a.qubits, merged)]
-    if a.kind in _SELF_INVERSE_2Q and b.kind is a.kind:
-        return []
-    return None
+class _Run:
+    """A same-wire run of SX and X gates, kept as counts.
 
-
-def _pair_pass(gates: list[Gate]):
-    for i, g in enumerate(gates):
-        qubits = set(g.qubits)
-        for j in range(i + 1, len(gates)):
-            other = gates[j]
-            if qubits.isdisjoint(other.qubits):
-                continue
-            replacement = _try_pair(g, other)
-            if replacement is not None:
-                return gates[:i] + replacement + gates[i + 1:j] + gates[j + 1:], True
-            break  # blocked by the first gate sharing a qubit
-    return gates, False
-
-
-def _sx_run_pass(gates: list[Gate]):
-    """Collapse one maximal adjacent run of {SX, X} on a single wire.
-
-    SX and X commute and satisfy SX^2 = X and X^2 = I exactly, so a run of
-    a SX and b X gates reduces to SX^(a mod 2) X^((b + (a mod 4)//2) mod 2).
-    The rewrite is skipped when it would raise the X count (a lone SX pair),
-    keeping the pass non-increasing for every gate tag.
+    SX and X commute, SX^2 = X and X^2 = I, so the run is SX^value with
+    value = (sx + 2*x) mod 4.  A run of value 0 is the identity: rotations
+    and two-qubit gates on either side of it meet through it.
     """
-    runs: dict[int, list[int]] = {}
-    for idx, g in enumerate(gates):
-        if len(g.qubits) == 1 and g.kind in (K.SX, K.X):
-            runs.setdefault(g.qubits[0], []).append(idx)
-            continue
-        for q in g.qubits:
-            run = runs.pop(q, None)
-            if run is not None:
-                collapsed = _collapse_run(gates, run)
-                if collapsed is not None:
-                    return collapsed, True
-    for run in runs.values():
-        collapsed = _collapse_run(gates, run)
-        if collapsed is not None:
-            return collapsed, True
-    return gates, False
+
+    __slots__ = ("sx", "x", "out")
+
+    def __init__(self):
+        self.sx = self.x = 0
+        self.out: tuple[Gate, ...] = ()
+
+    @property
+    def value(self) -> int:
+        return (self.sx + 2 * self.x) % 4
 
 
-def _collapse_run(gates: list[Gate], run: list[int]):
-    if len(run) < 2:
-        return None
-    a = sum(1 for idx in run if gates[idx].kind is K.SX)
-    b = len(run) - a
-    sx_out = a % 2
-    x_out = (b + (a % 4) // 2) % 2
-    if x_out > b or sx_out + x_out >= len(run):
-        return None
-    qubit = gates[run[0]].qubits
-    replacement = [Gate(K.SX, qubit)] * sx_out + [Gate(K.X, qubit)] * x_out
-    # the first run slots carry the replacement, the remaining slots drop
-    out = []
-    consumed = set(run)
-    emitted = 0
-    for idx, g in enumerate(gates):
-        if idx in consumed:
-            if emitted < len(replacement):
-                out.append(replacement[emitted])
-                emitted += 1
+class _Rz:
+    """An RZ, with the angle of every rotation merged into it so far."""
+
+    __slots__ = ("gate", "angle", "out")
+
+    def __init__(self, gate: Gate):
+        self.gate = gate
+        self.angle = gate.angle
+        self.out: tuple[Gate, ...] | None = None  # None: the gate itself
+
+
+class _Fixed:
+    """A gate the sweep keeps as it is: a two-qubit gate, or any gate
+    outside {RZ, SX, X}.  It ends the wire segment on each of its qubits."""
+
+    __slots__ = ("gate", "out")
+
+    def __init__(self, gate: Gate):
+        self.gate = gate
+        self.out: tuple[Gate, ...] | None = None  # None: the gate itself
+
+
+def _under_identity(stack: list):
+    """The top item of a wire, looking through an identity run, and that run."""
+    top = stack[-1] if stack else None
+    if type(top) is _Run and top.value == 0:
+        return (stack[-2] if len(stack) > 1 else None), top
+    return top, None
+
+
+def _remove_under(stack: list, identity: _Run | None) -> None:
+    """Pop the item below an optional top identity run; the identity run then
+    joins the run it now follows, if any, so their X gates stay together."""
+    if identity is not None:
+        stack.pop()
+    stack.pop().out = ()
+    if identity is None:
+        return
+    if stack and type(stack[-1]) is _Run:
+        stack[-1].sx += identity.sx
+        stack[-1].x += identity.x
+    else:
+        stack.append(identity)
+
+
+def _merge_rz(stack: list, angle: Angle) -> bool:
+    """Merge a rotation into the one it meets on the wire, looking through an
+    identity run; False when it meets none."""
+    below, identity = _under_identity(stack)
+    if type(below) is not _Rz:
+        return False
+    below.angle = below.angle.plus(angle)
+    if below.angle.is_zero_mod_2pi():
+        _remove_under(stack, identity)
+    return True
+
+
+def _cancel_pending(stacks: list, pending: list, later: _Fixed) -> None:
+    """Cancel a waiting CX/ECR with its partner below the identity runs.
+
+    A rotation that landed on the waiting gate falls through to the wire
+    below, as it would once the pair is gone.
+    """
+    for q in later.gate.qubits:
+        pending[q] = None
+        stack = stacks[q]
+        landed = stack.pop() if stack[-1] is not later else None
+        stack.pop().out = ()
+        _remove_under(stack, _under_identity(stack)[1])
+        if landed is None:
             continue
-        out.append(g)
-    return out
+        if _merge_rz(stack, landed.angle):
+            landed.out = ()
+        else:
+            stack.append(landed)
+
+
+def _emit_wire(stack: list, q: int) -> None:
+    """Fix the output of every rotation and run left on one wire.
+
+    A run of value 0 emits nothing, 1 emits SX, 2 emits X or SX SX, and 3
+    emits SX X or SX SX SX.  X may be emitted only against the X gates its
+    segment (the wire between two surviving fixed gates) held at input, so
+    no tag count rises.  Runs with too few SX for the X-free form draw on
+    that budget first; what is left goes to the other runs in wire order.
+    """
+    sx, x = Gate(K.SX, (q,)), Gate(K.X, (q,))
+    x_free = ((), (sx,), (sx, sx), (sx, sx, sx))
+    with_x = ((), (sx,), (x,), (sx, x))
+    segment: list[_Run] = []
+    for item in stack + [None]:
+        if type(item) is _Rz:
+            if item.angle is not item.gate.angle:
+                item.out = (Gate(K.RZ, (q,), item.angle),)
+        elif type(item) is _Run:
+            segment.append(item)
+        else:  # a fixed gate or the end of the wire closes the segment
+            spare = sum(r.x for r in segment) - sum(r.sx < r.value for r in segment)
+            for r in segment:
+                value = r.value
+                if r.sx < value:
+                    r.out = with_x[value]
+                elif value >= 2 and spare:
+                    spare -= 1
+                    r.out = with_x[value]
+                else:
+                    r.out = x_free[value]
+            segment = []
 
 
 def peephole(circuit: Circuit) -> Circuit:
-    """Adjacent-gate cleanup on a native-basis circuit (no resynthesis)."""
-    gates = [g for g in circuit.gates if g.kind is not K.I
-             and not (g.kind is K.RZ and g.angle.is_zero_mod_2pi())]
-    changed = True
-    while changed:
-        gates, changed = _pair_pass(gates)
-        if not changed:
-            gates, changed = _sx_run_pass(gates)
+    """One left-to-right sweep over per-wire stacks (no resynthesis).
+
+    Adjacent RZ merge with exact rational-pi arithmetic, adjacent CX/ECR
+    pairs cancel, and {SX, X} runs reduce by their value mod 4.  No gate
+    count of any tag rises above the input's.
+    """
+    stacks: list[list] = [[] for _ in range(circuit.width)]
+    pending: list[_Fixed | None] = [None] * circuit.width
+    items: list = []
+    for g in circuit.gates:
+        kind = g.kind
+        if kind is K.RZ:
+            stack = stacks[g.qubits[0]]
+            if not g.angle.is_zero_mod_2pi() and not _merge_rz(stack, g.angle):
+                item = _Rz(g)
+                stack.append(item)
+                items.append(item)
+        elif kind is K.SX or kind is K.X:
+            q = g.qubits[0]
+            if pending[q] is not None:
+                _cancel_pending(stacks, pending, pending[q])
+            stack = stacks[q]
+            run = stack[-1] if stack else None
+            if type(run) is not _Run:
+                run = _Run()
+                stack.append(run)
+                items.append(run)
+            if kind is K.SX:
+                run.sx += 1
+            else:
+                run.x += 1
+        elif kind is not K.I:
+            for q in g.qubits:
+                later = pending[q]
+                if later is not None and not (later.gate == g and all(stacks[r][-1] is later
+                                                                     for r in g.qubits)):
+                    _cancel_pending(stacks, pending, later)
+            tops = [_under_identity(stacks[q]) for q in g.qubits]
+            prev = tops[0][0]
+            item = _Fixed(g)
+            if (kind in _SELF_INVERSE_2Q and type(prev) is _Fixed and prev.gate == g
+                    and tops[1][0] is prev):
+                if tops[0][1] is None and tops[1][1] is None:  # adjacent: cancel now
+                    for q in g.qubits:
+                        stacks[q].pop().out = ()
+                        pending[q] = None
+                    continue
+                # Only identity runs lie between.  The pair cancels, unless an
+                # equal gate follows this one directly and cancels it first.
+                for q in g.qubits:
+                    pending[q] = item
+            for q in g.qubits:
+                stacks[q].append(item)
+            items.append(item)
+    for later in pending:
+        if later is not None:
+            _cancel_pending(stacks, pending, later)
+    for q, stack in enumerate(stacks):
+        _emit_wire(stack, q)
+    gates: list[Gate] = []
+    for item in items:
+        if item.out is None:
+            gates.append(item.gate)
+        else:
+            gates.extend(item.out)
     return circuit.with_gates(gates)
 
 

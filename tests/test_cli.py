@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hexsynth.cli import main
 from hexsynth.circuit import parse_text
 from hexsynth.simulator import equivalence, EquivalenceLevel
@@ -135,3 +137,36 @@ class TestTables:
         walk(data, ())
         assert fails == [("two_bit_cx_basis", "swap2", "depth")]
         assert code == 1
+
+
+class TestBadInputFiles:
+    # every unreadable input file is an `error: ...` line and exit 1, not a traceback
+    NOT_UTF8 = b'{"num_qubits": \xff\xfe}\n'
+    TRUNCATED = b'{"num_qubits": 3, "edg'
+
+    def test_transpile_non_utf8_circuit(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"qubits 1\nx q[0]\n\xff\xfe\n")
+        assert run("transpile", str(src), "--basis", "ecr") == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_simulate_non_utf8_circuit(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"\xff qubits 1\n")
+        assert run("simulate", str(src), "--input", "0") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--layout", "--placement"])
+    @pytest.mark.parametrize("payload", [NOT_UTF8, TRUNCATED, b"[1, 2]"],
+                             ids=["not-utf8", "truncated", "not-an-object"])
+    def test_cost_bad_json(self, tmp_path, capsys, flag, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        assert run("cost", "and3", "--basis", "ecr", flag, str(bad)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cost_placement_qubit_not_an_integer(self, tmp_path, capsys):
+        bad = tmp_path / "p.json"
+        bad.write_text(json.dumps({"assignment": {"c1": "x", "t": 62, "c2": 63}}))
+        assert run("cost", "and3", "--placement", str(bad)) == 1
+        assert "placement qubits must be integers" in capsys.readouterr().err

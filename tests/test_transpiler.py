@@ -2,16 +2,131 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates
-from hexsynth.library import StandardKind, build_gate, build_standard
+from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, parse_text
+from hexsynth.library import FAMILY_GATES, StandardKind, build_gate, build_standard
 from hexsynth.layout import CouplingMap
 from hexsynth.simulator import unitary_of
-from hexsynth.transpiler import (NativeBasis, TranspileError, cost_report, lower,
-                                 lower_and_optimize, peephole, random_clifford_t_circuit,
-                                 route_naive, rule_table, rule_table_text)
+from hexsynth.transpiler import (_SINGLE_QUBIT_RULES, NativeBasis, TranspileError,
+                                 _two_qubit_rules, cost_report, lower, lower_and_optimize,
+                                 peephole, random_clifford_t_circuit, route_naive, rule_table,
+                                 rule_table_text)
 
 K = GateKind
+
+
+# --- the former fixed-point passes, kept as references -------------------------
+# `peephole` and `lower` used to rewrite to a fixed point, restarting from the
+# first gate after every rewrite (about n^2).  The tests hold the one-pass
+# versions to these: `lower` gate for gate, `peephole` never longer or deeper.
+
+def reference_lower(circuit, basis):
+    two_q = _two_qubit_rules(basis)
+    allowed = basis.allowed
+    gates = list(circuit.gates)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for g in gates:
+            if g.kind in allowed:
+                if g.kind is K.I:
+                    changed = True
+                    continue
+                if g.kind is K.RZ and g.angle.is_zero_mod_2pi():
+                    changed = True
+                    continue
+                out.append(g)
+            elif g.kind in _SINGLE_QUBIT_RULES:
+                out.extend(_SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle))
+                changed = True
+            elif g.kind in two_q:
+                out.extend(two_q[g.kind](*g.qubits))
+                changed = True
+            else:
+                raise TranspileError(f"no rewrite for {g.kind.value} in {basis.value} basis")
+        gates = out
+    return circuit.with_gates(gates)
+
+
+def _reference_try_pair(a, b):
+    if a.qubits != b.qubits:
+        return None
+    if a.kind is K.RZ and b.kind is K.RZ:
+        merged = a.angle.plus(b.angle)
+        return [] if merged.is_zero_mod_2pi() else [Gate(K.RZ, a.qubits, merged)]
+    if a.kind in (K.CX, K.ECR) and b.kind is a.kind:
+        return []
+    return None
+
+
+def _reference_pair_pass(gates):
+    for i, g in enumerate(gates):
+        qubits = set(g.qubits)
+        for j in range(i + 1, len(gates)):
+            other = gates[j]
+            if qubits.isdisjoint(other.qubits):
+                continue
+            replacement = _reference_try_pair(g, other)
+            if replacement is not None:
+                return gates[:i] + replacement + gates[i + 1:j] + gates[j + 1:], True
+            break
+    return gates, False
+
+
+def _reference_sx_run_pass(gates):
+    runs = {}
+    for idx, g in enumerate(gates):
+        if len(g.qubits) == 1 and g.kind in (K.SX, K.X):
+            runs.setdefault(g.qubits[0], []).append(idx)
+            continue
+        for q in g.qubits:
+            run = runs.pop(q, None)
+            if run is not None:
+                collapsed = _reference_collapse_run(gates, run)
+                if collapsed is not None:
+                    return collapsed, True
+    for run in runs.values():
+        collapsed = _reference_collapse_run(gates, run)
+        if collapsed is not None:
+            return collapsed, True
+    return gates, False
+
+
+def _reference_collapse_run(gates, run):
+    if len(run) < 2:
+        return None
+    a = sum(1 for idx in run if gates[idx].kind is K.SX)
+    b = len(run) - a
+    sx_out = a % 2
+    x_out = (b + (a % 4) // 2) % 2
+    if x_out > b or sx_out + x_out >= len(run):
+        return None
+    qubit = gates[run[0]].qubits
+    replacement = [Gate(K.SX, qubit)] * sx_out + [Gate(K.X, qubit)] * x_out
+    out = []
+    consumed = set(run)
+    emitted = 0
+    for idx, g in enumerate(gates):
+        if idx in consumed:
+            if emitted < len(replacement):
+                out.append(replacement[emitted])
+                emitted += 1
+            continue
+        out.append(g)
+    return out
+
+
+def reference_peephole(circuit):
+    gates = [g for g in circuit.gates if g.kind is not K.I
+             and not (g.kind is K.RZ and g.angle.is_zero_mod_2pi())]
+    changed = True
+    while changed:
+        gates, changed = _reference_pair_pass(gates)
+        if not changed:
+            gates, changed = _reference_sx_run_pass(gates)
+    return circuit.with_gates(gates)
 
 
 def G(kind, *qubits, angle=None):
@@ -145,6 +260,137 @@ class TestPeephole:
         for _ in range(20):
             c = lower(random_clifford_t_circuit(rng, 3, 30), NativeBasis.ECR_BASIS)
             assert fidelity(c, peephole(c)) >= 1 - 1e-9
+
+
+def native(text):
+    """A circuit from `;`-separated lines such as `sx q0; ecr q1,q0`."""
+    lines = []
+    for line in text.split(";"):
+        tag, args = line.split()
+        lines.append(f"{tag} " + ", ".join(f"q[{a.strip()[1:]}]" for a in args.split(",")))
+    return parse_text("\n".join(lines))
+
+
+def assert_no_worse_than_reference(c):
+    """L1-equal to the input, no tag count above the input's, and no longer
+    or deeper than the former fixed-point peephole's output."""
+    out, ref = count_gates(peephole(c)), count_gates(reference_peephole(c))
+    before = count_gates(c).counts
+    assert all(n <= before.get(tag, 0) for tag, n in out.counts.items())
+    assert out.qc <= ref.qc and out.depth <= ref.depth
+    assert fidelity(c, peephole(c)) >= 1 - 1e-9
+
+
+class TestSweepRegressions:
+    # each case breaks a sweep that emits a run too early, drops an identity
+    # run's X gates, or pools the X budget over the whole wire
+    CASES = {
+        "x-pair-then-sx-pair": ("x q0; x q0; sx q0; sx q0", ["x q[0]"]),
+        "run-resumes-after-rz-cancels": (
+            "x q0; sx q0; sx q0; sx q0; rz(pi/2) q0; rz(3*pi/2) q0; sx q0", ["x q[0]"]),
+        "identity-run-keeps-its-x": (
+            "rz(pi/2) q0; sx q0; x q0; sx q0; rz(-pi/2) q0; rz(pi/2) q0; sx q0; "
+            "rz(3*pi/2) q0; rz(pi/2) q0; sx q0; rz(3*pi/2) q0; rz(-3*pi/2) q0; rz(-pi) q0",
+            ["rz(pi/2) q[0]", "x q[0]", "rz(-pi) q[0]"]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_one_wire(self, name):
+        text, want = self.CASES[name]
+        c = native(text)
+        assert [g.text() for g in peephole(c).gates] == want
+        out, ref = count_gates(peephole(c)), count_gates(reference_peephole(c))
+        assert (out.qc, out.depth) == (ref.qc, ref.depth)
+        assert fidelity(c, peephole(c)) >= 1 - 1e-9
+
+    def test_x_budget_is_per_segment(self):
+        # pooling the X gates over the whole wire spends q1's spare X before
+        # the ECR and leaves the deeper side X-free: depth 9, not 8
+        c = native("rz(-3*pi/2) q0; sx q1; rz(pi) q0; sx q0; sx q0; sx q1; sx q0; ecr q1,q0; "
+                   "sx q0; sx q1; sx q1; x q1; sx q1; sx q1; rz(3*pi/2) q1; x q1")
+        out, ref = count_gates(peephole(c)), count_gates(reference_peephole(c))
+        assert (out.qc, out.depth) == (ref.qc, ref.depth) == (11, 8)
+        assert_no_worse_than_reference(c)
+
+    @pytest.mark.parametrize("between", ["", "rz(pi/2) q0; rz(-pi/2) q0; "])
+    def test_adjacent_pair_cancels_before_one_through_an_identity_run(self, between):
+        # the second ECR may cancel the first through x x, but the third
+        # cancels it directly first; the first survives, and the identity
+        # run's X gates join the sx pair after it
+        c = native(f"ecr q0,q1; x q0; x q0; ecr q0,q1; {between}ecr q0,q1; sx q0; sx q0")
+        assert [g.text() for g in peephole(c).gates] == ["ecr q[0], q[1]", "x q[0]"]
+        assert_no_worse_than_reference(c)
+
+    def test_spare_x_shortens_an_sx_pair(self):
+        # the identity run x x leaves an X the segment's sx sx may use
+        c = native("x q0; x q0; rz(pi/4) q0; sx q0; sx q0")
+        assert [g.text() for g in peephole(c).gates] == ["rz(pi/4) q[0]", "x q[0]"]
+        assert len(reference_peephole(c).gates) == 3
+
+    def test_cancelled_pair_joins_segments(self):
+        c = native("rz(pi/4) q1; cx q0,q1; x q0; x q0; rz(-pi/4) q1; rz(pi/4) q1; cx q0,q1; "
+                   "rz(-pi/4) q1")
+        assert peephole(c).gates == ()
+
+    @pytest.mark.parametrize("name", FAMILY_GATES)
+    def test_family_costs_unchanged(self, name):
+        gate = build_gate(name)
+        for basis in NativeBasis:
+            lowered = lower(gate, basis)
+            assert count_gates(peephole(lowered)) == count_gates(reference_peephole(lowered))
+            assert fidelity(lowered, peephole(lowered)) >= 1 - 1e-9
+
+
+_ANGLES = st.sampled_from([(1, 2), (-1, 2), (1, 1), (3, 2), (-3, 2), (1, 4), (-1, 4), (3, 4)])
+
+
+@st.composite
+def native_circuits(draw):
+    basis = draw(st.sampled_from(list(NativeBasis)))
+    width = draw(st.integers(1, 4))
+    qubit = st.integers(0, width - 1)
+    gates = [st.builds(lambda q: G(K.SX, q), qubit),
+             st.builds(lambda q: G(K.X, q), qubit),
+             st.builds(lambda q, a: rz(q, *a), qubit, _ANGLES)]
+    if width > 1:
+        pair = st.one_of(st.just((0, 1)), st.lists(qubit, min_size=2, max_size=2, unique=True))
+        gates.append(st.builds(lambda qs: G(basis.two_qubit_kind, *qs), pair))
+    return Circuit(width, tuple(draw(st.lists(st.one_of(*gates), max_size=40))))
+
+
+@st.composite
+def any_circuits(draw):
+    width = draw(st.integers(1, 4))
+    qubit = st.integers(0, width - 1)
+    one_q = st.builds(lambda k, q, a: Gate(k, (q,), Angle.pi_frac(*a) if k.takes_angle else None),
+                      st.sampled_from([k for k in K if k.arity == 1]), qubit, _ANGLES)
+    gates = [one_q]
+    if width > 1:
+        gates.append(st.builds(lambda k, qs: Gate(k, tuple(qs)),
+                               st.sampled_from([k for k in K if k.arity == 2]),
+                               st.lists(qubit, min_size=2, max_size=2, unique=True)))
+    return Circuit(width, tuple(draw(st.lists(st.one_of(*gates), max_size=30))))
+
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+class TestSweepProperties:
+    @PROPERTY
+    @given(native_circuits())
+    def test_no_worse_than_reference(self, c):
+        assert_no_worse_than_reference(c)
+
+    @PROPERTY
+    @given(native_circuits())
+    def test_idempotent(self, c):
+        once = peephole(c)
+        assert peephole(once) == once
+
+    @PROPERTY
+    @given(any_circuits(), st.sampled_from(list(NativeBasis)))
+    def test_lower_matches_fixed_point_lowering(self, c, basis):
+        assert lower(c, basis) == reference_lower(c, basis)
 
 
 class TestCostReport:
