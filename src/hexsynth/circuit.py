@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 
 class GateKind(Enum):
@@ -200,9 +201,9 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.width < 1:
             raise CircuitError("circuit width must be >= 1")
-        for g in self.gates:
-            if any(q < 0 or q >= self.width for q in g.qubits):
-                raise CircuitError(f"gate {g.kind.value} {g.qubits} outside width {self.width}")
+        if not set(chain.from_iterable(g.qubits for g in self.gates)) <= set(range(self.width)):
+            bad = next(g for g in self.gates if any(q < 0 or q >= self.width for q in g.qubits))
+            raise CircuitError(f"gate {bad.kind.value} {bad.qubits} outside width {self.width}")
         for attr in ("roles", "wire_names"):
             v = getattr(self, attr)
             if v is not None:

@@ -18,7 +18,7 @@ from .layout import Placement, ishape_brisbane, heavy_hex_127, load_map, place, 
 from .rules import query_from_names, search
 from .simulator import (EquivalenceLevel, SimulationError, Statevector, apply, equivalence,
                         phase_trace, qsphere, truth_string, truth_table)
-from .transpiler import NativeBasis, cost_report, lower, lower_and_optimize
+from .transpiler import NativeBasis, _cost_of_lowered, lower, lower_and_optimize
 
 _ORACLE_ALIASES = {"toffoli": "toffoli", "fredkin": "fredkin_std", "swap": "swap2_std",
                    "csx": "csx2_std", "csxdg": "csxdg2_std"}
@@ -149,7 +149,8 @@ def cmd_search(args) -> int:
 def cmd_cost(args) -> int:
     circuit = build_gate(args.gate)
     basis = _basis(args.basis)
-    rep = cost_report(circuit, basis)
+    lowered = lower_and_optimize(circuit, basis)
+    rep = _cost_of_lowered(lowered, basis)
     payload = {"gate": args.gate, "basis": args.basis, **rep.as_dict()}
     if args.layout or args.placement:
         cmap = load_map(args.layout) if args.layout else heavy_hex_127()
@@ -161,7 +162,7 @@ def cmd_cost(args) -> int:
             placement = Placement.from_dict(data)
         else:
             placement = place(args.gate, ishape_brisbane(cmap))
-        ok, violations = verify_no_swap(lower_and_optimize(circuit, basis), cmap, placement)
+        ok, violations = verify_no_swap(lowered, cmap, placement)
         payload["placement"] = placement.as_dict()["assignment"]
         payload["swap_free"] = ok
         payload["violations"] = violations

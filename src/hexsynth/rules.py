@@ -11,8 +11,9 @@ No core gate touches a control wire, so for each control assignment
 SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1.  The search evaluates
 p(target=1) on all four of these branches for every configuration as one
 numpy batch, keeps the configurations within a loose margin of the target
-function, and re-verifies only those candidates exactly: full-circuit
-simulation, truth table, then grading against a phase-exact oracle.
+function, and re-verifies only those candidates exactly: the truth table
+of the built core (one batched pass over its gates, a column per control
+assignment), then grading its unitary against a phase-exact oracle.
 """
 from __future__ import annotations
 

@@ -6,6 +6,12 @@ tables with deterministic-target checking, stage-by-stage phase traces of the
 symmetric 3-bit cores, Pauli conjugation by Clifford gates, and q-sphere
 point extraction.
 
+One kernel, `_apply_matrix`, applies every gate: the amplitudes are
+reshaped so the acted-on wires are axes of their own, then multiplied once.
+Amplitudes may carry trailing batch columns, so `apply` (one state),
+`unitary_of` (the identity's 2^n columns) and `truth_table` (one basis
+column per control assignment) are all one sweep over the gates.
+
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
   - two-qubit matrices are indexed (control_bit << 1) | target_bit;
@@ -133,17 +139,20 @@ class Statevector:
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Embed a k-qubit matrix at the given qubit positions (qubits[0] = MSB
-    of the local index) and apply it; `amps` may carry trailing batch axes."""
-    k = len(qubits)
-    batch = amps.shape[1:] if amps.ndim > 1 else ()
-    t = amps.reshape((2,) * n + batch)
-    axes = [n - 1 - q for q in qubits]
-    t = np.moveaxis(t, axes, range(k))
-    shape = t.shape
-    t = mat @ t.reshape(2 ** k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), axes)
-    return t.reshape((2 ** n,) + batch)
+    """Apply a one- or two-qubit matrix at the given qubit positions
+    (qubits[0] = MSB of the local index); `amps` may carry trailing batch
+    axes.  The acted-on wires become axes of a reshape, so no data moves
+    before the product."""
+    rest = amps.size >> n  # trailing batch axes, flattened
+    if len(qubits) == 1:
+        q = qubits[0]
+        t = amps.reshape(2 ** (n - 1 - q), 2, (2 ** q) * rest)
+        return np.matmul(mat, t).reshape(amps.shape)
+    a, b = qubits
+    hi, lo = max(a, b), min(a, b)
+    t = amps.reshape(2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, (2 ** lo) * rest)
+    subscripts = "ABab,xaybz->xAyBz" if a == hi else "ABab,xbyaz->xByAz"
+    return np.einsum(subscripts, mat.reshape(2, 2, 2, 2), t).reshape(amps.shape)
 
 
 def apply(circuit: Circuit, state: Statevector) -> Statevector:
@@ -238,25 +247,42 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
     `controls` lists control qubits least-significant first, so the key for
     an assignment is the bit string 'c_k ... c_2 c_1'.  Target and ancillas
     start in |0>; ancillas may end dirty.  Raises if any assignment leaves
-    the target non-deterministic.
+    the target non-deterministic.  Every assignment's basis state is one
+    column of a batch that sweeps the gates once.
     """
     controls = tuple(controls)
     wires = (target,) + controls + tuple(ancillas)
     if len(set(wires)) != len(wires):
         raise SimulationError("target, controls, and ancillas must be distinct wires")
+    n, k = circuit.width, len(controls)
+    if any(q < 0 or q >= n for q in wires):
+        raise SimulationError(f"target, controls, and ancillas must be wires 0..{n - 1}")
+    Statevector._check_width(n)
     table: dict[str, int] = {}
-    k = len(controls)
-    for m in range(2 ** k):
-        bits = {q: (m >> j) & 1 for j, q in enumerate(controls)}
-        out = apply(circuit, Statevector.basis(circuit.width, bits))
-        p1 = out.probability_of_one(target)
-        if p1 >= 1 - ATOL_NORM:
-            bit = 1
-        elif p1 <= ATOL_NORM:
-            bit = 0
-        else:
-            raise SimulationError(f"non-deterministic target for controls {m:0{k}b}: p(1)={p1:.6f}")
-        table[format(m, f"0{k}b")] = bit
+    # columns per batch: at most 2^MAX_STATEVECTOR_QUBITS amplitudes in all
+    step = 2 ** max(0, MAX_STATEVECTOR_QUBITS - n)
+    for start in range(0, 2 ** k, step):
+        ms = np.arange(start, min(start + step, 2 ** k))
+        index = np.zeros_like(ms)
+        for j, q in enumerate(controls):
+            index |= ((ms >> j) & 1) << q
+        amps = np.zeros((2 ** n, len(ms)), dtype=complex)
+        amps[index, np.arange(len(ms))] = 1.0
+        for g in circuit.gates:
+            amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, n)
+        norms = np.linalg.norm(amps, axis=0)
+        target_one = amps.reshape(2 ** (n - 1 - target), 2, 2 ** target, -1)[:, 1]
+        p1s = np.sum(np.abs(target_one) ** 2, axis=(0, 1))
+        for m, norm, p1 in zip(ms.tolist(), norms.tolist(), p1s.tolist()):
+            if abs(norm - 1.0) > ATOL_NORM:
+                raise SimulationError("state is not normalized")
+            if p1 >= 1 - ATOL_NORM:
+                bit = 1
+            elif p1 <= ATOL_NORM:
+                bit = 0
+            else:
+                raise SimulationError(f"non-deterministic target for controls {m:0{k}b}: p(1)={p1:.6f}")
+            table[format(m, f"0{k}b")] = bit
     return table
 
 

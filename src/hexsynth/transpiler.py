@@ -381,7 +381,12 @@ def lower_and_optimize(circuit: Circuit, basis: NativeBasis) -> Circuit:
 
 def cost_report(circuit: Circuit, basis: NativeBasis) -> CostReport:
     """Counts, quantum cost, and depth of the lowered and peepholed circuit."""
-    lowered = lower_and_optimize(circuit, basis)
+    return _cost_of_lowered(lower_and_optimize(circuit, basis), basis)
+
+
+def _cost_of_lowered(lowered: Circuit, basis: NativeBasis) -> CostReport:
+    """cost_report of a circuit already lowered to `basis`; every basis tag
+    is counted, absent ones as 0."""
     report = count_gates(lowered)
     counts = {k.value: 0 for k in (K.X, K.SX, K.RZ, basis.two_qubit_kind)}
     counts.update(report.counts)

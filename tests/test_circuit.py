@@ -64,6 +64,11 @@ class TestGateAndCircuit:
     def test_gate_must_fit_width(self):
         with pytest.raises(CircuitError):
             Circuit(2, (G(K.H, 5),))
+        # the first offending gate is named
+        with pytest.raises(CircuitError, match=r"^gate cx \(1, 3\) outside width 2$"):
+            Circuit(2, (G(K.H, 0), G(K.CX, 1, 3), G(K.H, 4)))
+        with pytest.raises(CircuitError, match=r"^gate h \(-1,\) outside width 2$"):
+            Circuit(2, (G(K.H, 1), G(K.H, -1)))
 
     def test_relabeled_permutes_everything(self):
         c = Circuit(3, (G(K.CX, 0, 1), G(K.H, 2)), roles=("control", "target", "control"),

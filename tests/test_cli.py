@@ -108,6 +108,29 @@ class TestSearchCostTrace:
         data = json.loads(capsys.readouterr().out)
         assert data["swap_free"] is True
 
+    def test_cost_lowers_once(self, tmp_path, capsys, monkeypatch):
+        # the cost report and the placement check read the same lowered circuit
+        from hexsynth import cli, transpiler
+        from hexsynth.layout import heavy_hex_127
+
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps(heavy_hex_127().as_dict()))
+        want = transpiler.cost_report(build_gate("and4"), transpiler.NativeBasis.ECR_BASIS)
+        calls = []
+        real = transpiler.lower_and_optimize
+
+        def counting(circuit, basis):
+            calls.append(circuit.name)
+            return real(circuit, basis)
+
+        monkeypatch.setattr(transpiler, "lower_and_optimize", counting)
+        monkeypatch.setattr(cli, "lower_and_optimize", counting)
+        assert run("cost", "and4", "--basis", "ecr", "--layout", str(mapfile), "--json") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert data["swap_free"] is True
+        assert {k: data[k] for k in ("counts", "qc", "depth")} == want.as_dict()
+
     def test_trace_row(self, capsys):
         assert run("trace", "and3", "--controls", "11", "--json") == 0
         data = json.loads(capsys.readouterr().out)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hexsynth import simulator
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind
-from hexsynth.library import BOOLEAN_TABLE, BooleanGateKind, build_boolean
-from hexsynth.simulator import (EquivalenceLevel, SimulationError, Statevector, apply,
-                                equivalence, gate_matrix, is_unitary, pauli_conjugate,
-                                phase_trace, qsphere, truth_string, truth_table,
-                                unitary_of)
+from hexsynth.library import BOOLEAN_TABLE, BooleanGateKind, build_boolean, build_gate
+from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
+                                _apply_matrix, apply, equivalence, gate_matrix, is_unitary,
+                                pauli_conjugate, phase_trace, qsphere, truth_string,
+                                truth_table, unitary_of)
 
 from conftest import toffoli_unitary
 
@@ -17,6 +19,41 @@ K = GateKind
 
 def G(kind, *qubits, angle=None):
     return Gate(kind, tuple(qubits), angle)
+
+
+def reference_apply_matrix(amps, mat, qubits, n):
+    """The former kernel: move the acted-on axes to the front, multiply,
+    move them back."""
+    k = len(qubits)
+    batch = amps.shape[1:] if amps.ndim > 1 else ()
+    t = amps.reshape((2,) * n + batch)
+    axes = [n - 1 - q for q in qubits]
+    t = np.moveaxis(t, axes, range(k))
+    shape = t.shape
+    t = mat @ t.reshape(2 ** k, -1)
+    t = np.moveaxis(t.reshape(shape), range(k), axes)
+    return t.reshape((2 ** n,) + batch)
+
+
+def reference_truth_table(circuit, target, controls):
+    """The former truth table: one full `apply` per control assignment."""
+    k = len(controls)
+    table = {}
+    for m in range(2 ** k):
+        bits = {q: (m >> j) & 1 for j, q in enumerate(controls)}
+        p1 = apply(circuit, Statevector.basis(circuit.width, bits)).probability_of_one(target)
+        if p1 >= 1 - ATOL_NORM:
+            table[format(m, f"0{k}b")] = 1
+        elif p1 <= ATOL_NORM:
+            table[format(m, f"0{k}b")] = 0
+        else:
+            raise SimulationError(f"non-deterministic target for controls {m:0{k}b}: p(1)={p1:.6f}")
+    return table
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestGateMatrix:
@@ -106,6 +143,22 @@ class TestApplyAndUnitary:
         assert is_unitary(unitary_of(c))
 
 
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (3,)]))
+    def test_every_qubit_and_ordered_pair(self, n, seed, batch):
+        rng = np.random.default_rng(seed)
+        shape = (2 ** n,) + batch
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        sites = [(q,) for q in range(n)]
+        sites += [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in sites:
+            mat = random_unitary(rng, 2 ** len(qubits))
+            got = _apply_matrix(amps, mat, qubits, n)
+            assert got.shape == shape
+            assert np.allclose(got, reference_apply_matrix(amps, mat, qubits, n), rtol=0, atol=1e-12)
+
+
 class TestPauliConjugate:
     # the six book rows: C . P . C^dagger = (sign) P'
     @pytest.mark.parametrize("c,p,want,sign", [
@@ -188,6 +241,56 @@ class TestTruthTable:
         c = Circuit(2, (G(K.H, 1),), name="half")
         with pytest.raises(SimulationError, match="non-deterministic"):
             truth_table(c, target=1, controls=(0,))
+
+
+BOOLEAN_FAMILY = ("and3", "nand3", "or3", "nor3", "imp3", "inh3", "and4", "and5", "pos5", "sop5")
+
+
+class TestBatchedTruthTable:
+    @pytest.mark.parametrize("name", BOOLEAN_FAMILY)
+    def test_matches_per_assignment_apply(self, name):
+        gate = build_gate(name)
+        (target,) = gate.target_qubits()
+        got = truth_table(gate, target, gate.control_qubits(), gate.ancilla_qubits())
+        assert got == reference_truth_table(gate, target, gate.control_qubits())
+
+    @pytest.mark.parametrize("name", ["and4", "sop5"])
+    def test_column_blocks_smaller_than_the_table(self, name, monkeypatch):
+        gate = build_gate(name)
+        (target,) = gate.target_qubits()
+        want = truth_table(gate, target, gate.control_qubits(), gate.ancilla_qubits())
+        # two columns per batch at this width
+        monkeypatch.setattr(simulator, "MAX_STATEVECTOR_QUBITS", gate.width + 1)
+        assert truth_table(gate, target, gate.control_qubits(), gate.ancilla_qubits()) == want
+
+    def test_first_nondeterministic_assignment_is_named(self):
+        # controls q0, q2; the ancilla q3 holds c1 xor c2 and rotates the
+        # target off the axis only then: assignments 01 and 10 are both bad
+        c = Circuit(4, (G(K.CX, 0, 3), G(K.CX, 2, 3), G(K.RY, 1, angle=Angle.pi_frac(-1, 4)),
+                        G(K.CX, 3, 1), G(K.RY, 1, angle=Angle.pi_frac(1, 4))))
+        with pytest.raises(SimulationError) as want:
+            reference_truth_table(c, target=1, controls=(0, 2))
+        assert str(want.value) == "non-deterministic target for controls 01: p(1)=0.500000"
+        with pytest.raises(SimulationError) as got:
+            truth_table(c, target=1, controls=(0, 2))
+        assert str(got.value) == str(want.value)
+
+    def test_width_guard_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the width guard")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(SimulationError, match="at most 20 qubits"):
+            truth_table(Circuit(40), target=0, controls=range(1, 40))
+
+    def test_non_unitary_gate_trips_normalization(self, monkeypatch):
+        monkeypatch.setitem(simulator._FIXED_1Q, K.X, 1.5 * simulator._X)
+        with pytest.raises(SimulationError, match="not normalized"):
+            truth_table(Circuit(2, (G(K.X, 0),)), target=1, controls=(0,))
+
+    def test_wires_outside_the_circuit_rejected(self):
+        with pytest.raises(SimulationError, match="wires 0..2"):
+            truth_table(build_boolean(BooleanGateKind.AND), target=3, controls=(0, 2))
 
 
 class TestPhaseTrace:
