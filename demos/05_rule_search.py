@@ -1,11 +1,11 @@
 """Run the geometrical design rules as an executable search.
 
-The restriction stages cut the candidate set down to {T, T-dagger} on
+The restriction stages cut the allowed gate set down to {T, T-dagger} on
 octants; an exhaustive search over the surviving configurations then finds
-every rotation pattern that realizes a requested Boolean function.  The
-search evaluates each configuration's four control branches (2x2 products
-on the target wire) as one numpy batch, and only the candidates it keeps
-are rebuilt, simulated and graded exactly.
+every rotation pattern that realizes a requested Boolean function.  On each
+of its four control branches a core acts on the target alone, as one 2x2
+block; the search computes these blocks for every configuration in one
+numpy pass, reads the hits off them, and grades each hit from its blocks.
 """
 from hexsynth.library import THETA_KINDS, AX_ENTRIES
 from hexsynth.rules import SearchQuery, apply_rules, count_space, search

@@ -76,6 +76,8 @@ class Angle:
 
     @staticmethod
     def from_radians(radians: float) -> "Angle":
+        if not math.isfinite(radians):
+            raise CircuitError(f"angle must be finite, got {radians!r}")
         return Angle(frac=None, value=float(radians))._normalized()
 
     @property

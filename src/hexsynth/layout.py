@@ -84,11 +84,16 @@ def load_map(source) -> CouplingMap:
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
-        return CouplingMap(name=str(data.get("name", "unnamed")),
-                           num_qubits=int(data["num_qubits"]),
-                           edges=frozenset(tuple(e) for e in data["edges"]))
+        name, num_qubits = str(data.get("name", "unnamed")), data["num_qubits"]
+        edges = [tuple(e) for e in data["edges"]]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise LayoutError(f"malformed coupling-map JSON: {e}") from None
+    if type(num_qubits) is not int:
+        raise LayoutError(f"num_qubits must be an integer, got {num_qubits!r}")
+    for e in edges:
+        if len(e) != 2 or not all(type(q) is int for q in e):
+            raise LayoutError(f"an edge must be two integer qubits, got {list(e)!r}")
+    return CouplingMap(name=name, num_qubits=num_qubits, edges=frozenset(edges))
 
 
 def heavy_hex_127(name: str = "brisbane") -> CouplingMap:

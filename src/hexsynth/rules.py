@@ -2,18 +2,19 @@
 
 The circle of equatorial target states splits into semicircles (Z), quadrants
 (S, S-dagger), and octants (T, T-dagger).  Six successive restriction rules
-shrink the candidate gate set for the four rotation slots of the symmetric
+shrink the gate set allowed in the four rotation slots of the symmetric
 core down to {T, T-dagger} on octants; the final rule is realized here as an
 exhaustive search over the remaining configuration space.
 
-No core gate touches a control wire, so for each control assignment
-(c1, c2) the core acts on the target as a product of 2x2 matrices,
-SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1.  The search evaluates
-p(target=1) on all four of these branches for every configuration as one
-numpy batch, keeps the configurations within a loose margin of the target
-function, and re-verifies only those candidates exactly: the truth table
-of the built core (one batched pass over its gates, a column per control
-assignment), then grading its unitary against a phase-exact oracle.
+No core gate touches a control wire except as the control of a CX, so on
+each control branch (c1, c2) the core acts on the target alone, as the 2x2
+block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its unitary
+is block-diagonal over the branches.  The search computes the four branch
+products of every configuration as one numpy batch.  A configuration is a
+hit when p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit
+on every branch, the rule `truth_table` applies; only a hit's full blocks
+are formed, placed on the diagonal of its 8x8 unitary and graded against a
+phase-exact oracle.
 """
 from __future__ import annotations
 
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitError, Gate, GateKind
-from .library import AX_ENTRIES, CoreSpec, ax_name, build_core
-from .simulator import (EquivalenceLevel, SimulationError, equivalence_of_unitaries,
-                        gate_matrix, truth_string, truth_table, unitary_of)
+from .library import AX_ENTRIES, CoreSpec, ax_name
+from .simulator import ATOL_NORM, EquivalenceLevel, equivalence_of_unitaries, gate_matrix
 
 K = GateKind
 
@@ -34,10 +34,6 @@ SEG_QUADRANTS = "quadrants"
 SEG_OCTANTS = "octants"
 
 SEARCH_SPACE_GUARD = 10 ** 7
-# A configuration is a candidate when p(target=1) on every branch lies within
-# this margin of the target bit.  The exact check's tolerance is ATOL_NORM
-# (1e-10), so rounding in the batch cannot drop an exact hit.
-CANDIDATE_MARGIN = 1e-6
 # Configurations per numpy block of the batch; bounds its peak memory.
 BLOCK_CONFIGS = 1 << 15
 
@@ -136,19 +132,23 @@ def _space_size(query: SearchQuery) -> int:
             * len(query.theta_set) ** 4)
 
 
-def _oracle_unitary(target: str) -> np.ndarray:
-    """Phase-exact unitary flipping the target wire exactly where f=1.
+# basis index of (c2, t, c1) on the core's wires (c1=0, t=1, c2=2), per
+# branch (c2 << 1) | c1 and target bit t
+_BRANCH_INDEX = np.array([[((b >> 1) << 2) | (t << 1) | (b & 1) for t in (0, 1)]
+                          for b in range(4)])
 
-    Wires follow the core layout (c1=0, t=1, c2=2)."""
-    u = np.zeros((8, 8), dtype=complex)
-    for c1 in (0, 1):
-        for c2 in (0, 1):
-            f = int(target[(c2 << 1) | c1])
-            for t in (0, 1):
-                src = (c2 << 2) | (t << 1) | c1
-                dst = (c2 << 2) | ((t ^ f) << 1) | c1
-                u[dst, src] = 1.0
+
+def _block_unitary(blocks: np.ndarray) -> np.ndarray:
+    """8x8 unitaries from target blocks of shape (..., 4, 2, 2), indexed by
+    branch (c2 << 1) | c1; wires follow the core layout (c1=0, t=1, c2=2)."""
+    u = np.zeros(blocks.shape[:-3] + (8, 8), dtype=complex)
+    u[..., _BRANCH_INDEX[:, :, None], _BRANCH_INDEX[:, None, :]] = blocks
     return u
+
+
+def _oracle_unitary(target: str) -> np.ndarray:
+    """Phase-exact unitary flipping the target wire exactly where f=1."""
+    return _block_unitary(np.array([gate_matrix(K.X if f == "1" else K.I) for f in target]))
 
 
 def _target_matrix(kinds) -> np.ndarray:
@@ -161,26 +161,27 @@ def _target_matrix(kinds) -> np.ndarray:
 
 
 class _BranchBatch:
-    """A query's configurations and p(target=1) on their four control branches.
+    """A query's configurations and the target block B_c on each of their
+    four control branches.
 
-    Configurations are flat indices in C order over the shape
-    (sp1, ax1, theta tuple, ax2, sp2), which is iter_specs' order."""
+    Every theta kind is diagonal, so a theta slot scales the rows of the
+    running product, and an X swaps them.  Configurations are flat indices
+    in C order over the shape (sp1, ax1, theta tuple, ax2, sp2), which is
+    iter_specs' order."""
 
     def __init__(self, query: SearchQuery):
         self.sp, self.ax1, self.thetas, self.ax2 = sp, ax1, thetas, ax2 = _alphabets(query)
-        # no CoreSpec is built for a non-candidate, so check every
-        # superposition and rotation entry here as CoreSpec would
+        # no CoreSpec is built for a miss, so check every superposition and
+        # rotation entry here as CoreSpec would
         for s in sp:
             CoreSpec(sp1=s, sp2=s)
         for t in thetas:
             CoreSpec(theta=(t,) * 4)
-        # column 0 of AX1.SP1 and row 1 of SP2.AX2: the target starts in |0>
-        # and only its |1> amplitude is measured
-        self.first = np.array([[(_target_matrix(a) @ _target_matrix((s,)))[:, 0] for a in ax1]
+        self.first = np.array([[_target_matrix(a) @ _target_matrix((s,)) for a in ax1]
                                for s in sp])
-        self.last = np.array([[(_target_matrix((s,)) @ _target_matrix(a))[1] for s in sp]
+        self.last = np.array([[_target_matrix((s,)) @ _target_matrix(a) for s in sp]
                               for a in ax2])
-        self.theta_mats = np.array([_target_matrix((t,)) for t in thetas])
+        self.theta_diags = np.array([_target_matrix((t,)).diagonal() for t in thetas])
         # equal kinds share an id, so symmetry holds across duplicate entries
         self.theta_ids = np.array([thetas.index(t) for t in thetas])
         self.shape = (len(sp), len(ax1), len(thetas) ** 4, len(ax2), len(sp))
@@ -189,38 +190,44 @@ class _BranchBatch:
     def theta_digits(self, i_th):
         return np.unravel_index(i_th, (len(self.thetas),) * 4)
 
-    def probabilities(self, flat: np.ndarray) -> np.ndarray:
-        """Shape (4, len(flat)); row (c2 << 1) | c1 is that branch's p(target=1)."""
+    def products(self, flat: np.ndarray):
+        """SP2.AX2 of shape (len(flat), 2, 2), and the rest of each block,
+        M_c = th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, of shape
+        (len(flat), 4, 2, 2) with branch (c2 << 1) | c1 on axis 1."""
         i_sp1, i_ax1, i_th, i_ax2, i_sp2 = np.unravel_index(flat, self.shape)
-        slots = [self.theta_mats[d] for d in self.theta_digits(i_th)]
-        start, row = self.first[i_sp1, i_ax1], self.last[i_ax2, i_sp2]
-        probs = np.empty((4, len(flat)))
+        slots = [self.theta_diags[d][:, :, None] for d in self.theta_digits(i_th)]
+        start = self.first[i_sp1, i_ax1]
+        middles = np.empty((len(flat), 4, 2, 2), dtype=complex)
         for branch in range(4):
             c1, c2 = branch & 1, branch >> 1
-            psi = start
-            # th1, X^c2, th2, X^c1, th3, X^c2, th4; X swaps the two amplitudes
+            m = start
             for theta, flip in zip(slots, (c2, c1, c2, 0)):
-                psi = np.einsum("bij,bj->bi", theta, psi)
+                m = theta * m
                 if flip:
-                    psi = psi[:, ::-1]
-            probs[branch] = np.abs(np.sum(row * psi, axis=1)) ** 2
-        return probs
+                    m = m[:, ::-1]
+            middles[:, branch] = m
+        return self.last[i_ax2, i_sp2], middles
 
     def symmetric(self, flat: np.ndarray) -> np.ndarray:
         d1, d2, d3, d4 = (self.theta_ids[d] for d in
                           self.theta_digits(np.unravel_index(flat, self.shape)[2]))
         return (d1 == d3) & (d2 == d4)
 
-    def candidates(self, target: str, symmetric: bool):
-        """Flat indices, in enumeration order, whose four branches all lie
-        within CANDIDATE_MARGIN of the target bits."""
-        bits = np.array([int(ch) for ch in target])[:, None]
+    def hits(self, target: str, symmetric: bool):
+        """(flat index, 8x8 unitary) of each configuration, in enumeration
+        order, whose p(target=1) lies within ATOL_NORM of the target bit on
+        all four branches."""
+        bits = np.array([int(ch) for ch in target])
         for start in range(0, self.size, BLOCK_CONFIGS):
             flat = np.arange(start, min(start + BLOCK_CONFIGS, self.size))
             if symmetric:
                 flat = flat[self.symmetric(flat)]
-            keep = np.all(np.abs(self.probabilities(flat) - bits) <= CANDIDATE_MARGIN, axis=0)
-            yield from flat[keep].tolist()
+            ends, middles = self.products(flat)
+            # row 1 of SP2.AX2 times column 0 of M_c: the target starts in |0>
+            p1 = np.abs(np.einsum("nj,nbj->nb", ends[:, 1], middles[..., 0])) ** 2
+            keep = np.all(np.abs(p1 - bits) <= ATOL_NORM, axis=1)
+            blocks = ends[keep, None] @ middles[keep]
+            yield from zip(flat[keep].tolist(), _block_unitary(blocks))
 
     def spec(self, flat: int) -> CoreSpec:
         i_sp1, i_ax1, i_th, i_ax2, i_sp2 = np.unravel_index(flat, self.shape)
@@ -229,36 +236,21 @@ class _BranchBatch:
                         ax2=self.ax2[i_ax2], sp2=self.sp[i_sp2])
 
 
-def _exact_hit(spec: CoreSpec, target: str, oracle: np.ndarray) -> SearchHit | None:
-    """Dense simulation of the built core decides the hit and grades it."""
-    circuit = build_core(spec)
-    try:
-        table = truth_table(circuit, target=1, controls=(0, 2))
-    except SimulationError:
-        return None
-    if truth_string(table) != target:
-        return None
-    return SearchHit(spec, equivalence_of_unitaries(unitary_of(circuit), oracle))
-
-
 def search(query: SearchQuery) -> list[SearchHit]:
     """All configurations in the query space realizing the target function.
 
-    A numpy batch over the four control branches selects candidates; each
-    candidate is rebuilt, re-simulated (deterministic target outcome on all
-    four control assignments) and graded against the phase-exact oracle,
-    which alone decides the hits.  Results are sorted by configuration for
+    One numpy pass over every configuration's four branch products decides
+    the hits by the `truth_table` rule (p(target=1) within ATOL_NORM of the
+    target bit on every branch); each hit's block-diagonal unitary is graded
+    against the phase-exact oracle.  Results are sorted by configuration for
     determinism.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
     batch = _BranchBatch(query)
     oracle = _oracle_unitary(query.target)
-    hits = []
-    for flat in batch.candidates(query.target, query.symmetric):
-        hit = _exact_hit(batch.spec(flat), query.target, oracle)
-        if hit is not None:
-            hits.append(hit)
+    hits = [SearchHit(batch.spec(flat), equivalence_of_unitaries(u, oracle))
+            for flat, u in batch.hits(query.target, query.symmetric)]
     hits.sort(key=lambda h: h.spec.sort_key())
     return hits
 

@@ -10,7 +10,9 @@ One kernel, `_apply_matrix`, applies every gate: the amplitudes are
 reshaped so the acted-on wires are axes of their own, then multiplied once.
 Amplitudes may carry trailing batch columns, so `apply` (one state),
 `unitary_of` (the identity's 2^n columns) and `truth_table` (one basis
-column per control assignment) are all one sweep over the gates.
+column per control assignment) are all one sweep over the gates.  A core's
+controls are only ever CX controls, so `phase_trace` walks the target's two
+amplitudes alone, the per-branch view the configuration search also uses.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -73,14 +75,18 @@ _FIXED_2Q = {
     GateKind.SWAP: np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
     GateKind.ECR: _SQ2 * (np.kron(_I2, _X) - np.kron(_X, _Y)),
 }
+# shared, never copied: a caller that writes to one raises
+for _m in (*_FIXED_1Q.values(), *_FIXED_2Q.values()):
+    _m.flags.writeable = False
 
 
 def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
-    """The unitary matrix of a gate kind under the package conventions."""
+    """The unitary matrix of a gate kind under the package conventions
+    (read-only for the fixed kinds)."""
     if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind].copy()
+        return _FIXED_1Q[kind]
     if kind in _FIXED_2Q:
-        return _FIXED_2Q[kind].copy()
+        return _FIXED_2Q[kind]
     if angle is None:
         raise SimulationError(f"{kind.value} requires an angle")
     g = angle.radians if hasattr(angle, "radians") else float(angle)
@@ -132,11 +138,6 @@ class Statevector:
         amps[index] = 1.0
         return Statevector(n, amps)
 
-    def probability_of_one(self, qubit: int) -> float:
-        idx = np.arange(2 ** self.n)
-        mask = (idx >> qubit) & 1 == 1
-        return float(np.sum(np.abs(self.amps[mask]) ** 2))
-
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a one- or two-qubit matrix at the given qubit positions
@@ -173,10 +174,6 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates:
         u = _apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, circuit.width)
     return u
-
-
-def is_unitary(mat: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
-    return bool(np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=atol))
 
 
 # ---------------------------------------------------------------------------
@@ -315,39 +312,30 @@ def phase_trace(core, control_state: str) -> list[str]:
     """Target-qubit label after each of the core's nine stages.
 
     `control_state` is the two-bit string 'c2 c1' (control 1 rightmost).
-    CX stages whose control is |0> do not fire and report '-'.
+    The controls only ever act as CX controls, so the target's two
+    amplitudes are walked alone: a CX stage whose control is 1 swaps them,
+    one whose control is |0> does not fire and reports '-'.
     """
     from .library import core_stage_gates  # deferred: the library sits a layer above
 
     if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
         raise SimulationError(f"control_state must be two bits, got {control_state!r}")
-    c2, c1 = int(control_state[0]), int(control_state[1])
-    n = 3
-    state = Statevector.basis(n, {0: c1, 2: c2})
+    bits = {0: int(control_state[1]), 2: int(control_state[0])}  # wires c1=0, c2=2
+    psi = np.array([1, 0], dtype=complex)
     labels: list[str] = []
-    stages = core_stage_gates(core, c1=0, t=1, c2=2)
-    for idx, (name, gates) in enumerate(stages):
-        fires = True
-        if name == "CX_c2" and c2 == 0:
-            fires = False
-        if name == "CX_c1" and c1 == 0:
-            fires = False
-        amps = state.amps
-        for g in gates:
-            amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, n)
-        state = Statevector(n, amps)
-        if not fires:
-            labels.append(TRACE_SKIP)
-            continue
-        base = (c2 << 2) | c1
-        psi = np.array([state.amps[base], state.amps[base | 0b010]])
-        if idx == len(stages) - 1:
-            if abs(psi[0]) > 1 - 1e-9:
-                labels.append("|0>")
-            elif abs(psi[1]) > 1 - 1e-9:
-                labels.append("|1>")
-            else:
-                labels.append(_equatorial_label(psi))
+    for name, gates in core_stage_gates(core, c1=0, t=1, c2=2):
+        if gates[0].kind is GateKind.CX:
+            if not bits[gates[0].qubits[0]]:
+                labels.append(TRACE_SKIP)
+                continue
+            psi = psi[::-1]
+        else:
+            for g in gates:
+                psi = gate_matrix(g.kind, g.angle) @ psi
+        if name == "SP2" and abs(psi[0]) > 1 - 1e-9:
+            labels.append("|0>")
+        elif name == "SP2" and abs(psi[1]) > 1 - 1e-9:
+            labels.append("|1>")
         else:
             labels.append(_equatorial_label(psi))
     return labels

@@ -19,7 +19,6 @@ does no resynthesis.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -467,25 +466,3 @@ def _as_logical_map(circuit: Circuit, placement) -> dict:
     except KeyError as e:
         raise TranspileError(f"placement is missing wire {e.args[0]!r}") from None
 
-
-# --- seeded random circuits for soundness checks ---------------------------------
-
-_RANDOM_1Q = (K.X, K.Y, K.Z, K.H, K.SX, K.SXDG, K.S, K.SDG, K.T, K.TDG)
-_RANDOM_2Q = (K.CX, K.CY, K.CZ, K.SWAP)
-
-
-def random_clifford_t_circuit(rng: random.Random, width: int, length: int) -> Circuit:
-    """A random Clifford+T circuit (with occasional k*pi/4 rotations)."""
-    gates = []
-    for _ in range(length):
-        roll = rng.random()
-        if width >= 2 and roll < 0.35:
-            kind = rng.choice(_RANDOM_2Q)
-            a, b = rng.sample(range(width), 2)
-            gates.append(Gate(kind, (a, b)))
-        elif roll < 0.85:
-            gates.append(Gate(rng.choice(_RANDOM_1Q), (rng.randrange(width),)))
-        else:
-            kind = rng.choice((K.RZ, K.RY))
-            gates.append(Gate(kind, (rng.randrange(width),), Angle.pi_frac(rng.randrange(-7, 8), 4)))
-    return Circuit(width=width, gates=tuple(gates), name="random")

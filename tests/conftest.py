@@ -6,6 +6,10 @@ matrices so they stay independent of the circuit builders they check.
 import numpy as np
 import pytest
 
+from hexsynth.circuit import Angle, Circuit, Gate, GateKind
+
+K = GateKind
+
 SX_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 
@@ -50,6 +54,38 @@ def controlled_gate_unitary(block):
             for t2 in (0, 1):
                 u[(t2 << 1) | 1, b] = block[t2, t]
     return u
+
+
+def is_unitary(mat, atol=1e-12):
+    return bool(np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=atol))
+
+
+def probability_of_one(state, qubit):
+    """p(qubit=1) in a Statevector."""
+    mask = (np.arange(2 ** state.n) >> qubit) & 1 == 1
+    return float(np.sum(np.abs(state.amps[mask]) ** 2))
+
+
+_RANDOM_1Q = (K.X, K.Y, K.Z, K.H, K.SX, K.SXDG, K.S, K.SDG, K.T, K.TDG)
+_RANDOM_2Q = (K.CX, K.CY, K.CZ, K.SWAP)
+
+
+def random_clifford_t_circuit(rng, width, length):
+    """A random Clifford+T circuit (with occasional k*pi/4 rotations) from a
+    `random.Random`."""
+    gates = []
+    for _ in range(length):
+        roll = rng.random()
+        if width >= 2 and roll < 0.35:
+            kind = rng.choice(_RANDOM_2Q)
+            a, b = rng.sample(range(width), 2)
+            gates.append(Gate(kind, (a, b)))
+        elif roll < 0.85:
+            gates.append(Gate(rng.choice(_RANDOM_1Q), (rng.randrange(width),)))
+        else:
+            kind = rng.choice((K.RZ, K.RY))
+            gates.append(Gate(kind, (rng.randrange(width),), Angle.pi_frac(rng.randrange(-7, 8), 4)))
+    return Circuit(width=width, gates=tuple(gates), name="random")
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,9 @@ from hexsynth.layout import Placement, heavy_hex_127, ishape_brisbane, place, ve
 from hexsynth.rules import SearchQuery, count_space, iter_specs, search
 from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate,
                                 phase_trace, truth_table, unitary_of)
-from hexsynth.transpiler import (NativeBasis, cost_report, lower, lower_and_optimize,
-                                 random_clifford_t_circuit)
+from hexsynth.transpiler import NativeBasis, cost_report, lower, lower_and_optimize
+
+from conftest import random_clifford_t_circuit
 
 K = GateKind
 

@@ -34,6 +34,13 @@ class TestAngle:
         assert not a.rational
         assert a.plus(Angle.pi_frac(1, 4)).radians == pytest.approx(0.5 + 0.7853981633974483)
 
+    @pytest.mark.parametrize("expr", ["nan", "-nan", "inf", "-inf", "1e400"])
+    def test_non_finite_rejected(self, expr):
+        with pytest.raises(CircuitError, match="finite"):
+            Angle.from_radians(float(expr))
+        with pytest.raises(CircuitError, match="bad angle expression"):
+            parse_angle(expr)
+
     @pytest.mark.parametrize("num,den,text", [
         (1, 1, "pi"), (-1, 1, "-pi"), (1, 4, "pi/4"), (-1, 4, "-pi/4"),
         (3, 4, "3*pi/4"), (-3, 4, "-3*pi/4"), (2, 1, "2*pi"),

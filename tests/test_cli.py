@@ -57,6 +57,16 @@ class TestTranspileAndSimulate:
         run("build", "and3", "-o", str(src))
         assert run("simulate", str(src), "--input", "01") == 1
 
+    @pytest.mark.parametrize("argv", [("simulate", "{src}", "--input", "0"),
+                                      ("transpile", "{src}", "--basis", "cx")])
+    def test_nan_angle_is_an_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "nan.txt"
+        src.write_text("qubits 1\nrz(nan) q[0]\n")
+        assert run(*(a.format(src=src) for a in argv)) == 1
+        captured = capsys.readouterr()
+        assert "bad angle expression: 'nan'" in captured.err
+        assert "nan" not in captured.out
+
     def test_simulate_too_wide_is_an_error(self, tmp_path, capsys):
         src = tmp_path / "wide.txt"
         src.write_text("qubits 40\nx q[39]\n")
@@ -107,6 +117,14 @@ class TestSearchCostTrace:
                    "--placement", str(placement), "--json") == 0
         data = json.loads(capsys.readouterr().out)
         assert data["swap_free"] is True
+
+    @pytest.mark.parametrize("text", ['{"num_qubits": 1e400, "edges": [[0, 1]]}',
+                                      '{"num_qubits": 3, "edges": [[0, 1e400]]}'])
+    def test_cost_with_non_integer_layout_is_an_error(self, tmp_path, capsys, text):
+        mapfile = tmp_path / "m.json"
+        mapfile.write_text(text)
+        assert run("cost", "and3", "--layout", str(mapfile)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cost_lowers_once(self, tmp_path, capsys, monkeypatch):
         # the cost report and the placement check read the same lowered circuit

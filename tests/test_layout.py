@@ -28,6 +28,22 @@ class TestCouplingMap:
         with pytest.raises(LayoutError):
             load_map({"nope": 1})
 
+    @pytest.mark.parametrize("num_qubits", [2.5, 1e400, "2", True, None])
+    def test_non_integer_qubit_count_rejected(self, num_qubits):
+        with pytest.raises(LayoutError, match="num_qubits must be an integer"):
+            load_map({"name": "bad", "num_qubits": num_qubits, "edges": [[0, 1]]})
+
+    @pytest.mark.parametrize("edge", [[0, 1.0], [1e400, 1], [0, "1"], [0, 1, 2], [0], [False, 1]])
+    def test_non_integer_or_non_pair_edge_rejected(self, edge):
+        with pytest.raises(LayoutError, match="two integer qubits"):
+            load_map({"name": "bad", "num_qubits": 3, "edges": [edge]})
+
+    def test_huge_float_in_a_file_rejected(self, tmp_path):
+        f = tmp_path / "map.json"
+        f.write_text('{"name": "bad", "num_qubits": 1e400, "edges": [[0, 1]]}')
+        with pytest.raises(LayoutError):
+            load_map(str(f))
+
     def test_shortest_path(self, brisbane):
         assert brisbane.shortest_path(61, 61) == [61]
         assert brisbane.shortest_path(61, 63) == [61, 62, 63]

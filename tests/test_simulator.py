@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from hexsynth import simulator
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind
-from hexsynth.library import BOOLEAN_TABLE, BooleanGateKind, build_boolean, build_gate
+from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
+                              BooleanGateKind, CoreSpec, build_boolean, build_gate,
+                              core_stage_gates)
 from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
-                                _apply_matrix, apply, equivalence, gate_matrix, is_unitary,
+                                _apply_matrix, apply, equivalence, gate_matrix,
                                 pauli_conjugate, phase_trace, qsphere, truth_string,
                                 truth_table, unitary_of)
 
-from conftest import toffoli_unitary
+from conftest import is_unitary, probability_of_one, random_clifford_t_circuit, toffoli_unitary
 
 K = GateKind
 
@@ -41,7 +43,7 @@ def reference_truth_table(circuit, target, controls):
     table = {}
     for m in range(2 ** k):
         bits = {q: (m >> j) & 1 for j, q in enumerate(controls)}
-        p1 = apply(circuit, Statevector.basis(circuit.width, bits)).probability_of_one(target)
+        p1 = probability_of_one(apply(circuit, Statevector.basis(circuit.width, bits)), target)
         if p1 >= 1 - ATOL_NORM:
             table[format(m, f"0{k}b")] = 1
         elif p1 <= ATOL_NORM:
@@ -49,6 +51,34 @@ def reference_truth_table(circuit, target, controls):
         else:
             raise SimulationError(f"non-deterministic target for controls {m:0{k}b}: p(1)={p1:.6f}")
     return table
+
+
+def reference_phase_trace(core, control_state):
+    """The former trace: a 3-qubit statevector through every stage."""
+    if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
+        raise SimulationError(f"control_state must be two bits, got {control_state!r}")
+    c2, c1 = int(control_state[0]), int(control_state[1])
+    state = Statevector.basis(3, {0: c1, 2: c2})
+    labels = []
+    stages = core_stage_gates(core, c1=0, t=1, c2=2)
+    for idx, (name, gates) in enumerate(stages):
+        fires = not ((name == "CX_c2" and c2 == 0) or (name == "CX_c1" and c1 == 0))
+        amps = state.amps
+        for g in gates:
+            amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, 3)
+        state = Statevector(3, amps)
+        if not fires:
+            labels.append("-")
+            continue
+        base = (c2 << 2) | c1
+        psi = np.array([state.amps[base], state.amps[base | 0b010]])
+        if idx == len(stages) - 1 and abs(psi[0]) > 1 - 1e-9:
+            labels.append("|0>")
+        elif idx == len(stages) - 1 and abs(psi[1]) > 1 - 1e-9:
+            labels.append("|1>")
+        else:
+            labels.append(simulator._equatorial_label(psi))
+    return labels
 
 
 def random_unitary(rng, dim):
@@ -80,6 +110,14 @@ class TestGateMatrix:
     def test_ecr_self_inverse(self):
         e = gate_matrix(K.ECR)
         assert np.allclose(e @ e, np.eye(4))
+
+    @pytest.mark.parametrize("kind", [K.X, K.T, K.CX, K.ECR])
+    def test_fixed_matrices_are_shared_and_read_only(self, kind):
+        m = gate_matrix(kind)
+        assert m is gate_matrix(kind)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+        assert gate_matrix(kind)[0, 0] != 2.0
 
 
 class TestApplyAndUnitary:
@@ -114,7 +152,6 @@ class TestApplyAndUnitary:
 
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(3)
-        from hexsynth.transpiler import random_clifford_t_circuit
         import random as _random
 
         r = _random.Random(5)
@@ -316,6 +353,22 @@ class TestPhaseTrace:
     def test_bad_control_state(self):
         with pytest.raises(SimulationError):
             phase_trace(self.AND, "2")
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(SUPERPOSITION_KINDS), st.sampled_from(tuple(AX_ENTRIES.values())),
+           st.tuples(*[st.sampled_from(THETA_KINDS)] * 4),
+           st.sampled_from(tuple(AX_ENTRIES.values())), st.sampled_from(SUPERPOSITION_KINDS),
+           st.sampled_from(("00", "01", "10", "11")))
+    def test_matches_statevector_reference(self, sp1, ax1, theta, ax2, sp2, controls):
+        core = CoreSpec(sp1=sp1, ax1=ax1, theta=theta, ax2=ax2, sp2=sp2)
+        try:
+            want = reference_phase_trace(core, controls)
+        except SimulationError as e:
+            with pytest.raises(SimulationError) as got:
+                phase_trace(core, controls)
+            assert str(got.value) == str(e)
+        else:
+            assert phase_trace(core, controls) == want
 
 
 class TestQSphere:

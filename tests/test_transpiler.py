@@ -10,8 +10,9 @@ from hexsynth.layout import CouplingMap
 from hexsynth.simulator import unitary_of
 from hexsynth.transpiler import (_SINGLE_QUBIT_RULES, NativeBasis, TranspileError,
                                  _two_qubit_rules, cost_report, lower, lower_and_optimize,
-                                 peephole, random_clifford_t_circuit, route_naive, rule_table,
-                                 rule_table_text)
+                                 peephole, route_naive, rule_table, rule_table_text)
+
+from conftest import random_clifford_t_circuit
 
 K = GateKind
 
