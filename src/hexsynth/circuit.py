@@ -7,7 +7,8 @@ Conventions used throughout the package:
     (SWAP is symmetric).
   - Rotation angles are exact rational multiples of pi whenever possible so
     that adjacent rotations merge losslessly; a float fallback exists for
-    angles that are not rational multiples of pi.
+    angles that are not rational multiples of pi.  An Angle is normalized
+    to (-2*pi, 2*pi] once, when it is constructed; gates keep it as given.
 
 Circuits are immutable values; builders and transforms return new circuits.
 """
@@ -63,22 +64,38 @@ class Angle:
     """A rotation angle, stored as a rational multiple of pi when exact.
 
     `frac` is the multiple of pi (e.g. Fraction(1, 4) for pi/4); `value`
-    carries plain radians only when `frac` is None.  Angles normalize to
-    the half-open interval (-2*pi, 2*pi].
+    carries plain radians only when `frac` is None.  The constructor
+    normalizes every angle to the half-open interval (-2*pi, 2*pi] and
+    rejects a non-finite one, so no other code repeats either rule.
     """
 
     frac: Fraction | None = None
     value: float = 0.0
 
+    def __post_init__(self):
+        if self.frac is not None:
+            if self.value:
+                raise CircuitError("an exact angle carries no radians")
+            if not -2 < self.frac <= 2:
+                r = self.frac % 4
+                object.__setattr__(self, "frac", r - 4 if r > 2 else r)
+            return
+        if not math.isfinite(self.value):
+            raise CircuitError(f"angle must be finite, got {self.value!r}")
+        r = math.fmod(self.value, 4 * math.pi)
+        if r <= -2 * math.pi:
+            r += 4 * math.pi
+        elif r > 2 * math.pi:
+            r -= 4 * math.pi
+        object.__setattr__(self, "value", r)
+
     @staticmethod
     def pi_frac(num: int, den: int = 1) -> "Angle":
-        return Angle(frac=Fraction(num, den))._normalized()
+        return Angle(Fraction(num, den))
 
     @staticmethod
     def from_radians(radians: float) -> "Angle":
-        if not math.isfinite(radians):
-            raise CircuitError(f"angle must be finite, got {radians!r}")
-        return Angle(frac=None, value=float(radians))._normalized()
+        return Angle(value=float(radians))
 
     @property
     def rational(self) -> bool:
@@ -88,33 +105,18 @@ class Angle:
     def radians(self) -> float:
         return float(self.frac) * math.pi if self.frac is not None else self.value
 
-    def _normalized(self) -> "Angle":
-        if self.frac is not None:
-            r = self.frac % 4
-            if r > 2:
-                r -= 4
-            return Angle(frac=r)
-        r = math.fmod(self.value, 4 * math.pi)
-        if r <= -2 * math.pi:
-            r += 4 * math.pi
-        elif r > 2 * math.pi:
-            r -= 4 * math.pi
-        return Angle(frac=None, value=r)
-
     def plus(self, other: "Angle") -> "Angle":
         if self.frac is not None and other.frac is not None:
-            return Angle(frac=self.frac + other.frac)._normalized()
-        return Angle.from_radians(self.radians + other.radians)
+            return Angle(self.frac + other.frac)
+        return Angle(value=self.radians + other.radians)
 
     def negated(self) -> "Angle":
-        if self.frac is not None:
-            return Angle(frac=-self.frac)._normalized()
-        return Angle.from_radians(-self.value)
+        return Angle(-self.frac) if self.frac is not None else Angle(value=-self.value)
 
     def is_zero_mod_2pi(self) -> bool:
         """True when the rotation is the identity up to global phase."""
         if self.frac is not None:
-            return self.frac % 2 == 0
+            return self.frac == 0 or self.frac == 2
         r = math.fmod(self.value, 2 * math.pi)
         return min(abs(r), abs(abs(r) - 2 * math.pi)) < 1e-12
 
@@ -166,9 +168,8 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"repeated qubit in {self.kind.value} {self.qubits}")
         if self.kind.takes_angle:
-            if self.angle is None:
-                raise CircuitError(f"{self.kind.value} requires an angle")
-            object.__setattr__(self, "angle", self.angle._normalized())
+            if not isinstance(self.angle, Angle):
+                raise CircuitError(f"{self.kind.value} requires an Angle, got {self.angle!r}")
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} takes no angle")
 

@@ -16,8 +16,8 @@ from .circuit import Circuit, CircuitError, emit_text, parse_text
 from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATE_BUILDERS, build_gate
 from .layout import Placement, ishape_brisbane, heavy_hex_127, load_map, place, verify_no_swap
 from .rules import query_from_names, search
-from .simulator import (EquivalenceLevel, SimulationError, Statevector, apply, equivalence,
-                        phase_trace, qsphere, truth_string, truth_table)
+from .simulator import (STAGE_NAMES, EquivalenceLevel, SimulationError, Statevector, apply,
+                        equivalence, phase_trace, qsphere, truth_string, truth_table)
 from .transpiler import NativeBasis, _cost_of_lowered, lower, lower_and_optimize
 
 _ORACLE_ALIASES = {"toffoli": "toffoli", "fredkin": "fredkin_std", "swap": "swap2_std",
@@ -186,7 +186,6 @@ def cmd_trace(args) -> int:
     if args.json:
         print(json.dumps({"gate": args.gate, "controls": args.controls, "stages": labels}))
     else:
-        from .simulator import STAGE_NAMES
         for name, label in zip(STAGE_NAMES, labels):
             print(f"{name:7s} {label}")
     return 0

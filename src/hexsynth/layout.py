@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import Circuit, CircuitError
 
@@ -27,6 +27,7 @@ class CouplingMap:
     name: str
     num_qubits: int
     edges: frozenset
+    _adjacent: dict = field(init=False, repr=False, compare=False)  # qubit -> sorted neighbors
 
     def __post_init__(self):
         norm = set()
@@ -38,12 +39,17 @@ class CouplingMap:
                 raise LayoutError(f"edge [{a}, {b}] outside 0..{self.num_qubits - 1}")
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm))
+        adjacent = {}
+        for a, b in norm:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+        object.__setattr__(self, "_adjacent", {q: tuple(sorted(ns)) for q, ns in adjacent.items()})
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
     def neighbors(self, q: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == q else a for a, b in self.edges if q in (a, b)))
+        return self._adjacent.get(q, ())
 
     def shortest_path(self, src: int, dst: int):
         """BFS path [src, ..., dst], or None if disconnected."""

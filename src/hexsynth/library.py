@@ -114,20 +114,7 @@ BOOLEAN_FUNCTIONS = {
 
 def core_gates(spec: CoreSpec, c1: int, t: int, c2: int) -> list[Gate]:
     """Core gate sequence instantiated on arbitrary wires (ax slots of I emit nothing)."""
-    gates = [Gate(spec.sp1, (t,))]
-    gates += [Gate(k, (t,)) for k in spec.ax1]
-    gates += [
-        Gate(spec.theta[0], (t,)),
-        Gate(K.CX, (c2, t)),
-        Gate(spec.theta[1], (t,)),
-        Gate(K.CX, (c1, t)),
-        Gate(spec.theta[2], (t,)),
-        Gate(K.CX, (c2, t)),
-        Gate(spec.theta[3], (t,)),
-    ]
-    gates += [Gate(k, (t,)) for k in spec.ax2]
-    gates.append(Gate(spec.sp2, (t,)))
-    return gates
+    return [g for _, gates in core_stage_gates(spec, c1, t, c2) for g in gates]
 
 
 def core_stage_gates(spec: CoreSpec, c1: int, t: int, c2: int):

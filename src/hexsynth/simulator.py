@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import Angle, Circuit, GateKind
 
 ATOL_NORM = 1e-10
 ATOL_UNITARY = 1e-12
@@ -80,7 +80,7 @@ for _m in (*_FIXED_1Q.values(), *_FIXED_2Q.values()):
     _m.flags.writeable = False
 
 
-def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
+def gate_matrix(kind: GateKind, angle: Angle | None = None) -> np.ndarray:
     """The unitary matrix of a gate kind under the package conventions
     (read-only for the fixed kinds)."""
     if kind in _FIXED_1Q:
@@ -89,7 +89,7 @@ def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
         return _FIXED_2Q[kind]
     if angle is None:
         raise SimulationError(f"{kind.value} requires an angle")
-    g = angle.radians if hasattr(angle, "radians") else float(angle)
+    g = angle.radians
     if kind is GateKind.RZ:
         return np.diag([cmath.exp(-1j * g / 2), cmath.exp(1j * g / 2)]).astype(complex)
     if kind is GateKind.RY:

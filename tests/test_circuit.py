@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexsynth.circuit import (Angle, Circuit, CircuitError, Gate, GateKind,
                               count_gates, depth, emit_text, parse_angle, parse_text)
@@ -12,6 +15,29 @@ def G(kind, *qubits, angle=None):
     return Gate(kind, tuple(qubits), angle)
 
 
+_KINDS_1Q = [K.I, K.X, K.Y, K.Z, K.H, K.SX, K.SXDG, K.S, K.SDG, K.T, K.TDG]
+_KINDS_2Q = [K.CX, K.CY, K.CZ, K.SWAP, K.ECR]
+# exact multiples of pi with non-dyadic denominators and numerators beyond
+# +-2*pi (9*pi/4, -7*pi/2, ...), and plain radians of any finite size
+_ANGLES = st.one_of(
+    st.builds(Angle.pi_frac, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12))),
+    st.builds(Angle.from_radians, st.floats(-1e6, 1e6, allow_nan=False)),
+)
+
+
+@st.composite
+def _circuits(draw):
+    w = draw(st.integers(1, 5))
+    qubit = st.integers(0, w - 1)
+    gates = [st.builds(lambda k, q: G(k, q), st.sampled_from(_KINDS_1Q), qubit),
+             st.builds(lambda k, q, a: G(k, q, angle=a), st.sampled_from([K.RZ, K.RY]), qubit,
+                       _ANGLES)]
+    if w >= 2:
+        gates.append(st.builds(lambda k, qs: G(k, *qs), st.sampled_from(_KINDS_2Q),
+                               st.lists(qubit, min_size=2, max_size=2, unique=True)))
+    return Circuit(w, tuple(draw(st.lists(st.one_of(*gates), max_size=30))))
+
+
 class TestAngle:
     def test_rational_arithmetic(self):
         a = Angle.pi_frac(1, 4)
@@ -20,10 +46,26 @@ class TestAngle:
         assert a.plus(a.negated()).is_zero_mod_2pi()
 
     def test_normalization_window(self):
-        assert Angle.pi_frac(9, 4).frac == Angle.pi_frac(9, 4).frac  # (-2, 2] in pi units
+        assert float(Angle.pi_frac(9, 4).frac) == -1.75  # (-2, 2] in pi units
         assert float(Angle.pi_frac(5, 2).frac) == -1.5
         assert float(Angle.pi_frac(2).frac) == 2.0
         assert float(Angle.pi_frac(-2).frac) == 2.0
+
+    def test_constructor_normalizes(self):
+        # the window is (-2*pi, 2*pi]: RZ has period 4*pi, so 9*pi/4 is -7*pi/4, not pi/4
+        assert Angle(Fraction(9, 4)) == Angle.pi_frac(9, 4) == Angle.pi_frac(-7, 4)
+        assert Angle(Fraction(-7, 2)) == Angle.pi_frac(1, 2)
+        assert Angle(value=5 * math.pi).value == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_constructor_rejects_non_finite(self, value):
+        with pytest.raises(CircuitError, match="finite"):
+            Angle(value=value)
+
+    def test_exact_angle_carries_no_radians(self):
+        # both set, the text would say pi/4 but the parsed angle would differ
+        with pytest.raises(CircuitError, match="no radians"):
+            Angle(Fraction(1, 4), 0.5)
 
     def test_two_pi_is_identity_mod_phase(self):
         assert Angle.pi_frac(2).is_zero_mod_2pi()
@@ -67,6 +109,15 @@ class TestGateAndCircuit:
             G(K.RZ, 0)
         with pytest.raises(CircuitError):
             G(K.H, 0, angle=Angle.pi_frac(1))
+
+    @pytest.mark.parametrize("angle", [0.5, Fraction(1, 4), "pi/4"])
+    def test_angle_must_be_an_angle(self, angle):
+        with pytest.raises(CircuitError, match="requires an Angle"):
+            Gate(K.RZ, (0,), angle)
+
+    def test_gate_keeps_its_angle(self):
+        a = Angle.pi_frac(9, 4)
+        assert Gate(K.RZ, (0,), a).angle is a
 
     def test_gate_must_fit_width(self):
         with pytest.raises(CircuitError):
@@ -159,23 +210,12 @@ class TestTextFormat:
         c = parse_text("// a comment\nqubits 2\n\nh q[0] // trailing\ncx q[0], q[1]\n")
         assert [g.kind for g in c.gates] == [K.H, K.CX]
 
-    def test_round_trip_random(self):
-        rng = random.Random(11)
-        kinds_1q = [K.I, K.X, K.Y, K.Z, K.H, K.SX, K.SXDG, K.S, K.SDG, K.T, K.TDG]
-        for _ in range(30):
-            w = rng.randint(1, 5)
-            gates = []
-            for _ in range(rng.randint(0, 30)):
-                roll = rng.random()
-                if w >= 2 and roll < 0.3:
-                    a, b = rng.sample(range(w), 2)
-                    gates.append(G(rng.choice([K.CX, K.CY, K.CZ, K.SWAP, K.ECR]), a, b))
-                elif roll < 0.8:
-                    gates.append(G(rng.choice(kinds_1q), rng.randrange(w)))
-                else:
-                    gates.append(G(rng.choice([K.RZ, K.RY]), rng.randrange(w),
-                                   angle=Angle.pi_frac(rng.randrange(-8, 9), rng.choice((1, 2, 4)))))
-            c = Circuit(w, tuple(gates))
-            back = parse_text(emit_text(c))
-            assert back.width == c.width
-            assert back.gates == c.gates
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_circuits())
+    def test_round_trip_random(self, c):
+        text = emit_text(c)
+        back = parse_text(text)
+        assert back.width == c.width
+        assert back.gates == c.gates
+        assert emit_text(back) == text
+

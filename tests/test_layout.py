@@ -72,6 +72,11 @@ class TestHeavyHex:
         assert len(brisbane.edges) == 144
         assert max(len(brisbane.neighbors(q)) for q in range(127)) == 3
 
+    def test_neighbors_match_edge_scan(self, brisbane):
+        for q in range(127):
+            scan = sorted(b if a == q else a for a, b in brisbane.edges if q in (a, b))
+            assert brisbane.neighbors(q) == tuple(scan)
+
     def test_documented_region_edges(self, brisbane):
         for a, b in ((61, 62), (62, 63), (80, 81), (81, 82), (62, 72), (72, 81)):
             assert brisbane.has_edge(a, b)
