@@ -174,10 +174,18 @@ class Gate:
             raise CircuitError(f"{self.kind.value} takes no angle")
 
     def text(self) -> str:
-        args = ", ".join(f"q[{q}]" for q in self.qubits)
-        if self.angle is not None:
-            return f"{self.kind.value}({self.angle.text()}) {args}"
-        return f"{self.kind.value} {args}"
+        """The gate's line of circuit text.  It is rendered once and kept in
+        the instance `__dict__` (as `functools.cached_property` does), outside
+        the fields that `==`, `hash` and `repr` read."""
+        line = self.__dict__.get("_text")
+        if line is None:
+            args = ", ".join(f"q[{q}]" for q in self.qubits)
+            if self.angle is None:
+                line = f"{self.kind.value} {args}"
+            else:
+                line = f"{self.kind.value}({self.angle.text()}) {args}"
+            self.__dict__["_text"] = line
+        return line
 
 
 ROLE_CONTROL = "control"

@@ -7,6 +7,7 @@ exit 1.  `--json` switches any command from aligned text to machine output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,7 +208,10 @@ def cmd_tables(args) -> int:
     return 0 if reports.count_failures(report) == 0 else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused: parsing
+    leaves it unchanged, and each call gets a fresh namespace."""
     p = argparse.ArgumentParser(prog="hexsynth",
                                 description="layout-aware Clifford+T gate synthesis toolkit")
     sub = p.add_subparsers(dest="command", required=True)

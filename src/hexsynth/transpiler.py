@@ -5,7 +5,9 @@ Two native bases are supported: {I, X, sqrt(X), RZ, CX} and
 recursively through the usual phase-gate-to-RZ table, and CX maps to a single
 ECR dressed by fixed native single-qubit sequences (derived once by solving
 the conjugation algebra and verified to global-phase accuracy by the test
-suite).
+suite).  Each basis has one lowering table per process: an angle-free gate
+is expanded the first time it is seen, and every later `lower` call reuses
+that expansion, sharing its (immutable) native `Gate` objects.
 
 The peephole is one left-to-right sweep that keeps a stack per wire.  It
 merges adjacent RZ with exact rational-pi arithmetic, cancels adjacent
@@ -141,7 +143,9 @@ def rule_table_text(basis: NativeBasis) -> str:
 
 
 class _Lowering:
-    """One basis's rewrite rules, applied recursively and memoized per gate."""
+    """One basis's rewrite rules, applied recursively.  The expansion of each
+    angle-free gate is memoized per basis, per process; a gate with an angle
+    (RY) is expanded on every call and never stored."""
 
     def __init__(self, basis: NativeBasis):
         self.basis, self.allowed = basis, basis.allowed
@@ -152,22 +156,30 @@ class _Lowering:
         if g.kind in self.allowed:
             identity = g.kind is K.I or (g.kind is K.RZ and g.angle.is_zero_mod_2pi())
             return () if identity else (g,)
+        if g.angle is not None:
+            return self._expand(g)
         native = self.memo.get(g)
         if native is None:
-            if g.kind in _SINGLE_QUBIT_RULES:
-                rhs = _SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle)
-            elif g.kind in self.two_q:
-                rhs = self.two_q[g.kind](*g.qubits)
-            else:
-                raise TranspileError(f"no rewrite for {g.kind.value} in {self.basis.value} basis")
-            native = self.memo[g] = tuple(n for r in rhs for n in self.native(r))
+            native = self.memo[g] = self._expand(g)
         return native
+
+    def _expand(self, g: Gate) -> tuple[Gate, ...]:
+        if g.kind in _SINGLE_QUBIT_RULES:
+            rhs = _SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle)
+        elif g.kind in self.two_q:
+            rhs = self.two_q[g.kind](*g.qubits)
+        else:
+            raise TranspileError(f"no rewrite for {g.kind.value} in {self.basis.value} basis")
+        return tuple(n for r in rhs for n in self.native(r))
+
+
+_LOWERINGS = {basis: _Lowering(basis) for basis in NativeBasis}
 
 
 def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
     """Rewrite to the native basis in one pass; equivalent to the input up to
     global phase."""
-    lowering = _Lowering(basis)
+    lowering = _LOWERINGS[basis]
     return circuit.with_gates(n for g in circuit.gates for n in lowering.native(g))
 
 
@@ -416,6 +428,10 @@ def route_naive(circuit: Circuit, cmap, placement, restore: bool = False) -> Rou
         raise TranspileError("placement must cover every circuit qubit")
     if len(set(log2phys.values())) != circuit.width:
         raise TranspileError("placement collision: physical qubits must be distinct")
+    for logical, phys in log2phys.items():
+        if phys not in range(cmap.num_qubits):
+            raise TranspileError(f"placement puts qubit {logical} on physical qubit {phys}, "
+                                 f"off the {cmap.num_qubits}-qubit map")
     initial = dict(log2phys)
     out: list[Gate] = []
     swaps = 0

@@ -137,6 +137,37 @@ class TestGateAndCircuit:
         assert r.roles == ("target", "control", "control")
 
 
+def _fresh_text(g):
+    args = ", ".join(f"q[{q}]" for q in g.qubits)
+    return f"{g.kind.value} {args}" if g.angle is None else f"{g.kind.value}({g.angle.text()}) {args}"
+
+
+_TEXT_ANGLES = [Angle.pi_frac(1, 4), Angle.pi_frac(-3, 2), Angle.from_radians(0.25),
+                Angle.pi_frac(0), Angle.from_radians(0.0)]
+
+
+class TestGateText:
+    def test_text_is_the_gates_own_line(self):
+        # one kind on several wires and angles: a line kept under the wrong
+        # key would come back for the wrong gate
+        for kind in K:
+            angles = _TEXT_ANGLES if kind.takes_angle else [None]
+            for qubits in ([(0,), (3,)] if kind.arity == 1 else [(0, 1), (2, 0)]):
+                for angle in angles:
+                    g = Gate(kind, qubits, angle)
+                    assert g.text() == _fresh_text(g)
+                    assert g.text() == _fresh_text(g)
+
+    def test_rendered_gate_is_still_a_plain_value(self):
+        g = G(K.RZ, 1, angle=Angle.pi_frac(1, 4))
+        text = g.text()
+        fresh = G(K.RZ, 1, angle=Angle.pi_frac(1, 4))
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert fresh.text() == text
+        assert repr(g) == "Gate(kind=<GateKind.RZ: 'rz'>, qubits=(1,), angle=Angle(frac=Fraction(1, 4), value=0.0))"
+        assert g != G(K.RZ, 1, angle=Angle.pi_frac(1, 2))
+
+
 class TestDepth:
     def test_empty_circuit(self):
         assert depth(Circuit(2)) == 0

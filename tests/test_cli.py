@@ -211,3 +211,36 @@ class TestBadInputFiles:
         bad.write_text(json.dumps({"assignment": {"c1": "x", "t": 62, "c2": 63}}))
         assert run("cost", "and3", "--placement", str(bad)) == 1
         assert "placement qubits must be integers" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    # `main` keeps one parser for the process; no call may leave anything
+    # behind for the next one
+    CALLS = [("trace", "and3"),  # --controls missing: argparse exits 2
+             ("cost", "and3", "--json"),
+             ("cost", "and3", "--basis", "cx"),
+             ("trace", "and3", "--controls", "11"),
+             ("build", "nope")]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_back_to_back_calls_print_what_each_prints_alone(self, capsys):
+        from hexsynth import cli
+
+        alone = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            alone.append(self._outcome(capsys, argv))
+        in_a_row = [self._outcome(capsys, argv) for argv in self.CALLS]
+        assert in_a_row == alone
+        assert [code for code, _, _ in alone] == [2, 0, 0, 0, 1]
+        assert "--controls" in alone[0][2]
+        assert json.loads(alone[1][1])["basis"] == "ecr"
+        assert alone[2][1].startswith("and3 [cx]")

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, parse_text
-from hexsynth.library import FAMILY_GATES, StandardKind, build_gate, build_standard
-from hexsynth.layout import CouplingMap
+from hexsynth.library import FAMILY_GATES, GATE_BUILDERS, StandardKind, build_gate, build_standard
+from hexsynth.layout import CouplingMap, heavy_hex_127
 from hexsynth.simulator import unitary_of
-from hexsynth.transpiler import (_SINGLE_QUBIT_RULES, NativeBasis, TranspileError,
+from hexsynth.transpiler import (_LOWERINGS, _SINGLE_QUBIT_RULES, NativeBasis, TranspileError,
                                  _two_qubit_rules, cost_report, lower, lower_and_optimize,
                                  peephole, route_naive, rule_table, rule_table_text)
 
@@ -394,6 +394,37 @@ class TestSweepProperties:
         assert lower(c, basis) == reference_lower(c, basis)
 
 
+class TestSharedLowering:
+    @pytest.mark.parametrize("basis", list(NativeBasis))
+    def test_second_lowering_reuses_the_gates(self, basis):
+        c = build_gate("and4")
+        first, second = lower(c, basis), lower(c, basis)
+        assert first == second
+        assert all(a is b for a, b in zip(first.gates, second.gates))
+
+    @pytest.mark.parametrize("basis", list(NativeBasis))
+    def test_result_does_not_depend_on_what_was_lowered_before(self, basis):
+        # RY gates of distinct angles share a wire, so a memo that kept
+        # angle gates under an angle-blind key would hand one the other's
+        # expansion
+        ry = Circuit(2, tuple(G(K.RY, q, angle=Angle.pi_frac(n, 5))
+                              for n in range(1, 4) for q in (0, 1)))
+        circuits = [build_gate(name) for name in sorted(GATE_BUILDERS)] + [ry]
+        forward = [lower(c, basis) for c in circuits]
+        backward = [lower(c, basis) for c in reversed(circuits)][::-1]
+        assert forward == backward
+        assert forward == [reference_lower(c, basis) for c in circuits]
+
+    def test_angle_gates_are_not_stored(self):
+        rng = random.Random(5)
+        c = Circuit(3, tuple(G(K.RY, rng.randrange(3), angle=Angle.from_radians(rng.uniform(-3, 3)))
+                             for _ in range(200)))
+        sizes = {basis: len(_LOWERINGS[basis].memo) for basis in NativeBasis}
+        for basis in NativeBasis:
+            assert lower(c, basis) == reference_lower(c, basis)
+        assert {basis: len(_LOWERINGS[basis].memo) for basis in NativeBasis} == sizes
+
+
 class TestCostReport:
     def test_csx2_table_values(self):
         rep = cost_report(build_gate("csx2"), NativeBasis.CX_BASIS)
@@ -470,6 +501,11 @@ class TestRouteNaive:
             route_naive(c, self.LINE3, {0: 0})
         with pytest.raises(TranspileError):
             route_naive(c, self.LINE3, {0: 0, 1: 0})
+
+    @pytest.mark.parametrize("phys", [500, -3])
+    def test_placement_off_the_map(self, phys):
+        with pytest.raises(TranspileError, match=rf"physical qubit {phys}, off the 127-qubit map"):
+            route_naive(build_gate("and3"), heavy_hex_127(), {0: 0, 1: 1, 2: phys})
 
     def test_end_placed_toffoli_costs_more_than_middle_target_core(self):
         # standard Toffoli with its target forced to a line end needs routing
