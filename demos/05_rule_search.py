@@ -4,8 +4,10 @@ The restriction stages cut the allowed gate set down to {T, T-dagger} on
 octants; an exhaustive search over the surviving configurations then finds
 every rotation pattern that realizes a requested Boolean function.  On each
 of its four control branches a core acts on the target alone, as one 2x2
-block; the search computes these blocks for every configuration in one
-numpy pass, reads the hits off them, and grades each hit from its blocks.
+block.  Each block factors into the superposition/auxiliary ends and a
+rotation middle shared by every configuration with the same four rotations;
+the search reads p(target=1) for every configuration off these factors in
+one numpy pass, and forms and grades the full blocks of the hits alone.
 """
 from hexsynth.library import THETA_KINDS, AX_ENTRIES
 from hexsynth.rules import SearchQuery, apply_rules, count_space, search

@@ -212,8 +212,10 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.width < 1:
             raise CircuitError("circuit width must be >= 1")
-        if not set(chain.from_iterable(g.qubits for g in self.gates)) <= set(range(self.width)):
-            bad = next(g for g in self.gates if any(q < 0 or q >= self.width for q in g.qubits))
+        # a range tests an int in O(1): no per-wire set for a wide circuit
+        wires = range(self.width)
+        if not all(q in wires for q in set(chain.from_iterable(g.qubits for g in self.gates))):
+            bad = next(g for g in self.gates if any(q not in wires for q in g.qubits))
             raise CircuitError(f"gate {bad.kind.value} {bad.qubits} outside width {self.width}")
         for attr in ("roles", "wire_names"):
             v = getattr(self, attr)
@@ -273,12 +275,15 @@ class CostReport:
 
 def depth(circuit: Circuit) -> int:
     """Greedy layering depth; every gate occupies all its qubits for one step."""
-    level = [0] * circuit.width
+    level = dict.fromkeys(chain.from_iterable(g.qubits for g in circuit.gates), 0)
     for g in circuit.gates:
-        layer = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = layer
-    return max(level)
+        if len(g.qubits) == 1:
+            level[g.qubits[0]] += 1
+        else:
+            layer = 1 + max(level[q] for q in g.qubits)
+            for q in g.qubits:
+                level[q] = layer
+    return max(level.values(), default=0)
 
 
 def count_gates(circuit: Circuit) -> CostReport:

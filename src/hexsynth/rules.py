@@ -7,17 +7,22 @@ core down to {T, T-dagger} on octants; the final rule is realized here as an
 exhaustive search over the remaining configuration space.
 
 No core gate touches a control wire except as the control of a CX, so on
-each control branch (c1, c2) the core acts on the target alone, as the 2x2
-block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its unitary
-is block-diagonal over the branches.  The search computes the four branch
-products of every configuration as one numpy batch.  A configuration is a
-hit when p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit
-on every branch, the rule `truth_table` applies; only a hit's full blocks
-are formed, placed on the diagonal of its 8x8 unitary and graded against a
-phase-exact oracle.
+each control branch c = (c2 << 1) | c1 the core acts on the target alone, as
+the 2x2 block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its
+unitary is block-diagonal over the branches.  The search factors each block
+as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1]: the theta/X middle T
+depends only on the rotation tuple and the branch, so one cached table per
+set of rotation kinds serves every query.  A configuration is a hit when
+p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
+every branch, the rule `truth_table` applies; the target starts in |0>, so
+this needs only column 0 of F and row 1 of L, and two small contractions
+give it for every configuration.  Only a hit's full blocks are formed,
+placed on the diagonal of its 8x8 unitary and graded against a phase-exact
+oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -151,23 +156,70 @@ def _oracle_unitary(target: str) -> np.ndarray:
     return _block_unitary(np.array([gate_matrix(K.X if f == "1" else K.I) for f in target]))
 
 
+_IDENTITY = gate_matrix(K.I)
+
+
+@functools.cache
+def _gate_matrix(kind: GateKind) -> np.ndarray:
+    """2x2 matrix of one single-qubit gate kind on the target, memoised per
+    kind; a kind build_core would reject raises its CircuitError on every call."""
+    Gate(kind, (0,))
+    return gate_matrix(kind)
+
+
 def _target_matrix(kinds) -> np.ndarray:
     """2x2 matrix of single-qubit gates applied to the target in order."""
-    m = np.eye(2, dtype=complex)
+    m = _IDENTITY
     for k in kinds:
-        Gate(k, (0,))  # raises the CircuitError build_core would for this kind
-        m = gate_matrix(k) @ m
+        m = _gate_matrix(k) @ m
     return m
 
 
-class _BranchBatch:
-    """A query's configurations and the target block B_c on each of their
-    four control branches.
+@functools.cache
+def _theta_middles(kinds: tuple) -> np.ndarray:
+    """T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 for every theta tuple over
+    the distinct rotation kinds `kinds`, of shape (len(kinds)**4, 4, 2, 2):
+    theta tuples in C order, branch (c2 << 1) | c1 on axis 1.
 
-    Every theta kind is diagonal, so a theta slot scales the rows of the
-    running product, and an X swaps them.  Configurations are flat indices
-    in C order over the shape (sp1, ax1, theta tuple, ax2, sp2), which is
-    iter_specs' order."""
+    Every rotation is diagonal, so each T[theta, c] is a monomial matrix
+    whose two nonzero entries are powers of omega = exp(i pi/4).  Cached per
+    set of kinds (at most 15 sets) and read-only.
+    """
+    for k in kinds:
+        CoreSpec(theta=(k,) * 4)  # raises the CircuitError build_core would
+    n = len(kinds)
+    th = np.array([gate_matrix(k) for k in kinds])
+    th1, th2, th3, th4 = (th.reshape(tuple(n if i == slot else 1 for i in range(4)) + (2, 2))
+                          for slot in range(4))
+    flip = (_IDENTITY, gate_matrix(K.X))
+    table = np.stack([th4 @ flip[c2] @ th3 @ flip[c1] @ th2 @ flip[c2] @ th1
+                      for c2 in (0, 1) for c1 in (0, 1)], axis=-3).reshape(n ** 4, 4, 2, 2)
+    table.setflags(write=False)
+    return table
+
+
+def _blocks(pairs: int, cols: int):
+    """Tile the C-order grid of `pairs` (sp1, ax1, theta) pairs by `cols`
+    (ax2, sp2) columns with blocks of at most BLOCK_CONFIGS configurations:
+    (pair indices, column slice) of whole rows while a row fits, else of one
+    pair's columns in pieces."""
+    pair_step, col_step = max(1, BLOCK_CONFIGS // cols), min(cols, BLOCK_CONFIGS)
+    for p0 in range(0, pairs, pair_step):
+        for c0 in range(0, cols, col_step):
+            yield np.arange(p0, min(p0 + pair_step, pairs)), slice(c0, min(c0 + col_step, cols))
+
+
+class _BranchBatch:
+    """A query's configurations, with each target block factored as
+    B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1] on control branch
+    c = (c2 << 1) | c1.
+
+    F = AX1.SP1 has one row r per (sp1, ax1) pair, L = SP2.AX2 one column
+    per (ax2, sp2) pair, and the theta/X middle T comes from the cached
+    table of the alphabet's distinct rotation kinds; `theta_ids` maps a
+    duplicated rotation alphabet onto it.  Configuration
+    (r * n_theta**4 + theta) * cols + col is iter_specs' C order over
+    (sp1, ax1, theta tuple, ax2, sp2)."""
 
     def __init__(self, query: SearchQuery):
         self.sp, self.ax1, self.thetas, self.ax2 = sp, ax1, thetas, ax2 = _alphabets(query)
@@ -175,82 +227,87 @@ class _BranchBatch:
         # rotation entry here as CoreSpec would
         for s in sp:
             CoreSpec(sp1=s, sp2=s)
-        for t in thetas:
-            CoreSpec(theta=(t,) * 4)
-        self.first = np.array([[_target_matrix(a) @ _target_matrix((s,)) for a in ax1]
-                               for s in sp])
-        self.last = np.array([[_target_matrix((s,)) @ _target_matrix(a) for s in sp]
-                              for a in ax2])
-        self.theta_diags = np.array([_target_matrix((t,)).diagonal() for t in thetas])
+        self.kinds = kinds = tuple(dict.fromkeys(thetas))
+        self.middles = _theta_middles(kinds)
         # equal kinds share an id, so symmetry holds across duplicate entries
-        self.theta_ids = np.array([thetas.index(t) for t in thetas])
-        self.shape = (len(sp), len(ax1), len(thetas) ** 4, len(ax2), len(sp))
-        self.size = int(np.prod(self.shape))
+        self.theta_ids = np.array([kinds.index(t) for t in thetas])
+        sps = np.array([_gate_matrix(s) for s in sp])
+        self.first = (np.array([_target_matrix(a) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
+        self.last = (sps @ np.array([_target_matrix(a) for a in ax2])[:, None]).reshape(-1, 2, 2)
 
-    def theta_digits(self, i_th):
-        return np.unravel_index(i_th, (len(self.thetas),) * 4)
+    def _digits(self, theta: np.ndarray):
+        """The four rotation slots' alphabet positions of theta tuple indices."""
+        return np.unravel_index(theta, (len(self.thetas),) * 4)
 
-    def products(self, flat: np.ndarray):
-        """SP2.AX2 of shape (len(flat), 2, 2), and the rest of each block,
-        M_c = th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, of shape
-        (len(flat), 4, 2, 2) with branch (c2 << 1) | c1 on axis 1."""
-        i_sp1, i_ax1, i_th, i_ax2, i_sp2 = np.unravel_index(flat, self.shape)
-        slots = [self.theta_diags[d][:, :, None] for d in self.theta_digits(i_th)]
-        start = self.first[i_sp1, i_ax1]
-        middles = np.empty((len(flat), 4, 2, 2), dtype=complex)
-        for branch in range(4):
-            c1, c2 = branch & 1, branch >> 1
-            m = start
-            for theta, flip in zip(slots, (c2, c1, c2, 0)):
-                m = theta * m
-                if flip:
-                    m = m[:, ::-1]
-            middles[:, branch] = m
-        return self.last[i_ax2, i_sp2], middles
+    def _theta_axis(self, symmetric: bool) -> np.ndarray | None:
+        """Theta tuple indices a search visits: all (None), or those whose
+        slots 1, 3 and slots 2, 4 hold equal kinds."""
+        if not symmetric:
+            return None
+        same = self.theta_ids[:, None] == self.theta_ids
+        return np.flatnonzero(same[:, None, :, None] & same[None, :, None, :])
 
-    def symmetric(self, flat: np.ndarray) -> np.ndarray:
-        d1, d2, d3, d4 = (self.theta_ids[d] for d in
-                          self.theta_digits(np.unravel_index(flat, self.shape)[2]))
-        return (d1 == d3) & (d2 == d4)
+    def _table_rows(self, theta: np.ndarray) -> np.ndarray:
+        """Rows of the theta table for theta tuple indices over the alphabet."""
+        if len(self.thetas) == len(self.kinds):
+            return theta
+        return np.ravel_multi_index(tuple(self.theta_ids[d] for d in self._digits(theta)),
+                                    (len(self.kinds),) * 4)
 
     def hits(self, target: str, symmetric: bool):
-        """(flat index, 8x8 unitary) of each configuration, in enumeration
+        """(CoreSpec, 8x8 unitary) of each configuration, in enumeration
         order, whose p(target=1) lies within ATOL_NORM of the target bit on
-        all four branches."""
-        bits = np.array([int(ch) for ch in target])
-        for start in range(0, self.size, BLOCK_CONFIGS):
-            flat = np.arange(start, min(start + BLOCK_CONFIGS, self.size))
-            if symmetric:
-                flat = flat[self.symmetric(flat)]
-            ends, middles = self.products(flat)
-            # row 1 of SP2.AX2 times column 0 of M_c: the target starts in |0>
-            p1 = np.abs(np.einsum("nj,nbj->nb", ends[:, 1], middles[..., 0])) ** 2
-            keep = np.all(np.abs(p1 - bits) <= ATOL_NORM, axis=1)
-            blocks = ends[keep, None] @ middles[keep]
-            yield from zip(flat[keep].tolist(), _block_unitary(blocks))
+        all four branches.
 
-    def spec(self, flat: int) -> CoreSpec:
-        i_sp1, i_ax1, i_th, i_ax2, i_sp2 = np.unravel_index(flat, self.shape)
-        return CoreSpec(sp1=self.sp[i_sp1], ax1=self.ax1[i_ax1],
-                        theta=tuple(self.thetas[d] for d in self.theta_digits(i_th)),
-                        ax2=self.ax2[i_ax2], sp2=self.sp[i_sp2])
+        The target starts in |0>, so p(target=1) on branch c is
+        |L[col][1] . w|^2 with w = T[theta, c] . F[r][:, 0]: w is formed per
+        (r, theta) pair and one product with row 1 of every column gives the
+        whole (4, pairs, cols) grid.  Only hits get their full blocks."""
+        bits = np.array([int(ch) for ch in target])[:, None, None]
+        axis = self._theta_axis(symmetric)
+        n_theta = len(self.thetas) ** 4 if axis is None else len(axis)
+        for pairs, cols in _blocks(len(self.first) * n_theta, len(self.last)):
+            r, theta = np.divmod(pairs, n_theta)
+            if axis is not None:
+                theta = axis[theta]
+            middles = self.middles[self._table_rows(theta)]
+            # branch-major, so the test over branches reduces the outer axis
+            w = np.einsum("pbij,pj->bpi", middles, self.first[r, :, 0]).reshape(-1, 2)
+            amp = (w @ self.last[cols, 1].T).reshape(4, len(r), -1)
+            keep = np.all(np.abs(np.abs(amp) ** 2 - bits) <= ATOL_NORM, axis=0)
+            i_pair, i_col = np.nonzero(keep)
+            if len(i_pair):
+                yield from self._hit_unitaries(r[i_pair], theta[i_pair], i_col + cols.start,
+                                               middles[i_pair])
+
+    def _hit_unitaries(self, r, theta, col, middles):
+        """CoreSpec and 8x8 unitary of each hit, from its full blocks."""
+        blocks = self.last[col, None] @ middles @ self.first[r, None]
+        i_sp1, i_ax1 = np.divmod(r, len(self.ax1))
+        i_ax2, i_sp2 = np.divmod(col, len(self.sp))
+        slots = np.stack(self._digits(theta), axis=1)
+        for s1, a1, th, a2, s2, u in zip(i_sp1.tolist(), i_ax1.tolist(), slots.tolist(),
+                                         i_ax2.tolist(), i_sp2.tolist(), _block_unitary(blocks)):
+            yield CoreSpec(sp1=self.sp[s1], ax1=self.ax1[a1],
+                           theta=tuple(self.thetas[d] for d in th),
+                           ax2=self.ax2[a2], sp2=self.sp[s2]), u
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
     """All configurations in the query space realizing the target function.
 
-    One numpy pass over every configuration's four branch products decides
-    the hits by the `truth_table` rule (p(target=1) within ATOL_NORM of the
-    target bit on every branch); each hit's block-diagonal unitary is graded
-    against the phase-exact oracle.  Results are sorted by configuration for
-    determinism.
+    Each target block factors as B_c = L . T[theta, c] . F, so one numpy
+    pass decides every configuration's hit from two small contractions,
+    by the `truth_table` rule (p(target=1) within ATOL_NORM of the target
+    bit on every branch); each hit's block-diagonal unitary is graded
+    against the phase-exact oracle.  Results are sorted by configuration
+    for determinism.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
-    batch = _BranchBatch(query)
     oracle = _oracle_unitary(query.target)
-    hits = [SearchHit(batch.spec(flat), equivalence_of_unitaries(u, oracle))
-            for flat, u in batch.hits(query.target, query.symmetric)]
+    hits = [SearchHit(spec, equivalence_of_unitaries(u, oracle))
+            for spec, u in _BranchBatch(query).hits(query.target, query.symmetric)]
     hits.sort(key=lambda h: h.spec.sort_key())
     return hits
 

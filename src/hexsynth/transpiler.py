@@ -21,6 +21,7 @@ does no resynthesis.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -264,7 +265,7 @@ def _merge_rz(stack: list, angle: Angle) -> bool:
     return True
 
 
-def _cancel_pending(stacks: list, pending: list, later: _Fixed) -> None:
+def _cancel_pending(stacks: dict, pending: dict, later: _Fixed) -> None:
     """Cancel a waiting CX/ECR with its partner below the identity runs.
 
     A rotation that landed on the waiting gate falls through to the wire
@@ -324,8 +325,9 @@ def peephole(circuit: Circuit) -> Circuit:
     pairs cancel, and {SX, X} runs reduce by their value mod 4.  No gate
     count of any tag rises above the input's.
     """
-    stacks: list[list] = [[] for _ in range(circuit.width)]
-    pending: list[_Fixed | None] = [None] * circuit.width
+    # per-wire state only for the wires that carry a gate
+    stacks: dict[int, list] = defaultdict(list)
+    pending: dict[int, _Fixed | None] = {}
     items: list = []
     for g in circuit.gates:
         kind = g.kind
@@ -337,7 +339,7 @@ def peephole(circuit: Circuit) -> Circuit:
                 items.append(item)
         elif kind is K.SX or kind is K.X:
             q = g.qubits[0]
-            if pending[q] is not None:
+            if pending.get(q) is not None:
                 _cancel_pending(stacks, pending, pending[q])
             stack = stacks[q]
             run = stack[-1] if stack else None
@@ -351,7 +353,7 @@ def peephole(circuit: Circuit) -> Circuit:
                 run.x += 1
         elif kind is not K.I:
             for q in g.qubits:
-                later = pending[q]
+                later = pending.get(q)
                 if later is not None and not (later.gate == g and all(stacks[r][-1] is later
                                                                      for r in g.qubits)):
                     _cancel_pending(stacks, pending, later)
@@ -372,10 +374,10 @@ def peephole(circuit: Circuit) -> Circuit:
             for q in g.qubits:
                 stacks[q].append(item)
             items.append(item)
-    for later in pending:
+    for later in pending.values():
         if later is not None:
             _cancel_pending(stacks, pending, later)
-    for q, stack in enumerate(stacks):
+    for q, stack in stacks.items():
         _emit_wire(stack, q)
     gates: list[Gate] = []
     for item in items:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,8 @@ class TestGateAndCircuit:
             Circuit(2, (G(K.H, 0), G(K.CX, 1, 3), G(K.H, 4)))
         with pytest.raises(CircuitError, match=r"^gate h \(-1,\) outside width 2$"):
             Circuit(2, (G(K.H, 1), G(K.H, -1)))
+        with pytest.raises(CircuitError, match=r"^gate h \(0.5,\) outside width 2$"):
+            Circuit(2, (G(K.H, 1), G(K.H, 0.5)))
 
     def test_relabeled_permutes_everything(self):
         c = Circuit(3, (G(K.CX, 0, 1), G(K.H, 2)), roles=("control", "target", "control"),
@@ -195,6 +198,23 @@ class TestDepth:
             perm = list(range(w))
             rng.shuffle(perm)
             assert depth(c) == depth(c.relabeled(perm))
+
+
+class TestDeclaredWidth:
+    def test_idle_wires_cost_nothing(self):
+        # checking, counting and depth keep state only for wires with gates;
+        # a per-wire set or list would peak at tens of MB here
+        wide = 10 ** 6
+        tracemalloc.start()
+        try:
+            report = count_gates(Circuit(wide, (G(K.X, 0), G(K.CX, 3, wide - 1), G(K.H, 3))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.qc, report.depth) == (3, 2)
+        assert peak < 100_000
+        with pytest.raises(CircuitError, match=r"^gate x \(1000000,\) outside width 1000000$"):
+            Circuit(wide, (G(K.X, 0), G(K.X, wide)))
 
 
 class TestCountGates:

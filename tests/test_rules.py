@@ -1,10 +1,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hexsynth import rules
 from hexsynth.circuit import CircuitError, GateKind
-from hexsynth.library import AX_ENTRIES, THETA_KINDS, BOOLEAN_TABLE, BooleanGateKind, build_core
+from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
+                              BooleanGateKind, build_core)
 from hexsynth.rules import (SearchHit, SearchQuery, apply_rules, count_space, iter_specs,
                             query_from_names, search)
 from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_of_unitaries,
@@ -159,6 +161,15 @@ class TestBatchedSearchMatchesReference:
         for target in TARGETS:
             assert search(dataclasses.replace(MIXED, target=target)) == mixed_reference[target]
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
+    def test_blocks_tile_the_space_within_the_bound(self, monkeypatch, block):
+        monkeypatch.setattr(rules, "BLOCK_CONFIGS", block)
+        for pairs, cols in [(1, 1), (3, 5), (10, 7), (4, 64), (2, 100)]:
+            blocks = [(pair.tolist(), range(cols)[col]) for pair, col in rules._blocks(pairs, cols)]
+            assert all(len(pair) * len(col) <= block for pair, col in blocks)
+            assert [(p, c) for pair, col in blocks for p in pair for c in col] == \
+                [(p, c) for p in range(pairs) for c in range(cols)]
+
     def test_symmetric_query(self):
         # the duplicated T makes symmetry a matter of kinds, not of alphabet positions
         q = SearchQuery(target="0001", sp_set=(K.H, K.SX), theta_set=(K.T, K.TDG, K.T),
@@ -184,9 +195,53 @@ class TestBatchedSearchMatchesReference:
         assert all(h.level.at_least(EquivalenceLevel.L2_RELATIVE_PHASE) for h in hits)
 
     def test_bad_alphabet_entries_rejected(self):
-        with pytest.raises(CircuitError, match="superposition"):
-            search(SearchQuery(target="0001", sp_set=(K.H, K.T)))
-        with pytest.raises(CircuitError, match="theta"):
-            search(SearchQuery(target="0001", theta_set=(K.T, K.H)))
-        with pytest.raises(CircuitError, match="expects 2 qubit"):
-            search(SearchQuery(target="0001", ax2_set=((K.CX,),)))
+        # each twice: the matrix and theta-table caches must not keep a bad entry
+        for bad, match in [(dict(sp_set=(K.H, K.T)), "superposition"),
+                           (dict(theta_set=(K.T, K.H)), "theta"),
+                           (dict(ax1_set=((), (K.RZ,))), "requires an Angle"),
+                           (dict(ax2_set=((K.CX,),)), "expects 2 qubit")]:
+            for _ in range(2):
+                with pytest.raises(CircuitError, match=match):
+                    search(SearchQuery(target="0001", **bad))
+
+    def test_theta_table_cached_per_distinct_kinds(self):
+        rules._theta_middles.cache_clear()
+        base = SearchQuery(target="0001", theta_set=(K.T, K.TDG))
+        doubled = dataclasses.replace(base, theta_set=(K.TDG, K.T) * 4)  # 4,096 theta tuples
+        # every theta tuple over the kinds occurs 4**4 times among the duplicates
+        assert search(doubled) == [h for h in search(base) for _ in range(4 ** 4)]
+        assert rules._theta_middles.cache_info().currsize == 1
+        assert rules._theta_middles((K.T, K.TDG)).shape == (16, 4, 2, 2)
+        assert rules._theta_middles.cache_info().currsize == 1
+
+
+@st.composite
+def small_queries(draw):
+    """Queries over small alphabets with duplicates in every slot, in any order."""
+    def alphabet(entries, most):
+        return tuple(draw(st.lists(st.sampled_from(entries), min_size=1, max_size=most)))
+
+    q = SearchQuery(target=draw(st.sampled_from(TARGETS)),
+                    sp_set=alphabet(SUPERPOSITION_KINDS, 2),
+                    ax1_set=alphabet(list(AX_ENTRIES.values()), 2),
+                    ax2_set=alphabet(list(AX_ENTRIES.values()), 3),
+                    theta_set=alphabet(THETA_KINDS, 3),
+                    symmetric=draw(st.booleans()))
+    assume(rules._space_size(q) <= 324)
+    return q
+
+
+class TestSearchProperty:
+    @pytest.mark.parametrize("block", ["one configuration", "part of a row", "default"])
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(small_queries())
+    def test_search_equals_reference(self, block, q):
+        cols = len(q.ax2_set) * len(q.sp_set)  # configurations per (sp1, ax1, theta) pair
+        size = {"one configuration": 1, "part of a row": cols - 1,
+                "default": rules.BLOCK_CONFIGS}[block]
+        assume(size >= 1)
+        reference = reference_search(q, TARGETS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rules, "BLOCK_CONFIGS", size)
+            for target in TARGETS:
+                assert search(dataclasses.replace(q, target=target)) == reference[target]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexsynth import transpiler
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, parse_text
 from hexsynth.library import FAMILY_GATES, GATE_BUILDERS, StandardKind, build_gate, build_standard
 from hexsynth.layout import CouplingMap, heavy_hex_127
@@ -423,6 +424,26 @@ class TestSharedLowering:
         for basis in NativeBasis:
             assert lower(c, basis) == reference_lower(c, basis)
         assert {basis: len(_LOWERINGS[basis].memo) for basis in NativeBasis} == sizes
+
+
+class TestDeclaredWidth:
+    def test_sweep_visits_only_wires_with_gates(self, monkeypatch):
+        visited = []
+        emit = transpiler._emit_wire
+        monkeypatch.setattr(transpiler, "_emit_wire",
+                            lambda stack, q: (visited.append(q), emit(stack, q)))
+        narrow = random_clifford_t_circuit(random.Random(5), 3, 80)
+        spread = {0: 7, 1: 0, 2: 10 ** 6 - 1}
+
+        def spread_out(gates):
+            return tuple(Gate(g.kind, tuple(spread[q] for q in g.qubits), g.angle) for g in gates)
+
+        wide = Circuit(10 ** 6, spread_out(narrow.gates))
+        for basis in NativeBasis:
+            visited.clear()
+            out = lower_and_optimize(wide, basis)
+            assert sorted(visited) == sorted(spread.values())
+            assert out.gates == spread_out(lower_and_optimize(narrow, basis).gates)
 
 
 class TestCostReport:
