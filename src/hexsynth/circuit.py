@@ -146,7 +146,8 @@ def parse_angle(expr: str) -> Angle:
         den = int(m.group("den") or 1)
         if m.group("sign"):
             num = -num
-        return Angle.pi_frac(num, den)
+        if den:  # pi/0 is no angle: it falls to the float parse, which rejects it
+            return Angle.pi_frac(num, den)
     try:
         return Angle.from_radians(float(expr))
     except ValueError:

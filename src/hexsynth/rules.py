@@ -16,9 +16,11 @@ set of rotation kinds serves every query.  A configuration is a hit when
 p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
 every branch, the rule `truth_table` applies; the target starts in |0>, so
 this needs only column 0 of F and row 1 of L, and two small contractions
-give it for every configuration.  Only a hit's full blocks are formed,
-placed on the diagonal of its 8x8 unitary and graded against a phase-exact
-oracle.
+give it for every configuration.  Only a hit's full blocks are formed, and
+each block of hits is graded from its four 2x2 blocks in one call of the
+package's one grader, `simulator.equivalence_levels`, against the oracle's
+blocks (I or X per target bit).  A query's gate alphabets are checked once,
+when the `SearchQuery` is built.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .circuit import CircuitError, Gate, GateKind
 from .library import AX_ENTRIES, CoreSpec, ax_name
-from .simulator import ATOL_NORM, EquivalenceLevel, equivalence_of_unitaries, gate_matrix
+from .simulator import ATOL_NORM, EquivalenceLevel, equivalence_levels, gate_matrix
 
 K = GateKind
 
@@ -85,6 +87,9 @@ class SearchQuery:
 
     `target` is the 4-character outcome string over ascending control
     assignments 00, 01, 10, 11 (control 1 is the low bit), e.g. and='0001'.
+    Every alphabet entry is checked here, once, with the CircuitError that
+    CoreSpec (superposition and rotation kinds) or Gate (auxiliary kinds)
+    raises; this is the input boundary of `search` and `iter_specs`.
     """
 
     target: str
@@ -101,7 +106,15 @@ class SearchQuery:
             vals = tuple(getattr(self, name))
             if not vals:
                 raise CircuitError(f"{name} must not be empty")
+            if name.startswith("ax"):
+                vals = tuple(tuple(entry) for entry in vals)
+                for kind in itertools.chain.from_iterable(vals):
+                    Gate(kind, (0,))
             object.__setattr__(self, name, vals)
+        for s in self.sp_set:
+            CoreSpec(sp1=s, sp2=s)
+        for t in self.theta_set:
+            CoreSpec(theta=(t,) * 4)
 
 
 @dataclass(frozen=True)
@@ -116,9 +129,9 @@ class SearchHit:
 def _alphabets(query: SearchQuery):
     """The query's gate sets in enumeration order (duplicates kept)."""
     return (sorted(query.sp_set, key=lambda g: g.value),
-            sorted((tuple(a) for a in query.ax1_set), key=ax_name),
+            sorted(query.ax1_set, key=ax_name),
             sorted(query.theta_set, key=lambda g: g.value),
-            sorted((tuple(a) for a in query.ax2_set), key=ax_name))
+            sorted(query.ax2_set, key=ax_name))
 
 
 def iter_specs(query: SearchQuery):
@@ -137,41 +150,16 @@ def _space_size(query: SearchQuery) -> int:
             * len(query.theta_set) ** 4)
 
 
-# basis index of (c2, t, c1) on the core's wires (c1=0, t=1, c2=2), per
-# branch (c2 << 1) | c1 and target bit t
-_BRANCH_INDEX = np.array([[((b >> 1) << 2) | (t << 1) | (b & 1) for t in (0, 1)]
-                          for b in range(4)])
-
-
-def _block_unitary(blocks: np.ndarray) -> np.ndarray:
-    """8x8 unitaries from target blocks of shape (..., 4, 2, 2), indexed by
-    branch (c2 << 1) | c1; wires follow the core layout (c1=0, t=1, c2=2)."""
-    u = np.zeros(blocks.shape[:-3] + (8, 8), dtype=complex)
-    u[..., _BRANCH_INDEX[:, :, None], _BRANCH_INDEX[:, None, :]] = blocks
-    return u
-
-
-def _oracle_unitary(target: str) -> np.ndarray:
-    """Phase-exact unitary flipping the target wire exactly where f=1."""
-    return _block_unitary(np.array([gate_matrix(K.X if f == "1" else K.I) for f in target]))
-
-
-_IDENTITY = gate_matrix(K.I)
-
-
-@functools.cache
-def _gate_matrix(kind: GateKind) -> np.ndarray:
-    """2x2 matrix of one single-qubit gate kind on the target, memoised per
-    kind; a kind build_core would reject raises its CircuitError on every call."""
-    Gate(kind, (0,))
-    return gate_matrix(kind)
+# X**0 and X**1 on the target: the CX flips of the theta/X middle, and the
+# oracle's block on a branch whose target bit is 0 or 1
+_FLIP = np.array([gate_matrix(K.I), gate_matrix(K.X)])
 
 
 def _target_matrix(kinds) -> np.ndarray:
     """2x2 matrix of single-qubit gates applied to the target in order."""
-    m = _IDENTITY
+    m = _FLIP[0]
     for k in kinds:
-        m = _gate_matrix(k) @ m
+        m = gate_matrix(k) @ m
     return m
 
 
@@ -185,14 +173,11 @@ def _theta_middles(kinds: tuple) -> np.ndarray:
     whose two nonzero entries are powers of omega = exp(i pi/4).  Cached per
     set of kinds (at most 15 sets) and read-only.
     """
-    for k in kinds:
-        CoreSpec(theta=(k,) * 4)  # raises the CircuitError build_core would
     n = len(kinds)
     th = np.array([gate_matrix(k) for k in kinds])
     th1, th2, th3, th4 = (th.reshape(tuple(n if i == slot else 1 for i in range(4)) + (2, 2))
                           for slot in range(4))
-    flip = (_IDENTITY, gate_matrix(K.X))
-    table = np.stack([th4 @ flip[c2] @ th3 @ flip[c1] @ th2 @ flip[c2] @ th1
+    table = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
                       for c2 in (0, 1) for c1 in (0, 1)], axis=-3).reshape(n ** 4, 4, 2, 2)
     table.setflags(write=False)
     return table
@@ -223,15 +208,11 @@ class _BranchBatch:
 
     def __init__(self, query: SearchQuery):
         self.sp, self.ax1, self.thetas, self.ax2 = sp, ax1, thetas, ax2 = _alphabets(query)
-        # no CoreSpec is built for a miss, so check every superposition and
-        # rotation entry here as CoreSpec would
-        for s in sp:
-            CoreSpec(sp1=s, sp2=s)
         self.kinds = kinds = tuple(dict.fromkeys(thetas))
         self.middles = _theta_middles(kinds)
         # equal kinds share an id, so symmetry holds across duplicate entries
         self.theta_ids = np.array([kinds.index(t) for t in thetas])
-        sps = np.array([_gate_matrix(s) for s in sp])
+        sps = np.array([gate_matrix(s) for s in sp])
         self.first = (np.array([_target_matrix(a) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
         self.last = (sps @ np.array([_target_matrix(a) for a in ax2])[:, None]).reshape(-1, 2, 2)
 
@@ -254,16 +235,16 @@ class _BranchBatch:
         return np.ravel_multi_index(tuple(self.theta_ids[d] for d in self._digits(theta)),
                                     (len(self.kinds),) * 4)
 
-    def hits(self, target: str, symmetric: bool):
-        """(CoreSpec, 8x8 unitary) of each configuration, in enumeration
-        order, whose p(target=1) lies within ATOL_NORM of the target bit on
-        all four branches.
+    def hits(self, bits: np.ndarray, symmetric: bool):
+        """Per block of the space, the CoreSpecs, in enumeration order, of
+        the configurations whose p(target=1) lies within ATOL_NORM of the
+        target bit (`bits`, one per branch) on all four branches, with
+        their target blocks of shape (hits, 4, 2, 2).
 
         The target starts in |0>, so p(target=1) on branch c is
         |L[col][1] . w|^2 with w = T[theta, c] . F[r][:, 0]: w is formed per
         (r, theta) pair and one product with row 1 of every column gives the
         whole (4, pairs, cols) grid.  Only hits get their full blocks."""
-        bits = np.array([int(ch) for ch in target])[:, None, None]
         axis = self._theta_axis(symmetric)
         n_theta = len(self.thetas) ** 4 if axis is None else len(axis)
         for pairs, cols in _blocks(len(self.first) * n_theta, len(self.last)):
@@ -274,23 +255,23 @@ class _BranchBatch:
             # branch-major, so the test over branches reduces the outer axis
             w = np.einsum("pbij,pj->bpi", middles, self.first[r, :, 0]).reshape(-1, 2)
             amp = (w @ self.last[cols, 1].T).reshape(4, len(r), -1)
-            keep = np.all(np.abs(np.abs(amp) ** 2 - bits) <= ATOL_NORM, axis=0)
+            keep = np.all(np.abs(np.abs(amp) ** 2 - bits[:, None, None]) <= ATOL_NORM, axis=0)
             i_pair, i_col = np.nonzero(keep)
             if len(i_pair):
-                yield from self._hit_unitaries(r[i_pair], theta[i_pair], i_col + cols.start,
-                                               middles[i_pair])
+                r, theta, col = r[i_pair], theta[i_pair], i_col + cols.start
+                yield (self._specs(r, theta, col),
+                       self.last[col, None] @ middles[i_pair] @ self.first[r, None])
 
-    def _hit_unitaries(self, r, theta, col, middles):
-        """CoreSpec and 8x8 unitary of each hit, from its full blocks."""
-        blocks = self.last[col, None] @ middles @ self.first[r, None]
+    def _specs(self, r, theta, col) -> list[CoreSpec]:
+        """CoreSpecs of configurations given by pair row, theta tuple index
+        and column."""
         i_sp1, i_ax1 = np.divmod(r, len(self.ax1))
         i_ax2, i_sp2 = np.divmod(col, len(self.sp))
         slots = np.stack(self._digits(theta), axis=1)
-        for s1, a1, th, a2, s2, u in zip(i_sp1.tolist(), i_ax1.tolist(), slots.tolist(),
-                                         i_ax2.tolist(), i_sp2.tolist(), _block_unitary(blocks)):
-            yield CoreSpec(sp1=self.sp[s1], ax1=self.ax1[a1],
-                           theta=tuple(self.thetas[d] for d in th),
-                           ax2=self.ax2[a2], sp2=self.sp[s2]), u
+        return [CoreSpec(sp1=self.sp[s1], ax1=self.ax1[a1], theta=tuple(self.thetas[d] for d in th),
+                         ax2=self.ax2[a2], sp2=self.sp[s2])
+                for s1, a1, th, a2, s2 in zip(i_sp1.tolist(), i_ax1.tolist(), slots.tolist(),
+                                              i_ax2.tolist(), i_sp2.tolist())]
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
@@ -299,15 +280,18 @@ def search(query: SearchQuery) -> list[SearchHit]:
     Each target block factors as B_c = L . T[theta, c] . F, so one numpy
     pass decides every configuration's hit from two small contractions,
     by the `truth_table` rule (p(target=1) within ATOL_NORM of the target
-    bit on every branch); each hit's block-diagonal unitary is graded
-    against the phase-exact oracle.  Results are sorted by configuration
-    for determinism.
+    bit on every branch).  Each block of hits is graded in one
+    `equivalence_levels` call: the four 2x2 blocks of a hit's block-diagonal
+    unitary, stacked row-wise, against the phase-exact oracle's blocks.
+    Results are sorted by configuration for determinism.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
-    oracle = _oracle_unitary(query.target)
-    hits = [SearchHit(spec, equivalence_of_unitaries(u, oracle))
-            for spec, u in _BranchBatch(query).hits(query.target, query.symmetric)]
+    bits = np.array([int(ch) for ch in query.target])
+    oracle = _FLIP[bits].reshape(8, 2)
+    hits = [SearchHit(spec, level)
+            for specs, blocks in _BranchBatch(query).hits(bits, query.symmetric)
+            for spec, level in zip(specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle))]
     hits.sort(key=lambda h: h.spec.sort_key())
     return hits
 

@@ -10,9 +10,12 @@ One kernel, `_apply_matrix`, applies every gate: the amplitudes are
 reshaped so the acted-on wires are axes of their own, then multiplied once.
 Amplitudes may carry trailing batch columns, so `apply` (one state),
 `unitary_of` (the identity's 2^n columns) and `truth_table` (one basis
-column per control assignment) are all one sweep over the gates.  A core's
-controls are only ever CX controls, so `phase_trace` walks the target's two
-amplitudes alone, the per-branch view the configuration search also uses.
+column per control assignment) all call the one sweep over the gates,
+`_sweep`.  A core's controls are only ever CX controls, so `phase_trace`
+walks the target's two amplitudes alone, the per-branch view the
+configuration search also uses.  One grader, `equivalence_levels`, grades a
+stack of matrices against one reference: `equivalence` grades dense
+unitaries with it, and the search the 2x2 target blocks of its hits.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -156,24 +159,26 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n:
     return np.einsum(subscripts, mat.reshape(2, 2, 2, 2), t).reshape(amps.shape)
 
 
+def _sweep(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """The circuit's gates applied in order to amplitudes over its wires
+    (trailing batch axes ride along): the one gate loop of the module."""
+    for g in circuit.gates:
+        amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, circuit.width)
+    return amps
+
+
 def apply(circuit: Circuit, state: Statevector) -> Statevector:
     """Left-to-right application of the circuit's gates to a state."""
     if state.n != circuit.width:
         raise SimulationError(f"state has {state.n} qubits, circuit has {circuit.width}")
-    amps = state.amps.copy()
-    for g in circuit.gates:
-        amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, circuit.width)
-    return Statevector(circuit.width, amps)
+    return Statevector(circuit.width, _sweep(state.amps.copy(), circuit))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (guarded to 12 qubits)."""
     if circuit.width > MAX_UNITARY_QUBITS:
         raise SimulationError(f"unitary_of supports at most {MAX_UNITARY_QUBITS} qubits")
-    u = np.eye(2 ** circuit.width, dtype=complex)
-    for g in circuit.gates:
-        u = _apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, circuit.width)
-    return u
+    return _sweep(np.eye(2 ** circuit.width, dtype=complex), circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +219,26 @@ class EquivalenceLevel(Enum):
         return self.value >= other.value
 
 
+def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel]:
+    """Strongest equivalence level of each matrix of a stack (n, r, c) against
+    one (r, c) unitary `ref`.  The tests read entries only: tr(Ua^dagger . Ub)
+    is the sum of conj(Ua) * Ub, and the dimension is the row count r.  So a
+    block-diagonal unitary may be passed as its diagonal blocks stacked
+    row-wise; the entries off the blocks are zero on both sides."""
+    overlap = np.abs(np.einsum("nij,ij->n", us.conj(), ref)) / ref.shape[0]
+    mags, ref_mags = np.abs(us), np.abs(ref)
+    l2 = np.max(np.abs(mags - ref_mags), axis=(1, 2)) <= ATOL_EQUIV
+    # column j of |U|^2 is the output distribution for basis input j
+    l3 = np.max(np.abs(mags ** 2 - ref_mags ** 2), axis=(1, 2)) <= ATOL_EQUIV
+    value = np.select([overlap >= 1 - ATOL_EQUIV, l2, l3], [3, 2, 1], 0)
+    return [EquivalenceLevel(v) for v in value.tolist()]
+
+
 def equivalence_of_unitaries(ua: np.ndarray, ub: np.ndarray) -> EquivalenceLevel:
     """Strongest equivalence level satisfied by two equal-size unitaries."""
     if ua.shape != ub.shape:
         raise SimulationError(f"shape mismatch {ua.shape} vs {ub.shape}")
-    dim = ua.shape[0]
-    if abs(np.trace(ua.conj().T @ ub)) / dim >= 1 - ATOL_EQUIV:
-        return EquivalenceLevel.L1_GLOBAL_PHASE
-    if np.max(np.abs(np.abs(ua) - np.abs(ub))) <= ATOL_EQUIV:
-        return EquivalenceLevel.L2_RELATIVE_PHASE
-    # column j of |U|^2 is the output distribution for basis input j
-    if np.max(np.abs(np.abs(ua) ** 2 - np.abs(ub) ** 2)) <= ATOL_EQUIV:
-        return EquivalenceLevel.L3_CLASSICAL
-    return EquivalenceLevel.NONE
+    return equivalence_levels(ua[None], ub)[0]
 
 
 def equivalence(a: Circuit, b: Circuit) -> EquivalenceLevel:
@@ -265,8 +277,7 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
             index |= ((ms >> j) & 1) << q
         amps = np.zeros((2 ** n, len(ms)), dtype=complex)
         amps[index, np.arange(len(ms))] = 1.0
-        for g in circuit.gates:
-            amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, n)
+        amps = _sweep(amps, circuit)
         norms = np.linalg.norm(amps, axis=0)
         target_one = amps.reshape(2 ** (n - 1 - target), 2, 2 ** target, -1)[:, 1]
         p1s = np.sum(np.abs(target_one) ** 2, axis=(0, 1))

@@ -77,10 +77,11 @@ class TestAngle:
         assert not a.rational
         assert a.plus(Angle.pi_frac(1, 4)).radians == pytest.approx(0.5 + 0.7853981633974483)
 
-    @pytest.mark.parametrize("expr", ["nan", "-nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("expr", ["nan", "-nan", "inf", "-inf", "1e400", "pi/0", "3*pi/0"])
     def test_non_finite_rejected(self, expr):
-        with pytest.raises(CircuitError, match="finite"):
-            Angle.from_radians(float(expr))
+        if "pi" not in expr:  # pi over zero has no float form to pass
+            with pytest.raises(CircuitError, match="finite"):
+                Angle.from_radians(float(expr))
         with pytest.raises(CircuitError, match="bad angle expression"):
             parse_angle(expr)
 

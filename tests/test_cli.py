@@ -60,12 +60,13 @@ class TestTranspileAndSimulate:
     @pytest.mark.parametrize("argv", [("simulate", "{src}", "--input", "0"),
                                       ("transpile", "{src}", "--basis", "cx")])
     def test_nan_angle_is_an_error(self, tmp_path, capsys, argv):
-        src = tmp_path / "nan.txt"
-        src.write_text("qubits 1\nrz(nan) q[0]\n")
-        assert run(*(a.format(src=src) for a in argv)) == 1
-        captured = capsys.readouterr()
-        assert "bad angle expression: 'nan'" in captured.err
-        assert "nan" not in captured.out
+        for expr in ("nan", "pi/0", "3*pi/0"):
+            src = tmp_path / "bad_angle.txt"
+            src.write_text(f"qubits 1\nrz({expr}) q[0]\n")
+            assert run(*(a.format(src=src) for a in argv)) == 1
+            captured = capsys.readouterr()
+            assert f"line 2: bad angle expression: '{expr}'" in captured.err
+            assert expr not in captured.out
 
     def test_simulate_too_wide_is_an_error(self, tmp_path, capsys):
         src = tmp_path / "wide.txt"

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import permutation_unitary
 from hexsynth import rules
 from hexsynth.circuit import CircuitError, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
@@ -14,6 +15,12 @@ from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_o
 
 K = GateKind
 TARGETS = tuple(format(m, "04b") for m in range(16))
+
+
+def oracle_unitary(target: str):
+    """Flip the target (wire 1) exactly where f[(c2 << 1) | c1] is 1, with
+    the controls on wires 0 and 2."""
+    return permutation_unitary(3, lambda b: b ^ (int(target[((b >> 2) << 1) | (b & 1)]) << 1))
 
 
 def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchHit]]:
@@ -29,7 +36,7 @@ def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchH
             continue
         realized = truth_string(table)
         if realized in found:
-            level = equivalence_of_unitaries(unitary_of(circuit), rules._oracle_unitary(realized))
+            level = equivalence_of_unitaries(unitary_of(circuit), oracle_unitary(realized))
             found[realized].append(SearchHit(spec, level))
     for hits in found.values():
         hits.sort(key=lambda h: h.spec.sort_key())
@@ -194,15 +201,27 @@ class TestBatchedSearchMatchesReference:
         assert len(hits) == 538
         assert all(h.level.at_least(EquivalenceLevel.L2_RELATIVE_PHASE) for h in hits)
 
+    BAD_ENTRIES = [(dict(sp_set=(K.H, K.T)), "superposition"),
+                   (dict(theta_set=(K.T, K.H)), "theta"),
+                   (dict(ax1_set=((), (K.RZ,))), "requires an Angle"),
+                   (dict(ax2_set=((K.CX,),)), "expects 2 qubit")]
+
     def test_bad_alphabet_entries_rejected(self):
-        # each twice: the matrix and theta-table caches must not keep a bad entry
-        for bad, match in [(dict(sp_set=(K.H, K.T)), "superposition"),
-                           (dict(theta_set=(K.T, K.H)), "theta"),
-                           (dict(ax1_set=((), (K.RZ,))), "requires an Angle"),
-                           (dict(ax2_set=((K.CX,),)), "expects 2 qubit")]:
+        # each twice: the theta-table cache must not keep a bad entry
+        for bad, match in self.BAD_ENTRIES:
             for _ in range(2):
                 with pytest.raises(CircuitError, match=match):
                     search(SearchQuery(target="0001", **bad))
+
+    def test_bad_alphabet_entries_rejected_at_construction(self):
+        for bad, match in self.BAD_ENTRIES:
+            with pytest.raises(CircuitError, match=match):
+                SearchQuery(target="0001", **bad)
+        # every AX name resolves to a valid entry, so only sp and theta can be bad by name
+        for bad, match in [(dict(sp=("h", "t")), "superposition"),
+                           (dict(theta=("t", "h")), "theta")]:
+            with pytest.raises(CircuitError, match=match):
+                query_from_names("0001", **bad)
 
     def test_theta_table_cached_per_distinct_kinds(self):
         rules._theta_middles.cache_clear()

@@ -10,8 +10,8 @@ from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, TH
                               BooleanGateKind, CoreSpec, build_boolean, build_gate,
                               core_stage_gates)
 from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
-                                _apply_matrix, apply, equivalence, gate_matrix,
-                                pauli_conjugate, phase_trace, qsphere, truth_string,
+                                _apply_matrix, apply, equivalence, equivalence_levels,
+                                equivalence_of_unitaries, gate_matrix, pauli_conjugate, phase_trace, qsphere, truth_string,
                                 truth_table, unitary_of)
 
 from conftest import is_unitary, probability_of_one, random_clifford_t_circuit, toffoli_unitary
@@ -256,6 +256,61 @@ class TestEquivalence:
     def test_ordering(self):
         assert EquivalenceLevel.L1_GLOBAL_PHASE.at_least(EquivalenceLevel.L3_CLASSICAL)
         assert not EquivalenceLevel.L3_CLASSICAL.at_least(EquivalenceLevel.L2_RELATIVE_PHASE)
+
+
+def graded_variants(ref):
+    """Matrices of every level against `ref`, with the level each should
+    get: a global phase (L1); row and column phases (L2); row phases, then
+    two rows mixed by a 1e-5 rotation, which moves magnitudes by 1e-5 and
+    squared magnitudes by 1e-10 (L3); the rows reversed or the columns
+    rotated (NONE)."""
+    dim = len(ref)
+    rows = np.diag(np.exp(1j * np.pi / 4 * np.arange(dim)))
+    cols = np.diag(np.exp(-1j * np.pi / 3 * (np.arange(ref.shape[1]) % 3)))
+    eps = 1e-5
+    mix = np.eye(dim, dtype=complex)
+    mix[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
+    return [(np.exp(0.7j) * ref, EquivalenceLevel.L1_GLOBAL_PHASE),
+            (-ref, EquivalenceLevel.L1_GLOBAL_PHASE),
+            (rows @ ref @ cols, EquivalenceLevel.L2_RELATIVE_PHASE),
+            (rows @ ref, EquivalenceLevel.L2_RELATIVE_PHASE),
+            (mix @ rows @ ref, EquivalenceLevel.L3_CLASSICAL),
+            (mix @ rows @ ref @ cols, EquivalenceLevel.L3_CLASSICAL),
+            (ref[::-1], EquivalenceLevel.NONE),
+            (np.roll(ref, 1, axis=1), EquivalenceLevel.NONE)]
+
+
+def block_diagonal(blocks):
+    """The 8x8 matrix with four 2x2 blocks on its diagonal."""
+    u = np.zeros((8, 8), dtype=complex)
+    for b, block in enumerate(blocks):
+        u[2 * b:2 * b + 2, 2 * b:2 * b + 2] = block
+    return u
+
+
+class TestBatchedGrader:
+    def test_stack_equals_one_pair_at_a_time(self):
+        ref = toffoli_unitary()
+        stack, levels = zip(*graded_variants(ref))
+        assert set(levels) == set(EquivalenceLevel)
+        assert [equivalence_of_unitaries(u, ref) for u in stack] == list(levels)
+        assert equivalence_levels(np.array(stack), ref) == list(levels)
+
+    def test_block_diagonal_pair_grades_as_its_stacked_blocks(self):
+        # the AND oracle's blocks: X on branch 3, identity on the others
+        ref = np.array([gate_matrix(K.I)] * 3 + [gate_matrix(K.X)])
+        variants = [(np.array(blocks), level) for blocks, level in
+                    [([np.exp(0.3j) * b for b in ref], EquivalenceLevel.L1_GLOBAL_PHASE),
+                     ([ref[0], gate_matrix(K.Z), gate_matrix(K.S), ref[3]],
+                      EquivalenceLevel.L2_RELATIVE_PHASE),
+                     ([ref[0], ref[1], ref[2], gate_matrix(K.Y)], EquivalenceLevel.L2_RELATIVE_PHASE),
+                     ([ref[0], ref[1], ref[2], ref[0]], EquivalenceLevel.NONE)]]
+        variants += [(v.reshape(4, 2, 2), level)
+                     for v, level in graded_variants(ref.reshape(8, 2))]
+        stack, levels = zip(*variants)
+        dense = [equivalence_of_unitaries(block_diagonal(b), block_diagonal(ref)) for b in stack]
+        assert dense == list(levels)
+        assert equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)) == dense
 
 
 class TestTruthTable:
