@@ -7,16 +7,15 @@ optional Z at the end) selects which Boolean function lands on the target.
 """
 import numpy as np
 
-from hexsynth import build_boolean, build_gate, build_standard, emit_text, equivalence
-from hexsynth.library import BooleanGateKind, StandardKind
+from hexsynth import BOOLEAN_TABLE, BooleanGateKind, build_core, build_gate, emit_text, equivalence
 from hexsynth.simulator import truth_string, truth_table
 
 print("the AND gate as circuit text:")
-print(emit_text(build_boolean(BooleanGateKind.AND)))
+print(emit_text(build_gate("and3")))
 
 print("truth tables (assignments 00, 01, 10, 11 with control 1 as the low bit):")
 for kind in BooleanGateKind:
-    gate = build_boolean(kind)
+    gate = build_core(BOOLEAN_TABLE[kind])
     table = truth_table(gate, target=1, controls=(0, 2))
     print(f"  {kind.value:12s} {truth_string(table)}")
 
@@ -24,7 +23,7 @@ for kind in BooleanGateKind:
 # entrywise magnitudes match (relative-phase equivalence), but the branch
 # phases differ, so it is not equal up to a global phase.
 and3 = build_gate("and3").relabeled({0: 0, 1: 2, 2: 1})  # align wire order
-toffoli = build_standard(StandardKind.TOFFOLI)
+toffoli = build_gate("toffoli")
 print("\nand3 vs textbook Toffoli:", equivalence(and3, toffoli).name)
 
 from hexsynth import unitary_of

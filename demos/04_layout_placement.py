@@ -5,11 +5,9 @@ core's target on its triple's middle qubit every CX lands on a lattice edge,
 so routing adds zero SWAPs.  Move a target to a triple end and adjacency
 breaks immediately; a naive router then has to pay for it.
 """
-from hexsynth import (build_gate, build_standard, count_gates, heavy_hex_127,
-                      ishape_brisbane, lower_and_optimize, place, route_naive,
-                      verify_no_swap)
+from hexsynth import (build_gate, count_gates, heavy_hex_127, ishape_brisbane,
+                      lower_and_optimize, place, route_naive, verify_no_swap)
 from hexsynth.layout import CouplingMap, Placement
-from hexsynth.library import StandardKind
 from hexsynth.transpiler import NativeBasis
 
 cmap = heavy_hex_127()
@@ -32,7 +30,7 @@ print("  swap-free:", ok, " violations:", violations)
 print()
 print("what the naive router pays for a standard Toffoli on a 3-qubit line")
 line = CouplingMap("line3", 3, frozenset({(0, 1), (1, 2)}))
-toffoli = build_standard(StandardKind.TOFFOLI)
+toffoli = build_gate("toffoli")
 routed = route_naive(toffoli, line, {0: 1, 1: 2, 2: 0})  # target forced to an end
 lowered = lower_and_optimize(routed.circuit, NativeBasis.CX_BASIS)
 print(f"  toffoli, target on an end: {routed.swaps_added} swap(s),"

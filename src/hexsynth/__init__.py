@@ -8,9 +8,7 @@ placements never need SWAP insertion.
 """
 from .circuit import (Angle, Circuit, CircuitError, CostReport, Gate, GateKind,
                       count_gates, depth, emit_text, parse_text)
-from .library import (BOOLEAN_TABLE, BooleanGateKind, CompositeKind, CompositeSpec,
-                      CoreSpec, StandardKind, TwoBitKind, build_2bit, build_boolean,
-                      build_composite, build_core, build_gate, build_standard)
+from .library import BOOLEAN_TABLE, BooleanGateKind, CoreSpec, build_core, build_gate
 from .layout import (CouplingMap, IShape, Placement, heavy_hex_127, ishape_brisbane,
                      load_map, place, verify_no_swap)
 from .rules import GateSetStage, SearchQuery, apply_rules, count_space, search

@@ -164,6 +164,8 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
+        if not isinstance(self.kind, GateKind):
+            raise CircuitError(f"gate kind must be a GateKind, got {self.kind!r}")
         if len(self.qubits) != self.kind.arity:
             raise CircuitError(f"{self.kind.value} expects {self.kind.arity} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):

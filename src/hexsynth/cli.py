@@ -14,7 +14,7 @@ import sys
 
 from . import reports
 from .circuit import Circuit, CircuitError, emit_text, parse_text
-from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATE_BUILDERS, build_gate
+from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, build_gate
 from .layout import Placement, ishape_brisbane, heavy_hex_127, load_map, place, verify_no_swap
 from .rules import query_from_names, search
 from .simulator import (STAGE_NAMES, EquivalenceLevel, SimulationError, Statevector, apply,
@@ -217,7 +217,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a library gate as circuit text")
-    b.add_argument("gate", help=f"one of: {', '.join(sorted(GATE_BUILDERS))}")
+    b.add_argument("gate", help=f"one of: {', '.join(sorted(GATES))}")
     b.add_argument("-o", "--output")
     b.set_defaults(fn=cmd_build)
 

@@ -3,17 +3,21 @@
 The 127-qubit map is generated from the heavy-hex construction: seven
 horizontal rows of qubits joined by four-qubit connector columns, giving a
 maximum vertex degree of three.  The I-shape is the seven-qubit subgraph of
-two parallel row triples bridged through a connector qubit; one triple hosts
-one 3-qubit core with its target on the middle qubit, so the whole gate
-family maps without SWAP insertion.
+two parallel row triples bridged through a connector qubit.  A gate places
+without SWAP insertion exactly where its interaction graph (the wire pairs
+its two-qubit gates touch) embeds into the shape's couplings; `place` finds
+that embedding from the gate's own gate list, so this module knows no gate
+by name.
 """
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, CircuitError
+from .library import build_gate
 
 
 class LayoutError(CircuitError):
@@ -150,16 +154,17 @@ class IShape:
     def all_qubits(self) -> tuple[int, ...]:
         return self.row_a + (self.bridge,) + self.row_b
 
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The six couplings: along each triple, and from each triple's middle
+        through the bridge."""
+        a, b = self.row_a, self.row_b
+        return ((a[0], a[1]), (a[1], a[2]), (b[0], b[1]), (b[1], b[2]),
+                (a[1], self.bridge), (self.bridge, b[1]))
+
     def validate(self, cmap: CouplingMap):
-        qubits = self.all_qubits()
-        if len(set(qubits)) != 7:
+        if len(set(self.all_qubits())) != 7:
             raise LayoutError("I-shape qubits must be distinct")
-        required = [
-            (self.row_a[0], self.row_a[1]), (self.row_a[1], self.row_a[2]),
-            (self.row_b[0], self.row_b[1]), (self.row_b[1], self.row_b[2]),
-            (self.row_a[1], self.bridge), (self.bridge, self.row_b[1]),
-        ]
-        for a, b in required:
+        for a, b in self.edges():
             if not cmap.has_edge(a, b):
                 raise LayoutError(f"I-shape edge ({a}, {b}) missing from map {cmap.name!r}")
 
@@ -196,40 +201,48 @@ class Placement:
         return Placement(assignment=assignment)
 
 
-# wire-name -> I-shape slot, per gate family member; slots are
-# a0,a1,a2 (first triple), g (bridge), b0,b1,b2 (second triple)
-_PLACEMENT_SLOTS = {
-    "and3": {"c1": "a0", "t": "a1", "c2": "a2"},
-    "miller3": {"c1": "a0", "t": "a1", "c2": "a2"},
-    "fredkin3": {"c": "a0", "b": "a1", "a": "a2"},
-    "csx2": {"c": "a0", "t": "a1"},
-    "csxdg2": {"c": "a0", "t": "a1"},
-    "swap2": {"a": "a0", "b": "a1"},
-    "and4": {"c1": "a0", "anc": "a1", "c2": "a2", "t": "g", "c3": "b1"},
-    "and5": {"c1": "a0", "anc1": "a1", "c2": "a2", "t": "g",
-             "c3": "b0", "anc2": "b1", "c4": "b2"},
-    "fredkin4": {"c1": "a0", "anc": "a1", "c2": "a2", "b": "g", "a": "b1"},
-    "csx3": {"c1": "a0", "anc": "a1", "c2": "a2", "t": "g"},
-}
-for _alias, _base in (("nand3", "and3"), ("or3", "and3"), ("nor3", "and3"),
-                      ("imp3", "and3"), ("inh3", "and3"),
-                      ("pos5", "and5"), ("sop5", "and5"), ("csxdg3", "csx3")):
-    _PLACEMENT_SLOTS[_alias] = _PLACEMENT_SLOTS[_base]
-
-
 def place(gate_name: str, shape: IShape) -> Placement:
-    """Canonical no-SWAP placement of a family gate onto an I-shape.
+    """The first no-SWAP placement of a registry gate onto an I-shape.
 
-    Every core's target lands on the middle qubit of its triple (or on the
-    bridge, whose two neighbors are the triple middles).
+    Wires are taken in circuit order (wire 0 first); each takes the first
+    free qubit, in `shape.all_qubits()` order, that is coupled to every
+    placed wire it shares a two-qubit gate with, backtracking when none is.
+    So every core's target lands between its two controls: on a triple's
+    middle, or on the bridge, whose two neighbors are the triple middles.
+    The search runs once per gate and shape; each call gets its own
+    Placement.
     """
-    slots = _PLACEMENT_SLOTS.get(gate_name)
-    if slots is None:
+    return Placement(assignment=dict(_embedding(gate_name, shape)))
+
+
+@functools.cache
+def _embedding(gate_name: str, shape: IShape) -> tuple[tuple[str, int], ...]:
+    circuit = build_gate(gate_name)
+    partners = [set() for _ in range(circuit.width)]
+    for g in circuit.gates:
+        if len(g.qubits) == 2:
+            a, b = g.qubits
+            partners[a].add(b)
+            partners[b].add(a)
+    coupled = {pair for a, b in shape.edges() for pair in ((a, b), (b, a))}
+    qubits = shape.all_qubits()
+    chosen: list[int] = []
+
+    def extend(wire: int) -> bool:
+        if wire == circuit.width:
+            return True
+        for q in qubits:
+            if q not in chosen and all((chosen[p], q) in coupled
+                                       for p in partners[wire] if p < wire):
+                chosen.append(q)
+                if extend(wire + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
         raise LayoutError(f"gate {gate_name!r} does not fit an I-shape placement")
-    phys = {"a0": shape.row_a[0], "a1": shape.row_a[1], "a2": shape.row_a[2],
-            "b0": shape.row_b[0], "b1": shape.row_b[1], "b2": shape.row_b[2],
-            "g": shape.bridge}
-    return Placement(assignment={wire: phys[slot] for wire, slot in slots.items()})
+    return tuple(zip(circuit.wire_names, chosen))
 
 
 def verify_no_swap(circuit: Circuit, cmap: CouplingMap, placement: Placement):

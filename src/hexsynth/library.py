@@ -1,4 +1,4 @@
-"""Builders for the layout-aware Clifford+T gate family and standard oracles.
+"""The gate registry: the layout-aware Clifford+T family and standard oracles.
 
 The centerpiece is the symmetric 3-qubit core: on the target wire
 SP1, AX1, th1, CX(c2->t), th2, CX(c1->t), th3, CX(c2->t), th4, AX2, SP2,
@@ -8,13 +8,15 @@ wires that are left dirty (no uncompute).  Standard textbook circuits
 (Toffoli, Fredkin, exact controlled-sqrt(X), ...) are provided as
 comparison oracles.
 
-Wire layouts mirror the physical placement: each core's target sits between
-its two controls, so every builder output maps onto linear qubit triples
-without SWAP insertion.
+`GATES` names every gate once: its wires with their roles, and its gate
+list.  `build_gate(name)` turns an entry into a circuit of that name;
+`build_core` builds a core from any `CoreSpec`.  Each core's target sits
+between its two controls, so the family places on heavy-hex qubits without
+SWAP insertion (`layout.place` finds where from the gate list alone).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import (Angle, Circuit, CircuitError, Gate, GateKind,
@@ -61,8 +63,11 @@ class CoreSpec:
     sp2: GateKind = K.H
 
     def __post_init__(self):
-        object.__setattr__(self, "ax1", tuple(self.ax1))
-        object.__setattr__(self, "ax2", tuple(self.ax2))
+        for slot in ("ax1", "ax2"):
+            entry = getattr(self, slot)
+            if not isinstance(entry, (tuple, list)) or not all(isinstance(k, GateKind) for k in entry):
+                raise CircuitError(f"{slot} must be a tuple of gate kinds, got {entry!r}")
+            object.__setattr__(self, slot, tuple(entry))
         object.__setattr__(self, "theta", tuple(self.theta))
         if self.sp1 not in SUPERPOSITION_KINDS or self.sp2 not in SUPERPOSITION_KINDS:
             raise CircuitError("sp1/sp2 must be superposition gates (h, sx, sxdg)")
@@ -132,29 +137,32 @@ def core_stage_gates(spec: CoreSpec, c1: int, t: int, c2: int):
     ]
 
 
+def _circuit(name: str, wires, gates) -> Circuit:
+    return Circuit(len(wires), tuple(gates), roles=tuple(role for _, role in wires),
+                   name=name, wire_names=tuple(wire for wire, _ in wires))
+
+
+_C, _T, _A = ROLE_CONTROL, ROLE_TARGET, ROLE_ANCILLA
+_CORE_WIRES = (("c1", _C), ("t", _T), ("c2", _C))
+
+
 def build_core(spec: CoreSpec, name: str = "core") -> Circuit:
     """3-qubit core on wires (c1=0, t=1, c2=2); the target sits in the middle."""
-    return Circuit(
-        width=3,
-        gates=tuple(core_gates(spec, c1=0, t=1, c2=2)),
-        roles=(ROLE_CONTROL, ROLE_TARGET, ROLE_CONTROL),
-        name=name,
-        wire_names=("c1", "t", "c2"),
-    )
+    return _circuit(name, _CORE_WIRES, core_gates(spec, c1=0, t=1, c2=2))
 
 
-def build_boolean(kind: BooleanGateKind) -> Circuit:
-    return build_core(BOOLEAN_TABLE[kind], name=kind.value + "3")
+BOOLEAN_BY_NAME = {
+    "and3": BooleanGateKind.AND, "nand3": BooleanGateKind.NAND,
+    "or3": BooleanGateKind.OR, "nor3": BooleanGateKind.NOR,
+    "imp3": BooleanGateKind.IMPLICATION, "inh3": BooleanGateKind.INHIBITION,
+}
+
+_AND = BOOLEAN_TABLE[BooleanGateKind.AND]
+_OR = BOOLEAN_TABLE[BooleanGateKind.OR]
 
 
 # ---------------------------------------------------------------------------
-# 2-bit gates
-
-class TwoBitKind(Enum):
-    CSX = "csx"
-    CSXDG = "csxdg"
-    SWAP_BLOCH = "swap_bloch"
-
+# gate sequences shared by several registry entries
 
 def _csx2_gates(c: int, t: int) -> list[Gate]:
     # single-CX relative-phase controlled-sqrt(X): the control-off block is Z
@@ -176,73 +184,10 @@ def _csxdg2_gates(c: int, t: int) -> list[Gate]:
     ]
 
 
-def build_2bit(kind: TwoBitKind) -> Circuit:
-    if kind is TwoBitKind.CSX:
-        return Circuit(2, tuple(_csx2_gates(0, 1)), roles=(ROLE_CONTROL, ROLE_TARGET),
-                       name="csx2", wire_names=("c", "t"))
-    if kind is TwoBitKind.CSXDG:
-        return Circuit(2, tuple(_csxdg2_gates(0, 1)), roles=(ROLE_CONTROL, ROLE_TARGET),
-                       name="csxdg2", wire_names=("c", "t"))
-    if kind is TwoBitKind.SWAP_BLOCH:
-        # two-CX relative-phase swap derived from the iSWAP circuit shape
-        gates = (Gate(K.H, (0,)), Gate(K.CX, (0, 1)), Gate(K.CX, (1, 0)), Gate(K.H, (1,)))
-        return Circuit(2, gates, roles=(ROLE_TARGET, ROLE_TARGET),
-                       name="swap2", wire_names=("a", "b"))
-    raise CircuitError(f"unknown 2-bit gate kind: {kind}")
-
-
-# ---------------------------------------------------------------------------
-# composites
-
-class CompositeKind(Enum):
-    AND4 = "and4"
-    AND5 = "and5"
-    POS5 = "pos5"
-    SOP5 = "sop5"
-    FREDKIN3 = "fredkin3"
-    FREDKIN4 = "fredkin4"
-    CSX3 = "csx3"
-    CSXDG3 = "csxdg3"
-    MILLER3 = "miller3"
-
-
-ANCILLA_COUNT = {
-    CompositeKind.AND4: 1, CompositeKind.AND5: 2, CompositeKind.POS5: 2,
-    CompositeKind.SOP5: 2, CompositeKind.FREDKIN3: 0, CompositeKind.FREDKIN4: 1,
-    CompositeKind.CSX3: 1, CompositeKind.CSXDG3: 1, CompositeKind.MILLER3: 0,
-}
-
-
-@dataclass(frozen=True)
-class CompositeSpec:
-    kind: CompositeKind
-    m: int = field(default=-1)
-
-    def __post_init__(self):
-        expected = ANCILLA_COUNT[self.kind]
-        if self.m == -1:
-            object.__setattr__(self, "m", expected)
-        elif self.m != expected:
-            raise CircuitError(f"{self.kind.value} uses m={expected} ancillas, not {self.m}")
-
-
-_AND = BOOLEAN_TABLE[BooleanGateKind.AND]
-_OR = BOOLEAN_TABLE[BooleanGateKind.OR]
-
-
-def _three_core_5bit(spec_left: CoreSpec, spec_right: CoreSpec, spec_out: CoreSpec, name: str) -> Circuit:
+def _three_core_gates(left: CoreSpec, right: CoreSpec, out: CoreSpec) -> list[Gate]:
     # wires read like the physical I-shape: (c1, anc1, c2) | t | (c3, anc2, c4)
-    gates = []
-    gates += core_gates(spec_left, c1=0, t=1, c2=2)
-    gates += core_gates(spec_right, c1=4, t=5, c2=6)
-    gates += core_gates(spec_out, c1=1, t=3, c2=5)
-    return Circuit(
-        7, tuple(gates),
-        roles=(ROLE_CONTROL, ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET,
-               ROLE_CONTROL, ROLE_ANCILLA, ROLE_CONTROL),
-        name=name,
-        wire_names=("c1", "anc1", "c2", "t", "c3", "anc2", "c4"),
-    )
+    return (core_gates(left, c1=0, t=1, c2=2) + core_gates(right, c1=4, t=5, c2=6)
+            + core_gates(out, c1=1, t=3, c2=5))
 
 
 def _fredkin3_gates(c: int, b: int, a: int) -> list[Gate]:
@@ -251,59 +196,6 @@ def _fredkin3_gates(c: int, b: int, a: int) -> list[Gate]:
     return ([Gate(K.CX, (b, a))]
             + core_gates(_AND, c1=c, t=b, c2=a)
             + [Gate(K.CX, (b, a))])
-
-
-def build_composite(spec: CompositeSpec | CompositeKind) -> Circuit:
-    kind = spec.kind if isinstance(spec, CompositeSpec) else spec
-    if kind is CompositeKind.AND4:
-        gates = core_gates(_AND, c1=0, t=1, c2=2) + core_gates(_AND, c1=1, t=3, c2=4)
-        return Circuit(5, tuple(gates),
-                       roles=(ROLE_CONTROL, ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, ROLE_CONTROL),
-                       name="and4", wire_names=("c1", "anc", "c2", "t", "c3"))
-    if kind is CompositeKind.AND5:
-        return _three_core_5bit(_AND, _AND, _AND, "and5")
-    if kind is CompositeKind.POS5:
-        return _three_core_5bit(_OR, _OR, _AND, "pos5")
-    if kind is CompositeKind.SOP5:
-        return _three_core_5bit(_AND, _AND, _OR, "sop5")
-    if kind is CompositeKind.FREDKIN3:
-        return Circuit(3, tuple(_fredkin3_gates(c=0, b=1, a=2)),
-                       roles=(ROLE_CONTROL, ROLE_TARGET, ROLE_TARGET),
-                       name="fredkin3", wire_names=("c", "b", "a"))
-    if kind is CompositeKind.FREDKIN4:
-        gates = core_gates(_AND, c1=0, t=1, c2=2) + _fredkin3_gates(c=1, b=3, a=4)
-        return Circuit(5, tuple(gates),
-                       roles=(ROLE_CONTROL, ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, ROLE_TARGET),
-                       name="fredkin4", wire_names=("c1", "anc", "c2", "b", "a"))
-    if kind in (CompositeKind.CSX3, CompositeKind.CSXDG3):
-        two_bit = _csx2_gates if kind is CompositeKind.CSX3 else _csxdg2_gates
-        gates = core_gates(_AND, c1=0, t=1, c2=2) + two_bit(c=1, t=3)
-        return Circuit(4, tuple(gates),
-                       roles=(ROLE_CONTROL, ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET),
-                       name=kind.value, wire_names=("c1", "anc", "c2", "t"))
-    if kind is CompositeKind.MILLER3:
-        # CX dressing around one core: computes the majority of all three
-        # wires onto the target and swaps the |110> and |001> populations
-        pre = [Gate(K.CX, (1, 0)), Gate(K.CX, (1, 2))]
-        post = [Gate(K.CX, (1, 0)), Gate(K.CX, (1, 2))]
-        gates = pre + core_gates(_AND, c1=0, t=1, c2=2) + post
-        return Circuit(3, tuple(gates),
-                       roles=(ROLE_CONTROL, ROLE_TARGET, ROLE_CONTROL),
-                       name="miller3", wire_names=("c1", "t", "c2"))
-    raise CircuitError(f"unknown composite kind: {kind}")
-
-
-# ---------------------------------------------------------------------------
-# standard-approach oracle circuits
-
-class StandardKind(Enum):
-    TOFFOLI = "toffoli"
-    TOFFOLI_BARENCO_RY = "toffoli_ry"
-    FREDKIN = "fredkin"
-    CSX_EXACT = "csx_exact"
-    CSXDG_EXACT = "csxdg_exact"
-    SWAP_EXACT = "swap_exact"
-    TOFFOLI_N = "toffoli_n"
 
 
 def _toffoli_gates(a: int, b: int, t: int) -> list[Gate]:
@@ -321,116 +213,85 @@ def _toffoli_gates(a: int, b: int, t: int) -> list[Gate]:
     ]
 
 
-def build_standard(kind: StandardKind, n: int = 3) -> Circuit:
-    if kind is StandardKind.TOFFOLI:
-        return Circuit(3, tuple(_toffoli_gates(0, 1, 2)),
-                       roles=(ROLE_CONTROL, ROLE_CONTROL, ROLE_TARGET),
-                       name="toffoli", wire_names=("c1", "c2", "t"))
-    if kind is StandardKind.TOFFOLI_BARENCO_RY:
-        # symmetric 3-CX network of RY(+-pi/4); matches Toffoli up to the
-        # relative phase -1 on the control branch (c1=1, c2=0)
-        q = Angle.pi_frac(1, 4)
-        gates = (
-            Gate(K.RY, (2,), q), Gate(K.CX, (1, 2)),
-            Gate(K.RY, (2,), q), Gate(K.CX, (0, 2)),
-            Gate(K.RY, (2,), q.negated()), Gate(K.CX, (1, 2)),
-            Gate(K.RY, (2,), q.negated()),
-        )
-        return Circuit(3, gates, roles=(ROLE_CONTROL, ROLE_CONTROL, ROLE_TARGET),
-                       name="toffoli_ry", wire_names=("c1", "c2", "t"))
-    if kind is StandardKind.FREDKIN:
-        gates = [Gate(K.CX, (2, 1))] + _toffoli_gates(0, 1, 2) + [Gate(K.CX, (2, 1))]
-        return Circuit(3, tuple(gates), roles=(ROLE_CONTROL, ROLE_TARGET, ROLE_TARGET),
-                       name="fredkin", wire_names=("c", "b", "a"))
-    if kind is StandardKind.CSX_EXACT:
-        gates = (
-            Gate(K.H, (1,)), Gate(K.T, (0,)), Gate(K.T, (1,)),
-            Gate(K.CX, (0, 1)), Gate(K.TDG, (1,)), Gate(K.CX, (0, 1)),
-            Gate(K.H, (1,)),
-        )
-        return Circuit(2, gates, roles=(ROLE_CONTROL, ROLE_TARGET),
-                       name="csx_exact", wire_names=("c", "t"))
-    if kind is StandardKind.CSXDG_EXACT:
-        gates = (
-            Gate(K.H, (1,)), Gate(K.CX, (0, 1)), Gate(K.T, (1,)),
-            Gate(K.CX, (0, 1)), Gate(K.TDG, (1,)), Gate(K.TDG, (0,)),
-            Gate(K.H, (1,)),
-        )
-        return Circuit(2, gates, roles=(ROLE_CONTROL, ROLE_TARGET),
-                       name="csxdg_exact", wire_names=("c", "t"))
-    if kind is StandardKind.SWAP_EXACT:
-        gates = (Gate(K.CX, (0, 1)), Gate(K.CX, (1, 0)), Gate(K.CX, (0, 1)))
-        return Circuit(2, gates, roles=(ROLE_TARGET, ROLE_TARGET),
-                       name="swap_exact", wire_names=("a", "b"))
-    if kind is StandardKind.TOFFOLI_N:
-        return _toffoli_n(n)
-    raise CircuitError(f"unknown standard kind: {kind}")
-
-
-def _toffoli_n(n: int) -> Circuit:
-    """Exact (n-1)-controlled X via clean uncomputed ancillas, n <= 5."""
-    if n < 3 or n > 5:
-        raise CircuitError("toffoli_n supports 3 <= n <= 5")
-    if n == 3:
-        return build_standard(StandardKind.TOFFOLI)
-    if n == 4:
-        # controls 0,1,2, target 3, ancilla 4
-        gates = (_toffoli_gates(0, 1, 4) + _toffoli_gates(4, 2, 3) + _toffoli_gates(0, 1, 4))
-        return Circuit(5, tuple(gates),
-                       roles=(ROLE_CONTROL,) * 3 + (ROLE_TARGET, ROLE_ANCILLA),
-                       name="toffoli4", wire_names=("c1", "c2", "c3", "t", "anc"))
-    gates = (_toffoli_gates(0, 1, 5) + _toffoli_gates(2, 3, 6) + _toffoli_gates(5, 6, 4)
-             + _toffoli_gates(2, 3, 6) + _toffoli_gates(0, 1, 5))
-    return Circuit(7, tuple(gates),
-                   roles=(ROLE_CONTROL,) * 4 + (ROLE_TARGET, ROLE_ANCILLA, ROLE_ANCILLA),
-                   name="toffoli5", wire_names=("c1", "c2", "c3", "c4", "t", "anc1", "anc2"))
-
+_PI_4 = Angle.pi_frac(1, 4)
+_CT_WIRES = (("c", _C), ("t", _T))
+_AB_WIRES = (("a", _T), ("b", _T))
+_FREDKIN_WIRES = (("c", _C), ("b", _T), ("a", _T))
+_ANC_CORE_WIRES = (("c1", _C), ("anc", _A), ("c2", _C))
+_FIVE_WIRES = (("c1", _C), ("anc1", _A), ("c2", _C), ("t", _T),
+               ("c3", _C), ("anc2", _A), ("c4", _C))
+_TOFFOLI_WIRES = (("c1", _C), ("c2", _C), ("t", _T))
 
 # ---------------------------------------------------------------------------
-# name registry shared by the CLI and the layout placements
+# the registry: name -> ((wire name, role) per wire, gate list on those wires).
+# Ancilla wires of the family are left dirty (no uncompute); those of the
+# standard n-bit Toffolis are clean.
 
-def _builders() -> dict:
-    reg = {
-        "and3": lambda: build_boolean(BooleanGateKind.AND),
-        "nand3": lambda: build_boolean(BooleanGateKind.NAND),
-        "or3": lambda: build_boolean(BooleanGateKind.OR),
-        "nor3": lambda: build_boolean(BooleanGateKind.NOR),
-        "imp3": lambda: build_boolean(BooleanGateKind.IMPLICATION),
-        "inh3": lambda: build_boolean(BooleanGateKind.INHIBITION),
-        "csx2": lambda: build_2bit(TwoBitKind.CSX),
-        "csxdg2": lambda: build_2bit(TwoBitKind.CSXDG),
-        "swap2": lambda: build_2bit(TwoBitKind.SWAP_BLOCH),
-        "toffoli": lambda: build_standard(StandardKind.TOFFOLI),
-        "toffoli4": lambda: build_standard(StandardKind.TOFFOLI_N, 4),
-        "toffoli5": lambda: build_standard(StandardKind.TOFFOLI_N, 5),
-        "toffoli_ry": lambda: build_standard(StandardKind.TOFFOLI_BARENCO_RY),
-        "fredkin_std": lambda: build_standard(StandardKind.FREDKIN),
-        "csx2_std": lambda: build_standard(StandardKind.CSX_EXACT),
-        "csxdg2_std": lambda: build_standard(StandardKind.CSXDG_EXACT),
-        "swap2_std": lambda: build_standard(StandardKind.SWAP_EXACT),
-    }
-    for kind in CompositeKind:
-        reg[kind.value] = (lambda k=kind: build_composite(k))
-    return reg
+GATES: dict[str, tuple[tuple[tuple[str, str], ...], list[Gate]]] = {
+    **{name: (_CORE_WIRES, core_gates(BOOLEAN_TABLE[kind], c1=0, t=1, c2=2))
+       for name, kind in BOOLEAN_BY_NAME.items()},
+    "csx2": (_CT_WIRES, _csx2_gates(c=0, t=1)),
+    "csxdg2": (_CT_WIRES, _csxdg2_gates(c=0, t=1)),
+    # two-CX relative-phase swap derived from the iSWAP circuit shape
+    "swap2": (_AB_WIRES, [Gate(K.H, (0,)), Gate(K.CX, (0, 1)), Gate(K.CX, (1, 0)),
+                          Gate(K.H, (1,))]),
+    "and4": (_ANC_CORE_WIRES + (("t", _T), ("c3", _C)),
+             core_gates(_AND, c1=0, t=1, c2=2) + core_gates(_AND, c1=1, t=3, c2=4)),
+    "and5": (_FIVE_WIRES, _three_core_gates(_AND, _AND, _AND)),
+    "pos5": (_FIVE_WIRES, _three_core_gates(_OR, _OR, _AND)),
+    "sop5": (_FIVE_WIRES, _three_core_gates(_AND, _AND, _OR)),
+    "fredkin3": (_FREDKIN_WIRES, _fredkin3_gates(c=0, b=1, a=2)),
+    "fredkin4": (_ANC_CORE_WIRES + (("b", _T), ("a", _T)),
+                 core_gates(_AND, c1=0, t=1, c2=2) + _fredkin3_gates(c=1, b=3, a=4)),
+    "csx3": (_ANC_CORE_WIRES + (("t", _T),),
+             core_gates(_AND, c1=0, t=1, c2=2) + _csx2_gates(c=1, t=3)),
+    "csxdg3": (_ANC_CORE_WIRES + (("t", _T),),
+               core_gates(_AND, c1=0, t=1, c2=2) + _csxdg2_gates(c=1, t=3)),
+    # CX dressing around one core: computes the majority of all three wires
+    # onto the target and swaps the |110> and |001> populations
+    "miller3": (_CORE_WIRES, [Gate(K.CX, (1, 0)), Gate(K.CX, (1, 2))]
+                + core_gates(_AND, c1=0, t=1, c2=2)
+                + [Gate(K.CX, (1, 0)), Gate(K.CX, (1, 2))]),
+    # standard-approach oracles
+    "toffoli": (_TOFFOLI_WIRES, _toffoli_gates(0, 1, 2)),
+    # exact (n-1)-controlled X through clean, uncomputed ancillas
+    "toffoli4": ((("c1", _C), ("c2", _C), ("c3", _C), ("t", _T), ("anc", _A)),
+                 _toffoli_gates(0, 1, 4) + _toffoli_gates(4, 2, 3) + _toffoli_gates(0, 1, 4)),
+    "toffoli5": ((("c1", _C), ("c2", _C), ("c3", _C), ("c4", _C), ("t", _T),
+                  ("anc1", _A), ("anc2", _A)),
+                 _toffoli_gates(0, 1, 5) + _toffoli_gates(2, 3, 6) + _toffoli_gates(5, 6, 4)
+                 + _toffoli_gates(2, 3, 6) + _toffoli_gates(0, 1, 5)),
+    # symmetric 3-CX network of RY(+-pi/4); matches Toffoli up to the
+    # relative phase -1 on the control branch (c1=1, c2=0)
+    "toffoli_ry": (_TOFFOLI_WIRES, [
+        Gate(K.RY, (2,), _PI_4), Gate(K.CX, (1, 2)),
+        Gate(K.RY, (2,), _PI_4), Gate(K.CX, (0, 2)),
+        Gate(K.RY, (2,), _PI_4.negated()), Gate(K.CX, (1, 2)),
+        Gate(K.RY, (2,), _PI_4.negated())]),
+    "fredkin_std": (_FREDKIN_WIRES,
+                    [Gate(K.CX, (2, 1))] + _toffoli_gates(0, 1, 2) + [Gate(K.CX, (2, 1))]),
+    "csx2_std": (_CT_WIRES, [
+        Gate(K.H, (1,)), Gate(K.T, (0,)), Gate(K.T, (1,)),
+        Gate(K.CX, (0, 1)), Gate(K.TDG, (1,)), Gate(K.CX, (0, 1)),
+        Gate(K.H, (1,))]),
+    "csxdg2_std": (_CT_WIRES, [
+        Gate(K.H, (1,)), Gate(K.CX, (0, 1)), Gate(K.T, (1,)),
+        Gate(K.CX, (0, 1)), Gate(K.TDG, (1,)), Gate(K.TDG, (0,)),
+        Gate(K.H, (1,))]),
+    "swap2_std": (_AB_WIRES, [Gate(K.CX, (0, 1)), Gate(K.CX, (1, 0)), Gate(K.CX, (0, 1))]),
+}
 
-
-GATE_BUILDERS = _builders()
-
-# the layout-aware family (everything the placement rules cover)
+# the paper's layout-aware family; the other entries are standard-approach oracles
 FAMILY_GATES = ("and3", "nand3", "or3", "nor3", "imp3", "inh3",
                 "csx2", "csxdg2", "swap2",
                 "and4", "and5", "pos5", "sop5",
                 "fredkin3", "fredkin4", "csx3", "csxdg3", "miller3")
 
-BOOLEAN_BY_NAME = {
-    "and3": BooleanGateKind.AND, "nand3": BooleanGateKind.NAND,
-    "or3": BooleanGateKind.OR, "nor3": BooleanGateKind.NOR,
-    "imp3": BooleanGateKind.IMPLICATION, "inh3": BooleanGateKind.INHIBITION,
-}
-
 
 def build_gate(name: str) -> Circuit:
+    """The registry gate `name` as a circuit of that name."""
     try:
-        return GATE_BUILDERS[name]()
+        wires, gates = GATES[name]
     except KeyError:
         raise CircuitError(f"unknown gate: {name!r}") from None
+    return _circuit(name, wires, gates)

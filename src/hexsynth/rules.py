@@ -89,7 +89,8 @@ class SearchQuery:
     assignments 00, 01, 10, 11 (control 1 is the low bit), e.g. and='0001'.
     Every alphabet entry is checked here, once, with the CircuitError that
     CoreSpec (superposition and rotation kinds) or Gate (auxiliary kinds)
-    raises; this is the input boundary of `search` and `iter_specs`.
+    raises; an AX entry must be a tuple of kinds.  This is the input
+    boundary of `search` and `iter_specs`.
     """
 
     target: str
@@ -107,6 +108,8 @@ class SearchQuery:
             if not vals:
                 raise CircuitError(f"{name} must not be empty")
             if name.startswith("ax"):
+                if not all(isinstance(entry, (tuple, list)) for entry in vals):
+                    raise CircuitError(f"{name} entries must be tuples of gate kinds")
                 vals = tuple(tuple(entry) for entry in vals)
                 for kind in itertools.chain.from_iterable(vals):
                     Gate(kind, (0,))

@@ -14,8 +14,7 @@ import numpy as np
 
 from hexsynth.circuit import Circuit, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, THETA_KINDS,
-                              BooleanGateKind, CompositeKind, StandardKind, build_boolean,
-                              build_composite, build_gate, build_standard)
+                              BooleanGateKind, build_core, build_gate)
 from hexsynth.layout import Placement, heavy_hex_127, ishape_brisbane, place, verify_no_swap
 from hexsynth.rules import SearchQuery, count_space, iter_specs, search
 from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate,
@@ -40,7 +39,7 @@ def fidelity(a: Circuit, b: Circuit) -> float:
 
 def test_criterion_01_boolean_truth_tables():
     for kind in BooleanGateKind:
-        table = truth_table(build_boolean(kind), target=1, controls=(0, 2))
+        table = truth_table(build_core(BOOLEAN_TABLE[kind]), target=1, controls=(0, 2))
         f = BOOLEAN_FUNCTIONS[kind]
         for key, bit in table.items():
             c2, c1 = int(key[0]), int(key[1])
@@ -138,20 +137,20 @@ def test_criterion_06_rule_search():
 
 
 def test_criterion_07_equivalence_levels():
-    and3 = build_boolean(BooleanGateKind.AND).relabeled({0: 0, 1: 2, 2: 1})
-    level = equivalence(and3, build_standard(StandardKind.TOFFOLI))
+    and3 = build_gate("and3").relabeled({0: 0, 1: 2, 2: 1})
+    level = equivalence(and3, build_gate("toffoli"))
     assert level is EquivalenceLevel.L2_RELATIVE_PHASE
     assert level.at_least(EquivalenceLevel.L3_CLASSICAL)
     assert not level.at_least(EquivalenceLevel.L1_GLOBAL_PHASE)
 
-    assert equivalence(build_composite(CompositeKind.FREDKIN3),
-                       build_standard(StandardKind.FREDKIN)).at_least(
+    assert equivalence(build_gate("fredkin3"),
+                       build_gate("fredkin_std")).at_least(
         EquivalenceLevel.L2_RELATIVE_PHASE)
     assert equivalence(build_gate("swap2"),
-                       build_standard(StandardKind.SWAP_EXACT)).at_least(
+                       build_gate("swap2_std")).at_least(
         EquivalenceLevel.L2_RELATIVE_PHASE)
     assert equivalence(build_gate("csx2"),
-                       build_standard(StandardKind.CSX_EXACT)).at_least(
+                       build_gate("csx2_std")).at_least(
         EquivalenceLevel.L2_RELATIVE_PHASE)
     report(7, "(and3 L2+L3 not L1; fredkin3/swap2/csx2 at least L2)")
 

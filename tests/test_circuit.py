@@ -117,6 +117,11 @@ class TestGateAndCircuit:
         with pytest.raises(CircuitError, match="requires an Angle"):
             Gate(K.RZ, (0,), angle)
 
+    @pytest.mark.parametrize("kind", ["x", None, 3])
+    def test_kind_must_be_a_gate_kind(self, kind):
+        with pytest.raises(CircuitError, match="must be a GateKind"):
+            Gate(kind, (0,))
+
     def test_gate_keeps_its_angle(self):
         a = Angle.pi_frac(9, 4)
         assert Gate(K.RZ, (0,), a).angle is a

@@ -33,6 +33,15 @@ class TestBuild:
         assert run("build", "foo") == 1
         assert "unknown gate" in capsys.readouterr().err
 
+    def test_help_lists_every_registry_name(self, capsys):
+        from hexsynth.library import GATES
+
+        with pytest.raises(SystemExit):
+            run("build", "--help")
+        listed = capsys.readouterr().out.split("one of:")[1].split("\n\n")[0]
+        listed = listed.replace(",", " ").split()
+        assert listed == sorted(GATES)
+
 
 class TestTranspileAndSimulate:
     def test_transpile_to_ecr(self, tmp_path):
@@ -118,6 +127,25 @@ class TestSearchCostTrace:
                    "--placement", str(placement), "--json") == 0
         data = json.loads(capsys.readouterr().out)
         assert data["swap_free"] is True
+
+    @pytest.mark.parametrize("gate, code, placement",
+                             [("toffoli_ry", 0, {"c1": 61, "c2": 63, "t": 62}),
+                              ("toffoli", 1, None)])
+    def test_cost_with_layout_places_from_the_gate(self, tmp_path, capsys, gate, code,
+                                                   placement):
+        # the RY Toffoli couples c1-t and c2-t only, so it places around the
+        # middle qubit; the textbook one also couples c1-c2, a triangle
+        from hexsynth.layout import heavy_hex_127
+
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps(heavy_hex_127().as_dict()))
+        assert run("cost", gate, "--layout", str(mapfile), "--json") == code
+        captured = capsys.readouterr()
+        if placement is None:
+            assert "does not fit an I-shape placement" in captured.err
+        else:
+            data = json.loads(captured.out)
+            assert data["swap_free"] is True and data["placement"] == placement
 
     @pytest.mark.parametrize("text", ['{"num_qubits": 1e400, "edges": [[0, 1]]}',
                                       '{"num_qubits": 3, "edges": [[0, 1e400]]}'])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hexsynth.circuit import Circuit, Gate, GateKind
+from hexsynth.circuit import Circuit, CircuitError, Gate, GateKind
 from hexsynth.layout import (CouplingMap, IShape, LayoutError, Placement,
                              ishape_brisbane, load_map, place, verify_no_swap)
 from hexsynth.library import FAMILY_GATES, build_gate
@@ -95,6 +95,11 @@ class TestIShape:
         assert shape.bridge == 72
         assert brisbane.has_edge(shape.row_a[1], shape.bridge)
 
+    def test_edges(self, brisbane):
+        shape = ishape_brisbane(brisbane)
+        assert shape.edges() == ((61, 62), (62, 63), (80, 81), (81, 82), (62, 72), (72, 81))
+        assert all(brisbane.has_edge(a, b) for a, b in shape.edges())
+
     def test_invalid_shape_rejected(self, brisbane):
         with pytest.raises(LayoutError):
             IShape((61, 62, 63), (80, 81, 82), bridge=61).validate(brisbane)
@@ -129,8 +134,49 @@ class TestPlacement:
         assert place("fredkin4", shape).assignment == place("fredkin4", shape).assignment
 
     def test_unplaceable_gate(self, brisbane):
-        with pytest.raises(LayoutError, match="does not fit"):
-            place("toffoli5", ishape_brisbane(brisbane))
+        # each couples three wires pairwise, and heavy-hex has no triangle
+        for name in ("toffoli", "toffoli4", "toffoli5", "fredkin_std"):
+            with pytest.raises(LayoutError, match="does not fit"):
+                place(name, ishape_brisbane(brisbane))
+
+    # every family gate's assignment, in wire order, as the hand table of
+    # wire slots gave it: first triple (61, 62, 63), bridge 72, second
+    # triple (80, 81, 82)
+    CORE = {"c1": 61, "t": 62, "c2": 63}
+    FIVE = {"c1": 61, "anc1": 62, "c2": 63, "t": 72, "c3": 80, "anc2": 81, "c4": 82}
+    CSX3 = {"c1": 61, "anc": 62, "c2": 63, "t": 72}
+    FAMILY = {
+        "and3": CORE, "nand3": CORE, "or3": CORE, "nor3": CORE, "imp3": CORE,
+        "inh3": CORE, "miller3": CORE,
+        "csx2": {"c": 61, "t": 62}, "csxdg2": {"c": 61, "t": 62},
+        "swap2": {"a": 61, "b": 62},
+        "and4": {"c1": 61, "anc": 62, "c2": 63, "t": 72, "c3": 81},
+        "and5": FIVE, "pos5": FIVE, "sop5": FIVE,
+        "fredkin3": {"c": 61, "b": 62, "a": 63},
+        "fredkin4": {"c1": 61, "anc": 62, "c2": 63, "b": 72, "a": 81},
+        "csx3": CSX3, "csxdg3": CSX3,
+    }
+
+    @pytest.mark.parametrize("name", FAMILY_GATES)
+    def test_family_placement_is_pinned(self, brisbane, name):
+        got = place(name, ishape_brisbane(brisbane)).assignment
+        want = self.FAMILY[name]
+        assert list(got.items()) == list(want.items())
+
+    def test_placement_is_a_fresh_value_each_call(self, brisbane):
+        shape = ishape_brisbane(brisbane)
+        first = place("and3", shape)
+        first.assignment["t"] = 99
+        assert place("and3", shape).assignment == {"c1": 61, "t": 62, "c2": 63}
+
+    def test_placement_follows_the_shape(self):
+        # a shape on other qubits places the same wires on its own slots
+        shape = IShape(row_a=(1, 2, 3), row_b=(11, 12, 13), bridge=7)
+        assert place("and4", shape).assignment == {"c1": 1, "anc": 2, "c2": 3, "t": 7, "c3": 12}
+
+    def test_unknown_gate_is_an_error(self, brisbane):
+        with pytest.raises(CircuitError, match="unknown gate"):
+            place("nope", ishape_brisbane(brisbane))
 
 
 class TestVerifyNoSwap:
@@ -139,7 +185,9 @@ class TestVerifyNoSwap:
         ok, violations = verify_no_swap(c, brisbane, Placement({"t": 0}))
         assert ok and violations == []
 
-    @pytest.mark.parametrize("name", FAMILY_GATES)
+    # plus the standard gates whose two-qubit gates form no triangle
+    @pytest.mark.parametrize("name", FAMILY_GATES + ("toffoli_ry", "csx2_std", "csxdg2_std",
+                                                     "swap2_std"))
     @pytest.mark.parametrize("basis", list(NativeBasis), ids=lambda b: b.value)
     def test_family_canonical_placements(self, brisbane, name, basis):
         circuit = lower_and_optimize(build_gate(name), basis)

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from hexsynth.circuit import Circuit, CircuitError, GateKind
-from hexsynth.library import (ANCILLA_COUNT, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE,
-                              BooleanGateKind, CompositeKind, CompositeSpec, CoreSpec,
-                              StandardKind, TwoBitKind, build_2bit, build_boolean,
-                              build_composite, build_core, build_gate, build_standard,
-                              core_gates)
+from hexsynth.library import (BOOLEAN_BY_NAME, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, GATES,
+                              BooleanGateKind, CoreSpec, build_core, build_gate, core_gates)
 from hexsynth.simulator import (EquivalenceLevel, Statevector, apply, equivalence,
                                 truth_string, truth_table, unitary_of)
 
@@ -35,6 +32,12 @@ class TestCoreSpec:
         with pytest.raises(CircuitError):
             CoreSpec(theta=(K.T, K.T, K.T, K.H))
 
+    @pytest.mark.parametrize("slots", [dict(ax1=("x",)), dict(ax2=(K.X, "z")),
+                                       dict(ax1=K.X), dict(ax2="x")])
+    def test_rejects_ax_entries_that_are_not_tuples_of_kinds(self, slots):
+        with pytest.raises(CircuitError, match="tuple of gate kinds"):
+            CoreSpec(**slots)
+
     def test_core_wire_shape(self):
         c = build_core(BOOLEAN_TABLE[BooleanGateKind.AND])
         assert c.width == 3
@@ -46,28 +49,28 @@ class TestCoreSpec:
 
     def test_no_control_control_coupling(self):
         for kind in BooleanGateKind:
-            c = build_boolean(kind)
+            c = build_core(BOOLEAN_TABLE[kind])
             for g in c.gates:
                 if len(g.qubits) == 2:
                     assert 1 in g.qubits  # always through the target
 
     def test_and3_gate_sequence(self):
-        kinds = [g.kind for g in build_boolean(BooleanGateKind.AND).gates]
+        kinds = [g.kind for g in build_gate("and3").gates]
         assert kinds == [K.H, K.TDG, K.CX, K.T, K.CX, K.TDG, K.CX, K.T, K.H]
 
 
 class TestBooleanGates:
     @pytest.mark.parametrize("kind", list(BooleanGateKind))
     def test_truth_table_matches_function(self, kind):
-        table = truth_table(build_boolean(kind), target=1, controls=(0, 2))
+        table = truth_table(build_core(BOOLEAN_TABLE[kind]), target=1, controls=(0, 2))
         f = BOOLEAN_FUNCTIONS[kind]
         for key, bit in table.items():
             c2, c1 = int(key[0]), int(key[1])
             assert bit == f(c1, c2), (kind, key)
 
     def test_and_vs_toffoli_levels(self):
-        and3 = build_boolean(BooleanGateKind.AND).relabeled({0: 0, 1: 2, 2: 1})
-        level = equivalence(and3, build_standard(StandardKind.TOFFOLI))
+        and3 = build_gate("and3").relabeled({0: 0, 1: 2, 2: 1})
+        level = equivalence(and3, build_gate("toffoli"))
         assert level is EquivalenceLevel.L2_RELATIVE_PHASE
         assert np.allclose(np.abs(unitary_of(and3)), np.abs(toffoli_unitary()), atol=1e-12)
 
@@ -75,33 +78,33 @@ class TestBooleanGates:
         spec = BOOLEAN_TABLE[BooleanGateKind.NAND]
         assert spec.ax2 == (K.X, K.Z, K.X)
         # -Z equals Z up to global phase, so NAND == NOT(AND) classically
-        table = truth_table(build_boolean(BooleanGateKind.NAND), target=1, controls=(0, 2))
+        table = truth_table(build_gate("nand3"), target=1, controls=(0, 2))
         assert truth_string(table) == "1110"
 
 
 class TestTwoBitGates:
     def test_csx_vs_exact_oracle(self):
-        csx = build_2bit(TwoBitKind.CSX)
+        csx = build_gate("csx2")
         want = controlled_gate_unitary(SX_MAT)
         assert np.allclose(np.abs(unitary_of(csx)), np.abs(want), atol=1e-12)
 
     def test_csxdg_vs_exact_oracle(self):
-        csxdg = build_2bit(TwoBitKind.CSXDG)
+        csxdg = build_gate("csxdg2")
         want = controlled_gate_unitary(SX_MAT.conj().T)
         assert np.allclose(np.abs(unitary_of(csxdg)), np.abs(want), atol=1e-12)
 
     def test_csx_single_cx(self):
-        counts = sum(1 for g in build_2bit(TwoBitKind.CSX).gates if g.kind is K.CX)
+        counts = sum(1 for g in build_gate("csx2").gates if g.kind is K.CX)
         assert counts == 1
 
     def test_swap_bloch_two_cx_and_l2(self):
-        sw = build_2bit(TwoBitKind.SWAP_BLOCH)
+        sw = build_gate("swap2")
         assert sum(1 for g in sw.gates if g.kind is K.CX) == 2
         assert np.allclose(np.abs(unitary_of(sw)), np.abs(swap_unitary()), atol=1e-12)
 
     def test_csx_control_off_block_is_phase_only(self):
         # on-control-off, the target experiences a diagonal (basis-preserving) map
-        u = unitary_of(build_2bit(TwoBitKind.CSX))
+        u = unitary_of(build_gate("csx2"))
         for t in (0, 1):
             col = u[:, t << 1]
             assert abs(col[t << 1]) == pytest.approx(1.0)
@@ -109,34 +112,31 @@ class TestTwoBitGates:
 
 class TestComposites:
     def test_ancilla_counts(self):
-        for kind, m in ANCILLA_COUNT.items():
-            assert CompositeSpec(kind).m == m
-            assert len(build_composite(kind).ancilla_qubits()) == m
-
-    def test_bad_ancilla_count_rejected(self):
-        with pytest.raises(CircuitError):
-            CompositeSpec(CompositeKind.AND4, m=2)
+        counts = {"and4": 1, "and5": 2, "pos5": 2, "sop5": 2, "fredkin3": 0,
+                  "fredkin4": 1, "csx3": 1, "csxdg3": 1, "miller3": 0}
+        for name, m in counts.items():
+            assert len(build_gate(name).ancilla_qubits()) == m
 
     def test_and4_truth(self):
-        c = build_composite(CompositeKind.AND4)
+        c = build_gate("and4")
         table = truth_table(c, target=3, controls=(0, 2, 4), ancillas=(1,))
         assert truth_string(table) == "00000001"
 
     def test_and5_pos5_sop5_truths(self):
         cases = {
-            CompositeKind.AND5: lambda c1, c2, c3, c4: c1 & c2 & c3 & c4,
-            CompositeKind.POS5: lambda c1, c2, c3, c4: (c1 | c2) & (c3 | c4),
-            CompositeKind.SOP5: lambda c1, c2, c3, c4: (c1 & c2) | (c3 & c4),
+            "and5": lambda c1, c2, c3, c4: c1 & c2 & c3 & c4,
+            "pos5": lambda c1, c2, c3, c4: (c1 | c2) & (c3 | c4),
+            "sop5": lambda c1, c2, c3, c4: (c1 & c2) | (c3 & c4),
         }
-        for kind, f in cases.items():
-            c = build_composite(kind)
+        for name, f in cases.items():
+            c = build_gate(name)
             table = truth_table(c, target=3, controls=(0, 2, 4, 6), ancillas=(1, 5))
             for key, bit in table.items():
                 c4, c3, c2, c1 = (int(ch) for ch in key)
-                assert bit == f(c1, c2, c3, c4), (kind, key)
+                assert bit == f(c1, c2, c3, c4), (name, key)
 
     def test_fredkin3_all_eight_cases(self):
-        c = build_composite(CompositeKind.FREDKIN3)  # wires (c=0, b=1, a=2)
+        c = build_gate("fredkin3")  # wires (c=0, b=1, a=2)
         for b in range(8):
             got = classical_outcome(c, {q: (b >> q) & 1 for q in range(3)})
             if b & 1:
@@ -146,12 +146,12 @@ class TestComposites:
             assert got == want
 
     def test_fredkin3_vs_exact(self):
-        level = equivalence(build_composite(CompositeKind.FREDKIN3),
-                            build_standard(StandardKind.FREDKIN))
+        level = equivalence(build_gate("fredkin3"),
+                            build_gate("fredkin_std"))
         assert level.at_least(EquivalenceLevel.L2_RELATIVE_PHASE)
 
     def test_fredkin4_all_sixteen_cases(self):
-        c = build_composite(CompositeKind.FREDKIN4)  # wires c1,anc,c2,b,a
+        c = build_gate("fredkin4")  # wires c1,anc,c2,b,a
         for m in range(16):
             c1, c2, bb, aa = m & 1, (m >> 1) & 1, (m >> 2) & 1, (m >> 3) & 1
             got = classical_outcome(c, {0: c1, 2: c2, 3: bb, 4: aa})
@@ -162,7 +162,7 @@ class TestComposites:
             assert got & 1 == c1 and (got >> 2) & 1 == c2
 
     def test_csx3_marginals_match_exact_oracle(self):
-        c = build_composite(CompositeKind.CSX3)  # wires c1,anc,c2,t
+        c = build_gate("csx3")  # wires c1,anc,c2,t
         for m in range(8):
             c1, c2, t = m & 1, (m >> 1) & 1, (m >> 2) & 1
             out = apply(c, Statevector.basis(4, {0: c1, 2: c2, 3: t}))
@@ -191,7 +191,7 @@ class TestComposites:
             assert got & 1 == c1 and (got >> 2) & 1 == c2
 
     def test_miller3_is_the_majority_transposition(self):
-        c = build_composite(CompositeKind.MILLER3)  # wires c1,t,c2
+        c = build_gate("miller3")  # wires c1,t,c2
         u = np.abs(unitary_of(c))
         # a permutation with phases: one unit entry per column
         assert np.allclose(np.sort(u, axis=0)[-1], 1.0, atol=1e-9)
@@ -203,7 +203,7 @@ class TestComposites:
             assert (perm[b] >> 1) & 1 == maj
 
     def test_miller3_cx_budget(self):
-        cx = sum(1 for g in build_composite(CompositeKind.MILLER3).gates if g.kind is K.CX)
+        cx = sum(1 for g in build_gate("miller3").gates if g.kind is K.CX)
         assert cx == 7  # 3 in the core + 4 dressing
 
     def test_unknown_kind(self):
@@ -213,35 +213,35 @@ class TestComposites:
 
 class TestStandardOracles:
     def test_toffoli_exact(self):
-        assert np.allclose(unitary_of(build_standard(StandardKind.TOFFOLI)),
+        assert np.allclose(unitary_of(build_gate("toffoli")),
                            toffoli_unitary(), atol=1e-12)
 
     def test_swap_exact(self):
-        assert np.allclose(unitary_of(build_standard(StandardKind.SWAP_EXACT)),
+        assert np.allclose(unitary_of(build_gate("swap2_std")),
                            swap_unitary(), atol=1e-12)
 
     def test_fredkin_exact(self):
-        assert np.allclose(unitary_of(build_standard(StandardKind.FREDKIN)),
+        assert np.allclose(unitary_of(build_gate("fredkin_std")),
                            fredkin_unitary(), atol=1e-12)
 
     def test_csx_exact(self):
-        assert np.allclose(unitary_of(build_standard(StandardKind.CSX_EXACT)),
+        assert np.allclose(unitary_of(build_gate("csx2_std")),
                            controlled_gate_unitary(SX_MAT), atol=1e-12)
 
     def test_csxdg_exact(self):
-        assert np.allclose(unitary_of(build_standard(StandardKind.CSXDG_EXACT)),
+        assert np.allclose(unitary_of(build_gate("csxdg2_std")),
                            controlled_gate_unitary(SX_MAT.conj().T), atol=1e-12)
 
     def test_ry_toffoli_is_relative_phase(self):
         # the symmetric RY network reproduces Toffoli magnitudes but carries a
         # -1 on the (c1=1, c2=0) branch, so it lands at L2, not L1
-        ry = build_standard(StandardKind.TOFFOLI_BARENCO_RY)
-        level = equivalence(ry, build_standard(StandardKind.TOFFOLI))
+        ry = build_gate("toffoli_ry")
+        level = equivalence(ry, build_gate("toffoli"))
         assert level is EquivalenceLevel.L2_RELATIVE_PHASE
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_toffoli_n_truth(self, n):
-        c = build_standard(StandardKind.TOFFOLI_N, n)
+        c = build_gate(f"toffoli{n}")
         controls = tuple(range(n - 1))
         target = n - 1
         table = truth_table(c, target=target, controls=controls,
@@ -250,7 +250,7 @@ class TestStandardOracles:
             assert bit == int(all(ch == "1" for ch in key))
 
     def test_toffoli_n_uncomputes_ancillas(self):
-        c = build_standard(StandardKind.TOFFOLI_N, 4)
+        c = build_gate("toffoli4")
         for m in range(8):
             out = apply(c, Statevector.basis(5, {q: (m >> q) & 1 for q in range(3)}))
             idx = int(np.argmax(np.abs(out.amps) ** 2))
@@ -258,4 +258,17 @@ class TestStandardOracles:
 
     def test_toffoli_n_range(self):
         with pytest.raises(CircuitError):
-            build_standard(StandardKind.TOFFOLI_N, 6)
+            build_gate("toffoli6")
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_every_entry_builds_under_its_own_name(self, name):
+        c = build_gate(name)
+        assert c.name == name
+        assert len(c.wire_names) == len(c.roles) == c.width
+        assert len(set(c.wire_names)) == c.width
+
+    def test_boolean_core_is_the_registry_gate(self):
+        for name, kind in BOOLEAN_BY_NAME.items():
+            assert build_core(BOOLEAN_TABLE[kind], name=name) == build_gate(name)

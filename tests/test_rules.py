@@ -204,7 +204,11 @@ class TestBatchedSearchMatchesReference:
     BAD_ENTRIES = [(dict(sp_set=(K.H, K.T)), "superposition"),
                    (dict(theta_set=(K.T, K.H)), "theta"),
                    (dict(ax1_set=((), (K.RZ,))), "requires an Angle"),
-                   (dict(ax2_set=((K.CX,),)), "expects 2 qubit")]
+                   (dict(ax2_set=((K.CX,),)), "expects 2 qubit"),
+                   (dict(ax1_set=(("x",),)), "must be a GateKind"),
+                   (dict(ax2_set=((), (K.X, "z"))), "must be a GateKind"),
+                   (dict(ax1_set=(K.X,)), "tuples of gate kinds"),
+                   (dict(ax2_set=((), K.Z)), "tuples of gate kinds")]
 
     def test_bad_alphabet_entries_rejected(self):
         # each twice: the theta-table cache must not keep a bad entry

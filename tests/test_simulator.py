@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hexsynth import simulator
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
-                              BooleanGateKind, CoreSpec, build_boolean, build_gate,
+                              BooleanGateKind, CoreSpec, build_gate,
                               core_stage_gates)
 from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
                                 _apply_matrix, apply, equivalence, equivalence_levels,
@@ -226,12 +226,12 @@ class TestPauliConjugate:
 
 class TestEquivalence:
     def test_reflexive_l1(self):
-        c = build_boolean(BooleanGateKind.AND)
+        c = build_gate("and3")
         assert equivalence(c, c) is EquivalenceLevel.L1_GLOBAL_PHASE
 
     def test_symmetric(self):
-        a = build_boolean(BooleanGateKind.AND)
-        b = build_boolean(BooleanGateKind.NAND)
+        a = build_gate("and3")
+        b = build_gate("nand3")
         assert equivalence(a, b) is equivalence(b, a)
 
     def test_global_phase_only_is_l1(self):
@@ -315,15 +315,15 @@ class TestBatchedGrader:
 
 class TestTruthTable:
     def test_and_gate(self):
-        tt = truth_table(build_boolean(BooleanGateKind.AND), target=1, controls=(0, 2))
+        tt = truth_table(build_gate("and3"), target=1, controls=(0, 2))
         assert tt == {"00": 0, "01": 0, "10": 0, "11": 1}
 
     def test_nor_gate(self):
-        tt = truth_table(build_boolean(BooleanGateKind.NOR), target=1, controls=(0, 2))
+        tt = truth_table(build_gate("nor3"), target=1, controls=(0, 2))
         assert tt == {"00": 1, "01": 0, "10": 0, "11": 0}
 
     def test_implication_gate(self):
-        tt = truth_table(build_boolean(BooleanGateKind.IMPLICATION), target=1, controls=(0, 2))
+        tt = truth_table(build_gate("imp3"), target=1, controls=(0, 2))
         assert tt == {"00": 1, "01": 0, "10": 1, "11": 1}
 
     def test_truth_string_ordering(self):
@@ -382,7 +382,7 @@ class TestBatchedTruthTable:
 
     def test_wires_outside_the_circuit_rejected(self):
         with pytest.raises(SimulationError, match="wires 0..2"):
-            truth_table(build_boolean(BooleanGateKind.AND), target=3, controls=(0, 2))
+            truth_table(build_gate("and3"), target=3, controls=(0, 2))
 
 
 class TestPhaseTrace:
@@ -448,7 +448,7 @@ class TestQSphere:
         for c1 in (0, 1):
             for c2 in (0, 1):
                 amps[(c2 << 2) | c1] = 0.5
-        out = apply(build_boolean(BooleanGateKind.AND), Statevector(3, amps))
+        out = apply(build_gate("and3"), Statevector(3, amps))
         pts = qsphere(out, display_order=(1, 2, 0))  # |t c2 c1>
         assert len(pts) == 4
         assert all(p.magnitude == pytest.approx(0.5) for p in pts)
@@ -460,5 +460,5 @@ class TestQSphere:
 
     def test_oracle_alignment(self):
         # per-assignment agreement with the exact permutation (magnitudes)
-        u = np.abs(unitary_of(build_boolean(BooleanGateKind.AND).relabeled({0: 0, 1: 2, 2: 1})))
+        u = np.abs(unitary_of(build_gate("and3").relabeled({0: 0, 1: 2, 2: 1})))
         assert np.allclose(u, np.abs(toffoli_unitary()), atol=1e-12)

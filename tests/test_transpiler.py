@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexsynth import transpiler
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, parse_text
-from hexsynth.library import FAMILY_GATES, GATE_BUILDERS, StandardKind, build_gate, build_standard
+from hexsynth.library import FAMILY_GATES, GATES, build_gate
 from hexsynth.layout import CouplingMap, heavy_hex_127
 from hexsynth.simulator import unitary_of
 from hexsynth.transpiler import (_LOWERINGS, _SINGLE_QUBIT_RULES, NativeBasis, TranspileError,
@@ -410,7 +410,7 @@ class TestSharedLowering:
         # expansion
         ry = Circuit(2, tuple(G(K.RY, q, angle=Angle.pi_frac(n, 5))
                               for n in range(1, 4) for q in (0, 1)))
-        circuits = [build_gate(name) for name in sorted(GATE_BUILDERS)] + [ry]
+        circuits = [build_gate(name) for name in sorted(GATES)] + [ry]
         forward = [lower(c, basis) for c in circuits]
         backward = [lower(c, basis) for c in reversed(circuits)][::-1]
         assert forward == backward
@@ -531,7 +531,7 @@ class TestRouteNaive:
     def test_end_placed_toffoli_costs_more_than_middle_target_core(self):
         # standard Toffoli with its target forced to a line end needs routing
         # SWAPs; the middle-target core needs none
-        tof = build_standard(StandardKind.TOFFOLI)  # wires c1, c2, t
+        tof = build_gate("toffoli")  # wires c1, c2, t
         routed = route_naive(tof, self.LINE3, {0: 1, 1: 2, 2: 0})
         lowered_tof = lower_and_optimize(routed.circuit, NativeBasis.CX_BASIS)
         tof_2q = count_gates(lowered_tof).counts.get("cx", 0)
