@@ -326,6 +326,8 @@ def parse_text(text: str) -> Circuit:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise CircuitError(f"line {lineno}: bad header {line!r}")
             width = int(parts[1])
+            if width < 1:
+                raise CircuitError(f"line {lineno}: circuit width must be >= 1")
             continue
         m = _LINE_RE.match(line)
         if not m:
@@ -352,7 +354,10 @@ def parse_text(text: str) -> Circuit:
         if width is not None and any(q >= width for q in qubits):
             raise CircuitError(f"line {lineno}: qubit index beyond declared width {width}")
         max_q = max(max_q, *qubits)
-        gates.append(Gate(kind, tuple(qubits), angle))
+        try:
+            gates.append(Gate(kind, tuple(qubits), angle))
+        except CircuitError as e:
+            raise CircuitError(f"line {lineno}: {e}") from None
     if width is None:
         width = max_q + 1 if max_q >= 0 else 1
     return Circuit(width=width, gates=tuple(gates))

@@ -68,11 +68,12 @@ class CoreSpec:
             if not isinstance(entry, (tuple, list)) or not all(isinstance(k, GateKind) for k in entry):
                 raise CircuitError(f"{slot} must be a tuple of gate kinds, got {entry!r}")
             object.__setattr__(self, slot, tuple(entry))
-        object.__setattr__(self, "theta", tuple(self.theta))
         if self.sp1 not in SUPERPOSITION_KINDS or self.sp2 not in SUPERPOSITION_KINDS:
             raise CircuitError("sp1/sp2 must be superposition gates (h, sx, sxdg)")
-        if len(self.theta) != 4 or any(t not in THETA_KINDS for t in self.theta):
+        if (not isinstance(self.theta, (tuple, list)) or len(self.theta) != 4
+                or any(t not in THETA_KINDS for t in self.theta)):
             raise CircuitError("theta must be four gates from {s, sdg, t, tdg}")
+        object.__setattr__(self, "theta", tuple(self.theta))
 
     @property
     def symmetric(self) -> bool:

@@ -101,10 +101,14 @@ class SearchQuery:
     symmetric: bool = False
 
     def __post_init__(self):
-        if len(self.target) != 4 or any(ch not in "01" for ch in self.target):
+        if (not isinstance(self.target, str) or len(self.target) != 4
+                or any(ch not in "01" for ch in self.target)):
             raise CircuitError("target must be 4 bits over assignments 00,01,10,11")
         for name in ("sp_set", "ax1_set", "ax2_set", "theta_set"):
-            vals = tuple(getattr(self, name))
+            try:
+                vals = tuple(getattr(self, name))
+            except TypeError:
+                raise CircuitError(f"{name} must be a collection of gate kinds") from None
             if not vals:
                 raise CircuitError(f"{name} must not be empty")
             if name.startswith("ax"):

@@ -1,13 +1,14 @@
 """Lowering to device-native bases, a one-sweep peephole, and naive routing.
 
 Two native bases are supported: {I, X, sqrt(X), RZ, CX} and
-{I, X, sqrt(X), RZ, ECR}.  Lowering is one pass: each gate expands
-recursively through the usual phase-gate-to-RZ table, and CX maps to a single
-ECR dressed by fixed native single-qubit sequences (derived once by solving
-the conjugation algebra and verified to global-phase accuracy by the test
-suite).  Each basis has one lowering table per process: an angle-free gate
-is expanded the first time it is seen, and every later `lower` call reuses
-that expansion, sharing its (immutable) native `Gate` objects.
+{I, X, sqrt(X), RZ, ECR}.  The lowering rules are one table, written in the
+package's circuit text (RY, whose expansion depends on its angle, is the one
+rule in code).  Lowering is one pass: each gate expands recursively through
+the table, and CX maps to a single ECR dressed by fixed native single-qubit
+sequences.  Each basis parses the table once and keeps one lowering memo per
+process: an angle-free gate is expanded the first time it is seen, and every
+later `lower` call reuses that expansion, sharing its (immutable) native
+`Gate` objects.
 
 The peephole is one left-to-right sweep that keeps a stack per wire.  It
 merges adjacent RZ with exact rational-pi arithmetic, cancels adjacent
@@ -18,6 +19,9 @@ are emitted once, at the end, in their shortest form; an X is emitted only
 against the X gates of its wire segment (the stretch between two surviving
 two-qubit gates), so the peephole never raises a gate count of any tag.  It
 does no resynthesis.
+
+`route_naive` takes a logical -> physical dict and inserts SWAPs greedily
+along shortest paths.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Angle, Circuit, CircuitError, CostReport, Gate, GateKind, count_gates
+from .circuit import (Angle, Circuit, CircuitError, CostReport, Gate, GateKind, count_gates,
+                      parse_text)
 
 K = GateKind
 
@@ -47,100 +52,39 @@ class TranspileError(CircuitError):
     pass
 
 
-def _rz(q: int, num: int, den: int = 1) -> Gate:
-    return Gate(K.RZ, (q,), Angle.pi_frac(num, den))
+# --- lowering rules --------------------------------------------------------------
+# Each rule is circuit text on wires q[0] (and q[1]); lowering a gate puts the
+# rule's wire i on the gate's qubit i and lowers the result again.  A basis
+# skips the row of its own two-qubit kind, which `lower` keeps as it is.  The
+# cx row dresses one ECR with fixed native sequences, and the ecr row is its
+# inverse; the tests check every row to global phase.
 
-
-# --- single-qubit rewrite table ------------------------------------------------
-
-def _rule_h(q, angle):
-    return [_rz(q, 1, 2), Gate(K.SX, (q,)), _rz(q, 1, 2)]
-
-
-_SINGLE_QUBIT_RULES = {
-    K.I: lambda q, a: [],
-    K.X: lambda q, a: [Gate(K.X, (q,))],
-    K.SX: lambda q, a: [Gate(K.SX, (q,))],
-    K.RZ: lambda q, a: [] if a.is_zero_mod_2pi() else [Gate(K.RZ, (q,), a)],
-    K.Y: lambda q, a: [_rz(q, 1), Gate(K.X, (q,))],
-    K.Z: lambda q, a: [_rz(q, 1)],
-    K.H: _rule_h,
-    K.SXDG: lambda q, a: [Gate(K.SX, (q,)), Gate(K.X, (q,))],
-    K.S: lambda q, a: [_rz(q, 1, 2)],
-    K.SDG: lambda q, a: [_rz(q, -1, 2)],
-    K.T: lambda q, a: [_rz(q, 1, 4)],
-    K.TDG: lambda q, a: [_rz(q, -1, 4)],
-    K.RY: lambda q, a: [Gate(K.SX, (q,)), Gate(K.RZ, (q,), a.plus(Angle.pi_frac(1))),
-                        Gate(K.SX, (q,)), _rz(q, 1)],
+_RULES = {
+    K.Y: "rz(pi) q[0]\nx q[0]",
+    K.Z: "rz(pi) q[0]",
+    K.H: "rz(pi/2) q[0]\nsx q[0]\nrz(pi/2) q[0]",
+    K.SXDG: "sx q[0]\nx q[0]",
+    K.S: "rz(pi/2) q[0]",
+    K.SDG: "rz(-pi/2) q[0]",
+    K.T: "rz(pi/4) q[0]",
+    K.TDG: "rz(-pi/4) q[0]",
+    K.CY: "sdg q[1]\ncx q[0], q[1]\ns q[1]",
+    K.CZ: "h q[1]\ncx q[0], q[1]\nh q[1]",
+    K.SWAP: "cx q[0], q[1]\ncx q[1], q[0]\ncx q[0], q[1]",
+    K.CX: ("sx q[0]\nrz(pi/2) q[0]\nrz(pi/2) q[1]\nsx q[1]\nrz(pi/2) q[1]\necr q[0], q[1]\n"
+           "rz(pi/2) q[0]\nsx q[0]\nrz(pi/2) q[0]\nrz(pi) q[1]\nsx q[1]\nrz(-pi/2) q[1]"),
+    K.ECR: ("rz(pi/2) q[0]\nsx q[0]\nrz(pi) q[0]\nrz(pi/2) q[1]\nsx q[1]\nrz(pi/2) q[1]\n"
+            "cx q[0], q[1]\nrz(pi/2) q[0]\nsx q[0]\nrz(pi/2) q[0]\nrz(-pi/2) q[1]\nsx q[1]"),
 }
 
-
-# --- the frozen CX <-> ECR dressing --------------------------------------------
-# CX(c,t) equals (up to global phase) the ECR conjugated by:
-#   control: pre  [SX, RZ(pi/2)]      post [RZ(pi/2), SX, RZ(pi/2)]
-#   target:  pre  [RZ(pi/2), SX, RZ(pi/2)]   post [RZ(pi), SX, RZ(-pi/2)]
-# All sequences are in temporal order and use native gates only (no X).
-
-def _cx_to_ecr(c: int, t: int) -> list[Gate]:
-    return [
-        Gate(K.SX, (c,)), _rz(c, 1, 2),
-        _rz(t, 1, 2), Gate(K.SX, (t,)), _rz(t, 1, 2),
-        Gate(K.ECR, (c, t)),
-        _rz(c, 1, 2), Gate(K.SX, (c,)), _rz(c, 1, 2),
-        _rz(t, 1), Gate(K.SX, (t,)), _rz(t, -1, 2),
-    ]
+_PI = Angle.pi_frac(1)
 
 
-def _ecr_to_cx(c: int, t: int) -> list[Gate]:
-    # inverse of the dressing above (daggered sequences, rewritten X-free)
-    return [
-        _rz(c, 1, 2), Gate(K.SX, (c,)), _rz(c, 1),
-        _rz(t, 1, 2), Gate(K.SX, (t,)), _rz(t, 1, 2),
-        Gate(K.CX, (c, t)),
-        _rz(c, 1, 2), Gate(K.SX, (c,)), _rz(c, 1, 2),
-        _rz(t, -1, 2), Gate(K.SX, (t,)),
-    ]
-
-
-def _two_qubit_rules(basis: NativeBasis) -> dict:
-    rules = {
-        K.CY: lambda c, t: [Gate(K.SDG, (t,)), Gate(K.CX, (c, t)), Gate(K.S, (t,))],
-        K.CZ: lambda c, t: [Gate(K.H, (t,)), Gate(K.CX, (c, t)), Gate(K.H, (t,))],
-        K.SWAP: lambda a, b: [Gate(K.CX, (a, b)), Gate(K.CX, (b, a)), Gate(K.CX, (a, b))],
-    }
-    if basis is NativeBasis.ECR_BASIS:
-        rules[K.CX] = _cx_to_ecr
-    else:
-        rules[K.ECR] = _ecr_to_cx
-    return rules
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """A lowering rule: source gate kind and its native-gate template."""
-
-    lhs: GateKind
-    rhs_text: str
-
-
-def rule_table(basis: NativeBasis) -> list[RewriteRule]:
-    """Human-readable dump of every rewrite used for a basis (for audit)."""
-    rules = []
-    for kind, fn in _SINGLE_QUBIT_RULES.items():
-        angle = Angle.pi_frac(1, 4) if kind.takes_angle else None
-        rhs = fn(0, angle)
-        text = " ".join(g.text() for g in rhs) or "(removed)"
-        if kind.takes_angle:
-            text += "   [shown for angle pi/4]"
-        rules.append(RewriteRule(kind, text))
-    for kind, fn in _two_qubit_rules(basis).items():
-        rules.append(RewriteRule(kind, " ".join(g.text() for g in fn(0, 1))))
-    return rules
-
-
-def rule_table_text(basis: NativeBasis) -> str:
-    width = max(len(r.lhs.value) for r in rule_table(basis))
-    return "\n".join(f"{r.lhs.value:<{width}} -> {r.rhs_text}" for r in rule_table(basis))
+def _ry_rule(g: Gate) -> tuple[Gate, ...]:
+    """RY(a) = SX RZ(a + pi) SX RZ(pi) up to global phase: the one rule whose
+    gates depend on the angle."""
+    q = g.qubits
+    return Gate(K.SX, q), Gate(K.RZ, q, g.angle.plus(_PI)), Gate(K.SX, q), Gate(K.RZ, q, _PI)
 
 
 class _Lowering:
@@ -149,8 +93,9 @@ class _Lowering:
     (RY) is expanded on every call and never stored."""
 
     def __init__(self, basis: NativeBasis):
-        self.basis, self.allowed = basis, basis.allowed
-        self.two_q = _two_qubit_rules(basis)
+        self.allowed = basis.allowed
+        self.rules = {kind: parse_text(text).gates
+                      for kind, text in _RULES.items() if kind not in self.allowed}
         self.memo: dict[Gate, tuple[Gate, ...]] = {}
 
     def native(self, g: Gate) -> tuple[Gate, ...]:
@@ -165,16 +110,25 @@ class _Lowering:
         return native
 
     def _expand(self, g: Gate) -> tuple[Gate, ...]:
-        if g.kind in _SINGLE_QUBIT_RULES:
-            rhs = _SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle)
-        elif g.kind in self.two_q:
-            rhs = self.two_q[g.kind](*g.qubits)
+        if g.kind is K.RY:
+            rhs = _ry_rule(g)
         else:
-            raise TranspileError(f"no rewrite for {g.kind.value} in {self.basis.value} basis")
+            rhs = (Gate(r.kind, tuple(g.qubits[i] for i in r.qubits), r.angle)
+                   for r in self.rules[g.kind])
         return tuple(n for r in rhs for n in self.native(r))
 
 
 _LOWERINGS = {basis: _Lowering(basis) for basis in NativeBasis}
+
+
+def rule_table_text(basis: NativeBasis) -> str:
+    """The rules `lower` applies in a basis, one line per kind (RY shown for
+    angle pi/4)."""
+    rows = {kind.value: rule for kind, rule in _LOWERINGS[basis].rules.items()}
+    rows[K.RY.value] = _ry_rule(Gate(K.RY, (0,), Angle.pi_frac(1, 4)))
+    width = max(map(len, rows))
+    lines = [f"{tag:<{width}} -> {' '.join(g.text() for g in rule)}" for tag, rule in rows.items()]
+    return "\n".join(lines) + "   [shown for angle pi/4]"
 
 
 def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
@@ -417,15 +371,14 @@ class RouteResult:
     swaps_added: int
 
 
-def route_naive(circuit: Circuit, cmap, placement, restore: bool = False) -> RouteResult:
+def route_naive(circuit: Circuit, cmap, placement: dict) -> RouteResult:
     """Greedy shortest-path SWAP insertion for non-adjacent two-qubit gates.
 
-    `placement` maps logical index -> physical index (a dict, or a Placement
-    whose roles align with the circuit's wire names).  The output circuit is
-    indexed by physical qubits; unless `restore` is set the final qubit
-    permutation is left in place and reported.
+    `placement` maps logical index -> physical index.  The output circuit is
+    indexed by physical qubits; the final qubit permutation is left in place
+    and reported.
     """
-    log2phys = _as_logical_map(circuit, placement)
+    log2phys = dict(placement)
     if sorted(log2phys) != list(range(circuit.width)):
         raise TranspileError("placement must cover every circuit qubit")
     if len(set(log2phys.values())) != circuit.width:
@@ -434,26 +387,9 @@ def route_naive(circuit: Circuit, cmap, placement, restore: bool = False) -> Rou
         if phys not in range(cmap.num_qubits):
             raise TranspileError(f"placement puts qubit {logical} on physical qubit {phys}, "
                                  f"off the {cmap.num_qubits}-qubit map")
-    initial = dict(log2phys)
+    phys2log = {phys: logical for logical, phys in log2phys.items()}
     out: list[Gate] = []
     swaps = 0
-
-    def swap_physical(p: int, q: int):
-        nonlocal swaps
-        out.append(Gate(K.SWAP, (p, q)))
-        swaps += 1
-        phys2log = {phys: logical for logical, phys in log2phys.items()}
-        if p in phys2log:
-            log2phys[phys2log[p]] = q
-        if q in phys2log:
-            log2phys[phys2log[q]] = p
-
-    def walk(src: int, dst_exclusive_path: list[int]):
-        cur = src
-        for step in dst_exclusive_path:
-            swap_physical(cur, step)
-            cur = step
-
     for g in circuit.gates:
         if len(g.qubits) == 1:
             out.append(Gate(g.kind, (log2phys[g.qubits[0]],), g.angle))
@@ -462,25 +398,14 @@ def route_naive(circuit: Circuit, cmap, placement, restore: bool = False) -> Rou
         path = cmap.shortest_path(a, b)
         if path is None:
             raise TranspileError(f"coupling map is disconnected between {a} and {b}")
-        walk(a, path[1:-1])
+        # walk the first qubit along the path until it is next to the second
+        for p, q in zip(path, path[1:-1]):
+            out.append(Gate(K.SWAP, (p, q)))
+            swaps += 1
+            moved, other = phys2log.pop(p), phys2log.pop(q, None)
+            log2phys[moved], phys2log[q] = q, moved
+            if other is not None:
+                log2phys[other], phys2log[p] = p, other
         out.append(Gate(g.kind, (log2phys[g.qubits[0]], log2phys[g.qubits[1]]), g.angle))
-    if restore:
-        for logical in sorted(initial):
-            want, have = initial[logical], log2phys[logical]
-            if want != have:
-                walk(have, cmap.shortest_path(have, want)[1:])
     routed = Circuit(width=cmap.num_qubits, gates=tuple(out), name=circuit.name + "@routed")
-    return RouteResult(routed, dict(log2phys), swaps)
-
-
-def _as_logical_map(circuit: Circuit, placement) -> dict:
-    if isinstance(placement, dict):
-        return dict(placement)
-    assignment = placement.assignment
-    if circuit.wire_names is None:
-        raise TranspileError("circuit has no wire names; pass a logical->physical dict")
-    try:
-        return {i: assignment[name] for i, name in enumerate(circuit.wire_names)}
-    except KeyError as e:
-        raise TranspileError(f"placement is missing wire {e.args[0]!r}") from None
-
+    return RouteResult(routed, log2phys, swaps)

@@ -262,6 +262,10 @@ class TestTextFormat:
             parse_text("foo q[0]")
         with pytest.raises(CircuitError, match="declared width"):
             parse_text("qubits 2\nh q[4]")
+        with pytest.raises(CircuitError, match=r"^line 2: repeated qubit in cx"):
+            parse_text("qubits 2\ncx q[0], q[0]")
+        with pytest.raises(CircuitError, match=r"^line 1: circuit width must be >= 1"):
+            parse_text("qubits 0")
 
     def test_comments_and_blanks(self):
         c = parse_text("// a comment\nqubits 2\n\nh q[0] // trailing\ncx q[0], q[1]\n")

@@ -31,6 +31,8 @@ class TestCoreSpec:
             CoreSpec(sp1=K.X)
         with pytest.raises(CircuitError):
             CoreSpec(theta=(K.T, K.T, K.T, K.H))
+        with pytest.raises(CircuitError, match="theta must be four gates"):
+            CoreSpec(theta=K.T)
 
     @pytest.mark.parametrize("slots", [dict(ax1=("x",)), dict(ax2=(K.X, "z")),
                                        dict(ax1=K.X), dict(ax2="x")])

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,7 +8,7 @@ from conftest import permutation_unitary
 from hexsynth import rules
 from hexsynth.circuit import CircuitError, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
-                              BooleanGateKind, build_core)
+                              BooleanGateKind, CoreSpec, build_core)
 from hexsynth.rules import (SearchHit, SearchQuery, apply_rules, count_space, iter_specs,
                             query_from_names, search)
 from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_of_unitaries,
@@ -147,6 +148,8 @@ class TestSearch:
     def test_bad_target_rejected(self):
         with pytest.raises(CircuitError):
             SearchQuery(target="012")
+        with pytest.raises(CircuitError, match="target must be 4 bits"):
+            SearchQuery(target=1)
 
     def test_query_from_names(self):
         q = query_from_names("0001", sp=("h",), ax1=("i",), ax2=("i", "z", "-z"),
@@ -208,7 +211,9 @@ class TestBatchedSearchMatchesReference:
                    (dict(ax1_set=(("x",),)), "must be a GateKind"),
                    (dict(ax2_set=((), (K.X, "z"))), "must be a GateKind"),
                    (dict(ax1_set=(K.X,)), "tuples of gate kinds"),
-                   (dict(ax2_set=((), K.Z)), "tuples of gate kinds")]
+                   (dict(ax2_set=((), K.Z)), "tuples of gate kinds"),
+                   (dict(theta_set=K.T), "theta_set must be a collection"),
+                   (dict(sp_set=K.H), "sp_set must be a collection")]
 
     def test_bad_alphabet_entries_rejected(self):
         # each twice: the theta-table cache must not keep a bad entry
@@ -226,6 +231,24 @@ class TestBatchedSearchMatchesReference:
                            (dict(theta=("t", "h")), "theta")]:
             with pytest.raises(CircuitError, match=match):
                 query_from_names("0001", **bad)
+
+    def test_grades_hand_made_blocks(self, monkeypatch):
+        # No query space holds an L1 hit, so the grading of search's oracle
+        # blocks is checked on blocks cut from the oracle itself: they grade
+        # L1, and with a factor i on the branches that flip the target, L2.
+        # The target has both bit values, else the factor is a global phase.
+        target, spec = "0001", CoreSpec()
+        u = oracle_unitary(target)
+        wires = [[c & 1 | t << 1 | (c >> 1) << 2 for t in (0, 1)] for c in range(4)]
+        blocks = np.array([[u[np.ix_(w, w)] for w in wires]])
+        flips = np.array([int(b) for b in target]) == 1
+        for phase, level in ((1, EquivalenceLevel.L1_GLOBAL_PHASE),
+                             (1j, EquivalenceLevel.L2_RELATIVE_PHASE)):
+            graded = blocks.astype(complex)
+            graded[:, flips] *= phase
+            monkeypatch.setattr(rules._BranchBatch, "hits",
+                                lambda self, bits, symmetric, b=graded: iter([([spec], b)]))
+            assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
 
     def test_theta_table_cached_per_distinct_kinds(self):
         rules._theta_middles.cache_clear()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hexsynth import transpiler
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, parse_text
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
 from hexsynth.layout import CouplingMap, heavy_hex_127
-from hexsynth.simulator import unitary_of
-from hexsynth.transpiler import (_LOWERINGS, _SINGLE_QUBIT_RULES, NativeBasis, TranspileError,
-                                 _two_qubit_rules, cost_report, lower, lower_and_optimize,
-                                 peephole, route_naive, rule_table, rule_table_text)
+from hexsynth.simulator import EquivalenceLevel, equivalence, unitary_of
+from hexsynth.transpiler import (_LOWERINGS, _RULES, NativeBasis, TranspileError, cost_report,
+                                 lower, lower_and_optimize, peephole, route_naive,
+                                 rule_table_text)
 
 from conftest import random_clifford_t_circuit
 
@@ -24,7 +25,7 @@ K = GateKind
 # versions to these: `lower` gate for gate, `peephole` never longer or deeper.
 
 def reference_lower(circuit, basis):
-    two_q = _two_qubit_rules(basis)
+    rules = {kind: parse_text(text).gates for kind, text in _RULES.items()}
     allowed = basis.allowed
     gates = list(circuit.gates)
     changed = True
@@ -40,11 +41,14 @@ def reference_lower(circuit, basis):
                     changed = True
                     continue
                 out.append(g)
-            elif g.kind in _SINGLE_QUBIT_RULES:
-                out.extend(_SINGLE_QUBIT_RULES[g.kind](g.qubits[0], g.angle))
+            elif g.kind is K.RY:
+                q, pi = g.qubits, Angle.pi_frac(1)
+                out.extend([Gate(K.SX, q), Gate(K.RZ, q, g.angle.plus(pi)), Gate(K.SX, q),
+                            Gate(K.RZ, q, pi)])
                 changed = True
-            elif g.kind in two_q:
-                out.extend(two_q[g.kind](*g.qubits))
+            elif g.kind in rules:
+                out.extend(Gate(r.kind, tuple(g.qubits[i] for i in r.qubits), r.angle)
+                           for r in rules[g.kind])
                 changed = True
             else:
                 raise TranspileError(f"no rewrite for {g.kind.value} in {basis.value} basis")
@@ -203,7 +207,26 @@ class TestCxEcrDressing:
     def test_rule_table_dump(self):
         text = rule_table_text(NativeBasis.ECR_BASIS)
         assert "ecr" in text and "h " in text
-        assert any(r.lhs is K.CX for r in rule_table(NativeBasis.ECR_BASIS))
+        assert K.CX in _LOWERINGS[NativeBasis.ECR_BASIS].rules
+
+    @pytest.mark.parametrize("basis", list(NativeBasis))
+    def test_rule_dump_shows_each_applied_rule_once(self, basis):
+        # one line per kind `lower` rewrites, none for a native kind; each
+        # non-RY rule, placed on a gate's wires, equals the gate to global phase
+        lines = rule_table_text(basis).splitlines()
+        tags = [line.split()[0] for line in lines]
+        assert sorted(tags) == sorted(k.value for k in K if k not in basis.allowed)
+        for line in lines:
+            tag, rhs = (part.strip() for part in line.split(" -> "))
+            if tag == "ry":
+                continue
+            kind = K(tag)
+            rule = parse_text("\n".join(re.split(r"(?<=\]) ", rhs))).gates
+            wires = (1, 0) if kind.arity == 2 else (1,)
+            placed = Circuit(2, tuple(Gate(r.kind, tuple(wires[i] for i in r.qubits), r.angle)
+                                      for r in rule))
+            assert equivalence(Circuit(2, (Gate(kind, wires),)), placed) \
+                is EquivalenceLevel.L1_GLOBAL_PHASE, tag
 
 
 class TestPeephole:
@@ -494,11 +517,6 @@ class TestRouteNaive:
         assert res.swaps_added == 1
         kinds = [g.kind for g in res.circuit.gates]
         assert kinds == [K.SWAP, K.CX]
-
-    def test_restore_flag_restores_placement(self):
-        c = Circuit(2, (G(K.CX, 0, 1),))
-        res = route_naive(c, self.LINE3, {0: 0, 1: 2}, restore=True)
-        assert res.final_assignment == {0: 0, 1: 2}
 
     def test_l3_under_final_permutation(self):
         c = Circuit(3, (G(K.CX, 0, 2), G(K.H, 1), G(K.CX, 1, 0)))
