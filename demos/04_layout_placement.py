@@ -13,7 +13,7 @@ from hexsynth.transpiler import NativeBasis
 cmap = heavy_hex_127()
 shape = ishape_brisbane(cmap)
 print(f"lattice: {cmap.num_qubits} qubits, {len(cmap.edges)} edges,"
-      f" I-shape {shape.all_qubits()}")
+      f" I-shape {shape.qubits()}")
 
 for name in ("and3", "and4", "and5", "fredkin4", "csx3", "miller3"):
     placement = place(name, shape)

@@ -9,8 +9,8 @@ placements never need SWAP insertion.
 from .circuit import (Angle, Circuit, CircuitError, CostReport, Gate, GateKind,
                       count_gates, depth, emit_text, parse_text)
 from .library import BOOLEAN_TABLE, BooleanGateKind, CoreSpec, build_core, build_gate
-from .layout import (CouplingMap, IShape, Placement, heavy_hex_127, ishape_brisbane,
-                     load_map, place, verify_no_swap)
+from .layout import (CouplingMap, Placement, heavy_hex_127, ishape_brisbane, load_map, place,
+                     verify_no_swap)
 from .rules import GateSetStage, SearchQuery, apply_rules, count_space, search
 from .simulator import (EquivalenceLevel, QSpherePoint, Statevector, apply,
                         equivalence, gate_matrix, pauli_conjugate, phase_trace,

@@ -74,6 +74,9 @@ class Angle:
 
     def __post_init__(self):
         if self.frac is not None:
+            if not isinstance(self.frac, (int, Fraction)):
+                raise CircuitError(f"an exact angle is an int or Fraction multiple of pi, got "
+                                   f"{self.frac!r}; use Angle.from_radians for radians")
             if self.value:
                 raise CircuitError("an exact angle carries no radians")
             if not -2 < self.frac <= 2:
@@ -311,8 +314,8 @@ _KIND_BY_TAG = {k.value: k for k in GateKind}
 def parse_text(text: str) -> Circuit:
     """Parse the circuit text format; inverse of emit_text.
 
-    The `qubits N` header is optional; without it the width is inferred
-    from the largest qubit index.
+    The `qubits N` header is optional and comes at most once, before any
+    gate; without it the width is inferred from the largest qubit index.
     """
     width: int | None = None
     gates: list[Gate] = []
@@ -322,6 +325,8 @@ def parse_text(text: str) -> Circuit:
         if not line:
             continue
         if line.startswith("qubits"):
+            if width is not None or gates:
+                raise CircuitError(f"line {lineno}: the qubits header comes once, before any gate")
             parts = line.split()
             if len(parts) != 2 or not parts[1].isdigit():
                 raise CircuitError(f"line {lineno}: bad header {line!r}")

@@ -25,10 +25,6 @@ _ORACLE_ALIASES = {"toffoli": "toffoli", "fredkin": "fredkin_std", "swap": "swap
                    "csx": "csx2_std", "csxdg": "csxdg2_std"}
 
 
-def _basis(tag: str) -> NativeBasis:
-    return NativeBasis.CX_BASIS if tag == "cx" else NativeBasis.ECR_BASIS
-
-
 def _read_text(path: str) -> str:
     """An input file's text; bytes that are not UTF-8 are a CircuitError."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -51,7 +47,7 @@ def cmd_build(args) -> int:
 
 def cmd_transpile(args) -> int:
     circuit = parse_text(_read_text(args.file))
-    basis = _basis(args.basis)
+    basis = NativeBasis(args.basis)
     lowered = lower_and_optimize(circuit, basis) if args.peephole else lower(circuit, basis)
     text = emit_text(lowered)
     if args.output:
@@ -149,7 +145,7 @@ def cmd_search(args) -> int:
 
 def cmd_cost(args) -> int:
     circuit = build_gate(args.gate)
-    basis = _basis(args.basis)
+    basis = NativeBasis(args.basis)
     lowered = lower_and_optimize(circuit, basis)
     rep = _cost_of_lowered(lowered, basis)
     payload = {"gate": args.gate, "basis": args.basis, **rep.as_dict()}
@@ -223,7 +219,7 @@ def _parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("transpile", help="lower a circuit file to a native basis")
     t.add_argument("file")
-    t.add_argument("--basis", choices=("cx", "ecr"), required=True)
+    t.add_argument("--basis", choices=[b.value for b in NativeBasis], required=True)
     t.add_argument("--peephole", action="store_true")
     t.add_argument("-o", "--output")
     t.set_defaults(fn=cmd_transpile)
@@ -253,7 +249,7 @@ def _parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cost", help="native-basis cost report for a library gate")
     c.add_argument("gate")
-    c.add_argument("--basis", choices=("cx", "ecr"), default="ecr")
+    c.add_argument("--basis", choices=[b.value for b in NativeBasis], default="ecr")
     c.add_argument("--layout", help="coupling-map JSON file")
     c.add_argument("--placement", help="placement JSON file")
     c.add_argument("--json", action="store_true")

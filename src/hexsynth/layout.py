@@ -1,13 +1,15 @@
-"""Heavy-hex coupling-map model, I-shape placements, and adjacency checking.
+"""Heavy-hex coupling maps, no-SWAP placement into any map, and adjacency checking.
 
 The 127-qubit map is generated from the heavy-hex construction: seven
 horizontal rows of qubits joined by four-qubit connector columns, giving a
-maximum vertex degree of three.  The I-shape is the seven-qubit subgraph of
-two parallel row triples bridged through a connector qubit.  A gate places
+maximum vertex degree of three.  A region of it is a CouplingMap on the
+region's own couplings; the I-shape is the seven-qubit region of two
+parallel row triples bridged through a connector qubit.  A gate places
 without SWAP insertion exactly where its interaction graph (the wire pairs
-its two-qubit gates touch) embeds into the shape's couplings; `place` finds
-that embedding from the gate's own gate list, so this module knows no gate
-by name.
+its two-qubit gates touch) embeds into a map's couplings; `place` finds
+that embedding, wires taken breadth-first over the interaction graph, in
+any map: the whole lattice or one region.  It reads the gate's own gate
+list, so this module knows no gate by name.
 """
 from __future__ import annotations
 
@@ -50,10 +52,14 @@ class CouplingMap:
         object.__setattr__(self, "_adjacent", {q: tuple(sorted(ns)) for q, ns in adjacent.items()})
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return ((a, b) if a < b else (b, a)) in self.edges
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adjacent.get(q, ())
+
+    def qubits(self) -> tuple[int, ...]:
+        """The qubits some coupling touches, ascending."""
+        return tuple(sorted(self._adjacent))
 
     def shortest_path(self, src: int, dst: int):
         """BFS path [src, ..., dst], or None if disconnected."""
@@ -106,74 +112,40 @@ def load_map(source) -> CouplingMap:
     return CouplingMap(name=name, num_qubits=num_qubits, edges=frozenset(edges))
 
 
-def heavy_hex_127(name: str = "brisbane") -> CouplingMap:
+def heavy_hex_127() -> CouplingMap:
     """The 127-qubit heavy-hex lattice used by IBM Eagle-class devices.
 
-    Rows of 14/15 qubits with horizontal edges, joined by connector qubits
-    at alternating column offsets (0,4,8,12) and (2,6,10,14).
+    Seven rows are numbered in turn, each followed by the four connector
+    qubits that join it to the next row, at columns (0, 4, 8, 12) below an
+    even row and (2, 6, 10, 14) below an odd one.  The middle rows span
+    columns 0-14; the first lacks column 14 and the last column 0.
     """
-    row_start = [0, 18, 37, 56, 75, 94, 113]
-    edges = []
-
-    def row_id(r: int, col: int) -> int:
-        if r == 0:
-            if not 0 <= col <= 13:
-                raise LayoutError(f"row 0 has no column {col}")
-            return col
-        if r == 6:
-            if not 1 <= col <= 14:
-                raise LayoutError(f"row 6 has no column {col}")
-            return row_start[6] + col - 1
-        return row_start[r] + col
-
-    # horizontal edges
-    for r, start in enumerate(row_start):
-        length = 14 if r in (0, 6) else 15
-        for i in range(length - 1):
-            edges.append((start + i, start + i + 1))
-    # connector columns between consecutive rows
-    conn = 14
-    for r in range(6):
-        cols = (0, 4, 8, 12) if r % 2 == 0 else (2, 6, 10, 14)
-        for col in cols:
-            edges.append((row_id(r, col), conn))
-            edges.append((conn, row_id(r + 1, col)))
-            conn += 1
-        conn += 15  # skip over the next row's ids
-    return CouplingMap(name=name, num_qubits=127, edges=frozenset(edges))
+    edges, above, q = [], {}, 0  # above: column -> connector from the previous row
+    for r in range(7):
+        row = {col: q + i for i, col in enumerate(range(1 if r == 6 else 0, 14 if r == 0 else 15))}
+        q += len(row)
+        edges += [(a, a + 1) for a in range(q - len(row), q - 1)]
+        edges += [(c, row[col]) for col, c in above.items()]
+        cols = () if r == 6 else (0, 4, 8, 12) if r % 2 == 0 else (2, 6, 10, 14)
+        above = {col: q + i for i, col in enumerate(cols)}
+        q += len(above)
+        edges += [(row[col], c) for col, c in above.items()]
+    return CouplingMap(name="brisbane", num_qubits=q, edges=frozenset(edges))
 
 
-@dataclass(frozen=True)
-class IShape:
-    """Two linear qubit triples bridged by a middle qubit."""
+def ishape_brisbane(cmap: CouplingMap | None = None) -> CouplingMap:
+    """The documented I-shape region {61, 62, 63, 72, 80, 81, 82} of `cmap`.
 
-    row_a: tuple[int, int, int]
-    row_b: tuple[int, int, int]
-    bridge: int
-
-    def all_qubits(self) -> tuple[int, ...]:
-        return self.row_a + (self.bridge,) + self.row_b
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The six couplings: along each triple, and from each triple's middle
-        through the bridge."""
-        a, b = self.row_a, self.row_b
-        return ((a[0], a[1]), (a[1], a[2]), (b[0], b[1]), (b[1], b[2]),
-                (a[1], self.bridge), (self.bridge, b[1]))
-
-    def validate(self, cmap: CouplingMap):
-        if len(set(self.all_qubits())) != 7:
-            raise LayoutError("I-shape qubits must be distinct")
-        for a, b in self.edges():
-            if not cmap.has_edge(a, b):
-                raise LayoutError(f"I-shape edge ({a}, {b}) missing from map {cmap.name!r}")
-
-
-def ishape_brisbane(cmap: CouplingMap | None = None) -> IShape:
-    """The documented I-shape region {61, 62, 63, 72, 80, 81, 82}."""
-    shape = IShape(row_a=(61, 62, 63), row_b=(80, 81, 82), bridge=72)
-    shape.validate(cmap if cmap is not None else heavy_hex_127())
-    return shape
+    Two row triples, 61-62-63 and 80-81-82, bridged from middle to middle
+    through the connector 72; these six couplings must all be in `cmap`.
+    """
+    cmap = cmap if cmap is not None else heavy_hex_127()
+    edges = ((61, 62), (62, 63), (80, 81), (81, 82), (62, 72), (72, 81))
+    for a, b in edges:
+        if not cmap.has_edge(a, b):
+            raise LayoutError(f"I-shape edge ({a}, {b}) missing from map {cmap.name!r}")
+    return CouplingMap(name=f"{cmap.name} I-shape", num_qubits=cmap.num_qubits,
+                       edges=frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -201,22 +173,24 @@ class Placement:
         return Placement(assignment=assignment)
 
 
-def place(gate_name: str, shape: IShape) -> Placement:
-    """The first no-SWAP placement of a registry gate onto an I-shape.
+def place(gate_name: str, region: CouplingMap) -> Placement:
+    """The first no-SWAP placement of a registry gate into any coupling map.
 
-    Wires are taken in circuit order (wire 0 first); each takes the first
-    free qubit, in `shape.all_qubits()` order, that is coupled to every
-    placed wire it shares a two-qubit gate with, backtracking when none is.
-    So every core's target lands between its two controls: on a triple's
-    middle, or on the bridge, whose two neighbors are the triple middles.
-    The search runs once per gate and shape; each call gets its own
+    Wires are taken breadth-first over the gate's interaction graph, from
+    the lowest unplaced wire.  A wire with a placed partner tries that
+    partner's neighbors, ascending; any other wire tries every qubit of
+    `region.qubits()`.  A candidate must be free and coupled to every
+    placed partner, and the search backtracks when none is.  On the
+    I-shape every core's target so lands between its two controls: on a
+    triple's middle, or on the bridge.  The result is in wire order; the
+    search runs once per gate and region, and each call gets its own
     Placement.
     """
-    return Placement(assignment=dict(_embedding(gate_name, shape)))
+    return Placement(assignment=dict(_embedding(gate_name, region)))
 
 
 @functools.cache
-def _embedding(gate_name: str, shape: IShape) -> tuple[tuple[str, int], ...]:
+def _embedding(gate_name: str, region: CouplingMap) -> tuple[tuple[str, int], ...]:
     circuit = build_gate(gate_name)
     partners = [set() for _ in range(circuit.width)]
     for g in circuit.gates:
@@ -224,25 +198,34 @@ def _embedding(gate_name: str, shape: IShape) -> tuple[tuple[str, int], ...]:
             a, b = g.qubits
             partners[a].add(b)
             partners[b].add(a)
-    coupled = {pair for a, b in shape.edges() for pair in ((a, b), (b, a))}
-    qubits = shape.all_qubits()
-    chosen: list[int] = []
+    order: list[int] = []  # breadth-first, each component from its lowest wire
+    for root in range(circuit.width):
+        if root not in order:
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                order += sorted(p for p in partners[order[head]] if p not in order)
+                head += 1
+    chosen: dict[int, int] = {}
 
-    def extend(wire: int) -> bool:
-        if wire == circuit.width:
+    def extend(i: int) -> bool:
+        if i == len(order):
             return True
-        for q in qubits:
-            if q not in chosen and all((chosen[p], q) in coupled
-                                       for p in partners[wire] if p < wire):
-                chosen.append(q)
-                if extend(wire + 1):
+        wire = order[i]
+        placed = [chosen[p] for p in partners[wire] if p in chosen]
+        # the candidates neighbor placed[0], so only the other partners need a check
+        candidates = region.neighbors(placed[0]) if placed else region.qubits()
+        for q in candidates:
+            if q not in chosen.values() and all(region.has_edge(p, q) for p in placed[1:]):
+                chosen[wire] = q
+                if extend(i + 1):
                     return True
-                chosen.pop()
+                del chosen[wire]
         return False
 
     if not extend(0):
         raise LayoutError(f"gate {gate_name!r} does not fit an I-shape placement")
-    return tuple(zip(circuit.wire_names, chosen))
+    return tuple((name, chosen[w]) for w, name in enumerate(circuit.wire_names))
 
 
 def verify_no_swap(circuit: Circuit, cmap: CouplingMap, placement: Placement):

@@ -38,6 +38,7 @@ from .circuit import Angle, Circuit, GateKind
 ATOL_NORM = 1e-10
 ATOL_UNITARY = 1e-12
 ATOL_EQUIV = 1e-9
+ATOL_QSPHERE = 1e-12  # amplitudes at or below this are not q-sphere points
 MAX_UNITARY_QUBITS = 12
 # 2^20 amplitudes of complex128 are 16 MiB; the family's widest gate has 7 qubits
 MAX_STATEVECTOR_QUBITS = 20
@@ -365,7 +366,7 @@ class QSpherePoint:
         return {"basis": self.basis_label, "magnitude": self.magnitude, "phase": self.phase}
 
 
-def qsphere(state: Statevector, display_order=None, atol: float = 1e-12) -> list[QSpherePoint]:
+def qsphere(state: Statevector, display_order=None) -> list[QSpherePoint]:
     """Nonzero basis amplitudes as (label, magnitude, relative phase) points.
 
     `display_order` lists qubit indices from most to least significant in the
@@ -377,7 +378,7 @@ def qsphere(state: Statevector, display_order=None, atol: float = 1e-12) -> list
     ref = None
     points = []
     for b, amp in enumerate(state.amps):
-        if abs(amp) <= atol:
+        if abs(amp) <= ATOL_QSPHERE:
             continue
         if ref is None:
             ref = cmath.phase(amp)

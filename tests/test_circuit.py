@@ -68,6 +68,12 @@ class TestAngle:
         with pytest.raises(CircuitError, match="no radians"):
             Angle(Fraction(1, 4), 0.5)
 
+    @pytest.mark.parametrize("frac", [1.5, "1/4", complex(1)])
+    def test_inexact_frac_rejected(self, frac):
+        # a float meant as radians goes through from_radians, not frac
+        with pytest.raises(CircuitError, match="from_radians"):
+            Angle(frac)
+
     def test_two_pi_is_identity_mod_phase(self):
         assert Angle.pi_frac(2).is_zero_mod_2pi()
         assert not Angle.pi_frac(1).is_zero_mod_2pi()
@@ -266,6 +272,12 @@ class TestTextFormat:
             parse_text("qubits 2\ncx q[0], q[0]")
         with pytest.raises(CircuitError, match=r"^line 1: circuit width must be >= 1"):
             parse_text("qubits 0")
+        # the header comes once, before any gate
+        for text in ("qubits 3\nh q[2]\nqubits 1", "qubits 2\nh q[0]\nqubits 5"):
+            with pytest.raises(CircuitError, match=r"^line 3: the qubits header"):
+                parse_text(text)
+        with pytest.raises(CircuitError, match=r"^line 2: the qubits header"):
+            parse_text("h q[4]\nqubits 2")
 
     def test_comments_and_blanks(self):
         c = parse_text("// a comment\nqubits 2\n\nh q[0] // trailing\ncx q[0], q[1]\n")

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from hexsynth.circuit import Circuit, CircuitError, Gate, GateKind
-from hexsynth.layout import (CouplingMap, IShape, LayoutError, Placement,
-                             ishape_brisbane, load_map, place, verify_no_swap)
-from hexsynth.library import FAMILY_GATES, build_gate
+from hexsynth.layout import (CouplingMap, LayoutError, Placement, ishape_brisbane,
+                             load_map, place, verify_no_swap)
+from hexsynth.library import FAMILY_GATES, GATES, build_gate
 from hexsynth.transpiler import NativeBasis, lower_and_optimize
 
 K = GateKind
@@ -89,22 +89,20 @@ class TestHeavyHex:
 
 
 class TestIShape:
+    EDGES = ((61, 62), (62, 63), (80, 81), (81, 82), (62, 72), (72, 81))
+
     def test_brisbane_ishape(self, brisbane):
-        shape = ishape_brisbane(brisbane)
-        assert set(shape.all_qubits()) == {61, 62, 63, 72, 80, 81, 82}
-        assert shape.bridge == 72
-        assert brisbane.has_edge(shape.row_a[1], shape.bridge)
+        assert ishape_brisbane(brisbane).qubits() == (61, 62, 63, 72, 80, 81, 82)
 
     def test_edges(self, brisbane):
         shape = ishape_brisbane(brisbane)
-        assert shape.edges() == ((61, 62), (62, 63), (80, 81), (81, 82), (62, 72), (72, 81))
-        assert all(brisbane.has_edge(a, b) for a, b in shape.edges())
+        assert shape.edges == frozenset(self.EDGES)
+        assert all(brisbane.has_edge(a, b) for a, b in shape.edges)
 
-    def test_invalid_shape_rejected(self, brisbane):
-        with pytest.raises(LayoutError):
-            IShape((61, 62, 63), (80, 81, 82), bridge=61).validate(brisbane)
-        with pytest.raises(LayoutError):
-            IShape((61, 62, 64), (80, 81, 82), bridge=72).validate(brisbane)
+    def test_missing_coupling_rejected(self, brisbane):
+        cut = CouplingMap("cut", 127, brisbane.edges - {(62, 72)})
+        with pytest.raises(LayoutError, match=r"\(62, 72\) missing"):
+            ishape_brisbane(cut)
 
 
 class TestPlacement:
@@ -171,8 +169,22 @@ class TestPlacement:
 
     def test_placement_follows_the_shape(self):
         # a shape on other qubits places the same wires on its own slots
-        shape = IShape(row_a=(1, 2, 3), row_b=(11, 12, 13), bridge=7)
+        shape = CouplingMap("shape", 14, frozenset({(1, 2), (2, 3), (11, 12), (12, 13),
+                                                    (2, 7), (7, 12)}))
         assert place("and4", shape).assignment == {"c1": 1, "anc": 2, "c2": 3, "t": 7, "c3": 12}
+
+    @pytest.mark.parametrize("name", GATES)
+    def test_places_on_the_whole_map(self, brisbane, name):
+        # brisbane is heavy_hex_127(); only the triangle gates fit nowhere on it
+        if name in ("toffoli", "toffoli4", "toffoli5", "fredkin_std"):
+            with pytest.raises(LayoutError, match="does not fit"):
+                place(name, brisbane)
+            return
+        placement = place(name, brisbane)
+        for basis in NativeBasis:
+            circuit = lower_and_optimize(build_gate(name), basis)
+            ok, violations = verify_no_swap(circuit, brisbane, placement)
+            assert ok, (name, basis, violations)
 
     def test_unknown_gate_is_an_error(self, brisbane):
         with pytest.raises(CircuitError, match="unknown gate"):
