@@ -6,6 +6,7 @@ directly (one ECR each, no routing SWAPs) and all single-qubit gates merge
 into short RZ/SX runs.
 """
 from hexsynth import build_gate, cost_report, lower_and_optimize, emit_text
+from hexsynth.reports import expected_values
 from hexsynth.transpiler import NativeBasis, rule_table_text
 
 print("single-qubit and two-qubit rewrite rules (ECR basis):")
@@ -19,11 +20,10 @@ for name in ("csx2", "csxdg2", "swap2"):
 print()
 
 print("family gates in the ECR basis (standard-approach costs in parentheses):")
-standard_qc = {"and3": 55, "and4": 118, "and5": 452, "pos5": 196, "sop5": 196,
-               "fredkin3": 77, "fredkin4": 163, "csx3": 91, "miller3": 102}
-for name, std in standard_qc.items():
+for name, expected in expected_values()["native_ecr_costs"].items():
     rep = cost_report(build_gate(name), NativeBasis.ECR_BASIS)
-    print(f"  {name:9s} ecr={rep.counts['ecr']:2d}  qc={rep.qc:3d}  (standard {std})")
+    print(f"  {name:9s} ecr={rep.counts['ecr']:2d}  qc={rep.qc:3d}  "
+          f"(standard {expected['standard_qc']})")
 print()
 
 print("the fully lowered 3-bit AND, ready for a device:")

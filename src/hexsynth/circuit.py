@@ -316,6 +316,9 @@ def parse_text(text: str) -> Circuit:
 
     The `qubits N` header is optional and comes at most once, before any
     gate; without it the width is inferred from the largest qubit index.
+    This reader checks only what needs a line number (the header, the gate
+    tag and the declared width); `Gate` and `parse_angle` check the rest,
+    and every error carries the `line N:` prefix.
     """
     width: int | None = None
     gates: list[Gate] = []
@@ -337,30 +340,16 @@ def parse_text(text: str) -> Circuit:
         m = _LINE_RE.match(line)
         if not m:
             raise CircuitError(f"line {lineno}: cannot parse {line!r}")
-        tag = m.group("tag")
+        tag, angle, q0, q1 = m.group("tag", "angle", "q0", "q1")
         kind = _KIND_BY_TAG.get(tag)
         if kind is None:
             raise CircuitError(f"line {lineno}: unknown gate tag {tag!r}")
-        qubits = [int(m.group("q0"))]
-        if m.group("q1") is not None:
-            qubits.append(int(m.group("q1")))
-        if len(qubits) != kind.arity:
-            raise CircuitError(f"line {lineno}: {tag} expects {kind.arity} qubit(s)")
-        angle = None
-        if m.group("angle") is not None:
-            if not kind.takes_angle:
-                raise CircuitError(f"line {lineno}: {tag} takes no angle")
-            try:
-                angle = parse_angle(m.group("angle"))
-            except CircuitError as e:
-                raise CircuitError(f"line {lineno}: {e}") from None
-        elif kind.takes_angle:
-            raise CircuitError(f"line {lineno}: {tag} requires an angle")
-        if width is not None and any(q >= width for q in qubits):
+        qubits = (int(q0),) if q1 is None else (int(q0), int(q1))
+        if width is not None and max(qubits) >= width:
             raise CircuitError(f"line {lineno}: qubit index beyond declared width {width}")
         max_q = max(max_q, *qubits)
         try:
-            gates.append(Gate(kind, tuple(qubits), angle))
+            gates.append(Gate(kind, qubits, None if angle is None else parse_angle(angle)))
         except CircuitError as e:
             raise CircuitError(f"line {lineno}: {e}") from None
     if width is None:

@@ -15,14 +15,12 @@ import sys
 from . import reports
 from .circuit import Circuit, CircuitError, emit_text, parse_text
 from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, build_gate
-from .layout import Placement, ishape_brisbane, heavy_hex_127, load_map, place, verify_no_swap
+from .layout import (LayoutError, Placement, ishape_brisbane, heavy_hex_127, load_map, place,
+                     verify_no_swap)
 from .rules import query_from_names, search
 from .simulator import (STAGE_NAMES, EquivalenceLevel, SimulationError, Statevector, apply,
                         equivalence, phase_trace, qsphere, truth_string, truth_table)
 from .transpiler import NativeBasis, _cost_of_lowered, lower, lower_and_optimize
-
-_ORACLE_ALIASES = {"toffoli": "toffoli", "fredkin": "fredkin_std", "swap": "swap2_std",
-                   "csx": "csx2_std", "csxdg": "csxdg2_std"}
 
 
 def _read_text(path: str) -> str:
@@ -77,8 +75,10 @@ def cmd_simulate(args) -> int:
 
 def _aligned_oracle(gate: Circuit, oracle: Circuit) -> Circuit:
     """Permute the oracle so its control/target/ancilla wires line up with
-    the gate's (both sides keep their own internal ordering)."""
-    if gate.roles is None or oracle.roles is None or gate.width != oracle.width:
+    the gate's (both sides keep their own internal ordering).  Registry
+    gates tag every wire with one of the three roles; an oracle of another
+    width or role count is graded as built."""
+    if gate.width != oracle.width:
         return oracle
     mapping = {}
     for role in ("control", "target", "ancilla"):
@@ -87,8 +87,6 @@ def _aligned_oracle(gate: Circuit, oracle: Circuit) -> Circuit:
         if len(src) != len(dst):
             return oracle
         mapping.update(dict(zip(src, dst)))
-    if len(mapping) != oracle.width:
-        return oracle
     return oracle.relabeled(mapping)
 
 
@@ -108,8 +106,7 @@ def cmd_verify(args) -> int:
         ok = realized == args.truth
         print("truth:", "MATCH" if ok else f"MISMATCH (wanted {args.truth})")
     if args.against is not None:
-        oracle_name = _ORACLE_ALIASES.get(args.against, args.against)
-        oracle = build_gate(oracle_name)
+        oracle = build_gate(args.against)
         level = equivalence(gate, _aligned_oracle(gate, oracle))
         print(f"equivalence vs {args.against}: {level.name}")
         want = {"L1": EquivalenceLevel.L1_GLOBAL_PHASE,
@@ -158,7 +155,11 @@ def cmd_cost(args) -> int:
                 raise CircuitError(f"{args.placement}: malformed placement JSON: {e}") from None
             placement = Placement.from_dict(data)
         else:
-            placement = place(args.gate, ishape_brisbane(cmap))
+            try:  # the I-shape when the map has it, else the whole map
+                region = ishape_brisbane(cmap)
+            except LayoutError:
+                region = cmap
+            placement = place(args.gate, region)
         ok, violations = verify_no_swap(lowered, cmap, placement)
         payload["placement"] = placement.as_dict()["assignment"]
         payload["swap_free"] = ok

@@ -28,7 +28,9 @@ class LayoutError(CircuitError):
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """Physical-qubit adjacency graph (undirected, no self-loops)."""
+    """Physical-qubit adjacency graph (undirected, no self-loops).  The
+    constructor holds every map rule: an int `num_qubits`, and edges of two
+    distinct int qubits in range, each stored as an ascending pair."""
 
     name: str
     num_qubits: int
@@ -36,9 +38,13 @@ class CouplingMap:
     _adjacent: dict = field(init=False, repr=False, compare=False)  # qubit -> sorted neighbors
 
     def __post_init__(self):
+        if type(self.num_qubits) is not int:
+            raise LayoutError(f"num_qubits must be an integer, got {self.num_qubits!r}")
         norm = set()
         for e in self.edges:
-            a, b = int(e[0]), int(e[1])
+            if type(e) is not tuple or len(e) != 2 or not all(type(q) is int for q in e):
+                raise LayoutError(f"an edge must be two integer qubits, got {e!r}")
+            a, b = e
             if a == b:
                 raise LayoutError(f"self-loop edge [{a}, {b}]")
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
@@ -87,7 +93,7 @@ class CouplingMap:
 
 
 def load_map(source) -> CouplingMap:
-    """Read a coupling map from a JSON file path, file object, or dict."""
+    """Read a coupling map (checked by `CouplingMap`) from a JSON path, file object, or dict."""
     if isinstance(source, dict):
         data = source
     else:
@@ -104,11 +110,6 @@ def load_map(source) -> CouplingMap:
         edges = [tuple(e) for e in data["edges"]]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise LayoutError(f"malformed coupling-map JSON: {e}") from None
-    if type(num_qubits) is not int:
-        raise LayoutError(f"num_qubits must be an integer, got {num_qubits!r}")
-    for e in edges:
-        if len(e) != 2 or not all(type(q) is int for q in e):
-            raise LayoutError(f"an edge must be two integer qubits, got {list(e)!r}")
     return CouplingMap(name=name, num_qubits=num_qubits, edges=frozenset(edges))
 
 
@@ -150,12 +151,15 @@ def ishape_brisbane(cmap: CouplingMap | None = None) -> CouplingMap:
 
 @dataclass(frozen=True)
 class Placement:
-    """Injective assignment of wire names to physical qubit indices."""
+    """Injective assignment of wire names to int physical qubits; the
+    constructor checks both rules, so `from_dict` only reads."""
 
     assignment: dict
 
     def __post_init__(self):
         vals = list(self.assignment.values())
+        if not all(type(p) is int for p in vals):
+            raise LayoutError(f"placement qubits must be integers: {self.assignment}")
         if len(set(vals)) != len(vals):
             raise LayoutError(f"placement is not injective: {self.assignment}")
 
@@ -168,8 +172,6 @@ class Placement:
             assignment = dict(data["assignment"])
         except (KeyError, TypeError, ValueError) as e:
             raise LayoutError(f"malformed placement: {e!r}") from None
-        if not all(type(p) is int for p in assignment.values()):
-            raise LayoutError(f"placement qubits must be integers: {assignment}")
         return Placement(assignment=assignment)
 
 
@@ -224,7 +226,7 @@ def _embedding(gate_name: str, region: CouplingMap) -> tuple[tuple[str, int], ..
         return False
 
     if not extend(0):
-        raise LayoutError(f"gate {gate_name!r} does not fit an I-shape placement")
+        raise LayoutError(f"gate {gate_name!r} does not fit {region.name!r}")
     return tuple((name, chosen[w]) for w, name in enumerate(circuit.wire_names))
 
 

@@ -135,9 +135,12 @@ class Statevector:
 
     @staticmethod
     def basis(n: int, bits: dict[int, int]) -> "Statevector":
-        """Computational basis state with the given {qubit: bit} values (others 0)."""
+        """Computational basis state with the given {qubit: bit} values (others 0);
+        a qubit outside 0..n-1 or a bit other than 0/1 is a SimulationError."""
         Statevector._check_width(n)
-        index = sum((bit & 1) << q for q, bit in bits.items())
+        if not all(type(q) is int and 0 <= q < n and bit in (0, 1) for q, bit in bits.items()):
+            raise SimulationError(f"basis bits {bits} must set qubits 0..{n - 1} to 0 or 1")
+        index = sum(int(bit) << q for q, bit in bits.items())
         amps = np.zeros(2 ** n, dtype=complex)
         amps[index] = 1.0
         return Statevector(n, amps)

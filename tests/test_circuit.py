@@ -278,6 +278,11 @@ class TestTextFormat:
                 parse_text(text)
         with pytest.raises(CircuitError, match=r"^line 2: the qubits header"):
             parse_text("h q[4]\nqubits 2")
+        # Gate states the arity and angle rules; the parser adds the line
+        for text, message in (("cx q[0]", "cx expects 2 qubit"), ("h q[0], q[1]", "h expects 1 qubit"),
+                              ("h(pi) q[0]", "h takes no angle"), ("rz q[0]", "rz requires an Angle")):
+            with pytest.raises(CircuitError, match=f"^line 2: {message}"):
+                parse_text("qubits 2\n" + text)
 
     def test_comments_and_blanks(self):
         c = parse_text("// a comment\nqubits 2\n\nh q[0] // trailing\ncx q[0], q[1]\n")

@@ -142,10 +142,21 @@ class TestSearchCostTrace:
         assert run("cost", gate, "--layout", str(mapfile), "--json") == code
         captured = capsys.readouterr()
         if placement is None:
-            assert "does not fit an I-shape placement" in captured.err
+            assert "does not fit 'brisbane I-shape'" in captured.err
         else:
             data = json.loads(captured.out)
             assert data["swap_free"] is True and data["placement"] == placement
+
+    def test_cost_with_layout_lacking_the_ishape_places_on_the_whole_map(self, tmp_path, capsys):
+        from hexsynth.layout import heavy_hex_127
+
+        data = heavy_hex_127().as_dict()
+        data["edges"].remove([62, 72])
+        mapfile = tmp_path / "cut.json"
+        mapfile.write_text(json.dumps(data))
+        assert run("cost", "and3", "--layout", str(mapfile), "--json") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["swap_free"] is True and data["placement"] == {"c1": 0, "t": 1, "c2": 2}
 
     @pytest.mark.parametrize("text", ['{"num_qubits": 1e400, "edges": [[0, 1]]}',
                                       '{"num_qubits": 3, "edges": [[0, 1e400]]}'])

@@ -38,6 +38,15 @@ class TestCouplingMap:
         with pytest.raises(LayoutError, match="two integer qubits"):
             load_map({"name": "bad", "num_qubits": 3, "edges": [edge]})
 
+    @pytest.mark.parametrize("num_qubits, edge, message",
+                             [(3, (0, 1.7), "two integer qubits"),
+                              (3, (0, 1, 2), "two integer qubits"),
+                              (3.0, (0, 1), "num_qubits must be an integer")])
+    def test_constructor_states_the_rules(self, num_qubits, edge, message):
+        # a map built in code meets the same rules as one read from JSON
+        with pytest.raises(LayoutError, match=message):
+            CouplingMap("m", num_qubits, frozenset({edge}))
+
     def test_huge_float_in_a_file_rejected(self, tmp_path):
         f = tmp_path / "map.json"
         f.write_text('{"name": "bad", "num_qubits": 1e400, "edges": [[0, 1]]}')
@@ -110,6 +119,11 @@ class TestPlacement:
         with pytest.raises(LayoutError):
             Placement({"a": 1, "b": 1})
 
+    @pytest.mark.parametrize("qubit", ["x", 1.0, True])
+    def test_qubits_are_integers(self, qubit):
+        with pytest.raises(LayoutError, match="placement qubits must be integers"):
+            Placement({"t": qubit})
+
     def test_json_round_trip(self):
         p = Placement({"c1": 61, "t": 62, "c2": 63})
         assert Placement.from_dict(p.as_dict()).assignment == p.assignment
@@ -177,7 +191,7 @@ class TestPlacement:
     def test_places_on_the_whole_map(self, brisbane, name):
         # brisbane is heavy_hex_127(); only the triangle gates fit nowhere on it
         if name in ("toffoli", "toffoli4", "toffoli5", "fredkin_std"):
-            with pytest.raises(LayoutError, match="does not fit"):
+            with pytest.raises(LayoutError, match=f"^gate '{name}' does not fit 'brisbane'$"):
                 place(name, brisbane)
             return
         placement = place(name, brisbane)

@@ -175,6 +175,12 @@ class TestApplyAndUnitary:
         with pytest.raises(SimulationError):
             truth_table(Circuit(40), target=1, controls=(0,))
 
+    @pytest.mark.parametrize("bits", [{5: 1}, {-1: 1}, {0: 3}])
+    def test_basis_rejects_a_bad_bit(self, bits):
+        # a qubit outside 0..n-1 or a bit other than 0/1
+        with pytest.raises(SimulationError, match=r"must set qubits 0\.\.1 to 0 or 1"):
+            Statevector.basis(2, bits)
+
     def test_unitary_unitarity(self):
         c = Circuit(2, (G(K.H, 0), G(K.ECR, 0, 1), G(K.SXDG, 1)))
         assert is_unitary(unitary_of(c))
