@@ -13,13 +13,14 @@ import os
 import sys
 
 from . import reports
-from .circuit import Circuit, CircuitError, emit_text, parse_text
-from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, build_gate
+from .circuit import (ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, Circuit, CircuitError, emit_text,
+                      parse_text)
+from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, STAGE_NAMES, build_gate
 from .layout import (LayoutError, Placement, ishape_brisbane, heavy_hex_127, load_map, place,
                      verify_no_swap)
 from .rules import query_from_names, search
-from .simulator import (STAGE_NAMES, EquivalenceLevel, SimulationError, Statevector, apply,
-                        equivalence, phase_trace, qsphere, truth_string, truth_table)
+from .simulator import (EquivalenceLevel, SimulationError, Statevector, apply, equivalence,
+                        phase_trace, qsphere, truth_string, truth_table)
 from .transpiler import NativeBasis, _cost_of_lowered, lower, lower_and_optimize
 
 
@@ -81,7 +82,7 @@ def _aligned_oracle(gate: Circuit, oracle: Circuit) -> Circuit:
     if gate.width != oracle.width:
         return oracle
     mapping = {}
-    for role in ("control", "target", "ancilla"):
+    for role in (ROLE_CONTROL, ROLE_TARGET, ROLE_ANCILLA):
         src = [i for i, r in enumerate(oracle.roles) if r == role]
         dst = [i for i, r in enumerate(gate.roles) if r == role]
         if len(src) != len(dst):

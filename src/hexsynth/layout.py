@@ -157,6 +157,8 @@ class Placement:
     assignment: dict
 
     def __post_init__(self):
+        if not isinstance(self.assignment, dict):
+            raise LayoutError(f"placement must map wire names to qubits: {self.assignment!r}")
         vals = list(self.assignment.values())
         if not all(type(p) is int for p in vals):
             raise LayoutError(f"placement qubits must be integers: {self.assignment}")
@@ -234,7 +236,8 @@ def verify_no_swap(circuit: Circuit, cmap: CouplingMap, placement: Placement):
     """Check that every two-qubit gate acts on a coupling-map edge.
 
     Returns (ok, violations); each violation is a dict naming the offending
-    gate and the non-adjacent physical pair.
+    gate and the non-adjacent physical pair.  A placement qubit off the map
+    is a LayoutError, not a violation.
     """
     if circuit.wire_names is None:
         raise LayoutError("circuit has no wire names to match the placement")
@@ -242,6 +245,10 @@ def verify_no_swap(circuit: Circuit, cmap: CouplingMap, placement: Placement):
         log2phys = [placement.assignment[w] for w in circuit.wire_names]
     except KeyError as e:
         raise LayoutError(f"placement does not cover wire {e.args[0]!r}") from None
+    for wire, phys in placement.assignment.items():
+        if phys not in range(cmap.num_qubits):
+            raise LayoutError(f"placement puts wire {wire!r} on physical qubit {phys}, "
+                              f"off the {cmap.num_qubits}-qubit map")
     violations = []
     for g in circuit.gates:
         if len(g.qubits) != 2:

@@ -138,6 +138,9 @@ def core_stage_gates(spec: CoreSpec, c1: int, t: int, c2: int):
     ]
 
 
+STAGE_NAMES = tuple(name for name, _ in core_stage_gates(CoreSpec(), 0, 1, 2))
+
+
 def _circuit(name: str, wires, gates) -> Circuit:
     return Circuit(len(wires), tuple(gates), roles=tuple(role for _, role in wires),
                    name=name, wire_names=tuple(wire for wire, _ in wires))

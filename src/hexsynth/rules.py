@@ -12,7 +12,9 @@ the 2x2 block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its
 unitary is block-diagonal over the branches.  The search factors each block
 as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1]: the theta/X middle T
 depends only on the rotation tuple and the branch, so one cached table per
-set of rotation kinds serves every query.  A configuration is a hit when
+set of rotation kinds serves every query.  The pass runs once, on a plain
+grid over the distinct entries of each alphabet; duplicate entries and the
+symmetric restriction are applied to its hits.  A configuration is a hit when
 p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
 every branch, the rule `truth_table` applies; the target starts in |0>, so
 this needs only column 0 of F and row 1 of L, and two small contractions
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,104 +204,71 @@ def _blocks(pairs: int, cols: int):
             yield np.arange(p0, min(p0 + pair_step, pairs)), slice(c0, min(c0 + col_step, cols))
 
 
-class _BranchBatch:
-    """A query's configurations, with each target block factored as
-    B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1] on control branch
-    c = (c2 << 1) | c1.
+def _hit_blocks(sp, ax1, thetas, ax2, bits: np.ndarray):
+    """Per block of the plain grid over the distinct alphabets, the
+    CoreSpecs, in enumeration order, of the configurations whose
+    p(target=1) lies within ATOL_NORM of the target bit (`bits`, one per
+    branch) on all four branches, with their target blocks of shape
+    (hits, 4, 2, 2).
 
-    F = AX1.SP1 has one row r per (sp1, ax1) pair, L = SP2.AX2 one column
-    per (ax2, sp2) pair, and the theta/X middle T comes from the cached
-    table of the alphabet's distinct rotation kinds; `theta_ids` maps a
-    duplicated rotation alphabet onto it.  Configuration
-    (r * n_theta**4 + theta) * cols + col is iter_specs' C order over
-    (sp1, ax1, theta tuple, ax2, sp2)."""
-
-    def __init__(self, query: SearchQuery):
-        self.sp, self.ax1, self.thetas, self.ax2 = sp, ax1, thetas, ax2 = _alphabets(query)
-        self.kinds = kinds = tuple(dict.fromkeys(thetas))
-        self.middles = _theta_middles(kinds)
-        # equal kinds share an id, so symmetry holds across duplicate entries
-        self.theta_ids = np.array([kinds.index(t) for t in thetas])
-        sps = np.array([gate_matrix(s) for s in sp])
-        self.first = (np.array([_target_matrix(a) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
-        self.last = (sps @ np.array([_target_matrix(a) for a in ax2])[:, None]).reshape(-1, 2, 2)
-
-    def _digits(self, theta: np.ndarray):
-        """The four rotation slots' alphabet positions of theta tuple indices."""
-        return np.unravel_index(theta, (len(self.thetas),) * 4)
-
-    def _theta_axis(self, symmetric: bool) -> np.ndarray | None:
-        """Theta tuple indices a search visits: all (None), or those whose
-        slots 1, 3 and slots 2, 4 hold equal kinds."""
-        if not symmetric:
-            return None
-        same = self.theta_ids[:, None] == self.theta_ids
-        return np.flatnonzero(same[:, None, :, None] & same[None, :, None, :])
-
-    def _table_rows(self, theta: np.ndarray) -> np.ndarray:
-        """Rows of the theta table for theta tuple indices over the alphabet."""
-        if len(self.thetas) == len(self.kinds):
-            return theta
-        return np.ravel_multi_index(tuple(self.theta_ids[d] for d in self._digits(theta)),
-                                    (len(self.kinds),) * 4)
-
-    def hits(self, bits: np.ndarray, symmetric: bool):
-        """Per block of the space, the CoreSpecs, in enumeration order, of
-        the configurations whose p(target=1) lies within ATOL_NORM of the
-        target bit (`bits`, one per branch) on all four branches, with
-        their target blocks of shape (hits, 4, 2, 2).
-
-        The target starts in |0>, so p(target=1) on branch c is
-        |L[col][1] . w|^2 with w = T[theta, c] . F[r][:, 0]: w is formed per
-        (r, theta) pair and one product with row 1 of every column gives the
-        whole (4, pairs, cols) grid.  Only hits get their full blocks."""
-        axis = self._theta_axis(symmetric)
-        n_theta = len(self.thetas) ** 4 if axis is None else len(axis)
-        for pairs, cols in _blocks(len(self.first) * n_theta, len(self.last)):
-            r, theta = np.divmod(pairs, n_theta)
-            if axis is not None:
-                theta = axis[theta]
-            middles = self.middles[self._table_rows(theta)]
-            # branch-major, so the test over branches reduces the outer axis
-            w = np.einsum("pbij,pj->bpi", middles, self.first[r, :, 0]).reshape(-1, 2)
-            amp = (w @ self.last[cols, 1].T).reshape(4, len(r), -1)
-            keep = np.all(np.abs(np.abs(amp) ** 2 - bits[:, None, None]) <= ATOL_NORM, axis=0)
-            i_pair, i_col = np.nonzero(keep)
-            if len(i_pair):
-                r, theta, col = r[i_pair], theta[i_pair], i_col + cols.start
-                yield (self._specs(r, theta, col),
-                       self.last[col, None] @ middles[i_pair] @ self.first[r, None])
-
-    def _specs(self, r, theta, col) -> list[CoreSpec]:
-        """CoreSpecs of configurations given by pair row, theta tuple index
-        and column."""
-        i_sp1, i_ax1 = np.divmod(r, len(self.ax1))
-        i_ax2, i_sp2 = np.divmod(col, len(self.sp))
-        slots = np.stack(self._digits(theta), axis=1)
-        return [CoreSpec(sp1=self.sp[s1], ax1=self.ax1[a1], theta=tuple(self.thetas[d] for d in th),
-                         ax2=self.ax2[a2], sp2=self.sp[s2])
-                for s1, a1, th, a2, s2 in zip(i_sp1.tolist(), i_ax1.tolist(), slots.tolist(),
-                                              i_ax2.tolist(), i_sp2.tolist())]
+    Each block factors as B_c = L[col] . T[theta, c] . F[r]: F = AX1.SP1
+    has one row r per (sp1, ax1) pair, L = SP2.AX2 one column per
+    (ax2, sp2) pair, and T is the cached table of the rotation kinds.
+    Configuration (r * len(thetas)**4 + theta) * cols + col is the C order
+    of `iter_specs` over these alphabets.  The target starts in |0>, so
+    p(target=1) on branch c is |L[col][1] . w|^2 with
+    w = T[theta, c] . F[r][:, 0]: w is formed per (r, theta) pair and one
+    product with row 1 of every column gives the whole (4, pairs, cols)
+    grid.  Only hits get their full blocks."""
+    middles = _theta_middles(tuple(thetas))
+    sps = np.array([gate_matrix(s) for s in sp])
+    first = (np.array([_target_matrix(a) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
+    last = (sps @ np.array([_target_matrix(a) for a in ax2])[:, None]).reshape(-1, 2, 2)
+    for pairs, cols in _blocks(len(first) * len(middles), len(last)):
+        r, theta = np.divmod(pairs, len(middles))
+        # branch-major, so the test over branches reduces the outer axis
+        w = np.einsum("pbij,pj->bpi", middles[theta], first[r, :, 0]).reshape(-1, 2)
+        amp = (w @ last[cols, 1].T).reshape(4, len(r), -1)
+        keep = np.all(np.abs(np.abs(amp) ** 2 - bits[:, None, None]) <= ATOL_NORM, axis=0)
+        i_pair, i_col = np.nonzero(keep)
+        if len(i_pair):
+            r, theta, col = r[i_pair], theta[i_pair], i_col + cols.start
+            slots = np.stack([*np.divmod(r, len(ax1)), *np.divmod(col, len(sp)),
+                              *np.unravel_index(theta, (len(thetas),) * 4)], axis=1)
+            specs = [CoreSpec(sp1=sp[s1], ax1=ax1[a1],
+                              theta=(thetas[t1], thetas[t2], thetas[t3], thetas[t4]),
+                              ax2=ax2[a2], sp2=sp[s2])
+                     for s1, a1, a2, s2, t1, t2, t3, t4 in slots.tolist()]
+            yield specs, last[col, None] @ middles[theta] @ first[r, None]
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
     """All configurations in the query space realizing the target function.
 
-    Each target block factors as B_c = L . T[theta, c] . F, so one numpy
-    pass decides every configuration's hit from two small contractions,
-    by the `truth_table` rule (p(target=1) within ATOL_NORM of the target
-    bit on every branch).  Each block of hits is graded in one
-    `equivalence_levels` call: the four 2x2 blocks of a hit's block-diagonal
-    unitary, stacked row-wise, against the phase-exact oracle's blocks.
-    Results are sorted by configuration for determinism.
+    One numpy pass, `_hit_blocks`, decides every configuration of the plain
+    grid over the distinct entries of each alphabet by the `truth_table`
+    rule (p(target=1) within ATOL_NORM of the target bit on every branch).
+    Each block of hits is graded in one `equivalence_levels` call: the four
+    2x2 blocks of a hit's block-diagonal unitary, stacked row-wise, against
+    the phase-exact oracle's blocks.  Symmetry and duplicates apply to the
+    hits: a symmetric query drops the others, and a hit is reported once
+    per way its nine slots' entries occur in the query's alphabets, as
+    `iter_specs` enumerates it.  Results are sorted by configuration for
+    determinism.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
+    sp, ax1, thetas, ax2 = alphabets = _alphabets(query)
     bits = np.array([int(ch) for ch in query.target])
     oracle = _FLIP[bits].reshape(8, 2)
-    hits = [SearchHit(spec, level)
-            for specs, blocks in _BranchBatch(query).hits(bits, query.symmetric)
-            for spec, level in zip(specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle))]
+    hits = []
+    for specs, blocks in _hit_blocks(*(tuple(dict.fromkeys(a)) for a in alphabets), bits):
+        for spec, level in zip(specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle)):
+            if query.symmetric and not spec.symmetric:
+                continue
+            ways = (sp.count(spec.sp1) * ax1.count(spec.ax1) * ax2.count(spec.ax2)
+                    * sp.count(spec.sp2) * math.prod(thetas.count(t) for t in spec.theta))
+            hits += [SearchHit(spec, level)] * ways
     hits.sort(key=lambda h: h.spec.sort_key())
     return hits
 

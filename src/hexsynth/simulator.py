@@ -309,7 +309,6 @@ def truth_string(table: dict[str, int]) -> str:
 PHASE_STEP_LABELS = {0: "|+>", 1: "pi/4", 2: "|+i>", 3: "3pi/4",
                      4: "|->", 5: "5pi/4", 6: "|-i>", 7: "7pi/4"}
 TRACE_SKIP = "-"
-STAGE_NAMES = ("SP1", "theta1", "CX_c2", "theta2", "CX_c1", "theta3", "CX_c2", "theta4", "SP2")
 
 
 def _equatorial_label(psi: np.ndarray) -> str:

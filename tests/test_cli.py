@@ -252,6 +252,15 @@ class TestBadInputFiles:
         assert run("cost", "and3", "--placement", str(bad)) == 1
         assert "placement qubits must be integers" in capsys.readouterr().err
 
+    def test_cost_placement_qubit_off_the_map(self, tmp_path, capsys):
+        off = tmp_path / "p.json"
+        off.write_text(json.dumps({"assignment": {"c1": 61, "t": 62, "c2": 999}}))
+        assert run("cost", "and3", "--placement", str(off)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "physical qubit 999, off the 127-qubit map" in captured.err
+
 
 class TestRepeatedCalls:
     # `main` keeps one parser for the process; no call may leave anything

@@ -124,6 +124,10 @@ class TestPlacement:
         with pytest.raises(LayoutError, match="placement qubits must be integers"):
             Placement({"t": qubit})
 
+    def test_assignment_is_a_mapping(self):
+        with pytest.raises(LayoutError, match="placement must map wire names to qubits"):
+            Placement([("t", 1)])
+
     def test_json_round_trip(self):
         p = Placement({"c1": 61, "t": 62, "c2": 63})
         assert Placement.from_dict(p.as_dict()).assignment == p.assignment
@@ -230,6 +234,13 @@ class TestVerifyNoSwap:
     def test_uncovered_wire_errors(self, brisbane):
         with pytest.raises(LayoutError, match="cover"):
             verify_no_swap(build_gate("and3"), brisbane, Placement({"c1": 61, "t": 62}))
+
+    @pytest.mark.parametrize("qubit", [999, 127, -4])
+    def test_off_map_qubit_errors(self, brisbane, qubit):
+        off = Placement({"c1": 61, "t": 62, "c2": qubit})
+        with pytest.raises(LayoutError, match=f"placement puts wire 'c2' on physical qubit "
+                                              f"{qubit}, off the 127-qubit map"):
+            verify_no_swap(build_gate("and3"), brisbane, off)
 
     def test_works_on_any_map(self):
         # square-lattice style map: no heavy-hex assumption in the checker

@@ -204,6 +204,15 @@ class TestBatchedSearchMatchesReference:
         assert len(hits) == 538
         assert all(h.level.at_least(EquivalenceLevel.L2_RELATIVE_PHASE) for h in hits)
 
+    def test_symmetric_is_a_filter_of_the_full_cli_space(self):
+        ax = tuple(AX_ENTRIES)
+        for target in TARGETS:
+            q = query_from_names(target, sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
+                                 theta=("s", "sdg", "t", "tdg"))
+            assert rules._space_size(q) == 230400
+            symmetric = search(dataclasses.replace(q, symmetric=True))
+            assert symmetric == [h for h in search(q) if h.spec.symmetric]
+
     BAD_ENTRIES = [(dict(sp_set=(K.H, K.T)), "superposition"),
                    (dict(theta_set=(K.T, K.H)), "theta"),
                    (dict(ax1_set=((), (K.RZ,))), "requires an Angle"),
@@ -246,8 +255,8 @@ class TestBatchedSearchMatchesReference:
                              (1j, EquivalenceLevel.L2_RELATIVE_PHASE)):
             graded = blocks.astype(complex)
             graded[:, flips] *= phase
-            monkeypatch.setattr(rules._BranchBatch, "hits",
-                                lambda self, bits, symmetric, b=graded: iter([([spec], b)]))
+            monkeypatch.setattr(rules, "_hit_blocks",
+                                lambda sp, ax1, thetas, ax2, bits, b=graded: iter([([spec], b)]))
             assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
 
     def test_theta_table_cached_per_distinct_kinds(self):
