@@ -9,6 +9,10 @@ Conventions used throughout the package:
     that adjacent rotations merge losslessly; a float fallback exists for
     angles that are not rational multiples of pi.  An Angle is normalized
     to (-2*pi, 2*pi] once, when it is constructed; gates keep it as given.
+    Clifford+T needs only the 16 multiples of pi/4 in that window: an
+    Angle on that grid adds and tests for zero as an integer mod 16, and
+    grid sums are 16 shared instances.  Other exact angles use Fraction
+    arithmetic, and float angles float arithmetic.
 
 Circuits are immutable values; builders and transforms return new circuits.
 """
@@ -21,9 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 
 class GateKind(Enum):
+    """A gate kind: its value is the text tag; `arity` and `takes_angle` are
+    plain attributes of each member, so reading them runs no Python code."""
+
     I = "i"
     X = "x"
     Y = "y"
@@ -35,24 +43,24 @@ class GateKind(Enum):
     SDG = "sdg"
     T = "t"
     TDG = "tdg"
-    RZ = "rz"
-    RY = "ry"
-    CX = "cx"
-    CY = "cy"
-    CZ = "cz"
-    SWAP = "swap"
-    ECR = "ecr"
+    RZ = "rz", 1, True
+    RY = "ry", 1, True
+    CX = "cx", 2
+    CY = "cy", 2
+    CZ = "cz", 2
+    SWAP = "swap", 2
+    ECR = "ecr", 2
 
-    @property
-    def arity(self) -> int:
-        return 2 if self in _TWO_QUBIT else 1
+    def __new__(cls, tag: str, arity: int = 1, takes_angle: bool = False):
+        kind = object.__new__(cls)
+        kind._value_ = tag
+        kind.arity = arity
+        kind.takes_angle = takes_angle
+        return kind
 
-    @property
-    def takes_angle(self) -> bool:
-        return self in (GateKind.RZ, GateKind.RY)
-
-
-_TWO_QUBIT = frozenset({GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.SWAP, GateKind.ECR})
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with == and is computed in C (Enum's own hashes the name).
+    __hash__ = object.__hash__
 
 
 class CircuitError(ValueError):
@@ -67,6 +75,13 @@ class Angle:
     carries plain radians only when `frac` is None.  The constructor
     normalizes every angle to the half-open interval (-2*pi, 2*pi] and
     rejects a non-finite one, so no other code repeats either rule.
+
+    An exact angle on the pi/4 grid also keeps its index k = 4*frac mod 16
+    (outside the fields, so `==`, `hash` and `repr` read only `frac` and
+    `value`): `plus` and `negated` of grid angles add indices and return
+    one of 16 shared instances, and `is_zero_mod_2pi` tests k in {0, 8}.
+    An exact sum is then always a Fraction multiple of pi.  Other exact
+    angles take Fraction arithmetic; floats take float arithmetic.
     """
 
     frac: Fraction | None = None
@@ -74,15 +89,20 @@ class Angle:
 
     def __post_init__(self):
         if self.frac is not None:
-            if not isinstance(self.frac, (int, Fraction)):
+            frac = self.frac
+            if type(frac) is bool or not isinstance(frac, (int, Fraction)):
                 raise CircuitError(f"an exact angle is an int or Fraction multiple of pi, got "
-                                   f"{self.frac!r}; use Angle.from_radians for radians")
+                                   f"{frac!r}; use Angle.from_radians for radians")
             if self.value:
                 raise CircuitError("an exact angle carries no radians")
-            if not -2 < self.frac <= 2:
-                r = self.frac % 4
-                object.__setattr__(self, "frac", r - 4 if r > 2 else r)
+            if not -2 < frac <= 2:
+                r = frac % 4
+                frac = r - 4 if r > 2 else r
+                object.__setattr__(self, "frac", frac)
+            den = frac.denominator  # on the grid when it divides 4
+            object.__setattr__(self, "_k", frac.numerator * (4 // den) % 16 if 4 % den == 0 else None)
             return
+        object.__setattr__(self, "_k", None)
         if not math.isfinite(self.value):
             raise CircuitError(f"angle must be finite, got {self.value!r}")
         r = math.fmod(self.value, 4 * math.pi)
@@ -94,6 +114,8 @@ class Angle:
 
     @staticmethod
     def pi_frac(num: int, den: int = 1) -> "Angle":
+        if type(num) is int and type(den) is int and den and 4 % den == 0:
+            return _GRID[num * (4 // den) % 16]
         return Angle(Fraction(num, den))
 
     @staticmethod
@@ -105,21 +127,31 @@ class Angle:
         return self.frac is not None
 
     @property
+    def on_grid(self) -> bool:
+        """True for an exact multiple of pi/4: one of 16 angles, the only ones
+        Clifford+T needs."""
+        return self._k is not None
+
+    @property
     def radians(self) -> float:
         return float(self.frac) * math.pi if self.frac is not None else self.value
 
     def plus(self, other: "Angle") -> "Angle":
+        if self._k is not None and other._k is not None:
+            return _GRID[(self._k + other._k) % 16]
         if self.frac is not None and other.frac is not None:
             return Angle(self.frac + other.frac)
         return Angle(value=self.radians + other.radians)
 
     def negated(self) -> "Angle":
+        if self._k is not None:
+            return _GRID[-self._k % 16]
         return Angle(-self.frac) if self.frac is not None else Angle(value=-self.value)
 
     def is_zero_mod_2pi(self) -> bool:
         """True when the rotation is the identity up to global phase."""
         if self.frac is not None:
-            return self.frac == 0 or self.frac == 2
+            return self._k == 0 or self._k == 8  # 0 and 2*pi lie on the grid
         r = math.fmod(self.value, 2 * math.pi)
         return min(abs(r), abs(abs(r) - 2 * math.pi)) < 1e-12
 
@@ -134,6 +166,10 @@ class Angle:
         head = "pi" if num == 1 else f"{num}*pi"
         tail = "" if den == 1 else f"/{den}"
         return sign + head + tail
+
+
+# the grid angles k*pi/4 by index k mod 16, with frac in (-2, 2]
+_GRID = tuple(Angle(Fraction(k if k <= 8 else k - 16, 4)) for k in range(16))
 
 
 _ANGLE_RE = re.compile(r"^(?P<sign>-)?(?:(?P<num>\d+)\*)?pi(?:/(?P<den>\d+))?$")
@@ -166,18 +202,24 @@ class Gate:
     angle: Angle | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if not isinstance(self.kind, GateKind):
-            raise CircuitError(f"gate kind must be a GateKind, got {self.kind!r}")
-        if len(self.qubits) != self.kind.arity:
-            raise CircuitError(f"{self.kind.value} expects {self.kind.arity} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"repeated qubit in {self.kind.value} {self.qubits}")
-        if self.kind.takes_angle:
+        kind, qubits = self.kind, self.qubits
+        if type(qubits) is not tuple:
+            try:
+                qubits = tuple(qubits)
+            except TypeError:
+                raise CircuitError(f"gate qubits must be a sequence, got {qubits!r}") from None
+            object.__setattr__(self, "qubits", qubits)
+        if not isinstance(kind, GateKind):
+            raise CircuitError(f"gate kind must be a GateKind, got {kind!r}")
+        if len(qubits) != kind.arity:
+            raise CircuitError(f"{kind.value} expects {kind.arity} qubit(s), got {qubits}")
+        if kind.arity == 2 and qubits[0] == qubits[1]:
+            raise CircuitError(f"repeated qubit in {kind.value} {qubits}")
+        if kind.takes_angle:
             if not isinstance(self.angle, Angle):
-                raise CircuitError(f"{self.kind.value} requires an Angle, got {self.angle!r}")
+                raise CircuitError(f"{kind.value} requires an Angle, got {self.angle!r}")
         elif self.angle is not None:
-            raise CircuitError(f"{self.kind.value} takes no angle")
+            raise CircuitError(f"{kind.value} takes no angle")
 
     def text(self) -> str:
         """The gate's line of circuit text.  It is rendered once and kept in
@@ -216,6 +258,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if type(self.width) is not int:
+            raise CircuitError(f"circuit width must be an integer, got {self.width!r}")
         if self.width < 1:
             raise CircuitError("circuit width must be >= 1")
         # a range tests an int in O(1): no per-wire set for a wide circuit
@@ -294,8 +338,9 @@ def depth(circuit: Circuit) -> int:
 
 def count_gates(circuit: Circuit) -> CostReport:
     """Count gates by tag (RZ counts once per instance regardless of angle)."""
-    counts = Counter(g.kind.value for g in circuit.gates)
-    return CostReport(counts=dict(counts), qc=len(circuit.gates), depth=depth(circuit))
+    kinds = Counter(map(attrgetter("kind"), circuit.gates))
+    return CostReport(counts={kind.value: n for kind, n in kinds.items()}, qc=len(circuit.gates),
+                      depth=depth(circuit))
 
 
 def emit_text(circuit: Circuit) -> str:

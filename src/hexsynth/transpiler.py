@@ -6,12 +6,14 @@ package's circuit text (RY, whose expansion depends on its angle, is the one
 rule in code).  Lowering is one pass: each gate expands recursively through
 the table, and CX maps to a single ECR dressed by fixed native single-qubit
 sequences.  Each basis parses the table once and keeps one lowering memo per
-process: an angle-free gate is expanded the first time it is seen, and every
-later `lower` call reuses that expansion, sharing its (immutable) native
-`Gate` objects.
+process: an angle-free gate, or an RY by a multiple of pi/4, is expanded the
+first time it is seen, and every later `lower` call reuses that expansion,
+sharing its (immutable) native `Gate` objects.  An RY by any other angle is
+expanded on every call.
 
 The peephole is one left-to-right sweep that keeps a stack per wire.  It
-merges adjacent RZ with exact rational-pi arithmetic, cancels adjacent
+merges adjacent RZ with exact arithmetic (on integers mod 16 for multiples
+of pi/4, as `Angle` keeps them; rational-pi otherwise), cancels adjacent
 CX/ECR pairs, and reduces each same-wire run of {sqrt(X), X} by its value
 mod 4 (sqrt(X)^2 = X, X^2 = I).  A run of value 0 is the identity, so
 rotations and two-qubit gates on either side of it meet through it.  Runs
@@ -89,8 +91,10 @@ def _ry_rule(g: Gate) -> tuple[Gate, ...]:
 
 class _Lowering:
     """One basis's rewrite rules, applied recursively.  The expansion of each
-    angle-free gate is memoized per basis, per process; a gate with an angle
-    (RY) is expanded on every call and never stored."""
+    angle-free gate, and of each RY whose angle is on the pi/4 grid, is
+    memoized per basis, per process; the grid has 16 angles, so the memo is
+    bounded by the kinds and grid angles times the wires and wire pairs seen.
+    An RY by any other angle is expanded on every call and never stored."""
 
     def __init__(self, basis: NativeBasis):
         self.allowed = basis.allowed
@@ -102,7 +106,7 @@ class _Lowering:
         if g.kind in self.allowed:
             identity = g.kind is K.I or (g.kind is K.RZ and g.angle.is_zero_mod_2pi())
             return () if identity else (g,)
-        if g.angle is not None:
+        if g.angle is not None and not g.angle.on_grid:
             return self._expand(g)
         native = self.memo.get(g)
         if native is None:
@@ -275,9 +279,9 @@ def _emit_wire(stack: list, q: int) -> None:
 def peephole(circuit: Circuit) -> Circuit:
     """One left-to-right sweep over per-wire stacks (no resynthesis).
 
-    Adjacent RZ merge with exact rational-pi arithmetic, adjacent CX/ECR
-    pairs cancel, and {SX, X} runs reduce by their value mod 4.  No gate
-    count of any tag rises above the input's.
+    Adjacent RZ merge with exact arithmetic, adjacent CX/ECR pairs cancel,
+    and {SX, X} runs reduce by their value mod 4.  No gate count of any tag
+    rises above the input's.
     """
     # per-wire state only for the wires that carry a gate
     stacks: dict[int, list] = defaultdict(list)

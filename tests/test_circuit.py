@@ -68,11 +68,38 @@ class TestAngle:
         with pytest.raises(CircuitError, match="no radians"):
             Angle(Fraction(1, 4), 0.5)
 
-    @pytest.mark.parametrize("frac", [1.5, "1/4", complex(1)])
+    @pytest.mark.parametrize("frac", [1.5, "1/4", complex(1), True])
     def test_inexact_frac_rejected(self, frac):
         # a float meant as radians goes through from_radians, not frac
         with pytest.raises(CircuitError, match="from_radians"):
             Angle(frac)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_ANGLES, _ANGLES)
+    def test_sum_matches_fraction_arithmetic(self, a, b):
+        # grid angles add as integers mod 16; the result must be the value
+        # Fraction arithmetic gives, down to its hash and text
+        s = a.plus(b)
+        if a.rational and b.rational:
+            fresh = Angle(a.frac + b.frac)
+            assert s == fresh and hash(s) == hash(fresh) and s.text() == fresh.text()
+            assert a.negated() == Angle(-a.frac) and hash(a.negated()) == hash(Angle(-a.frac))
+        else:
+            assert s == Angle.from_radians(a.radians + b.radians)
+        for x in (a, s):
+            if x.rational:
+                assert x.is_zero_mod_2pi() == (x.frac in (0, 2))
+                assert x.on_grid == ((4 * x.frac).denominator == 1)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.integers(-40, 40))
+    def test_shared_grid_angle_is_a_plain_value(self, k):
+        # a shared instance stands in for a fresh one as a dict key (the
+        # lowering memo, any dict keyed by Gate)
+        shared, fresh = Angle.pi_frac(k, 4), Angle(Fraction(k, 4))
+        assert shared is Angle.pi_frac(k, 4) and shared is not fresh
+        assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
+        assert hash(Gate(K.RZ, (0,), shared)) == hash(Gate(K.RZ, (0,), fresh))
 
     def test_two_pi_is_identity_mod_phase(self):
         assert Angle.pi_frac(2).is_zero_mod_2pi()
@@ -127,6 +154,17 @@ class TestGateAndCircuit:
     def test_kind_must_be_a_gate_kind(self, kind):
         with pytest.raises(CircuitError, match="must be a GateKind"):
             Gate(kind, (0,))
+
+    @pytest.mark.parametrize("width", [2.5, "3", None, True])
+    def test_width_must_be_an_int(self, width):
+        with pytest.raises(CircuitError, match="width must be an integer"):
+            Circuit(width)
+
+    @pytest.mark.parametrize("qubits", [5, None])
+    def test_qubits_must_be_a_sequence(self, qubits):
+        with pytest.raises(CircuitError, match="qubits must be a sequence"):
+            Gate(K.X, qubits)
+        assert Gate(K.CX, [0, 1]).qubits == (0, 1)
 
     def test_gate_keeps_its_angle(self):
         a = Angle.pi_frac(9, 4)

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 import re
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexsynth import transpiler
-from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, parse_text
+from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, emit_text, parse_text
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
 from hexsynth.layout import CouplingMap, heavy_hex_127
 from hexsynth.simulator import EquivalenceLevel, equivalence, unitary_of
@@ -439,10 +441,23 @@ class TestSharedLowering:
         assert forward == backward
         assert forward == [reference_lower(c, basis) for c in circuits]
 
+    @pytest.mark.parametrize("basis", list(NativeBasis))
+    def test_grid_angle_ry_is_lowered_once(self, basis):
+        # RY by a multiple of pi/4 is memoized like an angle-free gate; a
+        # fresh Angle of the same value finds the same entry
+        shared = Circuit(2, tuple(G(K.RY, q, angle=Angle.pi_frac(n, 4))
+                                  for n in range(-7, 9) for q in (0, 1)))
+        fresh = shared.with_gates(G(K.RY, *g.qubits, angle=Angle(g.angle.frac)) for g in shared.gates)
+        first, second = lower(shared, basis), lower(fresh, basis)
+        assert first == second == reference_lower(shared, basis)
+        assert all(a is b for a, b in zip(first.gates, second.gates))
+
     def test_angle_gates_are_not_stored(self):
         rng = random.Random(5)
+        off_grid = [Angle.pi_frac(n, d) for d in (3, 5) for n in (1, 2, -4, 7)]
         c = Circuit(3, tuple(G(K.RY, rng.randrange(3), angle=Angle.from_radians(rng.uniform(-3, 3)))
-                             for _ in range(200)))
+                             for _ in range(200))
+                    + tuple(G(K.RY, q, angle=a) for a in off_grid for q in range(3)))
         sizes = {basis: len(_LOWERINGS[basis].memo) for basis in NativeBasis}
         for basis in NativeBasis:
             assert lower(c, basis) == reference_lower(c, basis)
@@ -500,6 +515,39 @@ class TestSoundnessSweep:
             for basis in NativeBasis:
                 worst = min(worst, fidelity(c, lower_and_optimize(c, basis)))
         assert worst >= 1 - 1e-9
+
+
+# rotations off the pi/4 grid: exact pi/3, pi/5, pi/8 multiples and plain radians
+_OFF_GRID = (Angle.pi_frac(1, 3), Angle.pi_frac(-2, 5), Angle.pi_frac(3, 8), Angle.pi_frac(7, 6),
+             Angle.from_radians(0.3), Angle.from_radians(-1.2), Angle.from_radians(math.pi / 4))
+
+
+def _digest_corpus():
+    """Seeded Clifford+T circuits, some with off-grid RZ/RY mixed in."""
+    rng = random.Random(16016)
+    corpus = []
+    for i in range(80):
+        c = random_clifford_t_circuit(rng, rng.randint(1, 6), rng.randint(0, 120))
+        gates = list(c.gates)
+        if i % 4 == 0:
+            for _ in range(rng.randint(1, 8)):
+                gates.insert(rng.randint(0, len(gates)),
+                             G(rng.choice((K.RZ, K.RY)), rng.randrange(c.width),
+                               angle=rng.choice(_OFF_GRID)))
+        corpus.append(c.with_gates(gates))
+    return corpus
+
+
+class TestOutputDigest:
+    def test_transpile_output_is_unchanged(self):
+        # the sha256 of every emitted circuit, pinned when the peephole still
+        # merged every exact angle as a Fraction: a change in how angles are
+        # stored or merged must not change one byte of output
+        h = hashlib.sha256()
+        for c in _digest_corpus():
+            for basis in NativeBasis:
+                h.update(emit_text(peephole(lower(c, basis))).encode())
+        assert h.hexdigest() == "5aaf8fe4446608e38e7c97c7452e458b969423cbcaf22eb8bdc9b0f2afaaa6b5"
 
 
 class TestRouteNaive:
