@@ -67,6 +67,15 @@ class CircuitError(ValueError):
     """Raised for structurally invalid gates, circuits, or circuit text."""
 
 
+def _as_tuple(items, what: str) -> tuple:
+    if type(items) is tuple:
+        return items
+    try:
+        return tuple(items)
+    except TypeError:
+        raise CircuitError(f"{what} must be a sequence, got {items!r}") from None
+
+
 @dataclass(frozen=True)
 class Angle:
     """A rotation angle, stored as a rational multiple of pi when exact.
@@ -204,10 +213,7 @@ class Gate:
     def __post_init__(self):
         kind, qubits = self.kind, self.qubits
         if type(qubits) is not tuple:
-            try:
-                qubits = tuple(qubits)
-            except TypeError:
-                raise CircuitError(f"gate qubits must be a sequence, got {qubits!r}") from None
+            qubits = _as_tuple(qubits, "gate qubits")
             object.__setattr__(self, "qubits", qubits)
         if not isinstance(kind, GateKind):
             raise CircuitError(f"gate kind must be a GateKind, got {kind!r}")
@@ -257,20 +263,29 @@ class Circuit:
     wire_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        gates = _as_tuple(self.gates, "circuit gates")
+        object.__setattr__(self, "gates", gates)
         if type(self.width) is not int:
             raise CircuitError(f"circuit width must be an integer, got {self.width!r}")
         if self.width < 1:
             raise CircuitError("circuit width must be >= 1")
         # a range tests an int in O(1): no per-wire set for a wide circuit
         wires = range(self.width)
-        if not all(q in wires for q in set(chain.from_iterable(g.qubits for g in self.gates))):
-            bad = next(g for g in self.gates if any(q not in wires for q in g.qubits))
-            raise CircuitError(f"gate {bad.kind.value} {bad.qubits} outside width {self.width}")
+        try:
+            fits = all(q in wires for q in set(chain.from_iterable(g.qubits for g in gates)))
+        except (AttributeError, TypeError):  # an item that is no Gate, or an unhashable qubit
+            fits = False
+        if not fits:
+            for g in gates:
+                if not isinstance(g, Gate):
+                    raise CircuitError(f"circuit gates must be Gate instances, got {g!r}")
+                if any(q not in wires for q in g.qubits):
+                    raise CircuitError(f"gate {g.kind.value} {g.qubits} outside width {self.width}")
         for attr in ("roles", "wire_names"):
             v = getattr(self, attr)
             if v is not None:
-                object.__setattr__(self, attr, tuple(v))
+                v = _as_tuple(v, attr)
+                object.__setattr__(self, attr, v)
                 if len(v) != self.width:
                     raise CircuitError(f"{attr} length {len(v)} != width {self.width}")
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 
 from .circuit import Circuit, CircuitError
 from .library import build_gate
@@ -30,32 +32,30 @@ class LayoutError(CircuitError):
 class CouplingMap:
     """Physical-qubit adjacency graph (undirected, no self-loops).  The
     constructor holds every map rule: an int `num_qubits`, and edges of two
-    distinct int qubits in range, each stored as an ascending pair."""
+    distinct int qubits in range, each stored as an ascending pair.  It
+    checks the edges in bulk; the neighbor lists are built on the first
+    `neighbors` or `qubits` call, since a map that is only asked `has_edge`
+    never needs them."""
 
     name: str
     num_qubits: int
     edges: frozenset
-    _adjacent: dict = field(init=False, repr=False, compare=False)  # qubit -> sorted neighbors
 
     def __post_init__(self):
         if type(self.num_qubits) is not int:
             raise LayoutError(f"num_qubits must be an integer, got {self.num_qubits!r}")
-        norm = set()
-        for e in self.edges:
-            if type(e) is not tuple or len(e) != 2 or not all(type(q) is int for q in e):
-                raise LayoutError(f"an edge must be two integer qubits, got {e!r}")
-            a, b = e
-            if a == b:
-                raise LayoutError(f"self-loop edge [{a}, {b}]")
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise LayoutError(f"edge [{a}, {b}] outside 0..{self.num_qubits - 1}")
-            norm.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        edges = tuple(self.edges)
+        _check_edges(edges, self.num_qubits)
+        object.__setattr__(self, "edges", frozenset(e if e[0] < e[1] else e[::-1] for e in edges))
+
+    @functools.cached_property
+    def _adjacent(self) -> dict:
+        """qubit -> its neighbors, ascending"""
         adjacent = {}
-        for a, b in norm:
+        for a, b in self.edges:
             adjacent.setdefault(a, []).append(b)
             adjacent.setdefault(b, []).append(a)
-        object.__setattr__(self, "_adjacent", {q: tuple(sorted(ns)) for q, ns in adjacent.items()})
+        return {q: tuple(sorted(ns)) for q, ns in adjacent.items()}
 
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges
@@ -92,6 +92,25 @@ class CouplingMap:
                 "edges": sorted([a, b] for a, b in self.edges)}
 
 
+def _check_edges(edges: tuple, num_qubits: int) -> None:
+    """Raise LayoutError for the first edge that breaks a map rule.  The
+    rules are tested in bulk; the edges are walked one by one only to name
+    the offender."""
+    if {*map(type, edges)} <= {tuple} and {*map(len, edges)} <= {2}:
+        ends = list(chain.from_iterable(edges))
+        if ({*map(type, ends)} <= {int} and not any(map(eq, ends[0::2], ends[1::2]))
+                and (not ends or 0 <= min(ends) and max(ends) < num_qubits)):
+            return
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2 or not all(type(q) is int for q in e):
+            raise LayoutError(f"an edge must be two integer qubits, got {e!r}")
+        a, b = e
+        if a == b:
+            raise LayoutError(f"self-loop edge [{a}, {b}]")
+        if not (0 <= a < num_qubits and 0 <= b < num_qubits):
+            raise LayoutError(f"edge [{a}, {b}] outside 0..{num_qubits - 1}")
+
+
 def load_map(source) -> CouplingMap:
     """Read a coupling map (checked by `CouplingMap`) from a JSON path, file object, or dict."""
     if isinstance(source, dict):
@@ -107,7 +126,7 @@ def load_map(source) -> CouplingMap:
             raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
         name, num_qubits = str(data.get("name", "unnamed")), data["num_qubits"]
-        edges = [tuple(e) for e in data["edges"]]
+        edges = list(map(tuple, data["edges"]))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise LayoutError(f"malformed coupling-map JSON: {e}") from None
     return CouplingMap(name=name, num_qubits=num_qubits, edges=frozenset(edges))

@@ -7,15 +7,20 @@ symmetric 3-bit cores, Pauli conjugation by Clifford gates, and q-sphere
 point extraction.
 
 One kernel, `_apply_matrix`, applies every gate: the amplitudes are
-reshaped so the acted-on wires are axes of their own, then multiplied once.
-Amplitudes may carry trailing batch columns, so `apply` (one state),
-`unitary_of` (the identity's 2^n columns) and `truth_table` (one basis
-column per control assignment) all call the one sweep over the gates,
-`_sweep`.  A core's controls are only ever CX controls, so `phase_trace`
-walks the target's two amplitudes alone, the per-branch view the
-configuration search also uses.  One grader, `equivalence_levels`, grades a
-stack of matrices against one reference: `equivalence` grades dense
-unitaries with it, and the search the 2x2 target blocks of its hits.
+reshaped so each acted-on wire is an axis of two, and each output slice of
+those axes is written from the input slices its matrix row names.  A
+diagonal gate scales its slices in place, a one-wire gate with a two-term
+row (H, SX, RY) is one matmul, and any other gate is a term-wise product:
+CX and SWAP are four copies, ECR eight multiply-adds.  Amplitudes may carry
+trailing batch columns, so `apply` (one state), `unitary_of` (the
+identity's 2^n columns) and `truth_table` (one basis column per control
+assignment) all call the one sweep over the gates, `_sweep`, which copies
+its input once and then moves between two buffers of its own.  A core's
+controls are only ever CX controls, so `phase_trace` walks the target's two
+amplitudes alone, the per-branch view the configuration search also uses.
+One grader, `equivalence_levels`, grades a stack of matrices against one
+reference: `equivalence` grades dense unitaries with it, and the search the
+2x2 target blocks of its hits.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -27,6 +32,7 @@ Matrix conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -146,28 +152,103 @@ class Statevector:
         return Statevector(n, amps)
 
 
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a one- or two-qubit matrix at the given qubit positions
+# the slice of a wires-first view that holds local index i: one wire, two wires
+_SLICES = {2: ((0,), (1,)), 4: ((0, 0), (0, 1), (1, 0), (1, 1))}
+_SCALE, _MATMUL, _TERMS = "scale", "matmul", "terms"
+
+
+@functools.lru_cache(maxsize=256)
+def _form(data: bytes, dim: int) -> tuple:
+    """How `_apply_matrix` applies a complex dim x dim matrix, read from its
+    entries.  They come as bytes, so the cache keys on the matrix's content
+    and never on the gate it belongs to:
+
+      - (_SCALE, ((i, d), ...)): a diagonal matrix, by its entries d != 1;
+      - (_MATMUL, ()): a one-wire matrix with a row of two terms (H, SX, RY);
+      - (_TERMS, ((i, j, c, more), ...)): any other, each output slice i with
+        its row's first nonzero entry c, in column j, and the rest as
+        more = ((j, c), ...); a zero row keeps one zero term.
+
+    i and j name slices of the wires-first view (`_SLICES`).
+    """
+    slices = _SLICES[dim]
+    rows = np.frombuffer(data, dtype=complex).reshape(dim, dim).tolist()
+    terms = [[(slices[j], c) for j, c in enumerate(row) if c] or [(slices[0], 0j)] for row in rows]
+    if all(len(row) == 1 and row[0][0] is slices[i] for i, row in enumerate(terms)):
+        return _SCALE, tuple((slices[i], row[i]) for i, row in enumerate(rows) if row[i] != 1)
+    if dim == 2 and any(len(row) > 1 for row in terms):
+        return _MATMUL, ()
+    return _TERMS, tuple((slices[i], *row[0], tuple(row[1:])) for i, row in enumerate(terms))
+
+
+def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
+                  spare: np.ndarray | None = None) -> np.ndarray:
+    """Apply a complex one- or two-qubit matrix at the given qubit positions
     (qubits[0] = MSB of the local index); `amps` may carry trailing batch
-    axes.  The acted-on wires become axes of a reshape, so no data moves
-    before the product."""
-    rest = amps.size >> n  # trailing batch axes, flattened
+    axes.
+
+    The amplitudes are reshaped so each acted-on wire is an axis of two and
+    viewed with those axes first, so slice i of the view holds every
+    amplitude whose local index is i; nothing is copied.  The matrix's own
+    entries pick the product (`_form`): a diagonal matrix scales its slices
+    in place; a one-wire matrix with a row of two terms is one matmul; any
+    other writes each output slice as the sum, over its row's nonzero
+    entries, of coefficient x input slice.  So X, CX, CY, CZ and SWAP are
+    scaled copies, ECR eight multiply-adds, and no contraction is left.
+
+    The result is written over `amps` or into `spare`, the same shape, and
+    that array is returned.  Without a spare, `amps` is copied first and the
+    caller's array is left as it is.
+    """
+    if spare is None:
+        amps, spare = amps.copy(), np.empty_like(amps)
+    form, terms = _form(mat.tobytes(), len(mat))
+    shape, axes = _wire_axes(qubits, n, amps.size >> n)
+    if form is _MATMUL:
+        np.matmul(mat, amps.reshape(shape), out=spare.reshape(shape))
+        return spare
+    src = amps.reshape(shape).transpose(axes)
+    if form is _SCALE:
+        for i, d in terms:
+            src[i] *= d
+        return amps
+    dst = spare.reshape(shape).transpose(axes)
+    for i, j, c, more in terms:
+        if c == 1:
+            dst[i] = src[j]
+        else:
+            np.multiply(src[j], c, out=dst[i])
+        for j, c in more:
+            dst[i] += c * src[j]
+    return spare
+
+
+@functools.lru_cache(maxsize=256)
+def _wire_axes(qubits: tuple[int, ...], n: int, rest: int) -> tuple[tuple, tuple]:
+    """The shape that gives each acted-on wire an axis of two, and the
+    transpose that puts those axes first, qubits[0] leading."""
     if len(qubits) == 1:
         q = qubits[0]
-        t = amps.reshape(2 ** (n - 1 - q), 2, (2 ** q) * rest)
-        return np.matmul(mat, t).reshape(amps.shape)
+        return (2 ** (n - 1 - q), 2, (2 ** q) * rest), (1, 0, 2)
     a, b = qubits
     hi, lo = max(a, b), min(a, b)
-    t = amps.reshape(2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, (2 ** lo) * rest)
-    subscripts = "ABab,xaybz->xAyBz" if a == hi else "ABab,xbyaz->xByAz"
-    return np.einsum(subscripts, mat.reshape(2, 2, 2, 2), t).reshape(amps.shape)
+    shape = (2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, (2 ** lo) * rest)
+    return shape, (1, 3, 0, 2, 4) if a == hi else (3, 1, 0, 2, 4)
 
 
 def _sweep(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
     """The circuit's gates applied in order to amplitudes over its wires
-    (trailing batch axes ride along): the one gate loop of the module."""
+    (trailing batch axes ride along): the one gate loop of the module.
+    `amps` is copied once, into the first of two buffers the sweep owns;
+    each gate writes over the current buffer or into the other, and the two
+    swap roles when it writes into the other.  The caller's array is left
+    as it is."""
+    amps = amps.astype(complex)
+    spare = np.empty_like(amps)
+    n = circuit.width
     for g in circuit.gates:
-        amps = _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, circuit.width)
+        if _apply_matrix(amps, gate_matrix(g.kind, g.angle), g.qubits, n, spare) is spare:
+            amps, spare = spare, amps
     return amps
 
 
@@ -175,7 +256,7 @@ def apply(circuit: Circuit, state: Statevector) -> Statevector:
     """Left-to-right application of the circuit's gates to a state."""
     if state.n != circuit.width:
         raise SimulationError(f"state has {state.n} qubits, circuit has {circuit.width}")
-    return Statevector(circuit.width, _sweep(state.amps.copy(), circuit))
+    return Statevector(circuit.width, _sweep(state.amps, circuit))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -17,16 +17,17 @@ of pi/4, as `Angle` keeps them; rational-pi otherwise), cancels adjacent
 CX/ECR pairs, and reduces each same-wire run of {sqrt(X), X} by its value
 mod 4 (sqrt(X)^2 = X, X^2 = I).  A run of value 0 is the identity, so
 rotations and two-qubit gates on either side of it meet through it.  Runs
-are emitted once, at the end, in their shortest form; an X is emitted only
-against the X gates of its wire segment (the stretch between two surviving
-two-qubit gates), so the peephole never raises a gate count of any tag.  It
-does no resynthesis.
+are emitted once, at the end, in their shortest form, from one SX and one X
+gate shared per wire and process; an X is emitted only against the X gates
+of its wire segment (the stretch between two surviving two-qubit gates), so
+the peephole never raises a gate count of any tag.  It does no resynthesis.
 
 `route_naive` takes a logical -> physical dict and inserts SWAPs greedily
 along shortest paths.
 """
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -243,6 +244,16 @@ def _cancel_pending(stacks: dict, pending: dict, later: _Fixed) -> None:
             stack.append(landed)
 
 
+@functools.cache
+def _run_outputs(q: int) -> tuple[tuple, tuple]:
+    """The X-free and the X-using output of a run of value 0..3 on wire q.
+    They are built once per wire, per process, so one SX and one X gate per
+    wire are shared (and their text rendered once); the memo is bounded by
+    the wires seen."""
+    sx, x = Gate(K.SX, (q,)), Gate(K.X, (q,))
+    return ((), (sx,), (sx, sx), (sx, sx, sx)), ((), (sx,), (x,), (sx, x))
+
+
 def _emit_wire(stack: list, q: int) -> None:
     """Fix the output of every rotation and run left on one wire.
 
@@ -252,9 +263,7 @@ def _emit_wire(stack: list, q: int) -> None:
     no tag count rises.  Runs with too few SX for the X-free form draw on
     that budget first; what is left goes to the other runs in wire order.
     """
-    sx, x = Gate(K.SX, (q,)), Gate(K.X, (q,))
-    x_free = ((), (sx,), (sx, sx), (sx, sx, sx))
-    with_x = ((), (sx,), (x,), (sx, x))
+    x_free, with_x = _run_outputs(q)
     segment: list[_Run] = []
     for item in stack + [None]:
         if type(item) is _Rz:

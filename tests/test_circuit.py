@@ -181,6 +181,22 @@ class TestGateAndCircuit:
         with pytest.raises(CircuitError, match=r"^gate h \(0.5,\) outside width 2$"):
             Circuit(2, (G(K.H, 1), G(K.H, 0.5)))
 
+    def test_gates_must_be_a_sequence(self):
+        with pytest.raises(CircuitError, match=r"^circuit gates must be a sequence, got 5$"):
+            Circuit(2, 5)
+
+    def test_roles_must_be_a_sequence(self):
+        with pytest.raises(CircuitError, match=r"^roles must be a sequence, got 3$"):
+            Circuit(2, roles=3)
+
+    def test_gates_must_be_gates(self):
+        with pytest.raises(CircuitError, match=r"^circuit gates must be Gate instances, got 5$"):
+            Circuit(2, (G(K.H, 0), 5))
+
+    def test_unhashable_qubits_are_outside_the_width(self):
+        with pytest.raises(CircuitError, match=r"^gate cx \(\[0\], \[1\]\) outside width 2$"):
+            Circuit(2, (Gate(K.CX, ([0], [1])),))
+
     def test_relabeled_permutes_everything(self):
         c = Circuit(3, (G(K.CX, 0, 1), G(K.H, 2)), roles=("control", "target", "control"),
                     wire_names=("c1", "t", "c2"))

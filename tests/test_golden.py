@@ -1,0 +1,84 @@
+"""Byte-identity of the package's outputs.
+
+`tests/golden/sha256.json` pins, for each command line below and for each
+demo script, the sha256 of its standard output and its exit status:
+`hexsynth tables` (text and `--json`), `build` and `cost --json` for every
+registry gate (the latter in both bases), `verify --truth` for the Boolean
+gates and `--against` for the five criterion-7 pairs, `trace` of the six
+3-bit Boolean gates under all four control states, `search` for all 16
+targets, and demos 01-05.  A change that alters an output on purpose
+rewrites the file in the same commit, with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and names each changed output and why in its change notes.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+import sys
+from pathlib import Path
+
+from hexsynth import cli
+from hexsynth.library import BOOLEAN_BY_NAME, GATES
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "sha256.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# documented truth strings over ascending assignments; pos5 and sop5 have
+# none, so "0" asks for a mismatch that prints their whole table
+TRUTH = {"and3": "0001", "nand3": "1110", "or3": "0111", "nor3": "1000", "imp3": "1011",
+         "inh3": "0100", "and4": "0" * 7 + "1", "and5": "0" * 15 + "1", "pos5": "0", "sop5": "0"}
+PAIRS = {"and3": "toffoli", "fredkin3": "fredkin_std", "swap2": "swap2_std", "csx2": "csx2_std",
+         "csxdg2": "csxdg2_std"}
+
+
+def command_lines() -> list[list[str]]:
+    runs = [["tables"], ["tables", "--json"]]
+    runs += [["build", name] for name in sorted(GATES)]
+    runs += [["cost", name, "--basis", basis, "--json"] for name in sorted(GATES)
+             for basis in ("cx", "ecr")]
+    runs += [["verify", name, "--truth", bits] for name, bits in TRUTH.items()]
+    runs += [["verify", name, "--against", oracle] for name, oracle in PAIRS.items()]
+    runs += [["trace", name, "--controls", controls] for name in BOOLEAN_BY_NAME
+             for controls in ("00", "01", "10", "11")]
+    runs += [["search", "--target", format(t, "04b")] for t in range(16)]
+    return runs
+
+
+def _record(run) -> dict:
+    """The sha256 of what `run()` prints, and the exit status it returns."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run()
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": status}
+
+
+def _run_demo(path: Path) -> int:
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
+
+
+def outputs() -> dict:
+    records = {"hexsynth " + " ".join(argv): _record(lambda argv=argv: cli.main(argv))
+               for argv in command_lines()}
+    for demo in DEMOS:
+        records[f"demos/{demo.name}"] = _record(lambda demo=demo: _run_demo(demo))
+    return records
+
+
+def test_outputs_match_the_goldens():
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    current = outputs()
+    changed = sorted(k for k in pinned.keys() | current.keys() if pinned.get(k) != current.get(k))
+    assert not changed, f"outputs differ from tests/golden/sha256.json: {changed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

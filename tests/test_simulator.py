@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexsynth import simulator
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind
-from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
+from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, GATES, SUPERPOSITION_KINDS, THETA_KINDS,
                               BooleanGateKind, CoreSpec, build_gate,
                               core_stage_gates)
 from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
@@ -200,6 +200,111 @@ class TestKernelMatchesReference:
             got = _apply_matrix(amps, mat, qubits, n)
             assert got.shape == shape
             assert np.allclose(got, reference_apply_matrix(amps, mat, qubits, n), rtol=0, atol=1e-12)
+
+
+ANGLE_FREE_KINDS = [k for k in K if not k.takes_angle]
+
+
+def reference_unitary(circuit):
+    """A circuit's unitary swept with the former kernel."""
+    u = np.eye(2 ** circuit.width, dtype=complex)
+    for g in circuit.gates:
+        u = reference_apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, circuit.width)
+    return u
+
+
+class TestTermWiseKernel:
+    # every fixed matrix: diagonal (Z, S, T, CZ), monomial (X, Y, CX, CY,
+    # SWAP), dense (H, SX) and rows of two terms on two wires (ECR)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_fixed_matrix_on_every_site(self, n):
+        rng = np.random.default_rng(n)
+        for batch in [(), (3,), (2 ** n,)]:
+            shape = (2 ** n,) + batch
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            before = amps.copy()
+            for kind in ANGLE_FREE_KINDS:
+                sites = ([(q,) for q in range(n)] if kind.arity == 1 else
+                         [(a, b) for a in range(n) for b in range(n) if a != b])
+                for qubits in sites:
+                    mat = gate_matrix(kind)
+                    want = reference_apply_matrix(amps, mat, qubits, n)
+                    got = _apply_matrix(amps, mat, qubits, n)
+                    assert got.shape == shape
+                    assert np.allclose(got, want, rtol=0, atol=1e-12), (kind, qubits, batch)
+                    # with a spare: the result is in one of the two buffers
+                    work, spare = amps.copy(), np.empty_like(amps)
+                    out = _apply_matrix(work, mat, qubits, n, spare)
+                    assert out is work or out is spare
+                    assert np.allclose(out, want, rtol=0, atol=1e-12), (kind, qubits, batch)
+            assert np.array_equal(amps, before)
+
+    @pytest.mark.parametrize("kind", [K.RZ, K.RY])
+    @pytest.mark.parametrize("angle", [Angle.pi_frac(1, 4), Angle.pi_frac(-1, 3),
+                                       Angle.from_radians(0.3), Angle.pi_frac(1)])
+    def test_rotations(self, kind, angle):
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+        for q in range(5):
+            mat = gate_matrix(kind, angle)
+            got = _apply_matrix(amps, mat, (q,), 5)
+            assert np.allclose(got, reference_apply_matrix(amps, mat, (q,), 5), rtol=0, atol=1e-12)
+
+
+MIXED = Circuit(3, (G(K.T, 0), G(K.CZ, 2, 0), G(K.S, 1), G(K.H, 1), G(K.CX, 1, 2), G(K.X, 0),
+                    G(K.ECR, 0, 2), G(K.SWAP, 2, 1), G(K.RZ, 2, angle=Angle.pi_frac(1, 3))))
+DIAGONAL = Circuit(3, (G(K.T, 0), G(K.CZ, 2, 0), G(K.S, 1), G(K.Z, 2)))
+
+
+class TestCallersKeepTheirArrays:
+    @pytest.mark.parametrize("circuit", [MIXED, DIAGONAL])
+    def test_apply_leaves_the_state(self, circuit):
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = Statevector(3, amps / np.linalg.norm(amps))
+        before = state.amps.copy()
+        out = apply(circuit, state)
+        assert np.array_equal(state.amps, before)
+        assert not np.shares_memory(out.amps, state.amps)
+        assert np.allclose(out.amps, reference_unitary(circuit) @ before, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("circuit", [MIXED, DIAGONAL])
+    def test_sweep_leaves_its_input(self, circuit):
+        eye = np.eye(8, dtype=complex)
+        u = simulator._sweep(eye, circuit)
+        assert np.array_equal(eye, np.eye(8))
+        assert not np.shares_memory(u, eye)
+
+    @pytest.mark.parametrize("circuit", [MIXED, DIAGONAL])
+    def test_unitaries_share_no_buffer(self, circuit):
+        u = unitary_of(circuit)
+        want = u.copy()
+        u[:] = 0
+        again = unitary_of(circuit)
+        assert np.array_equal(again, want)
+        assert not np.shares_memory(again, u)
+
+    def test_gate_matrices_are_only_read(self, monkeypatch):
+        # writeable copies in place of the shared read-only matrices
+        before = {}
+        for table in (simulator._FIXED_1Q, simulator._FIXED_2Q):
+            for kind, m in list(table.items()):
+                before[kind] = m.copy()
+                monkeypatch.setitem(table, kind, m.copy())
+        gate = build_gate("nand3")
+        (target,) = gate.target_qubits()
+        assert truth_table(gate, target, gate.control_qubits()) == {"00": 1, "01": 1, "10": 1,
+                                                                    "11": 0}
+        unitary_of(MIXED)
+        apply(MIXED, Statevector.zeros(3))
+        assert all(np.array_equal(gate_matrix(kind), m) for kind, m in before.items())
+
+
+class TestRegistryUnitaries:
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_matches_the_reference_sweep(self, name):
+        gate = build_gate(name)
+        assert np.allclose(unitary_of(gate), reference_unitary(gate), rtol=0, atol=1e-12)
 
 
 class TestPauliConjugate:
