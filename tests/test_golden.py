@@ -6,7 +6,14 @@ demo script, the sha256 of its standard output and its exit status:
 registry gate (the latter in both bases), `verify --truth` for the Boolean
 gates and `--against` for the five criterion-7 pairs, `trace` of the six
 3-bit Boolean gates under all four control states, `search` for all 16
-targets, and demos 01-05.  A change that alters an output on purpose
+targets, and demos 01-05.  With input files: `cost --layout` (text and
+`--json`, both bases) for every registry gate on the bundled map and on
+that map without coupling [62, 72], which has no I-shape; `cost and3
+--placement` with the target displaced to qubit 61; and `transpile` of each
+registry gate's `build` text in both bases, with and without `--peephole`.
+A command line names each input file by a placeholder such as
+`<brisbane.json>`; the file is written to a temporary directory for the
+run, so no key holds a path.  A change that alters an output on purpose
 rewrites the file in the same commit, with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -19,14 +26,19 @@ import io
 import json
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 from hexsynth import cli
-from hexsynth.library import BOOLEAN_BY_NAME, GATES
+from hexsynth.circuit import emit_text
+from hexsynth.library import BOOLEAN_BY_NAME, GATES, build_gate
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sha256.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BUNDLED_MAP = ROOT / "src" / "hexsynth" / "data" / "brisbane.json"
+MAPS = ("<brisbane.json>", "<brisbane-without-62-72.json>")
+DISPLACED = "<and3-target-on-61.json>"
 
 # documented truth strings over ascending assignments; pos5 and sop5 have
 # none, so "0" asks for a mismatch that prints their whole table
@@ -46,7 +58,24 @@ def command_lines() -> list[list[str]]:
     runs += [["trace", name, "--controls", controls] for name in BOOLEAN_BY_NAME
              for controls in ("00", "01", "10", "11")]
     runs += [["search", "--target", format(t, "04b")] for t in range(16)]
+    runs += [["cost", name, "--basis", basis, "--layout", cmap, *fmt] for cmap in MAPS
+             for name in sorted(GATES) for basis in ("cx", "ecr") for fmt in ([], ["--json"])]
+    runs += [["cost", "and3", "--placement", DISPLACED, *fmt] for fmt in ([], ["--json"])]
+    runs += [["cost", "and3", "--layout", MAPS[0], "--placement", DISPLACED, "--json"]]
+    runs += [["transpile", f"<{name}.txt>", "--basis", basis, *opt] for name in sorted(GATES)
+             for basis in ("cx", "ecr") for opt in ([], ["--peephole"])]
     return runs
+
+
+def input_files() -> dict[str, str]:
+    """The text of each input file, by the placeholder that names it in
+    `command_lines()`."""
+    bundled = json.loads(BUNDLED_MAP.read_text(encoding="utf-8"))
+    cut = dict(bundled, edges=[e for e in bundled["edges"] if e != [62, 72]])
+    files = {MAPS[0]: json.dumps(bundled), MAPS[1]: json.dumps(cut),
+             DISPLACED: json.dumps({"assignment": {"c1": 62, "t": 61, "c2": 63}})}
+    files.update({f"<{name}.txt>": emit_text(build_gate(name)) for name in GATES})
+    return files
 
 
 def _record(run) -> dict:
@@ -63,8 +92,14 @@ def _run_demo(path: Path) -> int:
 
 
 def outputs() -> dict:
-    records = {"hexsynth " + " ".join(argv): _record(lambda argv=argv: cli.main(argv))
-               for argv in command_lines()}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for placeholder, text in input_files().items():
+            path = paths[placeholder] = str(Path(tmp) / placeholder.strip("<>"))
+            Path(path).write_text(text, encoding="utf-8")
+        records = {"hexsynth " + " ".join(argv):
+                   _record(lambda argv=argv: cli.main([paths.get(a, a) for a in argv]))
+                   for argv in command_lines()}
     for demo in DEMOS:
         records[f"demos/{demo.name}"] = _record(lambda demo=demo: _run_demo(demo))
     return records
