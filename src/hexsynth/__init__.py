@@ -15,7 +15,7 @@ from .rules import GateSetStage, SearchQuery, apply_rules, count_space, search
 from .simulator import (EquivalenceLevel, QSpherePoint, Statevector, apply,
                         equivalence, gate_matrix, pauli_conjugate, phase_trace,
                         qsphere, truth_table, unitary_of)
-from .transpiler import (NativeBasis, RouteResult, cost_report, lower,
-                         lower_and_optimize, peephole, route_naive)
+from .transpiler import (Compiled, NativeBasis, RouteResult, compile_gate, lower, peephole,
+                         route_naive)
 
 __version__ = "0.1.0"

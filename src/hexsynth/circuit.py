@@ -269,17 +269,18 @@ class Circuit:
             raise CircuitError(f"circuit width must be an integer, got {self.width!r}")
         if self.width < 1:
             raise CircuitError("circuit width must be >= 1")
-        # a range tests an int in O(1): no per-wire set for a wide circuit
+        # a range tests an int in O(1); 1.0 and True pass it, so the types are checked too
         wires = range(self.width)
         try:
-            fits = all(q in wires for q in set(chain.from_iterable(g.qubits for g in gates)))
-        except (AttributeError, TypeError):  # an item that is no Gate, or an unhashable qubit
+            qubits = [*chain.from_iterable(map(attrgetter("qubits"), gates))]
+            fits = {*map(type, qubits)} <= {int} and all(q in wires for q in set(qubits))
+        except (AttributeError, TypeError):  # an item that is no Gate
             fits = False
         if not fits:
             for g in gates:
                 if not isinstance(g, Gate):
                     raise CircuitError(f"circuit gates must be Gate instances, got {g!r}")
-                if any(q not in wires for q in g.qubits):
+                if any(type(q) is not int or q not in wires for q in g.qubits):
                     raise CircuitError(f"gate {g.kind.value} {g.qubits} outside width {self.width}")
         for attr in ("roles", "wire_names"):
             v = getattr(self, attr)
@@ -289,9 +290,8 @@ class Circuit:
                 if len(v) != self.width:
                     raise CircuitError(f"{attr} length {len(v)} != width {self.width}")
 
-    def with_gates(self, gates, name: str | None = None) -> "Circuit":
-        return Circuit(self.width, tuple(gates), self.roles, self.name if name is None else name,
-                       self.wire_names)
+    def with_gates(self, gates) -> "Circuit":
+        return Circuit(self.width, tuple(gates), self.roles, self.name, self.wire_names)
 
     def relabeled(self, mapping) -> "Circuit":
         """Apply a qubit permutation: old index i moves to mapping[i]."""

@@ -16,12 +16,11 @@ from . import reports
 from .circuit import (ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, Circuit, CircuitError, emit_text,
                       parse_text)
 from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, STAGE_NAMES, build_gate
-from .layout import (LayoutError, Placement, ishape_brisbane, heavy_hex_127, load_map, place,
-                     verify_no_swap)
+from .layout import Placement, load_map
 from .rules import query_from_names, search
 from .simulator import (EquivalenceLevel, SimulationError, Statevector, apply, equivalence,
                         phase_trace, qsphere, truth_string, truth_table)
-from .transpiler import NativeBasis, _cost_of_lowered, lower, lower_and_optimize
+from .transpiler import NativeBasis, compile_gate, lower, peephole
 
 
 def _read_text(path: str) -> str:
@@ -46,9 +45,8 @@ def cmd_build(args) -> int:
 
 def cmd_transpile(args) -> int:
     circuit = parse_text(_read_text(args.file))
-    basis = NativeBasis(args.basis)
-    lowered = lower_and_optimize(circuit, basis) if args.peephole else lower(circuit, basis)
-    text = emit_text(lowered)
+    lowered = lower(circuit, NativeBasis(args.basis))
+    text = emit_text(peephole(lowered) if args.peephole else lowered)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -143,28 +141,15 @@ def cmd_search(args) -> int:
 
 def cmd_cost(args) -> int:
     circuit = build_gate(args.gate)
-    basis = NativeBasis(args.basis)
-    lowered = lower_and_optimize(circuit, basis)
-    rep = _cost_of_lowered(lowered, basis)
-    payload = {"gate": args.gate, "basis": args.basis, **rep.as_dict()}
-    if args.layout or args.placement:
-        cmap = load_map(args.layout) if args.layout else heavy_hex_127()
-        if args.placement:
-            try:
-                data = json.loads(_read_text(args.placement))
-            except json.JSONDecodeError as e:
-                raise CircuitError(f"{args.placement}: malformed placement JSON: {e}") from None
-            placement = Placement.from_dict(data)
-        else:
-            try:  # the I-shape when the map has it, else the whole map
-                region = ishape_brisbane(cmap)
-            except LayoutError:
-                region = cmap
-            placement = place(args.gate, region)
-        ok, violations = verify_no_swap(lowered, cmap, placement)
-        payload["placement"] = placement.as_dict()["assignment"]
-        payload["swap_free"] = ok
-        payload["violations"] = violations
+    cmap = load_map(args.layout) if args.layout else None
+    placement = None
+    if args.placement:
+        try:
+            placement = Placement.from_dict(json.loads(_read_text(args.placement)))
+        except json.JSONDecodeError as e:
+            raise CircuitError(f"{args.placement}: malformed placement JSON: {e}") from None
+    compiled = compile_gate(circuit, NativeBasis(args.basis), cmap, placement)
+    payload = {"gate": args.gate, "basis": args.basis, **compiled.as_dict()}
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

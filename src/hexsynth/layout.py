@@ -8,8 +8,8 @@ parallel row triples bridged through a connector qubit.  A gate places
 without SWAP insertion exactly where its interaction graph (the wire pairs
 its two-qubit gates touch) embeds into a map's couplings; `place` finds
 that embedding, wires taken breadth-first over the interaction graph, in
-any map: the whole lattice or one region.  It reads the gate's own gate
-list, so this module knows no gate by name.
+any map: the whole lattice or one region.  It builds the gate by registry
+name and reads its own gate list, so no gate is special-cased here.
 """
 from __future__ import annotations
 
@@ -153,13 +153,12 @@ def heavy_hex_127() -> CouplingMap:
     return CouplingMap(name="brisbane", num_qubits=q, edges=frozenset(edges))
 
 
-def ishape_brisbane(cmap: CouplingMap | None = None) -> CouplingMap:
+def ishape_brisbane(cmap: CouplingMap) -> CouplingMap:
     """The documented I-shape region {61, 62, 63, 72, 80, 81, 82} of `cmap`.
 
     Two row triples, 61-62-63 and 80-81-82, bridged from middle to middle
     through the connector 72; these six couplings must all be in `cmap`.
     """
-    cmap = cmap if cmap is not None else heavy_hex_127()
     edges = ((61, 62), (62, 63), (80, 81), (81, 82), (62, 72), (72, 81))
     for a, b in edges:
         if not cmap.has_edge(a, b):

@@ -20,7 +20,7 @@ from importlib import resources
 from .library import BOOLEAN_TABLE, BooleanGateKind, build_gate
 from .rules import SearchQuery, count_space, iter_specs
 from .simulator import phase_trace
-from .transpiler import NativeBasis, cost_report
+from .transpiler import NativeBasis, compile_gate
 
 SOFT_TOLERANCE = 0.20
 
@@ -37,7 +37,7 @@ def _cell(computed, expected) -> dict:
 def two_bit_block(expected: dict) -> dict:
     block = {}
     for gate, want in expected.items():
-        rep = cost_report(build_gate(gate), NativeBasis.CX_BASIS)
+        rep = compile_gate(build_gate(gate), NativeBasis.CX_BASIS).cost
         block[gate] = {
             key: _cell(rep.counts.get(key, 0), want[key]) for key in ("sx", "x", "cx", "rz")
         }
@@ -54,7 +54,7 @@ def trace_block(expected: dict) -> dict:
 def ecr_block(expected: dict) -> dict:
     block = {}
     for gate, want in expected.items():
-        rep = cost_report(build_gate(gate), NativeBasis.ECR_BASIS)
+        rep = compile_gate(build_gate(gate), NativeBasis.ECR_BASIS).cost
         soft = {}
         for key, ref in want["soft_1q"].items():
             have = rep.counts.get(key, 0)

@@ -22,6 +22,9 @@ gate shared per wire and process; an X is emitted only against the X gates
 of its wire segment (the stretch between two surviving two-qubit gates), so
 the peephole never raises a gate count of any tag.  It does no resynthesis.
 
+`compile_gate` is the one path from a gate to its device cost: it places,
+lowers, peepholes and counts the gate, checks its couplings, and returns a
+`Compiled` record of the lowered circuit, cost, placement and violations.
 `route_naive` takes a logical -> physical dict and inserts SWAPs greedily
 along shortest paths.
 """
@@ -34,6 +37,8 @@ from enum import Enum
 
 from .circuit import (Angle, Circuit, CircuitError, CostReport, Gate, GateKind, count_gates,
                       parse_text)
+from .layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane, place,
+                     verify_no_swap)
 
 K = GateKind
 
@@ -355,22 +360,46 @@ def peephole(circuit: Circuit) -> Circuit:
     return circuit.with_gates(gates)
 
 
-def lower_and_optimize(circuit: Circuit, basis: NativeBasis) -> Circuit:
-    return peephole(lower(circuit, basis))
+# --- the device compile path ----------------------------------------------------
+
+@dataclass(frozen=True)
+class Compiled:
+    """A gate's lowered circuit and cost; with a map, also its placement and
+    the two-qubit gates that miss a coupling (none: the gate needs no SWAP)."""
+
+    circuit: Circuit
+    cost: CostReport
+    placement: Placement | None
+    violations: tuple
+
+    def as_dict(self) -> dict:
+        out = self.cost.as_dict()
+        if self.placement is not None:
+            out.update(placement=self.placement.as_dict()["assignment"],
+                       swap_free=not self.violations, violations=list(self.violations))
+        return out
 
 
-def cost_report(circuit: Circuit, basis: NativeBasis) -> CostReport:
-    """Counts, quantum cost, and depth of the lowered and peepholed circuit."""
-    return _cost_of_lowered(lower_and_optimize(circuit, basis), basis)
-
-
-def _cost_of_lowered(lowered: Circuit, basis: NativeBasis) -> CostReport:
-    """cost_report of a circuit already lowered to `basis`; every basis tag
-    is counted, absent ones as 0."""
+def compile_gate(circuit: Circuit, basis: NativeBasis, cmap: CouplingMap | None = None,
+                 placement: Placement | None = None) -> Compiled:
+    """Compile a gate in device order.  With a map (the 127-qubit lattice when
+    only `placement` is given) it is placed first: at `placement`, else on the
+    map's I-shape, else on the whole map.  It is then lowered, peepholed and
+    counted (every basis tag, absent ones as 0), and its couplings checked."""
+    if placement is not None and cmap is None:
+        cmap = heavy_hex_127()
+    if cmap is not None and placement is None:
+        try:
+            region = ishape_brisbane(cmap)
+        except LayoutError:
+            region = cmap
+        placement = place(circuit.name, region)
+    lowered = peephole(lower(circuit, basis))
     report = count_gates(lowered)
-    counts = {k.value: 0 for k in (K.X, K.SX, K.RZ, basis.two_qubit_kind)}
-    counts.update(report.counts)
-    return CostReport(counts=counts, qc=report.qc, depth=report.depth)
+    zeros = {k.value: 0 for k in (K.X, K.SX, K.RZ, basis.two_qubit_kind)}
+    cost = CostReport(counts=zeros | report.counts, qc=report.qc, depth=report.depth)
+    violations = () if cmap is None else tuple(verify_no_swap(lowered, cmap, placement)[1])
+    return Compiled(lowered, cost, placement, violations)
 
 
 # --- naive baseline routing ------------------------------------------------------

@@ -19,7 +19,7 @@ from hexsynth.layout import Placement, heavy_hex_127, ishape_brisbane, place, ve
 from hexsynth.rules import SearchQuery, count_space, iter_specs, search
 from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate,
                                 phase_trace, truth_table, unitary_of)
-from hexsynth.transpiler import NativeBasis, cost_report, lower, lower_and_optimize
+from hexsynth.transpiler import NativeBasis, compile_gate, lower, peephole
 
 from conftest import random_clifford_t_circuit
 
@@ -67,7 +67,7 @@ def test_criterion_03_two_bit_counts_and_depths():
         "swap2": ({"sx": 2, "x": 0, "cx": 2, "rz": 4}, None),  # depth checked separately
     }
     for name, (counts, depth_want) in expected.items():
-        rep = cost_report(build_gate(name), NativeBasis.CX_BASIS)
+        rep = compile_gate(build_gate(name), NativeBasis.CX_BASIS).cost
         assert rep.counts == counts, (name, rep.counts)
         if depth_want is not None:
             assert rep.depth == depth_want, (name, rep.depth)
@@ -80,7 +80,7 @@ def test_criterion_03_swap2_depth_reference_value():
     # plus two two-qubit gates occupy 10 wire-slots; on 2 wires that forces
     # at least ceil(10/2) = 5 layers under the defined depth.  The honest
     # computed value also appears as the single FAIL cell of `hexsynth tables`.
-    rep = cost_report(build_gate("swap2"), NativeBasis.CX_BASIS)
+    rep = compile_gate(build_gate("swap2"), NativeBasis.CX_BASIS).cost
     assert rep.depth == 3, (
         f"swap2 transpiled depth is {rep.depth}; the reference value 3 cannot be "
         f"met together with the count targets (counting argument above)")
@@ -98,7 +98,7 @@ def test_criterion_04_ecr_counts_and_quantum_costs():
                "miller3": {"x": 2, "sx": 16, "rz": 25}}
     reports = {}
     for name, want in ecr_expected.items():
-        rep = cost_report(build_gate(name), NativeBasis.ECR_BASIS)
+        rep = compile_gate(build_gate(name), NativeBasis.ECR_BASIS).cost
         reports[name] = rep
         assert rep.counts["ecr"] == want, (name, rep.counts["ecr"])
         assert rep.qc < standard_qc[name], (name, rep.qc, standard_qc[name])
@@ -162,7 +162,7 @@ def test_criterion_08_transpiler_soundness():
         width = rng.randint(1, 4)
         circuit = random_clifford_t_circuit(rng, width, rng.randint(0, 40))
         for basis in NativeBasis:
-            worst = min(worst, fidelity(circuit, lower_and_optimize(circuit, basis)))
+            worst = min(worst, fidelity(circuit, peephole(lower(circuit, basis))))
     assert worst >= 1 - 1e-9, worst
 
     from hexsynth.circuit import Angle, Gate
@@ -185,7 +185,7 @@ def test_criterion_09_layout_no_swap_and_displacement():
     for name in family:
         placement = place(name, shape)
         for basis in NativeBasis:
-            ok, violations = verify_no_swap(lower_and_optimize(build_gate(name), basis),
+            ok, violations = verify_no_swap(peephole(lower(build_gate(name), basis)),
                                             cmap, placement)
             assert ok, (name, basis.value, violations)
     # displacing any core target from its triple middle to an end must violate

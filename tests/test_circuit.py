@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hexsynth.circuit import (Angle, Circuit, CircuitError, Gate, GateKind,
                               count_gates, depth, emit_text, parse_angle, parse_text)
+from hexsynth.layout import heavy_hex_127
+from hexsynth.transpiler import route_naive
 
 K = GateKind
 
@@ -192,6 +194,17 @@ class TestGateAndCircuit:
     def test_gates_must_be_gates(self):
         with pytest.raises(CircuitError, match=r"^circuit gates must be Gate instances, got 5$"):
             Circuit(2, (G(K.H, 0), 5))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Circuit(2, (G(K.H, 0), G(K.X, 1.0))), r"x \(1\.0,\) outside width 2"),
+        (lambda: Circuit(2, (G(K.H, 0), G(K.X, True))), r"x \(True,\) outside width 2"),
+        (lambda: route_naive(Circuit(2, (G(K.CX, 0, 1),)), heavy_hex_127(), {0: 61, 1: 62.0}),
+         r"cx \(61, 62\.0\) outside width 127"),
+    ], ids=["float", "bool", "float placement"])
+    def test_qubits_must_be_integers(self, build, message):
+        # 1.0 and True lie in range(2) yet are no wire: neither emits readable circuit text
+        with pytest.raises(CircuitError, match=rf"^gate {message}$"):
+            build()
 
     def test_unhashable_qubits_are_outside_the_width(self):
         with pytest.raises(CircuitError, match=r"^gate cx \(\[0\], \[1\]\) outside width 2$"):

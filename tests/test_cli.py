@@ -158,6 +158,10 @@ class TestSearchCostTrace:
         data = json.loads(capsys.readouterr().out)
         assert data["swap_free"] is True and data["placement"] == {"c1": 0, "t": 1, "c2": 2}
 
+    def test_cost_names_an_unknown_gate_before_a_bad_layout(self, capsys):
+        assert run("cost", "nope", "--layout", "missing.json") == 1
+        assert capsys.readouterr().err == "error: unknown gate: 'nope'\n"
+
     @pytest.mark.parametrize("text", ['{"num_qubits": 1e400, "edges": [[0, 1]]}',
                                       '{"num_qubits": 3, "edges": [[0, 1e400]]}'])
     def test_cost_with_non_integer_layout_is_an_error(self, tmp_path, capsys, text):
@@ -173,16 +177,16 @@ class TestSearchCostTrace:
 
         mapfile = tmp_path / "map.json"
         mapfile.write_text(json.dumps(heavy_hex_127().as_dict()))
-        want = transpiler.cost_report(build_gate("and4"), transpiler.NativeBasis.ECR_BASIS)
+        want = transpiler.compile_gate(build_gate("and4"), transpiler.NativeBasis.ECR_BASIS).cost
         calls = []
-        real = transpiler.lower_and_optimize
+        real = transpiler.peephole
 
-        def counting(circuit, basis):
+        def counting(circuit):
             calls.append(circuit.name)
-            return real(circuit, basis)
+            return real(circuit)
 
-        monkeypatch.setattr(transpiler, "lower_and_optimize", counting)
-        monkeypatch.setattr(cli, "lower_and_optimize", counting)
+        monkeypatch.setattr(transpiler, "peephole", counting)
+        monkeypatch.setattr(cli, "peephole", counting)
         assert run("cost", "and4", "--basis", "ecr", "--layout", str(mapfile), "--json") == 0
         data = json.loads(capsys.readouterr().out)
         assert len(calls) == 1

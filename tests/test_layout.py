@@ -6,7 +6,7 @@ from hexsynth.circuit import Circuit, CircuitError, Gate, GateKind
 from hexsynth.layout import (CouplingMap, LayoutError, Placement, ishape_brisbane,
                              load_map, place, verify_no_swap)
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
-from hexsynth.transpiler import NativeBasis, lower_and_optimize
+from hexsynth.transpiler import NativeBasis, lower, peephole
 
 K = GateKind
 
@@ -200,7 +200,7 @@ class TestPlacement:
             return
         placement = place(name, brisbane)
         for basis in NativeBasis:
-            circuit = lower_and_optimize(build_gate(name), basis)
+            circuit = peephole(lower(build_gate(name), basis))
             ok, violations = verify_no_swap(circuit, brisbane, placement)
             assert ok, (name, basis, violations)
 
@@ -220,7 +220,7 @@ class TestVerifyNoSwap:
                                                      "swap2_std"))
     @pytest.mark.parametrize("basis", list(NativeBasis), ids=lambda b: b.value)
     def test_family_canonical_placements(self, brisbane, name, basis):
-        circuit = lower_and_optimize(build_gate(name), basis)
+        circuit = peephole(lower(build_gate(name), basis))
         placement = place(name, ishape_brisbane(brisbane))
         ok, violations = verify_no_swap(circuit, brisbane, placement)
         assert ok, (name, basis, violations)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hexsynth import transpiler
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, emit_text, parse_text
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
-from hexsynth.layout import CouplingMap, heavy_hex_127
+from hexsynth.layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane,
+                             place)
 from hexsynth.simulator import EquivalenceLevel, equivalence, unitary_of
-from hexsynth.transpiler import (_LOWERINGS, _RULES, NativeBasis, TranspileError, cost_report,
-                                 lower, lower_and_optimize, peephole, route_naive,
-                                 rule_table_text)
+from hexsynth.transpiler import (_LOWERINGS, _RULES, NativeBasis, TranspileError, compile_gate,
+                                 lower, peephole, route_naive, rule_table_text)
 
 from conftest import random_clifford_t_circuit
 
@@ -479,30 +479,78 @@ class TestDeclaredWidth:
         wide = Circuit(10 ** 6, spread_out(narrow.gates))
         for basis in NativeBasis:
             visited.clear()
-            out = lower_and_optimize(wide, basis)
+            out = peephole(lower(wide, basis))
             assert sorted(visited) == sorted(spread.values())
-            assert out.gates == spread_out(lower_and_optimize(narrow, basis).gates)
+            assert out.gates == spread_out(peephole(lower(narrow, basis)).gates)
 
 
 class TestCostReport:
     def test_csx2_table_values(self):
-        rep = cost_report(build_gate("csx2"), NativeBasis.CX_BASIS)
+        rep = compile_gate(build_gate("csx2"), NativeBasis.CX_BASIS).cost
         assert rep.counts == {"x": 0, "sx": 2, "rz": 4, "cx": 1}
         assert rep.qc == 7 and rep.depth == 7
 
     def test_and3_ecr_count(self):
-        rep = cost_report(build_gate("and3"), NativeBasis.ECR_BASIS)
+        rep = compile_gate(build_gate("and3"), NativeBasis.ECR_BASIS).cost
         assert rep.counts["ecr"] == 3
         assert rep.counts["x"] == 0
 
     def test_fredkin4_ecr_count(self):
-        rep = cost_report(build_gate("fredkin4"), NativeBasis.ECR_BASIS)
+        rep = compile_gate(build_gate("fredkin4"), NativeBasis.ECR_BASIS).cost
         assert rep.counts["ecr"] == 8
 
     def test_zero_filled_basis_keys(self):
-        rep = cost_report(Circuit(1), NativeBasis.ECR_BASIS)
+        rep = compile_gate(Circuit(1), NativeBasis.ECR_BASIS).cost
         assert rep.counts == {"x": 0, "sx": 0, "rz": 0, "ecr": 0}
         assert rep.qc == 0 and rep.depth == 0
+
+
+class TestCompileGate:
+    def test_without_a_map_it_only_costs(self):
+        compiled = compile_gate(build_gate("and4"), NativeBasis.ECR_BASIS)
+        assert compiled.placement is None and compiled.violations == ()
+        assert compiled.as_dict() == compiled.cost.as_dict()
+        assert compiled.circuit == peephole(lower(build_gate("and4"), NativeBasis.ECR_BASIS))
+
+    def test_places_on_the_ishape(self):
+        cmap = heavy_hex_127()
+        compiled = compile_gate(build_gate("and5"), NativeBasis.CX_BASIS, cmap)
+        assert compiled.placement == place("and5", ishape_brisbane(cmap))
+        assert compiled.violations == ()
+        assert list(compiled.as_dict()) == ["counts", "qc", "depth", "placement", "swap_free",
+                                            "violations"]
+
+    def test_a_given_placement_is_used_as_given(self):
+        given = Placement({"c1": 80, "t": 81, "c2": 82})
+        compiled = compile_gate(build_gate("and3"), NativeBasis.ECR_BASIS, heavy_hex_127(), given)
+        assert compiled.placement is given and compiled.violations == ()
+        assert compiled.as_dict()["swap_free"] is True
+
+    def test_displaced_and3_reports_its_violations(self):
+        displaced = Placement({"c1": 62, "t": 61, "c2": 63})
+        compiled = compile_gate(build_gate("and3"), NativeBasis.ECR_BASIS, heavy_hex_127(),
+                                displaced)
+        assert compiled.violations
+        assert all(v["gate"] == "ecr" and [61, 63] in (v["physical"], v["physical"][::-1])
+                   for v in compiled.violations)
+        data = compiled.as_dict()
+        assert data["swap_free"] is False and data["violations"] == list(compiled.violations)
+
+    def test_a_map_without_the_ishape_places_on_the_whole_map(self):
+        cut = CouplingMap("cut", 127, heavy_hex_127().edges - {(62, 72)})
+        compiled = compile_gate(build_gate("and3"), NativeBasis.CX_BASIS, cut)
+        assert compiled.placement == place("and3", cut)
+        assert compiled.placement.assignment == {"c1": 0, "t": 1, "c2": 2}
+        assert compiled.violations == ()
+
+    def test_a_placement_alone_is_checked_on_the_lattice(self):
+        given = Placement({"c1": 61, "t": 62, "c2": 63})
+        alone = compile_gate(build_gate("and3"), NativeBasis.CX_BASIS, placement=given)
+        assert alone == compile_gate(build_gate("and3"), NativeBasis.CX_BASIS, heavy_hex_127(),
+                                     given)
+        with pytest.raises(LayoutError, match="off the 127-qubit map"):
+            compile_gate(build_gate("and3"), NativeBasis.CX_BASIS,
+                         placement=Placement({"c1": 61, "t": 62, "c2": 130}))
 
 
 class TestSoundnessSweep:
@@ -513,7 +561,7 @@ class TestSoundnessSweep:
             width = rng.randint(1, 4)
             c = random_clifford_t_circuit(rng, width, rng.randint(0, 40))
             for basis in NativeBasis:
-                worst = min(worst, fidelity(c, lower_and_optimize(c, basis)))
+                worst = min(worst, fidelity(c, peephole(lower(c, basis))))
         assert worst >= 1 - 1e-9
 
 
@@ -599,12 +647,13 @@ class TestRouteNaive:
         # SWAPs; the middle-target core needs none
         tof = build_gate("toffoli")  # wires c1, c2, t
         routed = route_naive(tof, self.LINE3, {0: 1, 1: 2, 2: 0})
-        lowered_tof = lower_and_optimize(routed.circuit, NativeBasis.CX_BASIS)
+        lowered_tof = peephole(lower(routed.circuit, NativeBasis.CX_BASIS))
         tof_2q = count_gates(lowered_tof).counts.get("cx", 0)
 
         and3 = build_gate("and3")  # target already between its controls
         res = route_naive(and3, self.LINE3, {0: 0, 1: 1, 2: 2})
         assert res.swaps_added == 0
-        and3_2q = count_gates(lower_and_optimize(res.circuit, NativeBasis.CX_BASIS)).counts.get("cx", 0)
+        lowered_and3 = peephole(lower(res.circuit, NativeBasis.CX_BASIS))
+        and3_2q = count_gates(lowered_and3).counts.get("cx", 0)
         assert routed.swaps_added >= 1
         assert tof_2q > and3_2q
