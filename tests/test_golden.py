@@ -6,12 +6,15 @@ demo script, the sha256 of its standard output and its exit status:
 registry gate (the latter in both bases), `verify --truth` for the Boolean
 gates and `--against` for the five criterion-7 pairs, `trace` of the six
 3-bit Boolean gates under all four control states, `search` for all 16
-targets, and demos 01-05.  With input files: `cost --layout` (text and
+targets on the default sets and on the full flag space (`FULL_SPACE`),
+each with and without `--symmetric`, and demos 01-05.  With input files:
+`cost --layout` (text and
 `--json`, both bases) for every registry gate on the bundled map and on
 that map without coupling [62, 72], which has no I-shape; `cost and3
 --placement` with the target displaced to qubit 61; and `transpile` of each
-registry gate's `build` text in both bases, with and without `--peephole`.
-A command line names each input file by a placeholder such as
+registry gate's `build` text in both bases, with and without `--peephole`,
+and `simulate` of that text at its all-0 and all-1 `--input` (text and
+`--json`).  A command line names each input file by a placeholder such as
 `<brisbane.json>`; the file is written to a temporary directory for the
 run, so no key holds a path.  A change that alters an output on purpose
 rewrites the file in the same commit, with
@@ -46,6 +49,9 @@ TRUTH = {"and3": "0001", "nand3": "1110", "or3": "0111", "nor3": "1000", "imp3":
          "inh3": "0100", "and4": "0" * 7 + "1", "and5": "0" * 15 + "1", "pos5": "0", "sop5": "0"}
 PAIRS = {"and3": "toffoli", "fredkin3": "fredkin_std", "swap2": "swap2_std", "csx2": "csx2_std",
          "csxdg2": "csxdg2_std"}
+PHASES = "i,x,sx,sxdg,z,s,sdg,t,tdg,-z"
+FULL_SPACE = ["--sp-set", "h,sx,sxdg", "--ax1-set", PHASES, "--ax2-set", PHASES,
+              "--theta-set", "s,sdg,t,tdg"]
 
 
 def command_lines() -> list[list[str]]:
@@ -57,13 +63,16 @@ def command_lines() -> list[list[str]]:
     runs += [["verify", name, "--against", oracle] for name, oracle in PAIRS.items()]
     runs += [["trace", name, "--controls", controls] for name in BOOLEAN_BY_NAME
              for controls in ("00", "01", "10", "11")]
-    runs += [["search", "--target", format(t, "04b")] for t in range(16)]
+    runs += [["search", "--target", format(t, "04b"), *space, *sym] for t in range(16)
+             for space in ([], FULL_SPACE) for sym in ([], ["--symmetric"])]
     runs += [["cost", name, "--basis", basis, "--layout", cmap, *fmt] for cmap in MAPS
              for name in sorted(GATES) for basis in ("cx", "ecr") for fmt in ([], ["--json"])]
     runs += [["cost", "and3", "--placement", DISPLACED, *fmt] for fmt in ([], ["--json"])]
     runs += [["cost", "and3", "--layout", MAPS[0], "--placement", DISPLACED, "--json"]]
     runs += [["transpile", f"<{name}.txt>", "--basis", basis, *opt] for name in sorted(GATES)
              for basis in ("cx", "ecr") for opt in ([], ["--peephole"])]
+    runs += [["simulate", f"<{name}.txt>", "--input", bit * build_gate(name).width, *fmt]
+             for name in sorted(GATES) for bit in "01" for fmt in ([], ["--json"])]
     return runs
 
 
