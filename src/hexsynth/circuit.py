@@ -132,10 +132,6 @@ class Angle:
         return Angle(value=float(radians))
 
     @property
-    def rational(self) -> bool:
-        return self.frac is not None
-
-    @property
     def on_grid(self) -> bool:
         """True for an exact multiple of pi/4: one of 16 angles, the only ones
         Clifford+T needs."""
@@ -294,9 +290,7 @@ class Circuit:
         return Circuit(self.width, tuple(gates), self.roles, self.name, self.wire_names)
 
     def relabeled(self, mapping) -> "Circuit":
-        """Apply a qubit permutation: old index i moves to mapping[i]."""
-        if not isinstance(mapping, dict):
-            mapping = {i: m for i, m in enumerate(mapping)}
+        """Apply a qubit permutation, a dict: old index i moves to mapping[i]."""
         if sorted(mapping) != list(range(self.width)) or sorted(mapping.values()) != list(range(self.width)):
             raise CircuitError(f"not a permutation of 0..{self.width - 1}: {mapping}")
         gates = tuple(Gate(g.kind, tuple(mapping[q] for q in g.qubits), g.angle) for g in self.gates)

@@ -32,26 +32,23 @@ def _read_text(path: str) -> str:
             raise CircuitError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
-def cmd_build(args) -> int:
-    circuit = build_gate(args.gate)
-    text = emit_text(circuit)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def _write_text(text: str, path: str | None) -> None:
+    """Write `text` to the file at `path`, or to standard output without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def cmd_build(args) -> int:
+    _write_text(emit_text(build_gate(args.gate)), args.output)
     return 0
 
 
 def cmd_transpile(args) -> int:
-    circuit = parse_text(_read_text(args.file))
-    lowered = lower(circuit, NativeBasis(args.basis))
-    text = emit_text(peephole(lowered) if args.peephole else lowered)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lowered = lower(parse_text(_read_text(args.file)), NativeBasis(args.basis))
+    _write_text(emit_text(peephole(lowered) if args.peephole else lowered), args.output)
     return 0
 
 
@@ -180,10 +177,8 @@ def cmd_tables(args) -> int:
     text = reports.render_text(report)
     if args.output:
         os.makedirs(args.output, exist_ok=True)
-        with open(os.path.join(args.output, "tables.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-        with open(os.path.join(args.output, "tables.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(json.dumps(report, indent=2), os.path.join(args.output, "tables.json"))
+        _write_text(text, os.path.join(args.output, "tables.txt"))
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -1,6 +1,6 @@
 """Heavy-hex coupling maps, no-SWAP placement into any map, and adjacency checking.
 
-The 127-qubit map is generated from the heavy-hex construction: seven
+The 127-qubit lattice is generated from the heavy-hex construction: seven
 horizontal rows of qubits joined by four-qubit connector columns, giving a
 maximum vertex degree of three.  A region of it is a CouplingMap on the
 region's own couplings; the I-shape is the seven-qubit region of two
@@ -8,8 +8,10 @@ parallel row triples bridged through a connector qubit.  A gate places
 without SWAP insertion exactly where its interaction graph (the wire pairs
 its two-qubit gates touch) embeds into a map's couplings; `place` finds
 that embedding, wires taken breadth-first over the interaction graph, in
-any map: the whole lattice or one region.  It builds the gate by registry
-name and reads its own gate list, so no gate is special-cased here.
+any map: the whole lattice or one region.  It reads the circuit it is given
+(a registry name is built first), so no gate is special-cased here.
+`Placement.physical` states what a valid placement of a circuit's wires
+is, once, for `verify_no_swap` and the router alike.
 """
 from __future__ import annotations
 
@@ -112,16 +114,13 @@ def _check_edges(edges: tuple, num_qubits: int) -> None:
 
 
 def load_map(source) -> CouplingMap:
-    """Read a coupling map (checked by `CouplingMap`) from a JSON path, file object, or dict."""
+    """Read a coupling map (checked by `CouplingMap`) from a JSON file's path or a dict."""
     if isinstance(source, dict):
         data = source
     else:
         try:
-            if hasattr(source, "read"):
-                data = json.load(source)
-            else:
-                with open(source, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
+            with open(source, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
@@ -170,7 +169,8 @@ def ishape_brisbane(cmap: CouplingMap) -> CouplingMap:
 @dataclass(frozen=True)
 class Placement:
     """Injective assignment of wire names to int physical qubits; the
-    constructor checks both rules, so `from_dict` only reads."""
+    constructor checks both rules, so `from_dict` only reads, and
+    `physical` checks it against a circuit's wires and a map."""
 
     assignment: dict
 
@@ -183,9 +183,6 @@ class Placement:
         if len(set(vals)) != len(vals):
             raise LayoutError(f"placement is not injective: {self.assignment}")
 
-    def as_dict(self) -> dict:
-        return {"assignment": dict(self.assignment)}
-
     @staticmethod
     def from_dict(data: dict) -> "Placement":
         try:
@@ -194,34 +191,58 @@ class Placement:
             raise LayoutError(f"malformed placement: {e!r}") from None
         return Placement(assignment=assignment)
 
+    def physical(self, wires, cmap: CouplingMap) -> list[int]:
+        """The physical qubit of each of `wires`, in their order.  The
+        placement must name exactly those wires, each on a qubit of `cmap`;
+        anything else is a LayoutError."""
+        try:
+            qubits = [self.assignment[w] for w in wires]
+        except KeyError as e:
+            raise LayoutError(f"placement does not cover wire {e.args[0]!r}") from None
+        names = set(wires)
+        for wire, phys in self.assignment.items():
+            if wire not in names:
+                raise LayoutError(f"placement names wire {wire!r}, which the circuit lacks")
+            if phys not in range(cmap.num_qubits):
+                raise LayoutError(f"placement puts wire {wire!r} on physical qubit {phys}, "
+                                  f"off the {cmap.num_qubits}-qubit map")
+        return qubits
 
-def place(gate_name: str, region: CouplingMap) -> Placement:
-    """The first no-SWAP placement of a registry gate into any coupling map.
 
-    Wires are taken breadth-first over the gate's interaction graph, from
-    the lowest unplaced wire.  A wire with a placed partner tries that
-    partner's neighbors, ascending; any other wire tries every qubit of
-    `region.qubits()`.  A candidate must be free and coupled to every
-    placed partner, and the search backtracks when none is.  On the
-    I-shape every core's target so lands between its two controls: on a
-    triple's middle, or on the bridge.  The result is in wire order; the
-    search runs once per gate and region, and each call gets its own
-    Placement.
+def place(gate: Circuit | str, region: CouplingMap) -> Placement:
+    """The first no-SWAP placement of a circuit's wires into any coupling map.
+
+    `gate` is a circuit with wire names, or a registry name, which is built.
+    Wires are taken breadth-first over the circuit's interaction graph (the
+    wire pairs its two-qubit gates touch), from the lowest unplaced wire.  A
+    wire with a placed partner tries that partner's neighbors, ascending;
+    any other wire tries every qubit of `region.qubits()`.  A candidate must
+    be free and coupled to every placed partner, and the search backtracks
+    when none is.  On the I-shape every core's target so lands between its
+    two controls: on a triple's middle, or on the bridge.  The result is in
+    wire order; the search is memoized on the width, the wire pairs and the
+    region, and each call gets its own Placement.
     """
-    return Placement(assignment=dict(_embedding(gate_name, region)))
+    circuit = build_gate(gate) if isinstance(gate, str) else gate
+    if circuit.wire_names is None:
+        raise LayoutError(f"gate {circuit.name!r} has no wire names to place")
+    pairs = frozenset(tuple(sorted(g.qubits)) for g in circuit.gates if len(g.qubits) == 2)
+    qubits = _embedding(circuit.width, pairs, region)
+    if qubits is None:
+        raise LayoutError(f"gate {circuit.name!r} does not fit {region.name!r}")
+    return Placement(assignment=dict(zip(circuit.wire_names, qubits)))
 
 
-@functools.cache
-def _embedding(gate_name: str, region: CouplingMap) -> tuple[tuple[str, int], ...]:
-    circuit = build_gate(gate_name)
-    partners = [set() for _ in range(circuit.width)]
-    for g in circuit.gates:
-        if len(g.qubits) == 2:
-            a, b = g.qubits
-            partners[a].add(b)
-            partners[b].add(a)
+@functools.lru_cache(maxsize=1024)
+def _embedding(width: int, pairs: frozenset, region: CouplingMap) -> tuple[int, ...] | None:
+    """Each wire's qubit in the first embedding of the interaction graph
+    `pairs` on `width` wires into `region`, or None when there is none."""
+    partners = [set() for _ in range(width)]
+    for a, b in pairs:
+        partners[a].add(b)
+        partners[b].add(a)
     order: list[int] = []  # breadth-first, each component from its lowest wire
-    for root in range(circuit.width):
+    for root in range(width):
         if root not in order:
             head = len(order)
             order.append(root)
@@ -245,28 +266,20 @@ def _embedding(gate_name: str, region: CouplingMap) -> tuple[tuple[str, int], ..
                 del chosen[wire]
         return False
 
-    if not extend(0):
-        raise LayoutError(f"gate {gate_name!r} does not fit {region.name!r}")
-    return tuple((name, chosen[w]) for w, name in enumerate(circuit.wire_names))
+    return tuple(chosen[w] for w in range(width)) if extend(0) else None
 
 
 def verify_no_swap(circuit: Circuit, cmap: CouplingMap, placement: Placement):
     """Check that every two-qubit gate acts on a coupling-map edge.
 
     Returns (ok, violations); each violation is a dict naming the offending
-    gate and the non-adjacent physical pair.  A placement qubit off the map
-    is a LayoutError, not a violation.
+    gate and the non-adjacent physical pair.  A placement that
+    `Placement.physical` rejects for the circuit's wires on `cmap` is a
+    LayoutError, not a violation.
     """
     if circuit.wire_names is None:
         raise LayoutError("circuit has no wire names to match the placement")
-    try:
-        log2phys = [placement.assignment[w] for w in circuit.wire_names]
-    except KeyError as e:
-        raise LayoutError(f"placement does not cover wire {e.args[0]!r}") from None
-    for wire, phys in placement.assignment.items():
-        if phys not in range(cmap.num_qubits):
-            raise LayoutError(f"placement puts wire {wire!r} on physical qubit {phys}, "
-                              f"off the {cmap.num_qubits}-qubit map")
+    log2phys = placement.physical(circuit.wire_names, cmap)
     violations = []
     for g in circuit.gates:
         if len(g.qubits) != 2:

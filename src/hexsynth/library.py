@@ -150,9 +150,9 @@ _C, _T, _A = ROLE_CONTROL, ROLE_TARGET, ROLE_ANCILLA
 _CORE_WIRES = (("c1", _C), ("t", _T), ("c2", _C))
 
 
-def build_core(spec: CoreSpec, name: str = "core") -> Circuit:
-    """3-qubit core on wires (c1=0, t=1, c2=2); the target sits in the middle."""
-    return _circuit(name, _CORE_WIRES, core_gates(spec, c1=0, t=1, c2=2))
+def build_core(spec: CoreSpec) -> Circuit:
+    """3-qubit core, named 'core', on wires (c1=0, t=1, c2=2): the target in the middle."""
+    return _circuit("core", _CORE_WIRES, core_gates(spec, c1=0, t=1, c2=2))
 
 
 BOOLEAN_BY_NAME = {

@@ -273,9 +273,8 @@ def search(query: SearchQuery) -> list[SearchHit]:
     return hits
 
 
-def query_from_names(target: str, sp=("h",), ax1=("i",), ax2=("i",),
-                     theta=("t", "tdg"), symmetric: bool = False) -> SearchQuery:
-    """Build a query from CLI-style gate-name tokens."""
+def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) -> SearchQuery:
+    """Build a query from CLI-style gate-name tokens, one list per alphabet."""
     kind = {k.value: k for k in GateKind}
     try:
         return SearchQuery(

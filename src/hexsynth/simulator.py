@@ -133,13 +133,6 @@ class Statevector:
                                   f"got {n}")
 
     @staticmethod
-    def zeros(n: int) -> "Statevector":
-        Statevector._check_width(n)
-        amps = np.zeros(2 ** n, dtype=complex)
-        amps[0] = 1.0
-        return Statevector(n, amps)
-
-    @staticmethod
     def basis(n: int, bits: dict[int, int]) -> "Statevector":
         """Computational basis state with the given {qubit: bit} values (others 0);
         a qubit outside 0..n-1 or a bit other than 0/1 is a SimulationError."""
@@ -319,17 +312,11 @@ def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel
     return [EquivalenceLevel(v) for v in value.tolist()]
 
 
-def equivalence_of_unitaries(ua: np.ndarray, ub: np.ndarray) -> EquivalenceLevel:
-    """Strongest equivalence level satisfied by two equal-size unitaries."""
-    if ua.shape != ub.shape:
-        raise SimulationError(f"shape mismatch {ua.shape} vs {ub.shape}")
-    return equivalence_levels(ua[None], ub)[0]
-
-
 def equivalence(a: Circuit, b: Circuit) -> EquivalenceLevel:
+    """Strongest equivalence level of two circuits of one width."""
     if a.width != b.width:
         raise SimulationError(f"width mismatch: {a.width} vs {b.width}")
-    return equivalence_of_unitaries(unitary_of(a), unitary_of(b))
+    return equivalence_levels(unitary_of(a)[None], unitary_of(b))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +326,10 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
     """Measure the Boolean function on `target` over all control assignments.
 
     `controls` lists control qubits least-significant first, so the key for
-    an assignment is the bit string 'c_k ... c_2 c_1'.  Target and ancillas
-    start in |0>; ancillas may end dirty.  Raises if any assignment leaves
-    the target non-deterministic.  Every assignment's basis state is one
-    column of a batch that sweeps the gates once.
+    an assignment is the bit string 'c_k ... c_2 c_1' ('' with no controls).
+    Target and ancillas start in |0>; ancillas may end dirty.  Raises if any
+    assignment leaves the target non-deterministic.  Every assignment's
+    basis state is one column of a batch that sweeps the gates once.
     """
     controls = tuple(controls)
     wires = (target,) + controls + tuple(ancillas)
@@ -367,6 +354,7 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
         target_one = amps.reshape(2 ** (n - 1 - target), 2, 2 ** target, -1)[:, 1]
         p1s = np.sum(np.abs(target_one) ** 2, axis=(0, 1))
         for m, norm, p1 in zip(ms.tolist(), norms.tolist(), p1s.tolist()):
+            key = format(m, f"0{k}b") if k else ""
             if abs(norm - 1.0) > ATOL_NORM:
                 raise SimulationError("state is not normalized")
             if p1 >= 1 - ATOL_NORM:
@@ -374,8 +362,8 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
             elif p1 <= ATOL_NORM:
                 bit = 0
             else:
-                raise SimulationError(f"non-deterministic target for controls {m:0{k}b}: p(1)={p1:.6f}")
-            table[format(m, f"0{k}b")] = bit
+                raise SimulationError(f"non-deterministic target for controls {key}: p(1)={p1:.6f}")
+            table[key] = bit
     return table
 
 
@@ -449,15 +437,9 @@ class QSpherePoint:
         return {"basis": self.basis_label, "magnitude": self.magnitude, "phase": self.phase}
 
 
-def qsphere(state: Statevector, display_order=None) -> list[QSpherePoint]:
-    """Nonzero basis amplitudes as (label, magnitude, relative phase) points.
-
-    `display_order` lists qubit indices from most to least significant in the
-    printed label; the default is |q_{n-1} ... q_0>.
-    """
-    order = tuple(display_order) if display_order is not None else tuple(range(state.n - 1, -1, -1))
-    if sorted(order) != list(range(state.n)):
-        raise SimulationError(f"display_order must permute 0..{state.n - 1}")
+def qsphere(state: Statevector) -> list[QSpherePoint]:
+    """Nonzero basis amplitudes as (label, magnitude, relative phase) points,
+    each labelled |q_{n-1} ... q_0>."""
     ref = None
     points = []
     for b, amp in enumerate(state.amps):
@@ -465,7 +447,7 @@ def qsphere(state: Statevector, display_order=None) -> list[QSpherePoint]:
             continue
         if ref is None:
             ref = cmath.phase(amp)
-        label = "".join(str((b >> q) & 1) for q in order)
+        label = "".join(str((b >> q) & 1) for q in reversed(range(state.n)))
         phase = (cmath.phase(amp) - ref) % (2 * math.pi)
         if abs(phase - 2 * math.pi) < 1e-12:
             phase = 0.0

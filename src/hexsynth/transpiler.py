@@ -25,8 +25,8 @@ the peephole never raises a gate count of any tag.  It does no resynthesis.
 `compile_gate` is the one path from a gate to its device cost: it places,
 lowers, peepholes and counts the gate, checks its couplings, and returns a
 `Compiled` record of the lowered circuit, cost, placement and violations.
-`route_naive` takes a logical -> physical dict and inserts SWAPs greedily
-along shortest paths.
+`route_naive` takes a logical -> physical dict, checked by `Placement`, and
+inserts SWAPs greedily along shortest paths.
 """
 from __future__ import annotations
 
@@ -375,7 +375,7 @@ class Compiled:
     def as_dict(self) -> dict:
         out = self.cost.as_dict()
         if self.placement is not None:
-            out.update(placement=self.placement.as_dict()["assignment"],
+            out.update(placement=dict(self.placement.assignment),
                        swap_free=not self.violations, violations=list(self.violations))
         return out
 
@@ -393,7 +393,7 @@ def compile_gate(circuit: Circuit, basis: NativeBasis, cmap: CouplingMap | None 
             region = ishape_brisbane(cmap)
         except LayoutError:
             region = cmap
-        placement = place(circuit.name, region)
+        placement = place(circuit, region)
     lowered = peephole(lower(circuit, basis))
     report = count_gates(lowered)
     zeros = {k.value: 0 for k in (K.X, K.SX, K.RZ, basis.two_qubit_kind)}
@@ -416,19 +416,13 @@ class RouteResult:
 def route_naive(circuit: Circuit, cmap, placement: dict) -> RouteResult:
     """Greedy shortest-path SWAP insertion for non-adjacent two-qubit gates.
 
-    `placement` maps logical index -> physical index.  The output circuit is
-    indexed by physical qubits; the final qubit permutation is left in place
-    and reported.
+    `placement` maps logical index -> physical index; it is checked as a
+    `Placement` of the wires 0..width-1 on `cmap`, so a bad one is a
+    LayoutError.  The output circuit is indexed by physical qubits; the
+    final qubit permutation is left in place and reported.
     """
     log2phys = dict(placement)
-    if sorted(log2phys) != list(range(circuit.width)):
-        raise TranspileError("placement must cover every circuit qubit")
-    if len(set(log2phys.values())) != circuit.width:
-        raise TranspileError("placement collision: physical qubits must be distinct")
-    for logical, phys in log2phys.items():
-        if phys not in range(cmap.num_qubits):
-            raise TranspileError(f"placement puts qubit {logical} on physical qubit {phys}, "
-                                 f"off the {cmap.num_qubits}-qubit map")
+    Placement(log2phys).physical(range(circuit.width), cmap)
     phys2log = {phys: logical for logical, phys in log2phys.items()}
     out: list[Gate] = []
     swaps = 0

@@ -1,12 +1,15 @@
 import json
+import re
 
 import pytest
 
+from hexsynth import layout
 from hexsynth.circuit import Circuit, CircuitError, Gate, GateKind
-from hexsynth.layout import (CouplingMap, LayoutError, Placement, ishape_brisbane,
+from hexsynth.cli import main
+from hexsynth.layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane,
                              load_map, place, verify_no_swap)
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
-from hexsynth.transpiler import NativeBasis, lower, peephole
+from hexsynth.transpiler import NativeBasis, lower, peephole, route_naive
 
 K = GateKind
 
@@ -69,8 +72,8 @@ class TestCouplingMap:
     def test_packaged_brisbane_file(self, brisbane):
         from importlib import resources
 
-        with resources.files("hexsynth.data").joinpath("brisbane.json").open("r") as fh:
-            loaded = load_map(fh)
+        with resources.as_file(resources.files("hexsynth.data") / "brisbane.json") as path:
+            loaded = load_map(path)
         assert loaded.num_qubits == 127
         assert loaded.edges == brisbane.edges
 
@@ -130,7 +133,7 @@ class TestPlacement:
 
     def test_json_round_trip(self):
         p = Placement({"c1": 61, "t": 62, "c2": 63})
-        assert Placement.from_dict(p.as_dict()).assignment == p.assignment
+        assert Placement.from_dict({"assignment": p.assignment}).assignment == p.assignment
 
     def test_and3_placement(self, brisbane):
         p = place("and3", ishape_brisbane(brisbane))
@@ -208,6 +211,23 @@ class TestPlacement:
         with pytest.raises(CircuitError, match="unknown gate"):
             place("nope", ishape_brisbane(brisbane))
 
+    def test_places_the_circuit_it_is_given(self, brisbane):
+        # the registry name and the circuit it builds place alike
+        shape = ishape_brisbane(brisbane)
+        assert place(build_gate("and4"), shape) == place("and4", shape)
+        pair = Circuit(2, (Gate(K.CX, (1, 0)),), wire_names=("a", "b"))
+        assert place(pair, shape).assignment == {"a": 61, "b": 62}
+
+    def test_the_search_is_memoized_on_the_interaction_graph(self, brisbane):
+        # two circuits with one graph, but other names and gates, share a search
+        shape = ishape_brisbane(brisbane)
+        layout._embedding.cache_clear()
+        first = place(Circuit(3, (Gate(K.CX, (0, 1)), Gate(K.CX, (2, 1))), wire_names="xyz"), shape)
+        other = Circuit(3, (Gate(K.CZ, (1, 2)), Gate(K.H, (0,)), Gate(K.CX, (1, 0))),
+                        name="other", wire_names="uvw")
+        assert place(other, shape).assignment == dict(zip("uvw", first.assignment.values()))
+        assert layout._embedding.cache_info().hits == 1
+
 
 class TestVerifyNoSwap:
     def test_empty_circuit(self, brisbane):
@@ -250,3 +270,36 @@ class TestVerifyNoSwap:
         assert ok
         ok, violations = verify_no_swap(c, square, Placement({"a": 0, "b": 2}))
         assert not ok and violations[0]["physical"] == [0, 2]
+
+
+class TestOnePlacementRule:
+    """Every entry point that takes a placement rejects a bad one with
+    `Placement`'s LayoutError text; the CLI prints it and exits 1."""
+
+    INDEX = {"c1": 0, "t": 1, "c2": 2, "x": 3}  # and3's wires, and one it lacks
+    CASES = {
+        "missing wire": ({"c1": 61, "t": 62}, "placement does not cover wire .+"),
+        "extra wire": ({"c1": 61, "t": 62, "c2": 63, "x": 64},
+                       "placement names wire .+, which the circuit lacks"),
+        "repeated qubit": ({"c1": 61, "t": 61, "c2": 63}, "placement is not injective: .+"),
+        "off-map qubit": ({"c1": 61, "t": 62, "c2": 127},
+                          "placement puts wire .+ on physical qubit 127, off the 127-qubit map"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("entry", ["route_naive", "verify_no_swap", "cost --placement"])
+    def test_each_entry_point_rejects(self, entry, case, tmp_path, capsys):
+        assignment, message = self.CASES[case]
+        and3, lattice = build_gate("and3"), heavy_hex_127()
+        if entry == "cost --placement":
+            path = tmp_path / "placement.json"
+            path.write_text(json.dumps({"assignment": assignment}))
+            assert main(["cost", "and3", "--placement", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and re.fullmatch(f"error: {message}\n", captured.err)
+            return
+        with pytest.raises(LayoutError, match=f"^{message}$"):
+            if entry == "route_naive":
+                route_naive(and3, lattice, {self.INDEX[w]: q for w, q in assignment.items()})
+            else:
+                verify_no_swap(and3, lattice, Placement(assignment))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -273,4 +275,5 @@ class TestRegistry:
 
     def test_boolean_core_is_the_registry_gate(self):
         for name, kind in BOOLEAN_BY_NAME.items():
-            assert build_core(BOOLEAN_TABLE[kind], name=name) == build_gate(name)
+            core = build_core(BOOLEAN_TABLE[kind])
+            assert core.name == "core" and dataclasses.replace(core, name=name) == build_gate(name)

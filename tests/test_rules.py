@@ -11,11 +11,13 @@ from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, TH
                               BooleanGateKind, CoreSpec, build_core)
 from hexsynth.rules import (SearchHit, SearchQuery, apply_rules, count_space, iter_specs,
                             query_from_names, search)
-from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_of_unitaries,
+from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_levels,
                                 truth_string, truth_table, unitary_of)
 
 K = GateKind
 TARGETS = tuple(format(m, "04b") for m in range(16))
+# the CLI's default alphabets, as names
+DEFAULT_NAMES = dict(sp=("h",), ax1=("i",), ax2=("i",), theta=("t", "tdg"))
 
 
 def oracle_unitary(target: str):
@@ -37,7 +39,7 @@ def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchH
             continue
         realized = truth_string(table)
         if realized in found:
-            level = equivalence_of_unitaries(unitary_of(circuit), oracle_unitary(realized))
+            level = equivalence_levels(unitary_of(circuit)[None], oracle_unitary(realized))[0]
             found[realized].append(SearchHit(spec, level))
     for hits in found.values():
         hits.sort(key=lambda h: h.spec.sort_key())
@@ -157,7 +159,7 @@ class TestSearch:
         assert q.sp_set == (K.H,)
         assert q.ax2_set == ((), (K.Z,), (K.X, K.Z, K.X))
         with pytest.raises(CircuitError):
-            query_from_names("0001", sp=("nope",))
+            query_from_names("0001", **dict(DEFAULT_NAMES, sp=("nope",)))
 
 
 class TestBatchedSearchMatchesReference:
@@ -239,7 +241,7 @@ class TestBatchedSearchMatchesReference:
         for bad, match in [(dict(sp=("h", "t")), "superposition"),
                            (dict(theta=("t", "h")), "theta")]:
             with pytest.raises(CircuitError, match=match):
-                query_from_names("0001", **bad)
+                query_from_names("0001", **dict(DEFAULT_NAMES, **bad))
 
     def test_grades_hand_made_blocks(self, monkeypatch):
         # No query space holds an L1 hit, so the grading of search's oracle

@@ -10,9 +10,9 @@ from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, GATES, SUPERPOSITION_KI
                               BooleanGateKind, CoreSpec, build_gate,
                               core_stage_gates)
 from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
-                                _apply_matrix, apply, equivalence, equivalence_levels,
-                                equivalence_of_unitaries, gate_matrix, pauli_conjugate, phase_trace, qsphere, truth_string,
-                                truth_table, unitary_of)
+                                _apply_matrix, apply, equivalence, equivalence_levels, gate_matrix,
+                                pauli_conjugate, phase_trace, qsphere, truth_string, truth_table,
+                                unitary_of)
 
 from conftest import is_unitary, probability_of_one, random_clifford_t_circuit, toffoli_unitary
 
@@ -128,7 +128,7 @@ class TestApplyAndUnitary:
 
     def test_width_mismatch(self):
         with pytest.raises(SimulationError):
-            apply(Circuit(2, (G(K.H, 0),)), Statevector.zeros(3))
+            apply(Circuit(2, (G(K.H, 0),)), Statevector.basis(3, {}))
 
     def test_x_unitary(self):
         u = unitary_of(Circuit(1, (G(K.X, 0),)))
@@ -169,7 +169,7 @@ class TestApplyAndUnitary:
     def test_statevector_guard(self):
         # raised before the 2^n amplitudes are allocated
         with pytest.raises(SimulationError, match="at most 20 qubits"):
-            Statevector.zeros(40)
+            Statevector.basis(40, {})
         with pytest.raises(SimulationError, match="at most 20 qubits"):
             Statevector.basis(40, {0: 1})
         with pytest.raises(SimulationError):
@@ -296,7 +296,7 @@ class TestCallersKeepTheirArrays:
         assert truth_table(gate, target, gate.control_qubits()) == {"00": 1, "01": 1, "10": 1,
                                                                     "11": 0}
         unitary_of(MIXED)
-        apply(MIXED, Statevector.zeros(3))
+        apply(MIXED, Statevector.basis(3, {}))
         assert all(np.array_equal(gate_matrix(kind), m) for kind, m in before.items())
 
 
@@ -404,7 +404,7 @@ class TestBatchedGrader:
         ref = toffoli_unitary()
         stack, levels = zip(*graded_variants(ref))
         assert set(levels) == set(EquivalenceLevel)
-        assert [equivalence_of_unitaries(u, ref) for u in stack] == list(levels)
+        assert [equivalence_levels(u[None], ref)[0] for u in stack] == list(levels)
         assert equivalence_levels(np.array(stack), ref) == list(levels)
 
     def test_block_diagonal_pair_grades_as_its_stacked_blocks(self):
@@ -419,7 +419,7 @@ class TestBatchedGrader:
         variants += [(v.reshape(4, 2, 2), level)
                      for v, level in graded_variants(ref.reshape(8, 2))]
         stack, levels = zip(*variants)
-        dense = [equivalence_of_unitaries(block_diagonal(b), block_diagonal(ref)) for b in stack]
+        dense = [equivalence_levels(block_diagonal(b)[None], block_diagonal(ref))[0] for b in stack]
         assert dense == list(levels)
         assert equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)) == dense
 
@@ -436,6 +436,13 @@ class TestTruthTable:
     def test_implication_gate(self):
         tt = truth_table(build_gate("imp3"), target=1, controls=(0, 2))
         assert tt == {"00": 1, "01": 0, "10": 1, "11": 1}
+
+    def test_no_controls_keys_the_empty_assignment(self):
+        # one assignment, the empty one: its key is '' (not '0', the key of
+        # a one-control table's first row)
+        assert truth_table(Circuit(1), target=0, controls=()) == {"": 0}
+        table = truth_table(Circuit(2, (G(K.X, 1),)), target=1, controls=(), ancillas=(0,))
+        assert table == {"": 1} and truth_string(table) == "1"
 
     def test_truth_string_ordering(self):
         assert truth_string({"00": 1, "01": 0, "10": 0, "11": 0}) == "1000"
@@ -539,7 +546,7 @@ class TestPhaseTrace:
 
 class TestQSphere:
     def test_basis_state(self):
-        pts = qsphere(Statevector.zeros(3))
+        pts = qsphere(Statevector.basis(3, {}))
         assert len(pts) == 1
         assert pts[0].basis_label == "000"
         assert pts[0].magnitude == pytest.approx(1.0)
@@ -560,13 +567,13 @@ class TestQSphere:
             for c2 in (0, 1):
                 amps[(c2 << 2) | c1] = 0.5
         out = apply(build_gate("and3"), Statevector(3, amps))
-        pts = qsphere(out, display_order=(1, 2, 0))  # |t c2 c1>
+        pts = qsphere(out)  # |c2 t c1>
         assert len(pts) == 4
         assert all(p.magnitude == pytest.approx(0.5) for p in pts)
         phases = {p.basis_label: p.phase for p in pts}
         assert phases["000"] == pytest.approx(0.0)
         assert phases["001"] == pytest.approx(0.0)
-        assert phases["010"] == pytest.approx(0.0)
+        assert phases["100"] == pytest.approx(0.0)
         assert phases["111"] == pytest.approx(3 * math.pi / 2)
 
     def test_oracle_alignment(self):

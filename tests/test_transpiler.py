@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -552,6 +553,24 @@ class TestCompileGate:
             compile_gate(build_gate("and3"), NativeBasis.CX_BASIS,
                          placement=Placement({"c1": 61, "t": 62, "c2": 130}))
 
+    def test_places_the_circuit_it_compiles(self):
+        # named and3, but only c1 and c2 interact: they go side by side, not
+        # where the registry and3 would put them
+        and3 = build_gate("and3")
+        circuit = Circuit(3, (G(K.CX, 0, 2),), and3.roles, "and3", and3.wire_names)
+        compiled = compile_gate(circuit, NativeBasis.CX_BASIS, heavy_hex_127())
+        assert compiled.placement.assignment == {"c1": 61, "t": 63, "c2": 62}
+        assert compiled.violations == ()
+
+    def test_a_parsed_circuit_needs_wire_names_to_be_placed(self):
+        parsed = parse_text(emit_text(build_gate("and3")))
+        with pytest.raises(LayoutError, match=r"^gate '' has no wire names to place$"):
+            compile_gate(parsed, NativeBasis.CX_BASIS, heavy_hex_127())
+        named = dataclasses.replace(parsed, wire_names=("c1", "t", "c2"))
+        compiled = compile_gate(named, NativeBasis.CX_BASIS, heavy_hex_127())
+        assert compiled.placement.assignment == {"c1": 61, "t": 62, "c2": 63}
+        assert compiled.violations == ()
+
 
 class TestSoundnessSweep:
     def test_200_random_circuits_both_bases(self):
@@ -631,16 +650,23 @@ class TestRouteNaive:
                 assert pr[to_phys(b), col] == pytest.approx(po[b, col], abs=1e-9)
 
     def test_placement_errors(self):
+        # the placement is checked as a `Placement` of the wires 0..width-1
         c = Circuit(2, (G(K.CX, 0, 1),))
-        with pytest.raises(TranspileError):
+        with pytest.raises(LayoutError, match=r"^placement does not cover wire 1$"):
             route_naive(c, self.LINE3, {0: 0})
-        with pytest.raises(TranspileError):
+        with pytest.raises(LayoutError, match=r"^placement is not injective: \{0: 0, 1: 0\}$"):
             route_naive(c, self.LINE3, {0: 0, 1: 0})
 
     @pytest.mark.parametrize("phys", [500, -3])
     def test_placement_off_the_map(self, phys):
-        with pytest.raises(TranspileError, match=rf"physical qubit {phys}, off the 127-qubit map"):
+        with pytest.raises(LayoutError, match=rf"^placement puts wire 2 on physical qubit {phys}, "
+                                              rf"off the 127-qubit map$"):
             route_naive(build_gate("and3"), heavy_hex_127(), {0: 0, 1: 1, 2: phys})
+
+    def test_disconnected_map(self):
+        two_pairs = CouplingMap("two pairs", 4, frozenset({(0, 1), (2, 3)}))
+        with pytest.raises(TranspileError, match=r"^coupling map is disconnected between 0 and 2$"):
+            route_naive(Circuit(2, (G(K.CX, 0, 1),)), two_pairs, {0: 0, 1: 2})
 
     def test_end_placed_toffoli_costs_more_than_middle_target_core(self):
         # standard Toffoli with its target forced to a line end needs routing
