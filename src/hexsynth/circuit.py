@@ -333,16 +333,24 @@ class CostReport:
 
 
 def depth(circuit: Circuit) -> int:
-    """Greedy layering depth; every gate occupies all its qubits for one step."""
-    level = dict.fromkeys(chain.from_iterable(g.qubits for g in circuit.gates), 0)
+    """Greedy layering depth; every gate occupies all its qubits for one step.
+
+    One pass keeps the layer each wire has reached, only for the wires that
+    carry a gate, and the deepest layer so far."""
+    level: dict[int, int] = {}
+    get = level.get
+    deepest = 0
     for g in circuit.gates:
-        if len(g.qubits) == 1:
-            level[g.qubits[0]] += 1
+        qubits = g.qubits
+        if len(qubits) == 1:
+            q = qubits[0]
+            layer = level[q] = get(q, 0) + 1
         else:
-            layer = 1 + max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = layer
-    return max(level.values(), default=0)
+            a, b = qubits
+            layer = level[a] = level[b] = max(get(a, 0), get(b, 0)) + 1
+        if layer > deepest:
+            deepest = layer
+    return deepest
 
 
 def count_gates(circuit: Circuit) -> CostReport:

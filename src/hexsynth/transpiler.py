@@ -11,16 +11,23 @@ first time it is seen, and every later `lower` call reuses that expansion,
 sharing its (immutable) native `Gate` objects.  An RY by any other angle is
 expanded on every call.
 
-The peephole is one left-to-right sweep that keeps a stack per wire.  It
-merges adjacent RZ with exact arithmetic (on integers mod 16 for multiples
-of pi/4, as `Angle` keeps them; rational-pi otherwise), cancels adjacent
-CX/ECR pairs, and reduces each same-wire run of {sqrt(X), X} by its value
-mod 4 (sqrt(X)^2 = X, X^2 = I).  A run of value 0 is the identity, so
-rotations and two-qubit gates on either side of it meet through it.  Runs
-are emitted once, at the end, in their shortest form, from one SX and one X
-gate shared per wire and process; an X is emitted only against the X gates
-of its wire segment (the stretch between two surviving two-qubit gates), so
-the peephole never raises a gate count of any tag.  It does no resynthesis.
+The peephole is one left-to-right sweep that keeps a stack per wire, only
+for the wires that carry a gate.  It merges adjacent RZ with exact
+arithmetic, cancels adjacent CX/ECR pairs, and reduces each same-wire run of
+{sqrt(X), X} by its value mod 4 (sqrt(X)^2 = X, X^2 = I), kept up to date on
+every gate.  An RZ, SX or X is handled in the sweep itself: two multiples of
+pi/4 merge by adding their integer indices mod 16 (as `Angle` keeps them),
+and only exact angles off that grid (rational-pi) and floats take
+`Angle.plus`.  A run of value 0 is the identity, so rotations and two-qubit
+gates on either side of it meet through it; that merge and a pair
+cancellation are the only paths that call helpers.  Runs and merged
+rotations are emitted once, at the end: runs in their shortest form, from
+one SX and one X gate shared per wire and process, and a merged rotation on
+the grid from one RZ gate shared per wire and angle (so at most 16 per wire
+seen; off-grid merges are built fresh).  An X is emitted only against the X
+gates of its wire segment (the stretch between two surviving two-qubit
+gates), so the peephole never raises a gate count of any tag.  It does no
+resynthesis.
 
 `compile_gate` is the one path from a gate to its device cost: it places,
 lowers, peepholes and counts the gate, checks its couplings, and returns a
@@ -35,8 +42,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import (Angle, Circuit, CircuitError, CostReport, Gate, GateKind, count_gates,
-                      parse_text)
+from .circuit import (_GRID, Angle, Circuit, CircuitError, CostReport, Gate, GateKind,
+                      count_gates, parse_text)
 from .layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane, place,
                      verify_no_swap)
 
@@ -150,26 +157,20 @@ def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
 
 # --- peephole ------------------------------------------------------------------
 
-_SELF_INVERSE_2Q = (K.CX, K.ECR)
-
-
 class _Run:
     """A same-wire run of SX and X gates, kept as counts.
 
     SX and X commute, SX^2 = X and X^2 = I, so the run is SX^value with
-    value = (sx + 2*x) mod 4.  A run of value 0 is the identity: rotations
-    and two-qubit gates on either side of it meet through it.
+    value = (sx + 2*x) mod 4, updated on every gate it takes.  A run of
+    value 0 is the identity: rotations and two-qubit gates on either side
+    of it meet through it.
     """
 
-    __slots__ = ("sx", "x", "out")
+    __slots__ = ("sx", "x", "value", "out")
 
     def __init__(self):
-        self.sx = self.x = 0
+        self.sx = self.x = self.value = 0
         self.out: tuple[Gate, ...] = ()
-
-    @property
-    def value(self) -> int:
-        return (self.sx + 2 * self.x) % 4
 
 
 class _Rz:
@@ -204,7 +205,8 @@ def _under_identity(stack: list):
 
 def _remove_under(stack: list, identity: _Run | None) -> None:
     """Pop the item below an optional top identity run; the identity run then
-    joins the run it now follows, if any, so their X gates stay together."""
+    joins the run it now follows, if any, so their X gates stay together
+    (its value is 0, so the joined run's value stays)."""
     if identity is not None:
         stack.pop()
     stack.pop().out = ()
@@ -236,7 +238,7 @@ def _cancel_pending(stacks: dict, pending: dict, later: _Fixed) -> None:
     below, as it would once the pair is gone.
     """
     for q in later.gate.qubits:
-        pending[q] = None
+        del pending[q]
         stack = stacks[q]
         landed = stack.pop() if stack[-1] is not later else None
         stack.pop().out = ()
@@ -259,6 +261,15 @@ def _run_outputs(q: int) -> tuple[tuple, tuple]:
     return ((), (sx,), (sx, sx), (sx, sx, sx)), ((), (sx,), (x,), (sx, x))
 
 
+@functools.cache
+def _rz_output(q: int, k: int) -> tuple[Gate]:
+    """The output of a merged rotation by k*pi/4 on wire q.  It is built once
+    per wire and grid angle, per process, so its text is rendered once; the
+    memo is bounded by 16 times the wires seen.  A merged angle off the grid
+    is not stored."""
+    return (Gate(K.RZ, (q,), _GRID[k]),)
+
+
 def _emit_wire(stack: list, q: int) -> None:
     """Fix the output of every rotation and run left on one wire.
 
@@ -272,12 +283,16 @@ def _emit_wire(stack: list, q: int) -> None:
     segment: list[_Run] = []
     for item in stack + [None]:
         if type(item) is _Rz:
-            if item.angle is not item.gate.angle:
-                item.out = (Gate(K.RZ, (q,), item.angle),)
+            angle = item.angle
+            if angle is not item.gate.angle:
+                k = angle._k
+                item.out = (Gate(K.RZ, (q,), angle),) if k is None else _rz_output(q, k)
         elif type(item) is _Run:
             segment.append(item)
-        else:  # a fixed gate or the end of the wire closes the segment
-            spare = sum(r.x for r in segment) - sum(r.sx < r.value for r in segment)
+        elif segment:  # a fixed gate or the end of the wire closes the segment
+            spare = 0
+            for r in segment:
+                spare += r.x - (r.sx < r.value)
             for r in segment:
                 value = r.value
                 if r.sx < value:
@@ -297,21 +312,45 @@ def peephole(circuit: Circuit) -> Circuit:
     and {SX, X} runs reduce by their value mod 4.  No gate count of any tag
     rises above the input's.
     """
-    # per-wire state only for the wires that carry a gate
+    # Per-wire state only for the wires that carry a gate.  An RZ, SX or X
+    # calls no helper: only a merge through an identity run and a pair
+    # cancellation do.  The kinds are locals because reading an Enum member
+    # off its class costs several times a local read.
+    RZ, SX, X, I, CX, ECR = K.RZ, K.SX, K.X, K.I, K.CX, K.ECR
     stacks: dict[int, list] = defaultdict(list)
-    pending: dict[int, _Fixed | None] = {}
+    pending: dict[int, _Fixed] = {}  # a CX/ECR that cancels through identity runs
     items: list = []
     for g in circuit.gates:
         kind = g.kind
-        if kind is K.RZ:
+        if kind is RZ:
+            angle = g.angle
+            k = angle._k
+            if k is None:
+                if angle.is_zero_mod_2pi():
+                    continue
+            elif k == 0 or k == 8:
+                continue
             stack = stacks[g.qubits[0]]
-            if not g.angle.is_zero_mod_2pi() and not _merge_rz(stack, g.angle):
+            top = stack[-1] if stack else None
+            if type(top) is _Rz:
+                held = top.angle
+                if k is not None and held._k is not None:  # on the grid: add indices
+                    k = (held._k + k) % 16
+                    if k == 0 or k == 8:
+                        stack.pop().out = ()
+                    else:
+                        top.angle = _GRID[k]
+                else:
+                    top.angle = held.plus(angle)
+                    if top.angle.is_zero_mod_2pi():
+                        stack.pop().out = ()
+            elif not (type(top) is _Run and top.value == 0 and _merge_rz(stack, angle)):
                 item = _Rz(g)
                 stack.append(item)
                 items.append(item)
-        elif kind is K.SX or kind is K.X:
+        elif kind is SX or kind is X:
             q = g.qubits[0]
-            if pending.get(q) is not None:
+            if q in pending:
                 _cancel_pending(stacks, pending, pending[q])
             stack = stacks[q]
             run = stack[-1] if stack else None
@@ -319,34 +358,41 @@ def peephole(circuit: Circuit) -> Circuit:
                 run = _Run()
                 stack.append(run)
                 items.append(run)
-            if kind is K.SX:
+            if kind is SX:
                 run.sx += 1
+                run.value = (run.value + 1) % 4
             else:
                 run.x += 1
-        elif kind is not K.I:
-            for q in g.qubits:
-                later = pending.get(q)
-                if later is not None and not (later.gate == g and all(stacks[r][-1] is later
-                                                                     for r in g.qubits)):
-                    _cancel_pending(stacks, pending, later)
-            tops = [_under_identity(stacks[q]) for q in g.qubits]
-            prev = tops[0][0]
+                run.value = (run.value + 2) % 4
+        elif kind is not I:
+            qubits = g.qubits
+            if pending:
+                for q in qubits:
+                    later = pending.get(q)
+                    if later is not None and not (later.gate == g and all(stacks[r][-1] is later
+                                                                         for r in qubits)):
+                        _cancel_pending(stacks, pending, later)
             item = _Fixed(g)
-            if (kind in _SELF_INVERSE_2Q and type(prev) is _Fixed and prev.gate == g
-                    and tops[1][0] is prev):
-                if tops[0][1] is None and tops[1][1] is None:  # adjacent: cancel now
-                    for q in g.qubits:
-                        stacks[q].pop().out = ()
-                        pending[q] = None
-                    continue
-                # Only identity runs lie between.  The pair cancels, unless an
-                # equal gate follows this one directly and cancels it first.
-                for q in g.qubits:
-                    pending[q] = item
-            for q in g.qubits:
+            if kind is CX or kind is ECR:
+                a, b = qubits
+                below, identity = _under_identity(stacks[a])
+                if type(below) is _Fixed and below.gate == g:
+                    other, other_identity = _under_identity(stacks[b])
+                    if other is below:
+                        if identity is None and other_identity is None:  # adjacent: cancel now
+                            stacks[a].pop().out = ()
+                            stacks[b].pop()  # the same item
+                            pending.pop(a, None)
+                            pending.pop(b, None)
+                            continue
+                        # Only identity runs lie between.  The pair cancels, unless an
+                        # equal gate follows this one directly and cancels it first.
+                        pending[a] = pending[b] = item
+            for q in qubits:
                 stacks[q].append(item)
             items.append(item)
-    for later in pending.values():
+    for q in list(pending):
+        later = pending.get(q)
         if later is not None:
             _cancel_pending(stacks, pending, later)
     for q, stack in stacks.items():

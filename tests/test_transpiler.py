@@ -3,6 +3,8 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,10 +24,11 @@ from conftest import random_clifford_t_circuit
 K = GateKind
 
 
-# --- the former fixed-point passes, kept as references -------------------------
+# --- the former passes, kept as references ---------------------------------------
 # `peephole` and `lower` used to rewrite to a fixed point, restarting from the
 # first gate after every rewrite (about n^2).  The tests hold the one-pass
 # versions to these: `lower` gate for gate, `peephole` never longer or deeper.
+# `depth` used to take two passes; the one-loop version must agree with it.
 
 def reference_lower(circuit, basis):
     rules = {kind: parse_text(text).gates for kind, text in _RULES.items()}
@@ -136,6 +139,18 @@ def reference_peephole(circuit):
         if not changed:
             gates, changed = _reference_sx_run_pass(gates)
     return circuit.with_gates(gates)
+
+
+def reference_depth(circuit):
+    level = dict.fromkeys(chain.from_iterable(g.qubits for g in circuit.gates), 0)
+    for g in circuit.gates:
+        if len(g.qubits) == 1:
+            level[g.qubits[0]] += 1
+        else:
+            layer = 1 + max(level[q] for q in g.qubits)
+            for q in g.qubits:
+                level[q] = layer
+    return max(level.values(), default=0)
 
 
 def G(kind, *qubits, angle=None):
@@ -369,21 +384,34 @@ class TestSweepRegressions:
             assert fidelity(lowered, peephole(lowered)) >= 1 - 1e-9
 
 
-_ANGLES = st.sampled_from([(1, 2), (-1, 2), (1, 1), (3, 2), (-3, 2), (1, 4), (-1, 4), (3, 4)])
+_GRID_ANGLES = [(1, 2), (-1, 2), (1, 1), (3, 2), (-3, 2), (1, 4), (-1, 4), (3, 4)]
+_ANGLES = st.sampled_from(_GRID_ANGLES)
+# The sweep adds grid angles as indices mod 16; exact angles off the grid and
+# floats take `Angle.plus`.  pi/3 + 5*pi/3 merges to 2*pi and 0.3 - 0.3 to 0,
+# and a float 2*pi is the identity on its own.
+_ZERO_PAIRS = [(Angle.pi_frac(1, 3), Angle.pi_frac(5, 3)),
+               (Angle.from_radians(0.3), Angle.from_radians(-0.3))]
+_RZ_ANGLES = st.sampled_from([Angle.pi_frac(*a) for a in _GRID_ANGLES]
+                             + [a for pair in _ZERO_PAIRS for a in pair]
+                             + [Angle.from_radians(2 * math.pi)])
+_RZ_ZERO_PAIRS = st.sampled_from(_ZERO_PAIRS + [pair[::-1] for pair in _ZERO_PAIRS])
 
 
 @st.composite
 def native_circuits(draw):
+    """Native circuits, drawn as runs of one gate or of an RZ pair that
+    merges to the identity."""
     basis = draw(st.sampled_from(list(NativeBasis)))
     width = draw(st.integers(1, 4))
     qubit = st.integers(0, width - 1)
-    gates = [st.builds(lambda q: G(K.SX, q), qubit),
-             st.builds(lambda q: G(K.X, q), qubit),
-             st.builds(lambda q, a: rz(q, *a), qubit, _ANGLES)]
+    runs = [st.builds(lambda q: (G(K.SX, q),), qubit),
+            st.builds(lambda q: (G(K.X, q),), qubit),
+            st.builds(lambda q, a: (G(K.RZ, q, angle=a),), qubit, _RZ_ANGLES),
+            st.builds(lambda q, ab: tuple(G(K.RZ, q, angle=a) for a in ab), qubit, _RZ_ZERO_PAIRS)]
     if width > 1:
         pair = st.one_of(st.just((0, 1)), st.lists(qubit, min_size=2, max_size=2, unique=True))
-        gates.append(st.builds(lambda qs: G(basis.two_qubit_kind, *qs), pair))
-    return Circuit(width, tuple(draw(st.lists(st.one_of(*gates), max_size=40))))
+        runs.append(st.builds(lambda qs: (G(basis.two_qubit_kind, *qs),), pair))
+    return Circuit(width, tuple(chain.from_iterable(draw(st.lists(st.one_of(*runs), max_size=40)))))
 
 
 @st.composite
@@ -419,6 +447,20 @@ class TestSweepProperties:
     @given(any_circuits(), st.sampled_from(list(NativeBasis)))
     def test_lower_matches_fixed_point_lowering(self, c, basis):
         assert lower(c, basis) == reference_lower(c, basis)
+
+    @PROPERTY
+    @given(any_circuits())
+    def test_depth_matches_two_pass_depth(self, c):
+        assert count_gates(c).depth == reference_depth(c)
+
+    def test_depth_of_empty_and_routed_circuits(self):
+        lattice = heavy_hex_127()
+        gate = build_gate("and4")
+        spots = random.Random(3).sample(range(lattice.num_qubits), gate.width)
+        routed = route_naive(gate, lattice, dict(enumerate(spots))).circuit
+        assert routed.width == 127 and any(g.kind is K.SWAP for g in routed.gates)
+        for c in (Circuit(3), routed, peephole(lower(routed, NativeBasis.ECR_BASIS))):
+            assert count_gates(c).depth == reference_depth(c)
 
 
 class TestSharedLowering:
@@ -465,7 +507,45 @@ class TestSharedLowering:
         assert {basis: len(_LOWERINGS[basis].memo) for basis in NativeBasis} == sizes
 
 
+class TestSharedPeephole:
+    def test_merged_grid_rotation_is_shared(self):
+        # a merged rotation on the pi/4 grid is one instance per wire and
+        # angle, so its text is rendered once
+        c = native("rz(pi/4) q0; rz(pi/2) q0; sx q0; rz(pi) q1; rz(pi/4) q1; x q1")
+        first, second = peephole(c), peephole(c)
+        assert [g.text() for g in first.gates] == ["rz(3*pi/4) q[0]", "sx q[0]",
+                                                   "rz(5*pi/4) q[1]", "x q[1]"]
+        assert all(a is b for a, b in zip(first.gates, second.gates))
+
+    def test_off_grid_merges_are_not_stored(self):
+        # pi/3 + pi/4 is exact off the grid, 0.3 + 0.5 a float
+        c = Circuit(2, (G(K.RZ, 0, angle=Angle.pi_frac(1, 3)),
+                        G(K.RZ, 0, angle=Angle.pi_frac(1, 4)),
+                        G(K.RZ, 1, angle=Angle.from_radians(0.3)),
+                        G(K.RZ, 1, angle=Angle.from_radians(0.5))))
+        size = transpiler._rz_output.cache_info().currsize
+        out = peephole(c)
+        assert [g.angle for g in out.gates] == [Angle.pi_frac(7, 12), Angle.from_radians(0.8)]
+        assert transpiler._rz_output.cache_info().currsize == size
+
+
 class TestDeclaredWidth:
+    @pytest.mark.parametrize("basis", list(NativeBasis))
+    def test_idle_wires_cost_nothing(self, basis):
+        # lowering, the sweep, counting and text keep state only for the
+        # wires that carry a gate; a per-wire list would peak at about 8 MB
+        wide = 10 ** 6
+        c = Circuit(wide, (G(K.H, 0), G(K.CX, 3, wide - 1), G(K.T, 3)))
+        tracemalloc.start()
+        try:
+            out = peephole(lower(c, basis))
+            text, report = emit_text(out), count_gates(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.startswith(f"qubits {wide}\n") and report.qc == len(out.gates) > 3
+        assert peak < 64_000
+
     def test_sweep_visits_only_wires_with_gates(self, monkeypatch):
         visited = []
         emit = transpiler._emit_wire
