@@ -5,8 +5,8 @@ With both controls on, the target walks through the octants:
 Hadamard reads out |1>.  With a control off, the matching CX stages skip
 and every rotation is undone by its mirror twin, returning |0>.
 """
-from hexsynth.library import BOOLEAN_TABLE, STAGE_NAMES, BooleanGateKind
-from hexsynth.simulator import phase_trace
+from hexsynth.library import BOOLEAN_TABLE, BooleanGateKind
+from hexsynth.rules import STAGE_NAMES, phase_trace
 
 spec = BOOLEAN_TABLE[BooleanGateKind.AND]
 

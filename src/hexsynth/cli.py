@@ -15,11 +15,11 @@ import sys
 from . import reports
 from .circuit import (ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, Circuit, CircuitError, emit_text,
                       parse_text)
-from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, STAGE_NAMES, build_gate
+from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, build_gate
 from .layout import Placement, load_map
-from .rules import query_from_names, search
-from .simulator import (EquivalenceLevel, SimulationError, Statevector, apply, equivalence,
-                        phase_trace, qsphere, truth_string, truth_table)
+from .rules import STAGE_NAMES, phase_trace, query_from_names, search
+from .simulator import (EquivalenceLevel, Statevector, apply, equivalence, qsphere, truth_string,
+                        truth_table)
 from .transpiler import NativeBasis, compile_gate, lower, peephole
 
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CircuitError, SimulationError, OSError) as e:
+    except (CircuitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -89,10 +89,6 @@ class CouplingMap:
                 queue.append(nxt)
         return None
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "num_qubits": self.num_qubits,
-                "edges": sorted([a, b] for a, b in self.edges)}
-
 
 def _check_edges(edges: tuple, num_qubits: int) -> None:
     """Raise LayoutError for the first edge that breaks a map rule.  The
@@ -113,16 +109,13 @@ def _check_edges(edges: tuple, num_qubits: int) -> None:
             raise LayoutError(f"edge [{a}, {b}] outside 0..{num_qubits - 1}")
 
 
-def load_map(source) -> CouplingMap:
-    """Read a coupling map (checked by `CouplingMap`) from a JSON file's path or a dict."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
+def load_map(path) -> CouplingMap:
+    """Read a coupling map (checked by `CouplingMap`) from a JSON file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
         name, num_qubits = str(data.get("name", "unnamed")), data["num_qubits"]
         edges = list(map(tuple, data["edges"]))

@@ -120,25 +120,10 @@ BOOLEAN_FUNCTIONS = {
 
 def core_gates(spec: CoreSpec, c1: int, t: int, c2: int) -> list[Gate]:
     """Core gate sequence instantiated on arbitrary wires (ax slots of I emit nothing)."""
-    return [g for _, gates in core_stage_gates(spec, c1, t, c2) for g in gates]
-
-
-def core_stage_gates(spec: CoreSpec, c1: int, t: int, c2: int):
-    """The nine canonical stages with their gates (AX folded into the SP stages)."""
-    return [
-        ("SP1", [Gate(spec.sp1, (t,))] + [Gate(k, (t,)) for k in spec.ax1]),
-        ("theta1", [Gate(spec.theta[0], (t,))]),
-        ("CX_c2", [Gate(K.CX, (c2, t))]),
-        ("theta2", [Gate(spec.theta[1], (t,))]),
-        ("CX_c1", [Gate(K.CX, (c1, t))]),
-        ("theta3", [Gate(spec.theta[2], (t,))]),
-        ("CX_c2", [Gate(K.CX, (c2, t))]),
-        ("theta4", [Gate(spec.theta[3], (t,))]),
-        ("SP2", [Gate(k, (t,)) for k in spec.ax2] + [Gate(spec.sp2, (t,))]),
-    ]
-
-
-STAGE_NAMES = tuple(name for name, _ in core_stage_gates(CoreSpec(), 0, 1, 2))
+    th1, th2, th3, th4 = (Gate(k, (t,)) for k in spec.theta)
+    return ([Gate(k, (t,)) for k in (spec.sp1, *spec.ax1)]
+            + [th1, Gate(K.CX, (c2, t)), th2, Gate(K.CX, (c1, t)), th3, Gate(K.CX, (c2, t)), th4]
+            + [Gate(k, (t,)) for k in (*spec.ax2, spec.sp2)])
 
 
 def _circuit(name: str, wires, gates) -> Circuit:

@@ -18,8 +18,7 @@ import json
 from importlib import resources
 
 from .library import BOOLEAN_TABLE, BooleanGateKind, build_gate
-from .rules import SearchQuery, count_space, iter_specs
-from .simulator import phase_trace
+from .rules import SearchQuery, count_space, iter_specs, phase_trace
 from .transpiler import NativeBasis, compile_gate
 
 SOFT_TOLERANCE = 0.20

@@ -1,4 +1,5 @@
-"""Geometrical design rules as an executable search over core configurations.
+"""Geometrical design rules: the search over core configurations and the
+stage-by-stage phase trace, both read from the per-branch block of the core.
 
 The circle of equatorial target states splits into semicircles (Z), quadrants
 (S, S-dagger), and octants (T, T-dagger).  Six successive restriction rules
@@ -23,9 +24,14 @@ each block of hits is graded from its four 2x2 blocks in one call of the
 package's one grader, `simulator.equivalence_levels`, against the oracle's
 blocks (I or X per target bit).  A query's gate alphabets are checked once,
 when the `SearchQuery` is built.
+
+`phase_trace` walks one branch through the same factors, stage by stage:
+F's column 0, each theta, X for each CX whose control is 1, then L, naming
+the target's equatorial octant after every stage.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -35,7 +41,8 @@ import numpy as np
 
 from .circuit import CircuitError, Gate, GateKind
 from .library import AX_ENTRIES, CoreSpec, ax_name
-from .simulator import ATOL_NORM, EquivalenceLevel, equivalence_levels, gate_matrix
+from .simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, equivalence_levels,
+                        gate_matrix)
 
 K = GateKind
 
@@ -287,3 +294,57 @@ def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) 
         )
     except KeyError as e:
         raise CircuitError(f"unknown gate name {e.args[0]!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# phase trace of the symmetric 3-bit core
+
+STAGE_NAMES = ("SP1", "theta1", "CX_c2", "theta2", "CX_c1", "theta3", "CX_c2", "theta4", "SP2")
+PHASE_STEP_LABELS = {0: "|+>", 1: "pi/4", 2: "|+i>", 3: "3pi/4",
+                     4: "|->", 5: "5pi/4", 6: "|-i>", 7: "7pi/4"}
+TRACE_SKIP = "-"
+_SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _equatorial_label(psi: np.ndarray) -> str:
+    a0, a1 = psi
+    if not (abs(abs(a0) - _SQ2) < 1e-9 and abs(abs(a1) - _SQ2) < 1e-9):
+        raise SimulationError("target is not in equatorial form")
+    phi = cmath.phase(a1 / a0) % (2 * math.pi)
+    k = round(phi / (math.pi / 4)) % 8
+    if abs(phi - k * (math.pi / 4)) > 1e-9 and abs(phi - 2 * math.pi) > 1e-9:
+        raise SimulationError(f"phase {phi} is not a multiple of pi/4")
+    return PHASE_STEP_LABELS[k]
+
+
+def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
+    """Target-qubit label after each of the core's nine stages (`STAGE_NAMES`).
+
+    `control_state` is the two-bit string 'c2 c1' (control 1 rightmost),
+    which picks the branch: the target starts in |0>, F = AX1.SP1 takes it
+    to the equator, each theta turns it, a CX whose control is 1 swaps its
+    two amplitudes and one whose control is 0 does not fire and reports
+    '-', and L = SP2.AX2 ends the branch, at |0> or |1> when the branch is
+    deterministic.
+    """
+    if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
+        raise SimulationError(f"control_state must be two bits, got {control_state!r}")
+    c2, c1 = int(control_state[0]), int(control_state[1])
+    psi = _target_matrix((core.sp1, *core.ax1))[:, 0]
+    labels = [_equatorial_label(psi)]
+    for theta, control in zip(core.theta, (c2, c1, c2, None)):
+        psi = gate_matrix(theta) @ psi
+        labels.append(_equatorial_label(psi))
+        if control == 1:
+            psi = psi[::-1]
+            labels.append(_equatorial_label(psi))
+        elif control == 0:
+            labels.append(TRACE_SKIP)
+    psi = _target_matrix((*core.ax2, core.sp2)) @ psi
+    if abs(psi[0]) > 1 - 1e-9:
+        labels.append("|0>")
+    elif abs(psi[1]) > 1 - 1e-9:
+        labels.append("|1>")
+    else:
+        labels.append(_equatorial_label(psi))
+    return labels

@@ -1,10 +1,11 @@
 """Exact dense statevector and unitary simulation for small circuits.
 
-All verification in the package funnels through here: unitary equivalence at
-three strengths (global phase, relative phase, classical), Boolean truth
-tables with deterministic-target checking, stage-by-stage phase traces of the
-symmetric 3-bit cores, Pauli conjugation by Clifford gates, and q-sphere
-point extraction.
+A leaf layer over `circuit`: it knows gates and wires, not the gate
+library.  It gives states, dense unitaries, unitary equivalence at three
+strengths (global phase, relative phase, classical), Boolean truth tables
+with deterministic-target checking, Pauli conjugation by Clifford gates,
+and q-sphere point extraction.  Its errors are `SimulationError`, a
+`CircuitError`.
 
 One kernel, `_apply_matrix`, applies every gate: the amplitudes are
 reshaped so each acted-on wire is an axis of two, and each output slice of
@@ -15,12 +16,10 @@ CX and SWAP are four copies, ECR eight multiply-adds.  Amplitudes may carry
 trailing batch columns, so `apply` (one state), `unitary_of` (the
 identity's 2^n columns) and `truth_table` (one basis column per control
 assignment) all call the one sweep over the gates, `_sweep`, which copies
-its input once and then moves between two buffers of its own.  A core's
-controls are only ever CX controls, so `phase_trace` walks the target's two
-amplitudes alone, the per-branch view the configuration search also uses.
-One grader, `equivalence_levels`, grades a stack of matrices against one
-reference: `equivalence` grades dense unitaries with it, and the search the
-2x2 target blocks of its hits.
+its input once and then moves between two buffers of its own.  One grader,
+`equivalence_levels`, grades a stack of matrices against one reference:
+`equivalence` grades dense unitaries with it, and the configuration search
+the 2x2 target blocks of its hits.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -39,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import Angle, Circuit, GateKind
+from .circuit import Angle, Circuit, CircuitError, GateKind
 
 ATOL_NORM = 1e-10
 ATOL_UNITARY = 1e-12
@@ -50,9 +49,10 @@ MAX_UNITARY_QUBITS = 12
 MAX_STATEVECTOR_QUBITS = 20
 
 
-class SimulationError(ValueError):
+class SimulationError(CircuitError):
     """Raised for width mismatches, resource-guard violations, and
-    circuits that fail a determinism or equatorial-form requirement."""
+    circuits that fail a determinism or equatorial-form requirement; a
+    CircuitError, so every input path has the one error root."""
 
 
 # ---------------------------------------------------------------------------
@@ -370,58 +370,6 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
 def truth_string(table: dict[str, int]) -> str:
     """Flatten a truth table to a string over ascending assignments (00,01,...)."""
     return "".join(str(table[k]) for k in sorted(table))
-
-
-# ---------------------------------------------------------------------------
-# phase trace of the symmetric 3-bit core
-
-PHASE_STEP_LABELS = {0: "|+>", 1: "pi/4", 2: "|+i>", 3: "3pi/4",
-                     4: "|->", 5: "5pi/4", 6: "|-i>", 7: "7pi/4"}
-TRACE_SKIP = "-"
-
-
-def _equatorial_label(psi: np.ndarray) -> str:
-    a0, a1 = psi
-    if not (abs(abs(a0) - _SQ2) < 1e-9 and abs(abs(a1) - _SQ2) < 1e-9):
-        raise SimulationError("target is not in equatorial form")
-    phi = cmath.phase(a1 / a0) % (2 * math.pi)
-    k = round(phi / (math.pi / 4)) % 8
-    if abs(phi - k * (math.pi / 4)) > 1e-9 and abs(phi - 2 * math.pi) > 1e-9:
-        raise SimulationError(f"phase {phi} is not a multiple of pi/4")
-    return PHASE_STEP_LABELS[k]
-
-
-def phase_trace(core, control_state: str) -> list[str]:
-    """Target-qubit label after each of the core's nine stages.
-
-    `control_state` is the two-bit string 'c2 c1' (control 1 rightmost).
-    The controls only ever act as CX controls, so the target's two
-    amplitudes are walked alone: a CX stage whose control is 1 swaps them,
-    one whose control is |0> does not fire and reports '-'.
-    """
-    from .library import core_stage_gates  # deferred: the library sits a layer above
-
-    if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
-        raise SimulationError(f"control_state must be two bits, got {control_state!r}")
-    bits = {0: int(control_state[1]), 2: int(control_state[0])}  # wires c1=0, c2=2
-    psi = np.array([1, 0], dtype=complex)
-    labels: list[str] = []
-    for name, gates in core_stage_gates(core, c1=0, t=1, c2=2):
-        if gates[0].kind is GateKind.CX:
-            if not bits[gates[0].qubits[0]]:
-                labels.append(TRACE_SKIP)
-                continue
-            psi = psi[::-1]
-        else:
-            for g in gates:
-                psi = gate_matrix(g.kind, g.angle) @ psi
-        if name == "SP2" and abs(psi[0]) > 1 - 1e-9:
-            labels.append("|0>")
-        elif name == "SP2" and abs(psi[1]) > 1 - 1e-9:
-            labels.append("|1>")
-        else:
-            labels.append(_equatorial_label(psi))
-    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import (_GRID, Angle, Circuit, CircuitError, CostReport, Gate, GateKind,
-                      count_gates, parse_text)
+from .circuit import _GRID, Angle, Circuit, CostReport, Gate, GateKind, count_gates, parse_text
 from .layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane, place,
                      verify_no_swap)
 
@@ -61,10 +60,6 @@ class NativeBasis(Enum):
     @property
     def allowed(self) -> frozenset:
         return frozenset({K.I, K.X, K.SX, K.RZ, self.two_qubit_kind})
-
-
-class TranspileError(CircuitError):
-    pass
 
 
 # --- lowering rules --------------------------------------------------------------
@@ -443,7 +438,7 @@ def compile_gate(circuit: Circuit, basis: NativeBasis, cmap: CouplingMap | None 
     lowered = peephole(lower(circuit, basis))
     report = count_gates(lowered)
     zeros = {k.value: 0 for k in (K.X, K.SX, K.RZ, basis.two_qubit_kind)}
-    cost = CostReport(counts=zeros | report.counts, qc=report.qc, depth=report.depth)
+    cost = CostReport(counts=zeros | report.counts, depth=report.depth)
     violations = () if cmap is None else tuple(verify_no_swap(lowered, cmap, placement)[1])
     return Compiled(lowered, cost, placement, violations)
 
@@ -479,7 +474,7 @@ def route_naive(circuit: Circuit, cmap, placement: dict) -> RouteResult:
         a, b = (log2phys[q] for q in g.qubits)
         path = cmap.shortest_path(a, b)
         if path is None:
-            raise TranspileError(f"coupling map is disconnected between {a} and {b}")
+            raise LayoutError(f"coupling map is disconnected between {a} and {b}")
         # walk the first qubit along the path until it is next to the second
         for p, q in zip(path, path[1:-1]):
             out.append(Gate(K.SWAP, (p, q)))

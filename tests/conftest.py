@@ -88,6 +88,12 @@ def random_clifford_t_circuit(rng, width, length):
     return Circuit(width=width, gates=tuple(gates), name="random")
 
 
+def map_data(cmap):
+    """A coupling map as the JSON object `load_map` reads."""
+    return {"name": cmap.name, "num_qubits": cmap.num_qubits,
+            "edges": sorted([a, b] for a, b in cmap.edges)}
+
+
 @pytest.fixture(scope="session")
 def brisbane():
     from hexsynth.layout import heavy_hex_127

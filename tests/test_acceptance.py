@@ -16,9 +16,9 @@ from hexsynth.circuit import Circuit, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, THETA_KINDS,
                               BooleanGateKind, build_core, build_gate)
 from hexsynth.layout import Placement, heavy_hex_127, ishape_brisbane, place, verify_no_swap
-from hexsynth.rules import SearchQuery, count_space, iter_specs, search
-from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate,
-                                phase_trace, truth_table, unitary_of)
+from hexsynth.rules import SearchQuery, count_space, iter_specs, phase_trace, search
+from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate, truth_table,
+                                unitary_of)
 from hexsynth.transpiler import NativeBasis, compile_gate, lower, peephole
 
 from conftest import random_clifford_t_circuit

@@ -7,6 +7,8 @@ from hexsynth.circuit import parse_text
 from hexsynth.simulator import equivalence, EquivalenceLevel
 from hexsynth.library import build_gate
 
+from conftest import map_data
+
 
 def run(*argv):
     return main(list(argv))
@@ -120,7 +122,7 @@ class TestSearchCostTrace:
         from hexsynth.layout import heavy_hex_127
 
         mapfile = tmp_path / "map.json"
-        mapfile.write_text(json.dumps(heavy_hex_127().as_dict()))
+        mapfile.write_text(json.dumps(map_data(heavy_hex_127())))
         placement = tmp_path / "p.json"
         placement.write_text(json.dumps({"assignment": {"c1": 61, "t": 62, "c2": 63}}))
         assert run("cost", "and3", "--basis", "ecr", "--layout", str(mapfile),
@@ -138,7 +140,7 @@ class TestSearchCostTrace:
         from hexsynth.layout import heavy_hex_127
 
         mapfile = tmp_path / "map.json"
-        mapfile.write_text(json.dumps(heavy_hex_127().as_dict()))
+        mapfile.write_text(json.dumps(map_data(heavy_hex_127())))
         assert run("cost", gate, "--layout", str(mapfile), "--json") == code
         captured = capsys.readouterr()
         if placement is None:
@@ -150,7 +152,7 @@ class TestSearchCostTrace:
     def test_cost_with_layout_lacking_the_ishape_places_on_the_whole_map(self, tmp_path, capsys):
         from hexsynth.layout import heavy_hex_127
 
-        data = heavy_hex_127().as_dict()
+        data = map_data(heavy_hex_127())
         data["edges"].remove([62, 72])
         mapfile = tmp_path / "cut.json"
         mapfile.write_text(json.dumps(data))
@@ -176,7 +178,7 @@ class TestSearchCostTrace:
         from hexsynth.layout import heavy_hex_127
 
         mapfile = tmp_path / "map.json"
-        mapfile.write_text(json.dumps(heavy_hex_127().as_dict()))
+        mapfile.write_text(json.dumps(map_data(heavy_hex_127())))
         want = transpiler.compile_gate(build_gate("and4"), transpiler.NativeBasis.ECR_BASIS).cost
         calls = []
         real = transpiler.peephole
@@ -201,6 +203,10 @@ class TestSearchCostTrace:
 
     def test_trace_rejects_composites(self, capsys):
         assert run("trace", "and4", "--controls", "11") == 1
+
+    def test_trace_bad_controls_is_an_error(self, capsys):
+        assert run("trace", "and3", "--controls", "2") == 1
+        assert capsys.readouterr().err == "error: control_state must be two bits, got '2'\n"
 
 
 class TestTables:

@@ -11,35 +11,44 @@ from hexsynth.layout import (CouplingMap, LayoutError, Placement, heavy_hex_127,
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
 from hexsynth.transpiler import NativeBasis, lower, peephole, route_naive
 
+from conftest import map_data
+
 K = GateKind
 
 
+def load_map_data(tmp_path, data):
+    """`load_map` of `data` written to a JSON file."""
+    f = tmp_path / "map.json"
+    f.write_text(json.dumps(data))
+    return load_map(str(f))
+
+
 class TestCouplingMap:
-    def test_tiny_line(self):
-        cmap = load_map({"name": "line", "num_qubits": 2, "edges": [[0, 1]]})
+    def test_tiny_line(self, tmp_path):
+        cmap = load_map_data(tmp_path, {"name": "line", "num_qubits": 2, "edges": [[0, 1]]})
         assert cmap.num_qubits == 2 and cmap.has_edge(1, 0)
 
-    def test_self_loop_rejected(self):
+    def test_self_loop_rejected(self, tmp_path):
         with pytest.raises(LayoutError):
-            load_map({"name": "bad", "num_qubits": 2, "edges": [[0, 0]]})
+            load_map_data(tmp_path, {"name": "bad", "num_qubits": 2, "edges": [[0, 0]]})
 
-    def test_dangling_index_rejected(self):
+    def test_dangling_index_rejected(self, tmp_path):
         with pytest.raises(LayoutError):
-            load_map({"name": "bad", "num_qubits": 2, "edges": [[0, 5]]})
+            load_map_data(tmp_path, {"name": "bad", "num_qubits": 2, "edges": [[0, 5]]})
 
-    def test_malformed_json(self):
+    def test_malformed_json(self, tmp_path):
         with pytest.raises(LayoutError):
-            load_map({"nope": 1})
+            load_map_data(tmp_path, {"nope": 1})
 
     @pytest.mark.parametrize("num_qubits", [2.5, 1e400, "2", True, None])
-    def test_non_integer_qubit_count_rejected(self, num_qubits):
+    def test_non_integer_qubit_count_rejected(self, tmp_path, num_qubits):
         with pytest.raises(LayoutError, match="num_qubits must be an integer"):
-            load_map({"name": "bad", "num_qubits": num_qubits, "edges": [[0, 1]]})
+            load_map_data(tmp_path, {"name": "bad", "num_qubits": num_qubits, "edges": [[0, 1]]})
 
     @pytest.mark.parametrize("edge", [[0, 1.0], [1e400, 1], [0, "1"], [0, 1, 2], [0], [False, 1]])
-    def test_non_integer_or_non_pair_edge_rejected(self, edge):
+    def test_non_integer_or_non_pair_edge_rejected(self, tmp_path, edge):
         with pytest.raises(LayoutError, match="two integer qubits"):
-            load_map({"name": "bad", "num_qubits": 3, "edges": [edge]})
+            load_map_data(tmp_path, {"name": "bad", "num_qubits": 3, "edges": [edge]})
 
     @pytest.mark.parametrize("num_qubits, edge, message",
                              [(3, (0, 1.7), "two integer qubits"),
@@ -64,7 +73,7 @@ class TestCouplingMap:
 
     def test_bundled_map_round_trips(self, brisbane, tmp_path):
         f = tmp_path / "map.json"
-        f.write_text(json.dumps(brisbane.as_dict()))
+        f.write_text(json.dumps(map_data(brisbane)))
         loaded = load_map(str(f))
         assert loaded.num_qubits == 127
         assert loaded.edges == brisbane.edges

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexsynth import simulator
-from hexsynth.circuit import Angle, Circuit, Gate, GateKind
+from hexsynth import rules, simulator
+from hexsynth.circuit import Angle, Circuit, CircuitError, Gate, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, GATES, SUPERPOSITION_KINDS, THETA_KINDS,
-                              BooleanGateKind, CoreSpec, build_gate,
-                              core_stage_gates)
+                              BooleanGateKind, CoreSpec, build_gate, core_gates)
+from hexsynth.rules import STAGE_NAMES, phase_trace
 from hexsynth.simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, Statevector,
                                 _apply_matrix, apply, equivalence, equivalence_levels, gate_matrix,
-                                pauli_conjugate, phase_trace, qsphere, truth_string, truth_table,
-                                unitary_of)
+                                pauli_conjugate, qsphere, truth_string, truth_table, unitary_of)
 
 from conftest import is_unitary, probability_of_one, random_clifford_t_circuit, toffoli_unitary
 
@@ -60,7 +59,10 @@ def reference_phase_trace(core, control_state):
     c2, c1 = int(control_state[0]), int(control_state[1])
     state = Statevector.basis(3, {0: c1, 2: c2})
     labels = []
-    stages = core_stage_gates(core, c1=0, t=1, c2=2)
+    # the nine stages of the gate list, AX folded into the SP stages
+    flat = core_gates(core, c1=0, t=1, c2=2)
+    head, tail = 1 + len(core.ax1), len(core.ax2) + 1
+    stages = list(zip(STAGE_NAMES, [flat[:head], *([g] for g in flat[head:-tail]), flat[-tail:]]))
     for idx, (name, gates) in enumerate(stages):
         fires = not ((name == "CX_c2" and c2 == 0) or (name == "CX_c1" and c1 == 0))
         amps = state.amps
@@ -77,7 +79,7 @@ def reference_phase_trace(core, control_state):
         elif idx == len(stages) - 1 and abs(psi[1]) > 1 - 1e-9:
             labels.append("|1>")
         else:
-            labels.append(simulator._equatorial_label(psi))
+            labels.append(rules._equatorial_label(psi))
     return labels
 
 
@@ -542,6 +544,22 @@ class TestPhaseTrace:
             assert str(got.value) == str(e)
         else:
             assert phase_trace(core, controls) == want
+
+
+class TestErrorRoot:
+    """A simulation error is a CircuitError, the package's one error root."""
+
+    def test_simulation_error_is_a_circuit_error(self):
+        assert issubclass(SimulationError, CircuitError)
+
+    @pytest.mark.parametrize("call", [
+        lambda: phase_trace(BOOLEAN_TABLE[BooleanGateKind.AND], "2"),
+        lambda: truth_table(build_gate("and3"), target=1, controls=(0, 0)),
+        lambda: Statevector.basis(21, {}),
+    ], ids=["phase_trace", "truth_table_repeated_wires", "basis_too_wide"])
+    def test_caught_as_circuit_error(self, call):
+        with pytest.raises(CircuitError):
+            call()
 
 
 class TestQSphere:

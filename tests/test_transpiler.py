@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexsynth import transpiler
-from hexsynth.circuit import Angle, Circuit, Gate, GateKind, count_gates, emit_text, parse_text
+from hexsynth.circuit import (Angle, Circuit, CircuitError, Gate, GateKind, count_gates, emit_text,
+                             parse_text)
 from hexsynth.library import FAMILY_GATES, GATES, build_gate
 from hexsynth.layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane,
                              place)
 from hexsynth.simulator import EquivalenceLevel, equivalence, unitary_of
-from hexsynth.transpiler import (_LOWERINGS, _RULES, NativeBasis, TranspileError, compile_gate,
-                                 lower, peephole, route_naive, rule_table_text)
+from hexsynth.transpiler import (_LOWERINGS, _RULES, NativeBasis, compile_gate, lower, peephole,
+                                 route_naive, rule_table_text)
 
 from conftest import random_clifford_t_circuit
 
@@ -57,7 +58,7 @@ def reference_lower(circuit, basis):
                            for r in rules[g.kind])
                 changed = True
             else:
-                raise TranspileError(f"no rewrite for {g.kind.value} in {basis.value} basis")
+                raise CircuitError(f"no rewrite for {g.kind.value} in {basis.value} basis")
         gates = out
     return circuit.with_gates(gates)
 
@@ -745,7 +746,7 @@ class TestRouteNaive:
 
     def test_disconnected_map(self):
         two_pairs = CouplingMap("two pairs", 4, frozenset({(0, 1), (2, 3)}))
-        with pytest.raises(TranspileError, match=r"^coupling map is disconnected between 0 and 2$"):
+        with pytest.raises(LayoutError, match=r"^coupling map is disconnected between 0 and 2$"):
             route_naive(Circuit(2, (G(K.CX, 0, 1),)), two_pairs, {0: 0, 1: 2})
 
     def test_end_placed_toffoli_costs_more_than_middle_target_core(self):
