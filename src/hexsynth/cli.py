@@ -216,7 +216,8 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("gate")
     v.add_argument("--against")
     v.add_argument("--level", choices=("L1", "L2", "L3"), default="L2")
-    v.add_argument("--truth", help="4 bits over control assignments 00,01,10,11")
+    v.add_argument("--truth", help="one bit per control assignment, ascending "
+                                   "(00,01,10,11 for two controls)")
     v.set_defaults(fn=cmd_verify)
 
     se = sub.add_parser("search", help="enumerate core configurations for a truth table")

@@ -13,9 +13,10 @@ the 2x2 block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its
 unitary is block-diagonal over the branches.  The search factors each block
 as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1]: the theta/X middle T
 depends only on the rotation tuple and the branch, so one cached table per
-set of rotation kinds serves every query.  The pass runs once, on a plain
-grid over the distinct entries of each alphabet; duplicate entries and the
-symmetric restriction are applied to its hits.  A configuration is a hit when
+theta alphabet serves every query.  The table lists the theta tuples the
+query enumerates, only the symmetric ones for a symmetric query, so the
+one pass walks exactly the space `iter_specs` yields, repeated alphabet
+entries included, in the same order.  A configuration is a hit when
 p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
 every branch, the rule `truth_table` applies; the target starts in |0>, so
 this needs only column 0 of F and row 1 of L, and two small contractions
@@ -41,8 +42,8 @@ import numpy as np
 
 from .circuit import CircuitError, Gate, GateKind
 from .library import AX_ENTRIES, CoreSpec, ax_name
-from .simulator import (ATOL_NORM, EquivalenceLevel, SimulationError, equivalence_levels,
-                        gate_matrix)
+from .simulator import (ATOL_EQUIV, ATOL_NORM, EquivalenceLevel, SimulationError,
+                        equivalence_levels, gate_matrix)
 
 K = GateKind
 
@@ -180,24 +181,28 @@ def _target_matrix(kinds) -> np.ndarray:
     return m
 
 
-@functools.cache
-def _theta_middles(kinds: tuple) -> np.ndarray:
-    """T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 for every theta tuple over
-    the distinct rotation kinds `kinds`, of shape (len(kinds)**4, 4, 2, 2):
-    theta tuples in C order, branch (c2 << 1) | c1 on axis 1.
+# bound: the 15 repeat-free alphabets of the four rotation kinds, symmetric or not
+@functools.lru_cache(maxsize=30)
+def _theta_table(thetas: tuple, symmetric: bool):
+    """The theta tuples `iter_specs` enumerates over the alphabet `thetas`,
+    in C order, keeping only those with theta1 = theta3 and theta2 = theta4
+    when `symmetric`, and their middles
+    T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 of shape (tuples, 4, 2, 2),
+    branch (c2 << 1) | c1 on axis 1.
 
     Every rotation is diagonal, so each T[theta, c] is a monomial matrix
-    whose two nonzero entries are powers of omega = exp(i pi/4).  Cached per
-    set of kinds (at most 15 sets) and read-only.
+    whose two nonzero entries are powers of omega = exp(i pi/4).  Cached and
+    read-only.
     """
-    n = len(kinds)
-    th = np.array([gate_matrix(k) for k in kinds])
-    th1, th2, th3, th4 = (th.reshape(tuple(n if i == slot else 1 for i in range(4)) + (2, 2))
-                          for slot in range(4))
-    table = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
-                      for c2 in (0, 1) for c1 in (0, 1)], axis=-3).reshape(n ** 4, 4, 2, 2)
-    table.setflags(write=False)
-    return table
+    tuples = tuple(th for th in itertools.product(thetas, repeat=4)
+                   if not symmetric or (th[0] == th[2] and th[1] == th[3]))
+    index = np.array([[thetas.index(t) for t in th] for th in tuples]).T
+    mats = np.array([gate_matrix(k) for k in thetas])
+    th1, th2, th3, th4 = mats[index]
+    middles = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
+                        for c2 in (0, 1) for c1 in (0, 1)], axis=1)
+    middles.setflags(write=False)
+    return tuples, middles
 
 
 def _blocks(pairs: int, cols: int):
@@ -211,71 +216,59 @@ def _blocks(pairs: int, cols: int):
             yield np.arange(p0, min(p0 + pair_step, pairs)), slice(c0, min(c0 + col_step, cols))
 
 
-def _hit_blocks(sp, ax1, thetas, ax2, bits: np.ndarray):
-    """Per block of the plain grid over the distinct alphabets, the
-    CoreSpecs, in enumeration order, of the configurations whose
-    p(target=1) lies within ATOL_NORM of the target bit (`bits`, one per
-    branch) on all four branches, with their target blocks of shape
-    (hits, 4, 2, 2).
+def _hit_blocks(query: SearchQuery, bits: np.ndarray):
+    """Per block of the space `iter_specs` yields, in its order, the
+    CoreSpecs of the configurations whose p(target=1) lies within ATOL_NORM
+    of the target bit (`bits`, one per branch) on all four branches, with
+    their target blocks of shape (hits, 4, 2, 2).
 
-    Each block factors as B_c = L[col] . T[theta, c] . F[r]: F = AX1.SP1
-    has one row r per (sp1, ax1) pair, L = SP2.AX2 one column per
-    (ax2, sp2) pair, and T is the cached table of the rotation kinds.
-    Configuration (r * len(thetas)**4 + theta) * cols + col is the C order
-    of `iter_specs` over these alphabets.  The target starts in |0>, so
-    p(target=1) on branch c is |L[col][1] . w|^2 with
-    w = T[theta, c] . F[r][:, 0]: w is formed per (r, theta) pair and one
-    product with row 1 of every column gives the whole (4, pairs, cols)
-    grid.  Only hits get their full blocks."""
-    middles = _theta_middles(tuple(thetas))
+    Each block factors as B_c = L[j] . T[t, c] . F[r]: F = AX1.SP1 has one
+    row r per (sp1, ax1) in `rows`, L = SP2.AX2 one column j per (ax2, sp2)
+    in `cols`, and T is the cached table of the query's theta tuples.
+    Configuration (r * len(tuples) + t) * len(cols) + j is the C order of
+    `iter_specs`.  The target starts in |0>, so p(target=1) on branch c is
+    |L[j][1] . w|^2 with w = T[t, c] . F[r][:, 0]: w is formed per (r, t)
+    pair and one product with row 1 of every column gives the whole
+    (4, pairs, cols) grid.  Only hits get their full blocks."""
+    sp, ax1, thetas, ax2 = _alphabets(query)
+    rows, cols = list(itertools.product(sp, ax1)), list(itertools.product(ax2, sp))
+    tuples, middles = _theta_table(tuple(thetas), query.symmetric)
     sps = np.array([gate_matrix(s) for s in sp])
     first = (np.array([_target_matrix(a) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
     last = (sps @ np.array([_target_matrix(a) for a in ax2])[:, None]).reshape(-1, 2, 2)
-    for pairs, cols in _blocks(len(first) * len(middles), len(last)):
-        r, theta = np.divmod(pairs, len(middles))
+    for pairs, span in _blocks(len(rows) * len(tuples), len(cols)):
+        r, t = np.divmod(pairs, len(tuples))
         # branch-major, so the test over branches reduces the outer axis
-        w = np.einsum("pbij,pj->bpi", middles[theta], first[r, :, 0]).reshape(-1, 2)
-        amp = (w @ last[cols, 1].T).reshape(4, len(r), -1)
+        w = np.einsum("pbij,pj->bpi", middles[t], first[r, :, 0]).reshape(-1, 2)
+        amp = (w @ last[span, 1].T).reshape(4, len(r), -1)
         keep = np.all(np.abs(np.abs(amp) ** 2 - bits[:, None, None]) <= ATOL_NORM, axis=0)
         i_pair, i_col = np.nonzero(keep)
         if len(i_pair):
-            r, theta, col = r[i_pair], theta[i_pair], i_col + cols.start
-            slots = np.stack([*np.divmod(r, len(ax1)), *np.divmod(col, len(sp)),
-                              *np.unravel_index(theta, (len(thetas),) * 4)], axis=1)
-            specs = [CoreSpec(sp1=sp[s1], ax1=ax1[a1],
-                              theta=(thetas[t1], thetas[t2], thetas[t3], thetas[t4]),
-                              ax2=ax2[a2], sp2=sp[s2])
-                     for s1, a1, a2, s2, t1, t2, t3, t4 in slots.tolist()]
-            yield specs, last[col, None] @ middles[theta] @ first[r, None]
+            r, t, j = r[i_pair], t[i_pair], i_col + span.start
+            specs = [CoreSpec(sp1=rows[a][0], ax1=rows[a][1], theta=tuples[b],
+                              ax2=cols[c][0], sp2=cols[c][1])
+                     for a, b, c in zip(r.tolist(), t.tolist(), j.tolist())]
+            yield specs, last[j, None] @ middles[t] @ first[r, None]
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
     """All configurations in the query space realizing the target function.
 
-    One numpy pass, `_hit_blocks`, decides every configuration of the plain
-    grid over the distinct entries of each alphabet by the `truth_table`
-    rule (p(target=1) within ATOL_NORM of the target bit on every branch).
-    Each block of hits is graded in one `equivalence_levels` call: the four
-    2x2 blocks of a hit's block-diagonal unitary, stacked row-wise, against
-    the phase-exact oracle's blocks.  Symmetry and duplicates apply to the
-    hits: a symmetric query drops the others, and a hit is reported once
-    per way its nine slots' entries occur in the query's alphabets, as
-    `iter_specs` enumerates it.  Results are sorted by configuration for
-    determinism.
+    One numpy pass, `_hit_blocks`, decides every configuration `iter_specs`
+    yields, repeated alphabet entries and the symmetric restriction
+    included, by the `truth_table` rule (p(target=1) within ATOL_NORM of
+    the target bit on every branch).  Each block of hits is graded in one
+    `equivalence_levels` call: the four 2x2 blocks of a hit's block-diagonal
+    unitary, stacked row-wise, against the phase-exact oracle's blocks.
+    Results are sorted by configuration for determinism.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
-    sp, ax1, thetas, ax2 = alphabets = _alphabets(query)
     bits = np.array([int(ch) for ch in query.target])
     oracle = _FLIP[bits].reshape(8, 2)
     hits = []
-    for specs, blocks in _hit_blocks(*(tuple(dict.fromkeys(a)) for a in alphabets), bits):
-        for spec, level in zip(specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle)):
-            if query.symmetric and not spec.symmetric:
-                continue
-            ways = (sp.count(spec.sp1) * ax1.count(spec.ax1) * ax2.count(spec.ax2)
-                    * sp.count(spec.sp2) * math.prod(thetas.count(t) for t in spec.theta))
-            hits += [SearchHit(spec, level)] * ways
+    for specs, blocks in _hit_blocks(query, bits):
+        hits += map(SearchHit, specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle))
     hits.sort(key=lambda h: h.spec.sort_key())
     return hits
 
@@ -308,11 +301,11 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 def _equatorial_label(psi: np.ndarray) -> str:
     a0, a1 = psi
-    if not (abs(abs(a0) - _SQ2) < 1e-9 and abs(abs(a1) - _SQ2) < 1e-9):
+    if not (abs(abs(a0) - _SQ2) < ATOL_EQUIV and abs(abs(a1) - _SQ2) < ATOL_EQUIV):
         raise SimulationError("target is not in equatorial form")
     phi = cmath.phase(a1 / a0) % (2 * math.pi)
     k = round(phi / (math.pi / 4)) % 8
-    if abs(phi - k * (math.pi / 4)) > 1e-9 and abs(phi - 2 * math.pi) > 1e-9:
+    if abs(phi - k * (math.pi / 4)) > ATOL_EQUIV and abs(phi - 2 * math.pi) > ATOL_EQUIV:
         raise SimulationError(f"phase {phi} is not a multiple of pi/4")
     return PHASE_STEP_LABELS[k]
 
@@ -341,9 +334,9 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
         elif control == 0:
             labels.append(TRACE_SKIP)
     psi = _target_matrix((*core.ax2, core.sp2)) @ psi
-    if abs(psi[0]) > 1 - 1e-9:
+    if abs(psi[0]) > 1 - ATOL_EQUIV:
         labels.append("|0>")
-    elif abs(psi[1]) > 1 - 1e-9:
+    elif abs(psi[1]) > 1 - ATOL_EQUIV:
         labels.append("|1>")
     else:
         labels.append(_equatorial_label(psi))

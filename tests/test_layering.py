@@ -32,6 +32,11 @@ def test_simulator_is_a_leaf_over_circuit():
     assert package == {"hexsynth.circuit"}
 
 
+def test_rules_reads_only_the_core_layers():
+    package = {name for name in imports(SRC / "rules.py") if name.startswith("hexsynth")}
+    assert package == {"hexsynth.circuit", "hexsynth.library", "hexsynth.simulator"}
+
+
 @pytest.mark.parametrize("module", ["circuit", "library", "layout", "transpiler"])
 def test_numpy_free_layers(module):
     assert "numpy" not in imports(SRC / f"{module}.py")

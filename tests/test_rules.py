@@ -258,18 +258,41 @@ class TestBatchedSearchMatchesReference:
             graded = blocks.astype(complex)
             graded[:, flips] *= phase
             monkeypatch.setattr(rules, "_hit_blocks",
-                                lambda sp, ax1, thetas, ax2, bits, b=graded: iter([([spec], b)]))
+                                lambda query, bits, b=graded: iter([([spec], b)]))
             assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
 
     def test_theta_table_cached_per_distinct_kinds(self):
-        rules._theta_middles.cache_clear()
+        rules._theta_table.cache_clear()
         base = SearchQuery(target="0001", theta_set=(K.T, K.TDG))
         doubled = dataclasses.replace(base, theta_set=(K.TDG, K.T) * 4)  # 4,096 theta tuples
         # every theta tuple over the kinds occurs 4**4 times among the duplicates
         assert search(doubled) == [h for h in search(base) for _ in range(4 ** 4)]
-        assert rules._theta_middles.cache_info().currsize == 1
-        assert rules._theta_middles((K.T, K.TDG)).shape == (16, 4, 2, 2)
-        assert rules._theta_middles.cache_info().currsize == 1
+        assert rules._theta_table.cache_info().currsize == 2
+        # n**4 rows, n**2 when symmetric over n distinct kinds; symmetry is a
+        # matter of kinds, so 4 copies of each of 2 kinds give (2 * 4**2)**2
+        for thetas, plain, sym in (((K.T, K.TDG), 2 ** 4, 2 ** 2),
+                                   ((K.T,) * 4 + (K.TDG,) * 4, 8 ** 4, (2 * 4 ** 2) ** 2)):
+            for symmetric, rows in ((False, plain), (True, sym)):
+                tuples, middles = rules._theta_table(thetas, symmetric)
+                assert len(tuples) == rows and middles.shape == (rows, 4, 2, 2)
+                assert not symmetric or all(CoreSpec(theta=th).symmetric for th in tuples)
+        assert rules._theta_table.cache_info().currsize == 4
+        assert rules._theta_table.cache_info().maxsize == 30
+
+    def test_symmetric_query_grades_only_symmetric_rows(self, monkeypatch):
+        graded = []
+
+        def counting(blocks, oracle):
+            graded.append(len(blocks))
+            return equivalence_levels(blocks, oracle)
+
+        monkeypatch.setattr(rules, "equivalence_levels", counting)
+        q = query_from_names("0001", sp=("h", "sx", "sxdg"), ax1=tuple(AX_ENTRIES),
+                             ax2=tuple(AX_ENTRIES), theta=("s", "sdg", "t", "tdg"),
+                             symmetric=True)
+        hits = search(q)
+        assert hits and all(h.spec.symmetric for h in hits)
+        assert sum(graded) == len(hits)
 
 
 @st.composite
