@@ -87,7 +87,11 @@ def _aligned_oracle(gate: Circuit, oracle: Circuit) -> Circuit:
 
 
 def cmd_verify(args) -> int:
+    if args.truth is None and args.against is None:
+        raise CircuitError("verify needs --against or --truth")
     gate = build_gate(args.gate)
+    if args.against is not None:
+        level = equivalence(gate, _aligned_oracle(gate, build_gate(args.against)))
     ok = True
     if args.truth is not None:
         controls = gate.control_qubits()
@@ -102,16 +106,12 @@ def cmd_verify(args) -> int:
         ok = realized == args.truth
         print("truth:", "MATCH" if ok else f"MISMATCH (wanted {args.truth})")
     if args.against is not None:
-        oracle = build_gate(args.against)
-        level = equivalence(gate, _aligned_oracle(gate, oracle))
         print(f"equivalence vs {args.against}: {level.name}")
         want = {"L1": EquivalenceLevel.L1_GLOBAL_PHASE,
                 "L2": EquivalenceLevel.L2_RELATIVE_PHASE,
                 "L3": EquivalenceLevel.L3_CLASSICAL}[args.level]
         ok = ok and level.at_least(want)
         print(f"requested {args.level}:", "ACHIEVED" if level.at_least(want) else "NOT ACHIEVED")
-    if args.truth is None and args.against is None:
-        raise CircuitError("verify needs --against or --truth")
     return 0 if ok else 1
 
 

@@ -9,7 +9,7 @@ without SWAP insertion exactly where its interaction graph (the wire pairs
 its two-qubit gates touch) embeds into a map's couplings; `place` finds
 that embedding, wires taken breadth-first over the interaction graph, in
 any map: the whole lattice or one region.  It reads the circuit it is given
-(a registry name is built first), so no gate is special-cased here.
+(a registry name is looked up first), so no gate is special-cased here.
 `Placement.physical` states what a valid placement of a circuit's wires
 is, once, for `verify_no_swap` and the router alike.
 """
@@ -33,17 +33,19 @@ class LayoutError(CircuitError):
 @dataclass(frozen=True)
 class CouplingMap:
     """Physical-qubit adjacency graph (undirected, no self-loops).  The
-    constructor holds every map rule: an int `num_qubits`, and edges of two
-    distinct int qubits in range, each stored as an ascending pair.  It
-    checks the edges in bulk; the neighbor lists are built on the first
-    `neighbors` or `qubits` call, since a map that is only asked `has_edge`
-    never needs them."""
+    constructor holds every map rule: a str `name`, an int `num_qubits`,
+    and edges of two distinct int qubits in range, each stored as an
+    ascending pair.  It checks the edges in bulk; the neighbor lists are
+    built on the first `neighbors` or `qubits` call, since a map that is
+    only asked `has_edge` never needs them."""
 
     name: str
     num_qubits: int
     edges: frozenset
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise LayoutError(f"map name must be a string, got {self.name!r}")
         if type(self.num_qubits) is not int:
             raise LayoutError(f"num_qubits must be an integer, got {self.num_qubits!r}")
         edges = tuple(self.edges)
@@ -117,7 +119,7 @@ def load_map(path) -> CouplingMap:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
-        name, num_qubits = str(data.get("name", "unnamed")), data["num_qubits"]
+        name, num_qubits = data.get("name", "unnamed"), data["num_qubits"]
         edges = list(map(tuple, data["edges"]))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise LayoutError(f"malformed coupling-map JSON: {e}") from None
@@ -179,8 +181,8 @@ class Placement:
     @staticmethod
     def from_dict(data: dict) -> "Placement":
         try:
-            assignment = dict(data["assignment"])
-        except (KeyError, TypeError, ValueError) as e:
+            assignment = data["assignment"]
+        except (KeyError, TypeError) as e:
             raise LayoutError(f"malformed placement: {e!r}") from None
         return Placement(assignment=assignment)
 
@@ -205,7 +207,7 @@ class Placement:
 def place(gate: Circuit | str, region: CouplingMap) -> Placement:
     """The first no-SWAP placement of a circuit's wires into any coupling map.
 
-    `gate` is a circuit with wire names, or a registry name, which is built.
+    `gate` is a circuit with wire names, or a registry name, which is looked up.
     Wires are taken breadth-first over the circuit's interaction graph (the
     wire pairs its two-qubit gates touch), from the lowest unplaced wire.  A
     wire with a placed partner tries that partner's neighbors, ascending;

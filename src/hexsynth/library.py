@@ -8,8 +8,8 @@ wires that are left dirty (no uncompute).  Standard textbook circuits
 (Toffoli, Fredkin, exact controlled-sqrt(X), ...) are provided as
 comparison oracles.
 
-`GATES` names every gate once: its wires with their roles, and its gate
-list.  `build_gate(name)` turns an entry into a circuit of that name;
+`GATES` maps every gate name to its circuit, built once at import from
+its wires with their roles and its gate list; `build_gate` looks it up.
 `build_core` builds a core from any `CoreSpec`.  Each core's target sits
 between its two controls, so the family places on heavy-hex qubits without
 SWAP insertion (`layout.place` finds where from the gate list alone).
@@ -212,11 +212,12 @@ _FIVE_WIRES = (("c1", _C), ("anc1", _A), ("c2", _C), ("t", _T),
 _TOFFOLI_WIRES = (("c1", _C), ("c2", _C), ("t", _T))
 
 # ---------------------------------------------------------------------------
-# the registry: name -> ((wire name, role) per wire, gate list on those wires).
+# the registry: name -> its circuit, built from ((wire name, role) per wire,
+# gate list on those wires).  Circuits are frozen, so callers share them.
 # Ancilla wires of the family are left dirty (no uncompute); those of the
 # standard n-bit Toffolis are clean.
 
-GATES: dict[str, tuple[tuple[tuple[str, str], ...], list[Gate]]] = {
+GATES: dict[str, Circuit] = {name: _circuit(name, wires, gates) for name, (wires, gates) in {
     **{name: (_CORE_WIRES, core_gates(BOOLEAN_TABLE[kind], c1=0, t=1, c2=2))
        for name, kind in BOOLEAN_BY_NAME.items()},
     "csx2": (_CT_WIRES, _csx2_gates(c=0, t=1)),
@@ -268,7 +269,7 @@ GATES: dict[str, tuple[tuple[tuple[str, str], ...], list[Gate]]] = {
         Gate(K.CX, (0, 1)), Gate(K.TDG, (1,)), Gate(K.TDG, (0,)),
         Gate(K.H, (1,))]),
     "swap2_std": (_AB_WIRES, [Gate(K.CX, (0, 1)), Gate(K.CX, (1, 0)), Gate(K.CX, (0, 1))]),
-}
+}.items()}
 
 # the paper's layout-aware family; the other entries are standard-approach oracles
 FAMILY_GATES = ("and3", "nand3", "or3", "nor3", "imp3", "inh3",
@@ -278,9 +279,8 @@ FAMILY_GATES = ("and3", "nand3", "or3", "nor3", "imp3", "inh3",
 
 
 def build_gate(name: str) -> Circuit:
-    """The registry gate `name` as a circuit of that name."""
+    """The registry gate `name`, looked up: one shared circuit per name."""
     try:
-        wires, gates = GATES[name]
+        return GATES[name]
     except KeyError:
         raise CircuitError(f"unknown gate: {name!r}") from None
-    return _circuit(name, wires, gates)

@@ -175,7 +175,7 @@ def _form(data: bytes, dim: int) -> tuple:
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
-                  spare: np.ndarray | None = None) -> np.ndarray:
+                  spare: np.ndarray) -> np.ndarray:
     """Apply a complex one- or two-qubit matrix at the given qubit positions
     (qubits[0] = MSB of the local index); `amps` may carry trailing batch
     axes.
@@ -190,11 +190,8 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n:
     scaled copies, ECR eight multiply-adds, and no contraction is left.
 
     The result is written over `amps` or into `spare`, the same shape, and
-    that array is returned.  Without a spare, `amps` is copied first and the
-    caller's array is left as it is.
+    that array is returned.
     """
-    if spare is None:
-        amps, spare = amps.copy(), np.empty_like(amps)
     form, terms = _form(mat.tobytes(), len(mat))
     shape, axes = _wire_axes(qubits, n, amps.size >> n)
     if form is _MATMUL:

@@ -104,6 +104,18 @@ class TestVerify:
         assert run("verify", "and4", "--against", "toffoli") == 1
         assert "error: width mismatch: 5 vs 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error",
+                             [(("and3", "--truth", "0001", "--against", "nope"),
+                               "unknown gate: 'nope'"),
+                              (("and4", "--truth", "0001", "--against", "toffoli"),
+                               "width mismatch: 5 vs 3"),
+                              (("nope",), "verify needs --against or --truth")])
+    def test_verify_checks_its_inputs_before_printing(self, capsys, argv, error):
+        assert run("verify", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
 
 class TestSearchCostTrace:
     def test_search_and(self, capsys):
@@ -261,6 +273,24 @@ class TestBadInputFiles:
         bad.write_text(json.dumps({"assignment": {"c1": "x", "t": 62, "c2": 63}}))
         assert run("cost", "and3", "--placement", str(bad)) == 1
         assert "placement qubits must be integers" in capsys.readouterr().err
+
+    def test_cost_placement_assignment_not_an_object(self, tmp_path, capsys):
+        pairs = tmp_path / "p.json"
+        pairs.write_text(json.dumps({"assignment": [["c1", 61], ["t", 62], ["c2", 63]]}))
+        assert run("cost", "and3", "--placement", str(pairs)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "placement must map wire names to qubits" in captured.err
+
+    def test_cost_map_name_not_a_string(self, tmp_path, capsys):
+        from hexsynth.layout import heavy_hex_127
+
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps({**map_data(heavy_hex_127()), "name": {"x": 1}}))
+        assert run("cost", "and3", "--layout", str(mapfile)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: map name must be a string, got {'x': 1}\n"
 
     def test_cost_placement_qubit_off_the_map(self, tmp_path, capsys):
         off = tmp_path / "p.json"

@@ -59,6 +59,15 @@ class TestCouplingMap:
         with pytest.raises(LayoutError, match=message):
             CouplingMap("m", num_qubits, frozenset({edge}))
 
+    @pytest.mark.parametrize("name", [{"x": 1}, 7, None, ["line"]])
+    def test_non_string_name_rejected(self, tmp_path, name):
+        # the name is kept as read, so the error shows the JSON value itself
+        message = re.escape(f"map name must be a string, got {name!r}")
+        with pytest.raises(LayoutError, match=message):
+            load_map_data(tmp_path, {"name": name, "num_qubits": 2, "edges": [[0, 1]]})
+        with pytest.raises(LayoutError, match=message):
+            CouplingMap(name, 2, frozenset({(0, 1)}))
+
     def test_huge_float_in_a_file_rejected(self, tmp_path):
         f = tmp_path / "map.json"
         f.write_text('{"name": "bad", "num_qubits": 1e400, "edges": [[0, 1]]}')
@@ -139,6 +148,11 @@ class TestPlacement:
     def test_assignment_is_a_mapping(self):
         with pytest.raises(LayoutError, match="placement must map wire names to qubits"):
             Placement([("t", 1)])
+
+    @pytest.mark.parametrize("assignment", [[["c1", 61], ["t", 62], ["c2", 63]], "t"])
+    def test_from_dict_reads_the_assignment_as_it_is(self, assignment):
+        with pytest.raises(LayoutError, match="placement must map wire names to qubits"):
+            Placement.from_dict({"assignment": assignment})
 
     def test_json_round_trip(self):
         p = Placement({"c1": 61, "t": 62, "c2": 63})

@@ -277,3 +277,19 @@ class TestRegistry:
         for name, kind in BOOLEAN_BY_NAME.items():
             core = build_core(BOOLEAN_TABLE[kind])
             assert core.name == "core" and dataclasses.replace(core, name=name) == build_gate(name)
+
+    def test_registry_holds_each_gate_as_one_shared_circuit(self, monkeypatch):
+        from hexsynth import library
+
+        assert len(GATES) == 26
+        assert all(type(c) is Circuit and c.name == name for name, c in GATES.items())
+
+        def no_build(*args):
+            raise AssertionError("build_gate built a circuit")
+
+        monkeypatch.setattr(library, "_circuit", no_build)
+        monkeypatch.setattr(library, "Circuit", no_build)
+        assert all(build_gate(name) is GATES[name] for name in GATES)
+        # one registry: no second module-level table keyed by the gate names
+        tables = [v for v in vars(library).values() if isinstance(v, dict) and set(v) == set(GATES)]
+        assert tables == [GATES]

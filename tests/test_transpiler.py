@@ -376,6 +376,18 @@ class TestSweepRegressions:
                    "rz(-pi/4) q1")
         assert peephole(c).gates == ()
 
+    def test_pending_pair_resolved_by_another_two_qubit_gate(self):
+        # the cx pair waits to cancel through x x; the cx on q1, q2 meets it
+        # on q1 and cancels it before taking its own place
+        c = native("cx q0,q1; x q0; x q0; cx q0,q1; cx q1,q2")
+        assert [g.text() for g in peephole(c).gates] == ["cx q[1], q[2]"]
+        assert_no_worse_than_reference(c)
+
+    def test_grid_identity_rotations_dropped(self):
+        c = native("rz(0) q0; sx q0; rz(2*pi) q0; x q1")
+        assert [g.text() for g in peephole(c).gates] == ["sx q[0]", "x q[1]"]
+        assert_no_worse_than_reference(c)
+
     @pytest.mark.parametrize("name", FAMILY_GATES)
     def test_family_costs_unchanged(self, name):
         gate = build_gate(name)
