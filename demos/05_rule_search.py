@@ -9,7 +9,7 @@ rotation middle shared by every configuration with the same four rotations;
 the search reads p(target=1) for every configuration off these factors in
 one numpy pass, and forms and grades the full blocks of the hits alone.
 """
-from hexsynth.library import THETA_KINDS, AX_ENTRIES
+from hexsynth.library import THETA_KINDS
 from hexsynth.rules import SearchQuery, apply_rules, count_space, search
 
 print("restriction stages:")
@@ -31,7 +31,7 @@ for hit in search(SearchQuery(target="0001", symmetric=True)):
 print()
 print("full quadrant+octant search for NOR (target 1000):")
 hits = search(SearchQuery(target="1000", theta_set=THETA_KINDS,
-                          ax2_set=((), AX_ENTRIES["z"], AX_ENTRIES["-z"])))
+                          ax2_set=("i", "z", "-z")))
 print(f"  {len(hits)} configurations found; first three:")
 for hit in hits[:3]:
     d = hit.spec.describe()

@@ -15,7 +15,8 @@ import sys
 from . import reports
 from .circuit import (ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, Circuit, CircuitError, emit_text,
                       parse_text)
-from .library import BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, build_gate
+from .library import (AX_ENTRIES, BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, SUPERPOSITION_KINDS,
+                      THETA_KINDS, build_gate)
 from .layout import Placement, load_map
 from .rules import STAGE_NAMES, phase_trace, query_from_names, search
 from .simulator import (EquivalenceLevel, Statevector, apply, equivalence, qsphere, truth_string,
@@ -186,6 +187,11 @@ def cmd_tables(args) -> int:
     return 0 if reports.count_failures(report) == 0 else 1
 
 
+def _one_of(names) -> str:
+    """Help text of a search alphabet option: the names it accepts."""
+    return f"comma-separated names from {{{', '.join(names)}}}"
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first `main` call and reused: parsing
@@ -223,10 +229,10 @@ def _parser() -> argparse.ArgumentParser:
     se = sub.add_parser("search", help="enumerate core configurations for a truth table")
     se.add_argument("--target", required=True)
     se.add_argument("--symmetric", action="store_true")
-    se.add_argument("--sp-set", default="h")
-    se.add_argument("--ax1-set", default="i")
-    se.add_argument("--ax2-set", default="i")
-    se.add_argument("--theta-set", default="t,tdg")
+    se.add_argument("--sp-set", default="h", help=_one_of(k.value for k in SUPERPOSITION_KINDS))
+    se.add_argument("--ax1-set", default="i", help=_one_of(AX_ENTRIES))
+    se.add_argument("--ax2-set", default="i", help=_one_of(AX_ENTRIES))
+    se.add_argument("--theta-set", default="t,tdg", help=_one_of(k.value for k in THETA_KINDS))
     se.add_argument("--json", action="store_true")
     se.set_defaults(fn=cmd_search)
 

@@ -8,11 +8,13 @@ wires that are left dirty (no uncompute).  Standard textbook circuits
 (Toffoli, Fredkin, exact controlled-sqrt(X), ...) are provided as
 comparison oracles.
 
-`GATES` maps every gate name to its circuit, built once at import from
-its wires with their roles and its gate list; `build_gate` looks it up.
-`build_core` builds a core from any `CoreSpec`.  Each core's target sits
-between its two controls, so the family places on heavy-hex qubits without
-SWAP insertion (`layout.place` finds where from the gate list alone).
+A `CoreSpec` names each auxiliary slot by its `AX_ENTRIES` key and checks
+every slot when built.  `GATES` maps every gate name to its circuit, built
+once at import from its wires with their roles and its gate list;
+`build_gate` looks it up.  `build_core` builds a core from any `CoreSpec`.
+Each core's target sits between its two controls, so the family places on
+heavy-hex qubits without SWAP insertion (`layout.place` finds where from
+the gate list alone).
 """
 from __future__ import annotations
 
@@ -44,30 +46,24 @@ AX_ENTRIES: dict[str, tuple[GateKind, ...]] = {
 }
 
 
-def ax_name(entry: tuple[GateKind, ...]) -> str:
-    for name, seq in AX_ENTRIES.items():
-        if seq == tuple(entry):
-            return name
-    return "+".join(g.value for g in entry)
-
-
 @dataclass(frozen=True)
 class CoreSpec:
-    """Configuration of the symmetric 3-bit core: superposition gates,
-    auxiliary gate sequences, and the four rotation slots."""
+    """Configuration of the symmetric 3-bit core, every slot checked here:
+    superposition kinds, auxiliary `AX_ENTRIES` names, four rotation kinds."""
 
     sp1: GateKind = K.H
-    ax1: tuple[GateKind, ...] = ()
+    ax1: str = "i"
     theta: tuple[GateKind, GateKind, GateKind, GateKind] = (K.TDG, K.T, K.TDG, K.T)
-    ax2: tuple[GateKind, ...] = ()
+    ax2: str = "i"
     sp2: GateKind = K.H
 
     def __post_init__(self):
         for slot in ("ax1", "ax2"):
-            entry = getattr(self, slot)
-            if not isinstance(entry, (tuple, list)) or not all(isinstance(k, GateKind) for k in entry):
-                raise CircuitError(f"{slot} must be a tuple of gate kinds, got {entry!r}")
-            object.__setattr__(self, slot, tuple(entry))
+            name = getattr(self, slot)
+            # str first: an unhashable entry must not reach the dict lookup
+            if not isinstance(name, str) or name not in AX_ENTRIES:
+                raise CircuitError(f"{slot} must name an auxiliary entry "
+                                   f"({', '.join(AX_ENTRIES)}), got {name!r}")
         if self.sp1 not in SUPERPOSITION_KINDS or self.sp2 not in SUPERPOSITION_KINDS:
             raise CircuitError("sp1/sp2 must be superposition gates (h, sx, sxdg)")
         if (not isinstance(self.theta, (tuple, list)) or len(self.theta) != 4
@@ -80,13 +76,13 @@ class CoreSpec:
         return self.theta[0] == self.theta[2] and self.theta[1] == self.theta[3]
 
     def sort_key(self):
-        return (self.sp1.value, ax_name(self.ax1), tuple(t.value for t in self.theta),
-                ax_name(self.ax2), self.sp2.value)
+        return (self.sp1.value, self.ax1, tuple(t.value for t in self.theta),
+                self.ax2, self.sp2.value)
 
     def describe(self) -> dict:
-        return {"sp1": self.sp1.value, "ax1": ax_name(self.ax1),
+        return {"sp1": self.sp1.value, "ax1": self.ax1,
                 "theta": [t.value for t in self.theta],
-                "ax2": ax_name(self.ax2), "sp2": self.sp2.value}
+                "ax2": self.ax2, "sp2": self.sp2.value}
 
 
 class BooleanGateKind(Enum):
@@ -100,10 +96,10 @@ class BooleanGateKind(Enum):
 
 BOOLEAN_TABLE: dict[BooleanGateKind, CoreSpec] = {
     BooleanGateKind.AND: CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T)),
-    BooleanGateKind.NAND: CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T), ax2=AX_ENTRIES["-z"]),
-    BooleanGateKind.OR: CoreSpec(theta=(K.T, K.T, K.T, K.T), ax2=AX_ENTRIES["z"]),
+    BooleanGateKind.NAND: CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T), ax2="-z"),
+    BooleanGateKind.OR: CoreSpec(theta=(K.T, K.T, K.T, K.T), ax2="z"),
     BooleanGateKind.NOR: CoreSpec(theta=(K.T, K.T, K.T, K.T)),
-    BooleanGateKind.IMPLICATION: CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T), ax2=AX_ENTRIES["-z"]),
+    BooleanGateKind.IMPLICATION: CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T), ax2="-z"),
     BooleanGateKind.INHIBITION: CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T)),
 }
 
@@ -121,9 +117,9 @@ BOOLEAN_FUNCTIONS = {
 def core_gates(spec: CoreSpec, c1: int, t: int, c2: int) -> list[Gate]:
     """Core gate sequence instantiated on arbitrary wires (ax slots of I emit nothing)."""
     th1, th2, th3, th4 = (Gate(k, (t,)) for k in spec.theta)
-    return ([Gate(k, (t,)) for k in (spec.sp1, *spec.ax1)]
+    return ([Gate(k, (t,)) for k in (spec.sp1, *AX_ENTRIES[spec.ax1])]
             + [th1, Gate(K.CX, (c2, t)), th2, Gate(K.CX, (c1, t)), th3, Gate(K.CX, (c2, t)), th4]
-            + [Gate(k, (t,)) for k in (*spec.ax2, spec.sp2)])
+            + [Gate(k, (t,)) for k in (*AX_ENTRIES[spec.ax2], spec.sp2)])
 
 
 def _circuit(name: str, wires, gates) -> Circuit:

@@ -23,8 +23,8 @@ this needs only column 0 of F and row 1 of L, and two small contractions
 give it for every configuration.  Only a hit's full blocks are formed, and
 each block of hits is graded from its four 2x2 blocks in one call of the
 package's one grader, `simulator.equivalence_levels`, against the oracle's
-blocks (I or X per target bit).  A query's gate alphabets are checked once,
-when the `SearchQuery` is built.
+blocks (I or X per target bit).  A query's alphabets, of gate kinds and AX
+names, are checked once, when the `SearchQuery` is built.
 
 `phase_trace` walks one branch through the same factors, stage by stage:
 F's column 0, each theta, X for each CX whose control is 1, then L, naming
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitError, Gate, GateKind
-from .library import AX_ENTRIES, CoreSpec, ax_name
+from .circuit import CircuitError, GateKind
+from .library import AX_ENTRIES, CoreSpec
 from .simulator import (ATOL_EQUIV, ATOL_NORM, EquivalenceLevel, SimulationError,
                         equivalence_levels, gate_matrix)
 
@@ -88,7 +88,7 @@ def count_space(sp_set_size: int, ax_set_size: int, theta_set_size: int) -> int:
 
 
 DEFAULT_SP = (K.H,)
-DEFAULT_AX = ((),)
+DEFAULT_AX = ("i",)
 DEFAULT_THETA = (K.T, K.TDG)
 
 
@@ -98,10 +98,10 @@ class SearchQuery:
 
     `target` is the 4-character outcome string over ascending control
     assignments 00, 01, 10, 11 (control 1 is the low bit), e.g. and='0001'.
-    Every alphabet entry is checked here, once, with the CircuitError that
-    CoreSpec (superposition and rotation kinds) or Gate (auxiliary kinds)
-    raises; an AX entry must be a tuple of kinds.  This is the input
-    boundary of `search` and `iter_specs`.
+    The SP and theta sets hold gate kinds, the AX sets `AX_ENTRIES` names.
+    Every alphabet entry is checked here, once, by building its one-slot
+    CoreSpec, with the CircuitError that CoreSpec raises.  This is the
+    input boundary of `search` and `iter_specs`.
     """
 
     target: str
@@ -116,21 +116,23 @@ class SearchQuery:
                 or any(ch not in "01" for ch in self.target)):
             raise CircuitError("target must be 4 bits over assignments 00,01,10,11")
         for name in ("sp_set", "ax1_set", "ax2_set", "theta_set"):
+            vals = getattr(self, name)
+            # a string would split into characters: "sx" into the names s and x
+            if isinstance(vals, str):
+                raise CircuitError(f"{name} must be a collection, not the string {vals!r}")
             try:
-                vals = tuple(getattr(self, name))
+                vals = tuple(vals)
             except TypeError:
-                raise CircuitError(f"{name} must be a collection of gate kinds") from None
+                raise CircuitError(f"{name} must be a collection of entries") from None
             if not vals:
                 raise CircuitError(f"{name} must not be empty")
-            if name.startswith("ax"):
-                if not all(isinstance(entry, (tuple, list)) for entry in vals):
-                    raise CircuitError(f"{name} entries must be tuples of gate kinds")
-                vals = tuple(tuple(entry) for entry in vals)
-                for kind in itertools.chain.from_iterable(vals):
-                    Gate(kind, (0,))
             object.__setattr__(self, name, vals)
         for s in self.sp_set:
             CoreSpec(sp1=s, sp2=s)
+        for a in self.ax1_set:
+            CoreSpec(ax1=a)
+        for a in self.ax2_set:
+            CoreSpec(ax2=a)
         for t in self.theta_set:
             CoreSpec(theta=(t,) * 4)
 
@@ -147,9 +149,9 @@ class SearchHit:
 def _alphabets(query: SearchQuery):
     """The query's gate sets in enumeration order (duplicates kept)."""
     return (sorted(query.sp_set, key=lambda g: g.value),
-            sorted(query.ax1_set, key=ax_name),
+            sorted(query.ax1_set),
             sorted(query.theta_set, key=lambda g: g.value),
-            sorted(query.ax2_set, key=ax_name))
+            sorted(query.ax2_set))
 
 
 def iter_specs(query: SearchQuery):
@@ -234,8 +236,8 @@ def _hit_blocks(query: SearchQuery, bits: np.ndarray):
     rows, cols = list(itertools.product(sp, ax1)), list(itertools.product(ax2, sp))
     tuples, middles = _theta_table(tuple(thetas), query.symmetric)
     sps = np.array([gate_matrix(s) for s in sp])
-    first = (np.array([_target_matrix(a) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
-    last = (sps @ np.array([_target_matrix(a) for a in ax2])[:, None]).reshape(-1, 2, 2)
+    first = (np.array([_target_matrix(AX_ENTRIES[a]) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
+    last = (sps @ np.array([_target_matrix(AX_ENTRIES[a]) for a in ax2])[:, None]).reshape(-1, 2, 2)
     for pairs, span in _blocks(len(rows) * len(tuples), len(cols)):
         r, t = np.divmod(pairs, len(tuples))
         # branch-major, so the test over branches reduces the outer axis
@@ -274,19 +276,14 @@ def search(query: SearchQuery) -> list[SearchHit]:
 
 
 def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) -> SearchQuery:
-    """Build a query from CLI-style gate-name tokens, one list per alphabet."""
+    """Build a query from CLI-style tokens, one list per alphabet (AX sets by name)."""
     kind = {k.value: k for k in GateKind}
     try:
-        return SearchQuery(
-            target=target,
-            sp_set=tuple(kind[s] for s in sp),
-            ax1_set=tuple(AX_ENTRIES[a] for a in ax1),
-            ax2_set=tuple(AX_ENTRIES[a] for a in ax2),
-            theta_set=tuple(kind[t] for t in theta),
-            symmetric=symmetric,
-        )
+        sp_set, theta_set = tuple(kind[s] for s in sp), tuple(kind[t] for t in theta)
     except KeyError as e:
         raise CircuitError(f"unknown gate name {e.args[0]!r}") from None
+    return SearchQuery(target=target, sp_set=sp_set, ax1_set=ax1, ax2_set=ax2,
+                       theta_set=theta_set, symmetric=symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +320,7 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
     if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
         raise SimulationError(f"control_state must be two bits, got {control_state!r}")
     c2, c1 = int(control_state[0]), int(control_state[1])
-    psi = _target_matrix((core.sp1, *core.ax1))[:, 0]
+    psi = _target_matrix((core.sp1, *AX_ENTRIES[core.ax1]))[:, 0]
     labels = [_equatorial_label(psi)]
     for theta, control in zip(core.theta, (c2, c1, c2, None)):
         psi = gate_matrix(theta) @ psi
@@ -333,7 +330,7 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
             labels.append(_equatorial_label(psi))
         elif control == 0:
             labels.append(TRACE_SKIP)
-    psi = _target_matrix((*core.ax2, core.sp2)) @ psi
+    psi = _target_matrix((*AX_ENTRIES[core.ax2], core.sp2)) @ psi
     if abs(psi[0]) > 1 - ATOL_EQUIV:
         labels.append("|0>")
     elif abs(psi[1]) > 1 - ATOL_EQUIV:

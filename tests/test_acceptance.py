@@ -13,8 +13,8 @@ import random
 import numpy as np
 
 from hexsynth.circuit import Circuit, GateKind
-from hexsynth.library import (AX_ENTRIES, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, THETA_KINDS,
-                              BooleanGateKind, build_core, build_gate)
+from hexsynth.library import (BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, THETA_KINDS, BooleanGateKind,
+                              build_core, build_gate)
 from hexsynth.layout import Placement, heavy_hex_127, ishape_brisbane, place, verify_no_swap
 from hexsynth.rules import SearchQuery, count_space, iter_specs, phase_trace, search
 from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate, truth_table,
@@ -130,7 +130,7 @@ def test_criterion_06_rule_search():
                BooleanGateKind.OR: "0111", BooleanGateKind.NOR: "1000",
                BooleanGateKind.IMPLICATION: "1011", BooleanGateKind.INHIBITION: "0100"}
     for kind, target in targets.items():
-        q = SearchQuery(target=target, ax2_set=((), AX_ENTRIES["z"], AX_ENTRIES["-z"]),
+        q = SearchQuery(target=target, ax2_set=("i", "z", "-z"),
                         theta_set=THETA_KINDS)
         assert BOOLEAN_TABLE[kind] in [h.spec for h in search(q)], kind.value
     report(6, "(the two AND configurations exactly; every table row rediscovered)")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hexsynth.circuit import (Angle, Circuit, CircuitError, Gate, GateKind,
                               count_gates, depth, emit_text, parse_angle, parse_text)
 from hexsynth.layout import LayoutError, heavy_hex_127
+from hexsynth.library import build_gate
 from hexsynth.transpiler import route_naive
 
 K = GateKind
@@ -136,6 +137,16 @@ class TestGateAndCircuit:
             G(K.CX, 0)
         with pytest.raises(CircuitError):
             G(K.H, 0, 1)
+
+    def test_circuit_shape_checked(self):
+        with pytest.raises(CircuitError, match="^circuit width must be >= 1$"):
+            Circuit(0)
+        with pytest.raises(CircuitError, match="^roles length 1 != width 2$"):
+            Circuit(2, roles=("control",))
+
+    def test_relabel_needs_a_permutation(self):
+        with pytest.raises(CircuitError, match=r"^not a permutation of 0..2: \{0: 0, 1: 0, 2: 2\}$"):
+            build_gate("and3").relabeled({0: 0, 1: 0, 2: 2})
 
     def test_distinct_qubits(self):
         with pytest.raises(CircuitError):
@@ -348,6 +359,10 @@ class TestTextFormat:
                 parse_text(text)
         with pytest.raises(CircuitError, match=r"^line 2: the qubits header"):
             parse_text("h q[4]\nqubits 2")
+        with pytest.raises(CircuitError, match=r"^line 1: bad header 'qubits x'$"):
+            parse_text("qubits x\nh q[0]")
+        with pytest.raises(CircuitError, match=r"^line 1: cannot parse 'h q0'$"):
+            parse_text("h q0")
         # Gate states the arity and angle rules; the parser adds the line
         for text, message in (("cx q[0]", "cx expects 2 qubit"), ("h q[0], q[1]", "h expects 1 qubit"),
                               ("h(pi) q[0]", "h takes no angle"), ("rz q[0]", "rz requires an Angle")):

@@ -100,6 +100,10 @@ class TestVerify:
     def test_verify_needs_a_mode(self, capsys):
         assert run("verify", "and3") == 1
 
+    def test_truth_needs_one_target_wire(self, capsys):
+        assert run("verify", "swap2", "--truth", "0") == 1
+        assert capsys.readouterr().err == "error: swap2 has no single target wire for a truth check\n"
+
     def test_verify_width_mismatch_is_an_error(self, capsys):
         assert run("verify", "and4", "--against", "toffoli") == 1
         assert "error: width mismatch: 5 vs 3" in capsys.readouterr().err
@@ -123,6 +127,22 @@ class TestSearchCostTrace:
         data = json.loads(capsys.readouterr().out)
         thetas = [h["spec"]["theta"] for h in data["hits"]]
         assert ["tdg", "t", "tdg", "t"] in thetas and ["t", "tdg", "t", "tdg"] in thetas
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ax1-set", "i,nope", "ax1 must name an auxiliary entry"),
+        ("--ax2-set", "z,cx", "ax2 must name an auxiliary entry"),
+        ("--sp-set", "h,nope", "unknown gate name 'nope'")])
+    def test_search_rejects_unknown_names(self, capsys, flag, value, message):
+        assert run("search", "--target", "0001", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+    def test_search_help_lists_the_names(self, capsys):
+        with pytest.raises(SystemExit):
+            run("search", "--help")
+        out = " ".join(capsys.readouterr().out.split())
+        assert "{h, sx, sxdg}" in out and "{s, sdg, t, tdg}" in out
+        assert out.count("{i, x, sx, sxdg, z, s, sdg, t, tdg, -z}") == 2
 
     def test_cost_json(self, capsys):
         assert run("cost", "and3", "--basis", "ecr", "--json") == 0
@@ -252,6 +272,15 @@ class TestBadInputFiles:
         src.write_bytes(b"qubits 1\nx q[0]\n\xff\xfe\n")
         assert run("transpile", str(src), "--basis", "ecr") == 1
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [("qubits x\nh q[0]\n", "line 1: bad header 'qubits x'"),
+                                             ("h q0\n", "line 1: cannot parse 'h q0'")])
+    def test_transpile_unparsable_circuit(self, tmp_path, capsys, text, error):
+        src = tmp_path / "bad.txt"
+        src.write_text(text)
+        assert run("transpile", str(src), "--basis", "cx") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
 
     def test_simulate_non_utf8_circuit(self, tmp_path, capsys):
         src = tmp_path / "bad.txt"

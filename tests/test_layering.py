@@ -32,6 +32,12 @@ def test_simulator_is_a_leaf_over_circuit():
     assert package == {"hexsynth.circuit"}
 
 
+def test_library_reads_only_circuit():
+    # the AX name table lives in this bottom layer, read by rules, cli and the tests
+    package = {name for name in imports(SRC / "library.py") if name.startswith("hexsynth")}
+    assert package == {"hexsynth.circuit"}
+
+
 def test_rules_reads_only_the_core_layers():
     package = {name for name in imports(SRC / "rules.py") if name.startswith("hexsynth")}
     assert package == {"hexsynth.circuit", "hexsynth.library", "hexsynth.simulator"}

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from hexsynth import layout
-from hexsynth.circuit import Circuit, CircuitError, Gate, GateKind
+from hexsynth.circuit import Circuit, CircuitError, Gate, GateKind, emit_text, parse_text
 from hexsynth.cli import main
 from hexsynth.layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane,
                              load_map, place, verify_no_swap)
@@ -284,6 +284,12 @@ class TestVerifyNoSwap:
         with pytest.raises(LayoutError, match=f"placement puts wire 'c2' on physical qubit "
                                               f"{qubit}, off the 127-qubit map"):
             verify_no_swap(build_gate("and3"), brisbane, off)
+
+    def test_circuit_without_wire_names_errors(self, brisbane):
+        parsed = parse_text(emit_text(build_gate("and3")))
+        assert parsed.wire_names is None
+        with pytest.raises(LayoutError, match="^circuit has no wire names to match the placement$"):
+            verify_no_swap(parsed, brisbane, Placement({"c1": 61, "t": 62, "c2": 63}))
 
     def test_works_on_any_map(self):
         # square-lattice style map: no heavy-hex assumption in the checker

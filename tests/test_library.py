@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hexsynth.circuit import Circuit, CircuitError, GateKind
-from hexsynth.library import (BOOLEAN_BY_NAME, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, GATES,
-                              BooleanGateKind, CoreSpec, build_core, build_gate, core_gates)
+from hexsynth.library import (AX_ENTRIES, BOOLEAN_BY_NAME, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE,
+                              GATES, BooleanGateKind, CoreSpec, build_core, build_gate, core_gates)
 from hexsynth.simulator import (EquivalenceLevel, Statevector, apply, equivalence,
                                 truth_string, truth_table, unitary_of)
 
@@ -36,10 +36,16 @@ class TestCoreSpec:
         with pytest.raises(CircuitError, match="theta must be four gates"):
             CoreSpec(theta=K.T)
 
+    # an AX slot holds an AX_ENTRIES name: not a kind, a kind tuple or list, or another string
     @pytest.mark.parametrize("slots", [dict(ax1=("x",)), dict(ax2=(K.X, "z")),
-                                       dict(ax1=K.X), dict(ax2="x")])
-    def test_rejects_ax_entries_that_are_not_tuples_of_kinds(self, slots):
-        with pytest.raises(CircuitError, match="tuple of gate kinds"):
+                                       dict(ax1=K.X), dict(ax2=(K.X,)), dict(ax1=(K.CX,)),
+                                       dict(ax2=[K.Z]), dict(ax1=["x"]), dict(ax1=()),
+                                       dict(ax2="cx"), dict(ax1="x+z"), dict(ax2="rz"),
+                                       dict(ax1=None)])
+    def test_rejects_ax_entries_that_are_not_names(self, slots):
+        slot, = slots
+        with pytest.raises(CircuitError, match=f"^{slot} must name an auxiliary entry "
+                                               r"\(i, x, sx, sxdg, z, s, sdg, t, tdg, -z\), got "):
             CoreSpec(**slots)
 
     def test_core_wire_shape(self):
@@ -80,7 +86,8 @@ class TestBooleanGates:
 
     def test_nand_core_uses_three_gate_minus_z(self):
         spec = BOOLEAN_TABLE[BooleanGateKind.NAND]
-        assert spec.ax2 == (K.X, K.Z, K.X)
+        assert spec.ax2 == "-z" and AX_ENTRIES["-z"] == (K.X, K.Z, K.X)
+        assert CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T), ax2="-z") == spec
         # -Z equals Z up to global phase, so NAND == NOT(AND) classically
         table = truth_table(build_gate("nand3"), target=1, controls=(0, 2))
         assert truth_string(table) == "1110"

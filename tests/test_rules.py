@@ -47,8 +47,8 @@ def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchH
 
 
 # superposition gates other than H leave many branches non-deterministic
-MIXED = SearchQuery(target="0000", sp_set=(K.H, K.SX, K.SXDG), ax1_set=((), (K.X,)),
-                    ax2_set=((), (K.Z,), (K.SXDG,)), theta_set=(K.S, K.TDG))
+MIXED = SearchQuery(target="0000", sp_set=(K.H, K.SX, K.SXDG), ax1_set=("i", "x"),
+                    ax2_set=("i", "z", "sxdg"), theta_set=(K.S, K.TDG))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestCountSpace:
 
     def test_matches_enumeration_mixed_sets(self):
         q = SearchQuery(target="0001", sp_set=(K.H, K.SX),
-                        ax1_set=((), (K.Z,)), ax2_set=((), (K.Z,)),
+                        ax1_set=("i", "z"), ax2_set=("i", "z"),
                         theta_set=(K.T, K.TDG))
         assert sum(1 for _ in iter_specs(q)) == count_space(2, 2, 2)
 
@@ -106,10 +106,10 @@ class TestSearch:
         assert all(h.level is EquivalenceLevel.L2_RELATIVE_PHASE for h in hits)
 
     def test_or_search_contains_table_row(self):
-        q = SearchQuery(target="0111", ax2_set=((), AX_ENTRIES["z"], AX_ENTRIES["-z"]),
+        q = SearchQuery(target="0111", ax2_set=("i", "z", "-z"),
                         theta_set=THETA_KINDS)
         hits = search(q)
-        assert any(h.spec.theta == (K.T, K.T, K.T, K.T) and h.spec.ax2 == (K.Z,)
+        assert any(h.spec.theta == (K.T, K.T, K.T, K.T) and h.spec.ax2 == "z"
                    for h in hits)
 
     @pytest.mark.parametrize("kind,target", [
@@ -118,7 +118,7 @@ class TestSearch:
         (BooleanGateKind.IMPLICATION, "1011"), (BooleanGateKind.INHIBITION, "0100"),
     ])
     def test_every_table_row_rediscovered(self, kind, target):
-        q = SearchQuery(target=target, ax2_set=((), AX_ENTRIES["z"], AX_ENTRIES["-z"]),
+        q = SearchQuery(target=target, ax2_set=("i", "z", "-z"),
                         theta_set=THETA_KINDS)
         hits = search(q)
         assert BOOLEAN_TABLE[kind] in [h.spec for h in hits]
@@ -139,7 +139,7 @@ class TestSearch:
             assert truth_string(table) == "0000"
 
     def test_guard_rejects_huge_spaces(self):
-        entries = tuple(AX_ENTRIES.values())
+        entries = tuple(AX_ENTRIES)
         sp = (K.H, K.SX, K.SXDG)
         # 9 * 100 * 100 * 256 > 10^7 configurations
         q = SearchQuery(target="0001", sp_set=sp, ax1_set=entries * 10,
@@ -157,7 +157,7 @@ class TestSearch:
         q = query_from_names("0001", sp=("h",), ax1=("i",), ax2=("i", "z", "-z"),
                              theta=("t", "tdg"), symmetric=True)
         assert q.sp_set == (K.H,)
-        assert q.ax2_set == ((), (K.Z,), (K.X, K.Z, K.X))
+        assert q.ax2_set == ("i", "z", "-z")
         with pytest.raises(CircuitError):
             query_from_names("0001", **dict(DEFAULT_NAMES, sp=("nope",)))
 
@@ -191,7 +191,7 @@ class TestBatchedSearchMatchesReference:
         assert all(h.spec.symmetric for h in hits)
 
     def test_minus_z_and_duplicated_ax2_entries(self):
-        q = SearchQuery(target="0111", ax2_set=((), AX_ENTRIES["z"], AX_ENTRIES["-z"], AX_ENTRIES["z"]),
+        q = SearchQuery(target="0111", ax2_set=("i", "z", "-z", "z"),
                         theta_set=(K.T, K.TDG, K.T))
         hits = search(q)
         assert hits and hits == reference_search(q)[q.target]
@@ -217,12 +217,17 @@ class TestBatchedSearchMatchesReference:
 
     BAD_ENTRIES = [(dict(sp_set=(K.H, K.T)), "superposition"),
                    (dict(theta_set=(K.T, K.H)), "theta"),
-                   (dict(ax1_set=((), (K.RZ,))), "requires an Angle"),
-                   (dict(ax2_set=((K.CX,),)), "expects 2 qubit"),
-                   (dict(ax1_set=(("x",),)), "must be a GateKind"),
-                   (dict(ax2_set=((), (K.X, "z"))), "must be a GateKind"),
-                   (dict(ax1_set=(K.X,)), "tuples of gate kinds"),
-                   (dict(ax2_set=((), K.Z)), "tuples of gate kinds"),
+                   (dict(ax1_set=((), (K.RZ,))), "auxiliary entry"),
+                   (dict(ax2_set=((K.CX,),)), "auxiliary entry"),
+                   (dict(ax1_set=(("x",),)), "auxiliary entry"),
+                   (dict(ax2_set=((), (K.X, "z"))), "auxiliary entry"),
+                   (dict(ax1_set=(K.X,)), "auxiliary entry"),
+                   (dict(ax2_set=((), K.Z)), "auxiliary entry"),
+                   (dict(ax1_set=("i", "cx")), "^ax1 must name an auxiliary entry"),
+                   (dict(ax2_set=("z", ["z"])), "^ax2 must name an auxiliary entry"),
+                   # tuple("sx") would be the two valid names s and x
+                   (dict(ax1_set="sx"), "ax1_set must be a collection, not the string 'sx'"),
+                   (dict(sp_set=()), "sp_set must not be empty"),
                    (dict(theta_set=K.T), "theta_set must be a collection"),
                    (dict(sp_set=K.H), "sp_set must be a collection")]
 
@@ -237,9 +242,10 @@ class TestBatchedSearchMatchesReference:
         for bad, match in self.BAD_ENTRIES:
             with pytest.raises(CircuitError, match=match):
                 SearchQuery(target="0001", **bad)
-        # every AX name resolves to a valid entry, so only sp and theta can be bad by name
         for bad, match in [(dict(sp=("h", "t")), "superposition"),
-                           (dict(theta=("t", "h")), "theta")]:
+                           (dict(theta=("t", "h")), "theta"),
+                           (dict(ax1=("i", "nope")), "ax1 must name an auxiliary entry"),
+                           (dict(ax2=("-z", "cx")), "ax2 must name an auxiliary entry")]:
             with pytest.raises(CircuitError, match=match):
                 query_from_names("0001", **dict(DEFAULT_NAMES, **bad))
 
@@ -303,8 +309,8 @@ def small_queries(draw):
 
     q = SearchQuery(target=draw(st.sampled_from(TARGETS)),
                     sp_set=alphabet(SUPERPOSITION_KINDS, 2),
-                    ax1_set=alphabet(list(AX_ENTRIES.values()), 2),
-                    ax2_set=alphabet(list(AX_ENTRIES.values()), 3),
+                    ax1_set=alphabet(list(AX_ENTRIES), 2),
+                    ax2_set=alphabet(list(AX_ENTRIES), 3),
                     theta_set=alphabet(THETA_KINDS, 3),
                     symmetric=draw(st.booleans()))
     assume(rules._space_size(q) <= 324)

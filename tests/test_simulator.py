@@ -61,7 +61,7 @@ def reference_phase_trace(core, control_state):
     labels = []
     # the nine stages of the gate list, AX folded into the SP stages
     flat = core_gates(core, c1=0, t=1, c2=2)
-    head, tail = 1 + len(core.ax1), len(core.ax2) + 1
+    head, tail = 1 + len(AX_ENTRIES[core.ax1]), len(AX_ENTRIES[core.ax2]) + 1
     stages = list(zip(STAGE_NAMES, [flat[:head], *([g] for g in flat[head:-tail]), flat[-tail:]]))
     for idx, (name, gates) in enumerate(stages):
         fires = not ((name == "CX_c2" and c2 == 0) or (name == "CX_c1" and c1 == 0))
@@ -168,6 +168,12 @@ class TestApplyAndUnitary:
     def test_unitary_guard(self):
         with pytest.raises(SimulationError):
             unitary_of(Circuit(13))
+
+    def test_statevector_shape_and_norm_checked(self):
+        with pytest.raises(SimulationError, match=r"^expected 2 amplitudes, got \(3,\)$"):
+            Statevector(1, [1, 0, 0])
+        with pytest.raises(SimulationError, match="^state is not normalized$"):
+            Statevector(1, [1, 1])
 
     def test_statevector_guard(self):
         # raised before the 2^n amplitudes are allocated
@@ -529,9 +535,9 @@ class TestPhaseTrace:
             phase_trace(self.AND, "2")
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-    @given(st.sampled_from(SUPERPOSITION_KINDS), st.sampled_from(tuple(AX_ENTRIES.values())),
+    @given(st.sampled_from(SUPERPOSITION_KINDS), st.sampled_from(tuple(AX_ENTRIES)),
            st.tuples(*[st.sampled_from(THETA_KINDS)] * 4),
-           st.sampled_from(tuple(AX_ENTRIES.values())), st.sampled_from(SUPERPOSITION_KINDS),
+           st.sampled_from(tuple(AX_ENTRIES)), st.sampled_from(SUPERPOSITION_KINDS),
            st.sampled_from(("00", "01", "10", "11")))
     def test_matches_statevector_reference(self, sp1, ax1, theta, ax2, sp2, controls):
         core = CoreSpec(sp1=sp1, ax1=ax1, theta=theta, ax2=ax2, sp2=sp2)
