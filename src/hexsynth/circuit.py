@@ -125,7 +125,11 @@ class Angle:
     def pi_frac(num: int, den: int = 1) -> "Angle":
         if type(num) is int and type(den) is int and den and 4 % den == 0:
             return _GRID[num * (4 // den) % 16]
-        return Angle(Fraction(num, den))
+        try:
+            return Angle(Fraction(num, den))
+        except (TypeError, ZeroDivisionError):  # a float term, or pi over zero
+            raise CircuitError(f"pi_frac needs integer terms and a nonzero denominator, "
+                               f"got pi*{num!r}/{den!r}") from None
 
     @staticmethod
     def from_radians(radians: float) -> "Angle":

@@ -15,8 +15,8 @@ import sys
 from . import reports
 from .circuit import (ROLE_ANCILLA, ROLE_CONTROL, ROLE_TARGET, Circuit, CircuitError, emit_text,
                       parse_text)
-from .library import (AX_ENTRIES, BOOLEAN_TABLE, BOOLEAN_BY_NAME, GATES, SUPERPOSITION_KINDS,
-                      THETA_KINDS, build_gate)
+from .library import (AX_ENTRIES, BOOLEAN_BY_NAME, GATES, SUPERPOSITION_KINDS, THETA_KINDS,
+                      build_gate)
 from .layout import Placement, load_map
 from .rules import STAGE_NAMES, phase_trace, query_from_names, search
 from .simulator import (EquivalenceLevel, Statevector, apply, equivalence, qsphere, truth_string,
@@ -164,7 +164,7 @@ def cmd_trace(args) -> int:
     kind = BOOLEAN_BY_NAME.get(args.gate)
     if kind is None:
         raise CircuitError(f"trace supports the 3-bit Boolean gates, not {args.gate!r}")
-    labels = phase_trace(BOOLEAN_TABLE[kind], args.controls)
+    labels = phase_trace(kind.spec, args.controls)
     if args.json:
         print(json.dumps({"gate": args.gate, "controls": args.controls, "stages": labels}))
     else:

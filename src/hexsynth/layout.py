@@ -48,7 +48,11 @@ class CouplingMap:
             raise LayoutError(f"map name must be a string, got {self.name!r}")
         if type(self.num_qubits) is not int:
             raise LayoutError(f"num_qubits must be an integer, got {self.num_qubits!r}")
-        edges = tuple(self.edges)
+        try:
+            edges = tuple(self.edges)
+        except TypeError:
+            raise LayoutError(f"edges must be a collection of qubit pairs, "
+                              f"got {self.edges!r}") from None
         _check_edges(edges, self.num_qubits)
         object.__setattr__(self, "edges", frozenset(e if e[0] < e[1] else e[::-1] for e in edges))
 

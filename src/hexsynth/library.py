@@ -9,9 +9,12 @@ wires that are left dirty (no uncompute).  Standard textbook circuits
 comparison oracles.
 
 A `CoreSpec` names each auxiliary slot by its `AX_ENTRIES` key and checks
-every slot when built.  `GATES` maps every gate name to its circuit, built
-once at import from its wires with their roles and its gate list;
-`build_gate` looks it up.  `build_core` builds a core from any `CoreSpec`.
+every slot when built.  Each `BooleanGateKind` member is the one statement
+of a Boolean core: its function name, registry gate and `CoreSpec`.
+`GATES` maps every gate name to its circuit, built once at import from its
+wires with their roles and its gate list, the family half first, then the
+oracle half; `FAMILY_GATES` is the family half's names, and `build_gate`
+looks a name up.  `build_core` builds a core from any `CoreSpec`.
 Each core's target sits between its two controls, so the family places on
 heavy-hex qubits without SWAP insertion (`layout.place` finds where from
 the gate list alone).
@@ -86,32 +89,26 @@ class CoreSpec:
 
 
 class BooleanGateKind(Enum):
-    AND = "and"
-    NAND = "nand"
-    OR = "or"
-    NOR = "nor"
-    IMPLICATION = "implication"
-    INHIBITION = "inhibition"
+    """A Boolean core: its value is the function name; `gate` (its registry
+    name) and `spec` (its `CoreSpec`) are plain attributes of each member."""
+
+    AND = "and", "and3", CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T))
+    NAND = "nand", "nand3", CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T), ax2="-z")
+    OR = "or", "or3", CoreSpec(theta=(K.T, K.T, K.T, K.T), ax2="z")
+    NOR = "nor", "nor3", CoreSpec(theta=(K.T, K.T, K.T, K.T))
+    IMPLICATION = "implication", "imp3", CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T), ax2="-z")
+    INHIBITION = "inhibition", "inh3", CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T))
+
+    def __new__(cls, function: str, gate: str, spec: CoreSpec):
+        kind = object.__new__(cls)
+        kind._value_ = function
+        kind.gate = gate
+        kind.spec = spec
+        return kind
 
 
-BOOLEAN_TABLE: dict[BooleanGateKind, CoreSpec] = {
-    BooleanGateKind.AND: CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T)),
-    BooleanGateKind.NAND: CoreSpec(theta=(K.TDG, K.T, K.TDG, K.T), ax2="-z"),
-    BooleanGateKind.OR: CoreSpec(theta=(K.T, K.T, K.T, K.T), ax2="z"),
-    BooleanGateKind.NOR: CoreSpec(theta=(K.T, K.T, K.T, K.T)),
-    BooleanGateKind.IMPLICATION: CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T), ax2="-z"),
-    BooleanGateKind.INHIBITION: CoreSpec(theta=(K.TDG, K.TDG, K.T, K.T)),
-}
-
-# Boolean functions realized, as f(c1, c2)
-BOOLEAN_FUNCTIONS = {
-    BooleanGateKind.AND: lambda a, b: a & b,
-    BooleanGateKind.NAND: lambda a, b: 1 - (a & b),
-    BooleanGateKind.OR: lambda a, b: a | b,
-    BooleanGateKind.NOR: lambda a, b: 1 - (a | b),
-    BooleanGateKind.IMPLICATION: lambda a, b: (1 - a) | b,
-    BooleanGateKind.INHIBITION: lambda a, b: 1 - ((1 - a) | b),
-}
+BOOLEAN_TABLE: dict[BooleanGateKind, CoreSpec] = {kind: kind.spec for kind in BooleanGateKind}
+BOOLEAN_BY_NAME: dict[str, BooleanGateKind] = {kind.gate: kind for kind in BooleanGateKind}
 
 
 def core_gates(spec: CoreSpec, c1: int, t: int, c2: int) -> list[Gate]:
@@ -136,14 +133,8 @@ def build_core(spec: CoreSpec) -> Circuit:
     return _circuit("core", _CORE_WIRES, core_gates(spec, c1=0, t=1, c2=2))
 
 
-BOOLEAN_BY_NAME = {
-    "and3": BooleanGateKind.AND, "nand3": BooleanGateKind.NAND,
-    "or3": BooleanGateKind.OR, "nor3": BooleanGateKind.NOR,
-    "imp3": BooleanGateKind.IMPLICATION, "inh3": BooleanGateKind.INHIBITION,
-}
-
-_AND = BOOLEAN_TABLE[BooleanGateKind.AND]
-_OR = BOOLEAN_TABLE[BooleanGateKind.OR]
+_AND = BooleanGateKind.AND.spec
+_OR = BooleanGateKind.OR.spec
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +199,11 @@ _FIVE_WIRES = (("c1", _C), ("anc1", _A), ("c2", _C), ("t", _T),
 _TOFFOLI_WIRES = (("c1", _C), ("c2", _C), ("t", _T))
 
 # ---------------------------------------------------------------------------
-# the registry: name -> its circuit, built from ((wire name, role) per wire,
-# gate list on those wires).  Circuits are frozen, so callers share them.
-# Ancilla wires of the family are left dirty (no uncompute); those of the
-# standard n-bit Toffolis are clean.
-
-GATES: dict[str, Circuit] = {name: _circuit(name, wires, gates) for name, (wires, gates) in {
-    **{name: (_CORE_WIRES, core_gates(BOOLEAN_TABLE[kind], c1=0, t=1, c2=2))
-       for name, kind in BOOLEAN_BY_NAME.items()},
+# the registry in two halves, name -> ((wire name, role) per wire, gate list
+# on those wires).  The paper's layout-aware family leaves its ancilla wires
+# dirty (no uncompute); the standard n-bit Toffolis leave theirs clean.
+_FAMILY = {
+    **{kind.gate: (_CORE_WIRES, core_gates(kind.spec, 0, 1, 2)) for kind in BooleanGateKind},
     "csx2": (_CT_WIRES, _csx2_gates(c=0, t=1)),
     "csxdg2": (_CT_WIRES, _csxdg2_gates(c=0, t=1)),
     # two-CX relative-phase swap derived from the iSWAP circuit shape
@@ -238,7 +226,8 @@ GATES: dict[str, Circuit] = {name: _circuit(name, wires, gates) for name, (wires
     "miller3": (_CORE_WIRES, [Gate(K.CX, (1, 0)), Gate(K.CX, (1, 2))]
                 + core_gates(_AND, c1=0, t=1, c2=2)
                 + [Gate(K.CX, (1, 0)), Gate(K.CX, (1, 2))]),
-    # standard-approach oracles
+}
+_ORACLES = {  # the standard-approach oracles
     "toffoli": (_TOFFOLI_WIRES, _toffoli_gates(0, 1, 2)),
     # exact (n-1)-controlled X through clean, uncomputed ancillas
     "toffoli4": ((("c1", _C), ("c2", _C), ("c3", _C), ("t", _T), ("anc", _A)),
@@ -265,13 +254,12 @@ GATES: dict[str, Circuit] = {name: _circuit(name, wires, gates) for name, (wires
         Gate(K.CX, (0, 1)), Gate(K.TDG, (1,)), Gate(K.TDG, (0,)),
         Gate(K.H, (1,))]),
     "swap2_std": (_AB_WIRES, [Gate(K.CX, (0, 1)), Gate(K.CX, (1, 0)), Gate(K.CX, (0, 1))]),
-}.items()}
+}
 
-# the paper's layout-aware family; the other entries are standard-approach oracles
-FAMILY_GATES = ("and3", "nand3", "or3", "nor3", "imp3", "inh3",
-                "csx2", "csxdg2", "swap2",
-                "and4", "and5", "pos5", "sop5",
-                "fredkin3", "fredkin4", "csx3", "csxdg3", "miller3")
+# every gate's circuit, built once: circuits are frozen, so callers share them
+GATES: dict[str, Circuit] = {name: _circuit(name, wires, gates)
+                             for name, (wires, gates) in (_FAMILY | _ORACLES).items()}
+FAMILY_GATES = tuple(_FAMILY)
 
 
 def build_gate(name: str) -> Circuit:

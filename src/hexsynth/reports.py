@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .library import BOOLEAN_TABLE, BooleanGateKind, build_gate
+from .library import THETA_KINDS, BooleanGateKind, build_gate
 from .rules import SearchQuery, count_space, iter_specs, phase_trace
 from .transpiler import NativeBasis, compile_gate
 
@@ -45,8 +45,7 @@ def two_bit_block(expected: dict) -> dict:
 
 
 def trace_block(expected: dict) -> dict:
-    spec = BOOLEAN_TABLE[BooleanGateKind.AND]
-    return {controls: _cell(phase_trace(spec, controls), want)
+    return {controls: _cell(phase_trace(BooleanGateKind.AND.spec, controls), want)
             for controls, want in expected.items()}
 
 
@@ -70,8 +69,6 @@ def ecr_block(expected: dict) -> dict:
 
 
 def space_block(expected: dict) -> dict:
-    from .library import THETA_KINDS
-
     block = {}
     for label, want in expected.items():
         computed = count_space(want["sp"], want["ax"], want["theta"])

@@ -248,22 +248,15 @@ def _cancel_pending(stacks: dict, pending: dict, later: _Fixed) -> None:
 
 
 @functools.cache
-def _run_outputs(q: int) -> tuple[tuple, tuple]:
-    """The X-free and the X-using output of a run of value 0..3 on wire q.
-    They are built once per wire, per process, so one SX and one X gate per
-    wire are shared (and their text rendered once); the memo is bounded by
-    the wires seen."""
+def _wire_outputs(q: int) -> tuple[tuple, tuple, tuple]:
+    """The outputs on wire q: of a run of value 0..3, X-free and X-using,
+    and of a merged rotation by k*pi/4 for each k in 0..15.  They are built
+    once per wire, per process, so one gate per form is shared (and its text
+    rendered once); the memo is bounded by the wires seen.  A merged angle
+    off the grid has no entry."""
     sx, x = Gate(K.SX, (q,)), Gate(K.X, (q,))
-    return ((), (sx,), (sx, sx), (sx, sx, sx)), ((), (sx,), (x,), (sx, x))
-
-
-@functools.cache
-def _rz_output(q: int, k: int) -> tuple[Gate]:
-    """The output of a merged rotation by k*pi/4 on wire q.  It is built once
-    per wire and grid angle, per process, so its text is rendered once; the
-    memo is bounded by 16 times the wires seen.  A merged angle off the grid
-    is not stored."""
-    return (Gate(K.RZ, (q,), _GRID[k]),)
+    return (((), (sx,), (sx, sx), (sx, sx, sx)), ((), (sx,), (x,), (sx, x)),
+            tuple((Gate(K.RZ, (q,), angle),) for angle in _GRID))
 
 
 def _emit_wire(stack: list, q: int) -> None:
@@ -275,14 +268,14 @@ def _emit_wire(stack: list, q: int) -> None:
     no tag count rises.  Runs with too few SX for the X-free form draw on
     that budget first; what is left goes to the other runs in wire order.
     """
-    x_free, with_x = _run_outputs(q)
+    x_free, with_x, rz = _wire_outputs(q)
     segment: list[_Run] = []
     for item in stack + [None]:
         if type(item) is _Rz:
             angle = item.angle
             if angle is not item.gate.angle:
                 k = angle._k
-                item.out = (Gate(K.RZ, (q,), angle),) if k is None else _rz_output(q, k)
+                item.out = (Gate(K.RZ, (q,), angle),) if k is None else rz[k]
         elif type(item) is _Run:
             segment.append(item)
         elif segment:  # a fixed gate or the end of the wire closes the segment

@@ -1,16 +1,28 @@
 """Shared oracles for the test suite.
 
 Expected unitaries are constructed directly as numpy permutation/block
-matrices so they stay independent of the circuit builders they check.
+matrices, and expected truth tables are written out by hand, so they stay
+independent of the circuit builders they check.
 """
 import numpy as np
 import pytest
 
 from hexsynth.circuit import Angle, Circuit, Gate, GateKind
+from hexsynth.library import BooleanGateKind
 
 K = GateKind
 
 SX_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+
+# each Boolean core's target bit f(c1, c2), keyed 'c2 c1' as `truth_table` keys it
+BOOLEAN_TRUTH = {
+    BooleanGateKind.AND: {"00": 0, "01": 0, "10": 0, "11": 1},
+    BooleanGateKind.NAND: {"00": 1, "01": 1, "10": 1, "11": 0},
+    BooleanGateKind.OR: {"00": 0, "01": 1, "10": 1, "11": 1},
+    BooleanGateKind.NOR: {"00": 1, "01": 0, "10": 0, "11": 0},
+    BooleanGateKind.IMPLICATION: {"00": 1, "01": 0, "10": 1, "11": 1},  # (not c1) or c2
+    BooleanGateKind.INHIBITION: {"00": 0, "01": 1, "10": 0, "11": 0},  # c1 and not c2
+}
 
 
 def permutation_unitary(n, mapping):

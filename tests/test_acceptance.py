@@ -13,15 +13,14 @@ import random
 import numpy as np
 
 from hexsynth.circuit import Circuit, GateKind
-from hexsynth.library import (BOOLEAN_FUNCTIONS, BOOLEAN_TABLE, THETA_KINDS, BooleanGateKind,
-                              build_core, build_gate)
+from hexsynth.library import BOOLEAN_TABLE, THETA_KINDS, BooleanGateKind, build_core, build_gate
 from hexsynth.layout import Placement, heavy_hex_127, ishape_brisbane, place, verify_no_swap
 from hexsynth.rules import SearchQuery, count_space, iter_specs, phase_trace, search
 from hexsynth.simulator import (EquivalenceLevel, equivalence, pauli_conjugate, truth_table,
                                 unitary_of)
 from hexsynth.transpiler import NativeBasis, compile_gate, lower, peephole
 
-from conftest import random_clifford_t_circuit
+from conftest import BOOLEAN_TRUTH, random_clifford_t_circuit
 
 K = GateKind
 
@@ -40,10 +39,7 @@ def fidelity(a: Circuit, b: Circuit) -> float:
 def test_criterion_01_boolean_truth_tables():
     for kind in BooleanGateKind:
         table = truth_table(build_core(BOOLEAN_TABLE[kind]), target=1, controls=(0, 2))
-        f = BOOLEAN_FUNCTIONS[kind]
-        for key, bit in table.items():
-            c2, c1 = int(key[0]), int(key[1])
-            assert bit == f(c1, c2), (kind.value, key, bit)
+        assert table == BOOLEAN_TRUTH[kind], (kind.value, table)
     report(1, "(six Boolean gates, all 4 assignments, deterministic targets)")
 
 

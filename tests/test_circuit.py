@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -77,6 +78,11 @@ class TestAngle:
         with pytest.raises(CircuitError, match="from_radians"):
             Angle(frac)
 
+    @pytest.mark.parametrize("num, den", [(1.5, 2), (1, 0.5), ("1", 4)])
+    def test_pi_frac_rejects_a_term_that_is_not_an_integer(self, num, den):
+        with pytest.raises(CircuitError, match=re.escape(f"got pi*{num!r}/{den!r}")):
+            Angle.pi_frac(num, den)
+
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(_ANGLES, _ANGLES)
     def test_sum_matches_fraction_arithmetic(self, a, b):
@@ -118,7 +124,11 @@ class TestAngle:
         if "pi" not in expr:  # pi over zero has no float form to pass
             with pytest.raises(CircuitError, match="finite"):
                 Angle.from_radians(float(expr))
-        with pytest.raises(CircuitError, match="bad angle expression"):
+        else:  # nor an exact one
+            num = int(expr.split("*")[0]) if "*" in expr else 1
+            with pytest.raises(CircuitError, match=re.escape(f"got pi*{num}/0")):
+                Angle.pi_frac(num, 0)
+        with pytest.raises(CircuitError, match=re.escape(f"bad angle expression: {expr!r}")):
             parse_angle(expr)
 
     @pytest.mark.parametrize("num,den,text", [

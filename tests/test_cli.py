@@ -104,6 +104,16 @@ class TestVerify:
         assert run("verify", "swap2", "--truth", "0") == 1
         assert capsys.readouterr().err == "error: swap2 has no single target wire for a truth check\n"
 
+    def test_oracle_with_other_role_counts_is_graded_as_built(self, capsys):
+        # equal widths, but swap2 has two targets and csx2 a control and a
+        # target, so no role-for-role alignment exists
+        from hexsynth import cli
+
+        assert cli._aligned_oracle(build_gate("swap2"), build_gate("csx2")) is build_gate("csx2")
+        assert run("verify", "swap2", "--against", "csx2") == 1
+        assert capsys.readouterr().out == ("equivalence vs csx2: NONE\n"
+                                           "requested L2: NOT ACHIEVED\n")
+
     def test_verify_width_mismatch_is_an_error(self, capsys):
         assert run("verify", "and4", "--against", "toffoli") == 1
         assert "error: width mismatch: 5 vs 3" in capsys.readouterr().err

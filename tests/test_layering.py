@@ -43,6 +43,14 @@ def test_rules_reads_only_the_core_layers():
     assert package == {"hexsynth.circuit", "hexsynth.library", "hexsynth.simulator"}
 
 
+@pytest.mark.parametrize("module, layers", [("layout", {"circuit", "library"}),
+                                             ("transpiler", {"circuit", "layout"}),
+                                             ("reports", {"library", "rules", "transpiler"})])
+def test_upper_layers_read_only_their_inputs(module, layers):
+    package = {name for name in imports(SRC / f"{module}.py") if name.startswith("hexsynth")}
+    assert package == {f"hexsynth.{layer}" for layer in layers}
+
+
 @pytest.mark.parametrize("module", ["circuit", "library", "layout", "transpiler"])
 def test_numpy_free_layers(module):
     assert "numpy" not in imports(SRC / f"{module}.py")

@@ -53,11 +53,14 @@ class TestCouplingMap:
     @pytest.mark.parametrize("num_qubits, edge, message",
                              [(3, (0, 1.7), "two integer qubits"),
                               (3, (0, 1, 2), "two integer qubits"),
-                              (3.0, (0, 1), "num_qubits must be an integer")])
+                              (3.0, (0, 1), "num_qubits must be an integer"),
+                              (3, 5, "edges must be a collection of qubit pairs, got 5$")])
     def test_constructor_states_the_rules(self, num_qubits, edge, message):
-        # a map built in code meets the same rules as one read from JSON
+        # a map built in code meets the same rules as one read from JSON; a
+        # bare non-tuple stands for the whole edge collection
+        edges = frozenset({edge}) if type(edge) is tuple else edge
         with pytest.raises(LayoutError, match=message):
-            CouplingMap("m", num_qubits, frozenset({edge}))
+            CouplingMap("m", num_qubits, edges)
 
     @pytest.mark.parametrize("name", [{"x": 1}, 7, None, ["line"]])
     def test_non_string_name_rejected(self, tmp_path, name):

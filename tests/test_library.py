@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from hexsynth.circuit import Circuit, CircuitError, GateKind
-from hexsynth.library import (AX_ENTRIES, BOOLEAN_BY_NAME, BOOLEAN_FUNCTIONS, BOOLEAN_TABLE,
-                              GATES, BooleanGateKind, CoreSpec, build_core, build_gate, core_gates)
+from hexsynth.library import (AX_ENTRIES, BOOLEAN_BY_NAME, BOOLEAN_TABLE, FAMILY_GATES, GATES,
+                              BooleanGateKind, CoreSpec, build_core, build_gate, core_gates)
 from hexsynth.simulator import (EquivalenceLevel, Statevector, apply, equivalence,
                                 truth_string, truth_table, unitary_of)
 
-from conftest import (SX_MAT, controlled_gate_unitary, fredkin_unitary, swap_unitary,
-                      toffoli_unitary)
+from conftest import (BOOLEAN_TRUTH, SX_MAT, controlled_gate_unitary, fredkin_unitary,
+                      swap_unitary, toffoli_unitary)
 
 K = GateKind
 
@@ -73,10 +73,7 @@ class TestBooleanGates:
     @pytest.mark.parametrize("kind", list(BooleanGateKind))
     def test_truth_table_matches_function(self, kind):
         table = truth_table(build_core(BOOLEAN_TABLE[kind]), target=1, controls=(0, 2))
-        f = BOOLEAN_FUNCTIONS[kind]
-        for key, bit in table.items():
-            c2, c1 = int(key[0]), int(key[1])
-            assert bit == f(c1, c2), (kind, key)
+        assert table == BOOLEAN_TRUTH[kind]
 
     def test_and_vs_toffoli_levels(self):
         and3 = build_gate("and3").relabeled({0: 0, 1: 2, 2: 1})
@@ -284,6 +281,23 @@ class TestRegistry:
         for name, kind in BOOLEAN_BY_NAME.items():
             core = build_core(BOOLEAN_TABLE[kind])
             assert core.name == "core" and dataclasses.replace(core, name=name) == build_gate(name)
+
+    def test_names_keep_their_order(self):
+        # the benchmark, the goldens and `hexsynth tables` iterate these orders
+        assert FAMILY_GATES == ("and3", "nand3", "or3", "nor3", "imp3", "inh3",
+                                "csx2", "csxdg2", "swap2", "and4", "and5", "pos5", "sop5",
+                                "fredkin3", "fredkin4", "csx3", "csxdg3", "miller3")
+        assert list(GATES) == [*FAMILY_GATES, "toffoli", "toffoli4", "toffoli5", "toffoli_ry",
+                               "fredkin_std", "csx2_std", "csxdg2_std", "swap2_std"]
+        assert list(BOOLEAN_BY_NAME) == list(FAMILY_GATES[:6])
+        assert list(BOOLEAN_TABLE) == list(BooleanGateKind)
+
+    def test_each_boolean_member_carries_its_gate_and_spec(self):
+        assert [(kind.value, kind.gate) for kind in BooleanGateKind] == [
+            ("and", "and3"), ("nand", "nand3"), ("or", "or3"), ("nor", "nor3"),
+            ("implication", "imp3"), ("inhibition", "inh3")]
+        assert all(BooleanGateKind(kind.value) is BOOLEAN_BY_NAME[kind.gate] is kind
+                   and BOOLEAN_TABLE[kind] is kind.spec for kind in BooleanGateKind)
 
     def test_registry_holds_each_gate_as_one_shared_circuit(self, monkeypatch):
         from hexsynth import library

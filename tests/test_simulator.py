@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -113,6 +114,10 @@ class TestGateMatrix:
     def test_ecr_self_inverse(self):
         e = gate_matrix(K.ECR)
         assert np.allclose(e @ e, np.eye(4))
+
+    def test_rotation_needs_an_angle(self):
+        with pytest.raises(SimulationError, match="^rz requires an angle$"):
+            gate_matrix(K.RZ)
 
     @pytest.mark.parametrize("kind", [K.X, K.T, K.CX, K.ECR])
     def test_fixed_matrices_are_shared_and_read_only(self, kind):
@@ -340,6 +345,10 @@ class TestPauliConjugate:
     def test_non_clifford_rejected(self):
         with pytest.raises(SimulationError):
             pauli_conjugate(K.T, K.X)
+
+    def test_non_pauli_rejected(self):
+        with pytest.raises(SimulationError, match="^h is not a Pauli gate$"):
+            pauli_conjugate(K.H, K.H)
 
 
 class TestEquivalence:
@@ -598,6 +607,13 @@ class TestQSphere:
         assert phases["001"] == pytest.approx(0.0)
         assert phases["100"] == pytest.approx(0.0)
         assert phases["111"] == pytest.approx(3 * math.pi / 2)
+
+    def test_phase_just_below_two_pi_reads_zero(self):
+        # a relative phase within 1e-12 below 2*pi is reported as 0.0; one
+        # further below is kept
+        for eps, want in ((1e-13, 0.0), (1e-11, 2 * math.pi - 1e-11)):
+            amps = np.array([1, cmath.exp(-1j * eps)]) / math.sqrt(2)
+            assert [p.phase for p in qsphere(Statevector(1, amps))] == [0.0, pytest.approx(want)]
 
     def test_oracle_alignment(self):
         # per-assignment agreement with the exact permutation (magnitudes)

@@ -531,15 +531,18 @@ class TestSharedPeephole:
         assert all(a is b for a, b in zip(first.gates, second.gates))
 
     def test_off_grid_merges_are_not_stored(self):
-        # pi/3 + pi/4 is exact off the grid, 0.3 + 0.5 a float
+        # pi/3 + pi/4 is exact off the grid, 0.3 + 0.5 a float; with wires 0
+        # and 1 already built, neither merge adds a cache entry
         c = Circuit(2, (G(K.RZ, 0, angle=Angle.pi_frac(1, 3)),
                         G(K.RZ, 0, angle=Angle.pi_frac(1, 4)),
                         G(K.RZ, 1, angle=Angle.from_radians(0.3)),
                         G(K.RZ, 1, angle=Angle.from_radians(0.5))))
-        size = transpiler._rz_output.cache_info().currsize
+        for q in (0, 1):
+            transpiler._wire_outputs(q)
+        size = transpiler._wire_outputs.cache_info().currsize
         out = peephole(c)
         assert [g.angle for g in out.gates] == [Angle.pi_frac(7, 12), Angle.from_radians(0.8)]
-        assert transpiler._rz_output.cache_info().currsize == size
+        assert transpiler._wire_outputs.cache_info().currsize == size
 
 
 class TestDeclaredWidth:
