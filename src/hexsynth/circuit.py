@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter
 
 
@@ -271,10 +270,13 @@ class Circuit:
             raise CircuitError("circuit width must be >= 1")
         # a range tests an int in O(1); 1.0 and True pass it, so the types are checked too
         wires = range(self.width)
+        # an item that is not exactly a Gate (one that only has a `qubits`
+        # attribute, or a Gate subclass) adds a None qubit, which fails the
+        # int test and sends the list to the gate-by-gate check
+        qubits = [q for g in gates for q in (g.qubits if type(g) is Gate else (None,))]
         try:
-            qubits = [*chain.from_iterable(map(attrgetter("qubits"), gates))]
             fits = {*map(type, qubits)} <= {int} and all(q in wires for q in set(qubits))
-        except (AttributeError, TypeError):  # an item that is no Gate
+        except TypeError:  # unhashable qubits
             fits = False
         if not fits:
             for g in gates:

@@ -37,7 +37,8 @@ class CouplingMap:
     and edges of two distinct int qubits in range, each stored as an
     ascending pair.  It checks the edges in bulk; the neighbor lists are
     built on the first `neighbors` or `qubits` call, since a map that is
-    only asked `has_edge` never needs them."""
+    only asked `has_edge` never needs them, and each source qubit's BFS tree
+    on the first `shortest_path` from it, so routing walks a stored tree."""
 
     name: str
     num_qubits: int
@@ -75,25 +76,37 @@ class CouplingMap:
         """The qubits some coupling touches, ascending."""
         return tuple(sorted(self._adjacent))
 
+    @functools.cached_property
+    def _trees(self) -> dict:
+        """source qubit -> its BFS predecessor tree, built on the first path from it"""
+        return {}
+
+    def _tree(self, src: int) -> dict:
+        """qubit -> its predecessor on a shortest path from `src` (`src` -> None),
+        for every qubit `src` reaches; neighbors are taken in ascending order."""
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = {src: None}
+            queue = deque([src])
+            while queue:
+                cur = queue.popleft()
+                for nxt in self.neighbors(cur):
+                    if nxt not in tree:
+                        tree[nxt] = cur
+                        queue.append(nxt)
+        return tree
+
     def shortest_path(self, src: int, dst: int):
         """BFS path [src, ..., dst], or None if disconnected."""
         if src == dst:
             return [src]
-        prev = {src: None}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt in prev:
-                    continue
-                prev[nxt] = cur
-                if nxt == dst:
-                    path = [dst]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(nxt)
-        return None
+        tree = self._tree(src)
+        if dst not in tree:
+            return None
+        path = [dst]
+        while tree[path[-1]] is not None:
+            path.append(tree[path[-1]])
+        return path[::-1]
 
 
 def _check_edges(edges: tuple, num_qubits: int) -> None:

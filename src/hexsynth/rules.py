@@ -11,24 +11,30 @@ No core gate touches a control wire except as the control of a CX, so on
 each control branch c = (c2 << 1) | c1 the core acts on the target alone, as
 the 2x2 block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its
 unitary is block-diagonal over the branches.  The search factors each block
-as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1]: the theta/X middle T
-depends only on the rotation tuple and the branch, so one cached table per
-theta alphabet serves every query.  The table lists the theta tuples the
-query enumerates, only the symmetric ones for a symmetric query, so the
-one pass walks exactly the space `iter_specs` yields, repeated alphabet
-entries included, in the same order.  A configuration is a hit when
+as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1].  F = AX1.SP1 and
+L = SP2.AX2 are module constants, `_FIRST` and `_LAST`, over all three SP
+kinds and ten `AX_ENTRIES`, built at import; the theta/X middle T depends
+only on the rotation tuple and the branch, so one cached table per theta
+alphabet serves every query.  The table lists the theta tuples the query
+enumerates, only the symmetric ones for a symmetric query, so the one pass
+walks exactly the space `iter_specs` yields, repeated alphabet entries
+included: the grid of (sp1, ax1) rows by theta tuples by (ax2, sp2)
+columns, in tiles of at most BLOCK_CONFIGS configurations, whole rows
+while one row fits.  A configuration is a hit when
 p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
 every branch, the rule `truth_table` applies; the target starts in |0>, so
-this needs only column 0 of F and row 1 of L, and two small contractions
-give it for every configuration.  Only a hit's full blocks are formed, and
-each block of hits is graded from its four 2x2 blocks in one call of the
+this needs only column 0 of F and row 1 of L, and one matmul per tile
+gives it for every configuration.  Only a hit's full blocks are formed, and
+each tile's hits are graded from their four 2x2 blocks in one call of the
 package's one grader, `simulator.equivalence_levels`, against the oracle's
-blocks (I or X per target bit).  A query's alphabets, of gate kinds and AX
-names, are checked once, when the `SearchQuery` is built.
+blocks (I or X per target bit).  Hits are returned in `sort_key` order, by
+integer ranks: an entry's position in its slot's sorted entries.  A
+query's alphabets, of gate kinds and AX names, are checked once, when the
+`SearchQuery` is built.
 
 `phase_trace` walks one branch through the same factors, stage by stage:
-F's column 0, each theta, X for each CX whose control is 1, then L, naming
-the target's equatorial octant after every stage.
+`_FIRST`'s column 0, each theta, X for each CX whose control is 1, then
+`_LAST`, naming the target's equatorial octant after every stage.
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitError, GateKind
-from .library import AX_ENTRIES, CoreSpec
+from .library import AX_ENTRIES, SUPERPOSITION_KINDS, THETA_KINDS, CoreSpec
 from .simulator import (ATOL_EQUIV, ATOL_NORM, EquivalenceLevel, SimulationError,
                         equivalence_levels, gate_matrix)
 
@@ -52,7 +58,7 @@ SEG_QUADRANTS = "quadrants"
 SEG_OCTANTS = "octants"
 
 SEARCH_SPACE_GUARD = 10 ** 7
-# Configurations per numpy block of the batch; bounds its peak memory.
+# Configurations per numpy tile of the search grid; bounds its peak memory.
 BLOCK_CONFIGS = 1 << 15
 
 
@@ -82,7 +88,10 @@ def apply_rules() -> list[GateSetStage]:
 
 def count_space(sp_set_size: int, ax_set_size: int, theta_set_size: int) -> int:
     """Number of core configurations: ||SP||^2 * ||AX||^2 * ||theta_set||^4."""
-    if min(sp_set_size, ax_set_size, theta_set_size) < 1:
+    sizes = (sp_set_size, ax_set_size, theta_set_size)
+    if any(type(n) is not int for n in sizes):
+        raise CircuitError(f"set sizes must be integers, got {sizes}")
+    if min(sizes) < 1:
         raise CircuitError("set sizes must be >= 1")
     return sp_set_size ** 2 * ax_set_size ** 2 * theta_set_size ** 4
 
@@ -115,6 +124,8 @@ class SearchQuery:
         if (not isinstance(self.target, str) or len(self.target) != 4
                 or any(ch not in "01" for ch in self.target)):
             raise CircuitError("target must be 4 bits over assignments 00,01,10,11")
+        if type(self.symmetric) is not bool:
+            raise CircuitError(f"symmetric must be True or False, got {self.symmetric!r}")
         for name in ("sp_set", "ax1_set", "ax2_set", "theta_set"):
             vals = getattr(self, name)
             # a string would split into characters: "sx" into the names s and x
@@ -183,14 +194,31 @@ def _target_matrix(kinds) -> np.ndarray:
     return m
 
 
+# Each slot's entries in `sort_key` order (kinds by value, AX entries by
+# name): an entry's position here is its rank in the order of hits.
+_SP_KINDS = tuple(sorted(SUPERPOSITION_KINDS, key=lambda g: g.value))
+_AX_NAMES = tuple(sorted(AX_ENTRIES))
+_THETA_KINDS = tuple(sorted(THETA_KINDS, key=lambda g: g.value))
+_SP_RANK = {k: i for i, k in enumerate(_SP_KINDS)}
+_AX_RANK = {a: i for i, a in enumerate(_AX_NAMES)}
+_THETA_RANK = {k: i for i, k in enumerate(_THETA_KINDS)}
+# F = AX1.SP1 as _FIRST[sp1, ax1] and L = SP2.AX2 as _LAST[ax2, sp2], over
+# every SP kind and AX entry, by rank
+_FIRST = np.array([[_target_matrix((s, *AX_ENTRIES[a])) for a in _AX_NAMES] for s in _SP_KINDS])
+_LAST = np.array([[_target_matrix((*AX_ENTRIES[a], s)) for s in _SP_KINDS] for a in _AX_NAMES])
+_FIRST.setflags(write=False)
+_LAST.setflags(write=False)
+
+
 # bound: the 15 repeat-free alphabets of the four rotation kinds, symmetric or not
 @functools.lru_cache(maxsize=30)
 def _theta_table(thetas: tuple, symmetric: bool):
     """The theta tuples `iter_specs` enumerates over the alphabet `thetas`,
     in C order, keeping only those with theta1 = theta3 and theta2 = theta4
-    when `symmetric`, and their middles
+    when `symmetric`, their middles
     T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 of shape (tuples, 4, 2, 2),
-    branch (c2 << 1) | c1 on axis 1.
+    branch (c2 << 1) | c1 on axis 1, and each tuple's rank in `sort_key`
+    order among all 4-tuples of rotation kinds.
 
     Every rotation is diagonal, so each T[theta, c] is a monomial matrix
     whose two nonzero entries are powers of omega = exp(i pi/4).  Cached and
@@ -203,54 +231,70 @@ def _theta_table(thetas: tuple, symmetric: bool):
     th1, th2, th3, th4 = mats[index]
     middles = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
                         for c2 in (0, 1) for c1 in (0, 1)], axis=1)
-    middles.setflags(write=False)
-    return tuples, middles
+    n = len(_THETA_KINDS)  # a rank's base-n digits: the kinds' ranks, theta1 first
+    ranks = np.array([_THETA_RANK[k] for k in thetas])[index].T @ (n ** 3, n ** 2, n, 1)
+    for table in (middles, ranks):
+        table.setflags(write=False)
+    return tuples, middles, ranks
 
 
-def _blocks(pairs: int, cols: int):
-    """Tile the C-order grid of `pairs` (sp1, ax1, theta) pairs by `cols`
-    (ax2, sp2) columns with blocks of at most BLOCK_CONFIGS configurations:
-    (pair indices, column slice) of whole rows while a row fits, else of one
-    pair's columns in pieces."""
-    pair_step, col_step = max(1, BLOCK_CONFIGS // cols), min(cols, BLOCK_CONFIGS)
-    for p0 in range(0, pairs, pair_step):
-        for c0 in range(0, cols, col_step):
-            yield np.arange(p0, min(p0 + pair_step, pairs)), slice(c0, min(c0 + col_step, cols))
+def _tiles(rows: int, tuples: int, cols: int):
+    """Tile the C-order grid of `rows` (sp1, ax1) rows by `tuples` theta
+    tuples by `cols` (ax2, sp2) columns, in C order, with tiles of at most
+    BLOCK_CONFIGS configurations: (row, tuple, column) slices of whole rows
+    while one row fits, else of one row's tuples, else of one tuple's
+    columns."""
+    row_step = max(1, BLOCK_CONFIGS // (tuples * cols))
+    tuple_step = min(tuples, max(1, BLOCK_CONFIGS // cols))
+    col_step = min(cols, BLOCK_CONFIGS)
+    for r, t, c in itertools.product(range(0, rows, row_step), range(0, tuples, tuple_step),
+                                     range(0, cols, col_step)):
+        yield (slice(r, min(r + row_step, rows)), slice(t, min(t + tuple_step, tuples)),
+               slice(c, min(c + col_step, cols)))
 
 
 def _hit_blocks(query: SearchQuery, bits: np.ndarray):
-    """Per block of the space `iter_specs` yields, in its order, the
+    """Per tile of the space `iter_specs` yields, tiles in its order, the
     CoreSpecs of the configurations whose p(target=1) lies within ATOL_NORM
-    of the target bit (`bits`, one per branch) on all four branches, with
-    their target blocks of shape (hits, 4, 2, 2).
+    of the target bit (`bits`, one per branch) on all four branches, their
+    ranks in `sort_key` order and their target blocks of shape (hits, 4, 2, 2).
 
-    Each block factors as B_c = L[j] . T[t, c] . F[r]: F = AX1.SP1 has one
-    row r per (sp1, ax1) in `rows`, L = SP2.AX2 one column j per (ax2, sp2)
-    in `cols`, and T is the cached table of the query's theta tuples.
-    Configuration (r * len(tuples) + t) * len(cols) + j is the C order of
-    `iter_specs`.  The target starts in |0>, so p(target=1) on branch c is
-    |L[j][1] . w|^2 with w = T[t, c] . F[r][:, 0]: w is formed per (r, t)
-    pair and one product with row 1 of every column gives the whole
-    (4, pairs, cols) grid.  Only hits get their full blocks."""
+    Each block factors as B_c = L[j] . T[t, c] . F[r]: F = AX1.SP1 is read
+    from `_FIRST` for each row r of `product(sp, ax1)`, L = SP2.AX2 from
+    `_LAST` for each column j of `product(ax2, sp)`, and T is the cached
+    table of the query's theta tuples.  Configuration
+    (r * len(tuples) + t) * len(cols) + j is the C order of `iter_specs`.
+    The target starts in |0>, so the amplitude of target=1 on branch c is
+    L[j][1] . T[t, c] . F[r][:, 0], the sum over i, k of T[t, c][i, k]
+    times L[j][1, i] F[r][k, 0]: one matmul of those products, per (r, j)
+    of a tile, by the flattened middles gives every amplitude of the tile,
+    as (r, j, t, c).  A tile's hits come in that (r, j, t) order; `search`
+    sorts them.  Only hits get their full blocks."""
     sp, ax1, thetas, ax2 = _alphabets(query)
-    rows, cols = list(itertools.product(sp, ax1)), list(itertools.product(ax2, sp))
-    tuples, middles = _theta_table(tuple(thetas), query.symmetric)
-    sps = np.array([gate_matrix(s) for s in sp])
-    first = (np.array([_target_matrix(AX_ENTRIES[a]) for a in ax1]) @ sps[:, None]).reshape(-1, 2, 2)
-    last = (sps @ np.array([_target_matrix(AX_ENTRIES[a]) for a in ax2])[:, None]).reshape(-1, 2, 2)
-    for pairs, span in _blocks(len(rows) * len(tuples), len(cols)):
-        r, t = np.divmod(pairs, len(tuples))
-        # branch-major, so the test over branches reduces the outer axis
-        w = np.einsum("pbij,pj->bpi", middles[t], first[r, :, 0]).reshape(-1, 2)
-        amp = (w @ last[span, 1].T).reshape(4, len(r), -1)
-        keep = np.all(np.abs(np.abs(amp) ** 2 - bits[:, None, None]) <= ATOL_NORM, axis=0)
-        i_pair, i_col = np.nonzero(keep)
-        if len(i_pair):
-            r, t, j = r[i_pair], t[i_pair], i_col + span.start
-            specs = [CoreSpec(sp1=rows[a][0], ax1=rows[a][1], theta=tuples[b],
-                              ax2=cols[c][0], sp2=cols[c][1])
+    tuples, middles, theta_ranks = _theta_table(tuple(thetas), query.symmetric)
+    n_ax, n_sp = len(_AX_NAMES), len(_SP_KINDS)
+    # a row's or column's index into the flattened table is also its rank
+    rows = np.array([_SP_RANK[s] * n_ax + _AX_RANK[a] for s in sp for a in ax1])
+    cols = np.array([_AX_RANK[a] * n_sp + _SP_RANK[s] for a in ax2 for s in sp])
+    first, last = _FIRST.reshape(-1, 2, 2)[rows], _LAST.reshape(-1, 2, 2)[cols]
+    f0, l1 = first[:, :, 0], last[:, 1]
+    row_entries, col_entries = list(itertools.product(sp, ax1)), list(itertools.product(ax2, sp))
+    for rs, ts, cs in _tiles(len(rows), len(tuples), len(cols)):
+        outer = (f0[rs, None, None, :] * l1[None, cs, :, None]).reshape(-1, 4)
+        amp = outer @ middles[ts].reshape(-1, 4).T
+        p = (amp.real ** 2 + amp.imag ** 2).reshape(-1, 4)
+        # a configuration's four branch tests are four adjacent bytes: it is
+        # a hit where they read, as one uint32, as four 1s
+        ok = np.abs(p - bits) <= ATOL_NORM
+        hit = np.flatnonzero(ok.view(np.uint32) == 0x01010101)
+        if len(hit):
+            r, j, t = np.unravel_index(hit, (rs.stop - rs.start, cs.stop - cs.start,
+                                             ts.stop - ts.start))
+            r, t, j = r + rs.start, t + ts.start, j + cs.start
+            specs = [CoreSpec(*row_entries[a], tuples[b], *col_entries[c])
                      for a, b, c in zip(r.tolist(), t.tolist(), j.tolist())]
-            yield specs, last[j, None] @ middles[t] @ first[r, None]
+            ranks = (rows[r] * len(_THETA_KINDS) ** 4 + theta_ranks[t]) * n_ax * n_sp + cols[j]
+            yield specs, ranks, last[j, None] @ middles[t] @ first[r, None]
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
@@ -259,20 +303,24 @@ def search(query: SearchQuery) -> list[SearchHit]:
     One numpy pass, `_hit_blocks`, decides every configuration `iter_specs`
     yields, repeated alphabet entries and the symmetric restriction
     included, by the `truth_table` rule (p(target=1) within ATOL_NORM of
-    the target bit on every branch).  Each block of hits is graded in one
+    the target bit on every branch).  Each tile's hits are graded in one
     `equivalence_levels` call: the four 2x2 blocks of a hit's block-diagonal
     unitary, stacked row-wise, against the phase-exact oracle's blocks.
-    Results are sorted by configuration for determinism.
+    Results are in `sort_key` order, by a stable sort of the hits' integer
+    ranks; hits of equal rank are equal (one configuration, repeated by the
+    alphabets), so the order is deterministic.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
-    bits = np.array([int(ch) for ch in query.target])
+    bits = [int(ch) for ch in query.target]
     oracle = _FLIP[bits].reshape(8, 2)
-    hits = []
-    for specs, blocks in _hit_blocks(query, bits):
+    hits, ranks = [], []
+    for specs, tile_ranks, blocks in _hit_blocks(query, np.array(bits, dtype=float)):
         hits += map(SearchHit, specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle))
-    hits.sort(key=lambda h: h.spec.sort_key())
-    return hits
+        ranks.append(tile_ranks)
+    if not hits:
+        return hits
+    return [hits[i] for i in np.argsort(np.concatenate(ranks), kind="stable").tolist()]
 
 
 def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) -> SearchQuery:
@@ -320,7 +368,7 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
     if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
         raise SimulationError(f"control_state must be two bits, got {control_state!r}")
     c2, c1 = int(control_state[0]), int(control_state[1])
-    psi = _target_matrix((core.sp1, *AX_ENTRIES[core.ax1]))[:, 0]
+    psi = _FIRST[_SP_RANK[core.sp1], _AX_RANK[core.ax1], :, 0]
     labels = [_equatorial_label(psi)]
     for theta, control in zip(core.theta, (c2, c1, c2, None)):
         psi = gate_matrix(theta) @ psi
@@ -330,7 +378,7 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
             labels.append(_equatorial_label(psi))
         elif control == 0:
             labels.append(TRACE_SKIP)
-    psi = _target_matrix((*AX_ENTRIES[core.ax2], core.sp2)) @ psi
+    psi = _LAST[_AX_RANK[core.ax2], _SP_RANK[core.sp2]] @ psi
     if abs(psi[0]) > 1 - ATOL_EQUIV:
         labels.append("|0>")
     elif abs(psi[1]) > 1 - ATOL_EQUIV:

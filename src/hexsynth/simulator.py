@@ -294,6 +294,10 @@ class EquivalenceLevel(Enum):
         return self.value >= other.value
 
 
+# the levels by value, so a grade maps to its level by tuple lookup
+_LEVELS = tuple(sorted(EquivalenceLevel, key=lambda level: level.value))
+
+
 def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel]:
     """Strongest equivalence level of each matrix of a stack (n, r, c) against
     one (r, c) unitary `ref`.  The tests read entries only: tr(Ua^dagger . Ub)
@@ -306,7 +310,7 @@ def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel
     # column j of |U|^2 is the output distribution for basis input j
     l3 = np.max(np.abs(mags ** 2 - ref_mags ** 2), axis=(1, 2)) <= ATOL_EQUIV
     value = np.select([overlap >= 1 - ATOL_EQUIV, l2, l3], [3, 2, 1], 0)
-    return [EquivalenceLevel(v) for v in value.tolist()]
+    return [_LEVELS[v] for v in value.tolist()]
 
 
 def equivalence(a: Circuit, b: Circuit) -> EquivalenceLevel:

@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,21 @@ class TestGateAndCircuit:
     def test_gates_must_be_gates(self):
         with pytest.raises(CircuitError, match=r"^circuit gates must be Gate instances, got 5$"):
             Circuit(2, (G(K.H, 0), 5))
+
+    def test_an_item_with_qubits_is_no_gate(self):
+        # it passes a check that reads only `.qubits`, yet no Gate method works on it
+        fake = SimpleNamespace(qubits=(0,), kind=K.X, angle=None)
+        with pytest.raises(CircuitError, match=r"^circuit gates must be Gate instances, got namespace"):
+            Circuit(2, [G(K.H, 1), fake])
+
+    def test_a_gate_subclass_is_a_gate(self):
+        class Tagged(Gate):
+            pass
+
+        circuit = Circuit(2, [Tagged(K.CX, (0, 1)), G(K.H, 1)])
+        assert emit_text(circuit) == emit_text(Circuit(2, [G(K.CX, 0, 1), G(K.H, 1)]))
+        with pytest.raises(CircuitError, match=r"^gate cx \(0, 2\) outside width 2$"):
+            Circuit(2, [Tagged(K.CX, (0, 2))])
 
     @pytest.mark.parametrize("build, error, message", [
         (lambda: Circuit(2, (G(K.H, 0), G(K.X, 1.0))), CircuitError,

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import deque
 
 import pytest
 
@@ -82,6 +83,34 @@ class TestCouplingMap:
         assert brisbane.shortest_path(61, 63) == [61, 62, 63]
         path = brisbane.shortest_path(62, 81)
         assert path == [62, 72, 81]
+
+    def test_shortest_path_walks_the_per_call_bfs_path(self):
+        def per_call_bfs(cmap, src, dst):
+            # the early-exit BFS each call ran before the trees were kept
+            if src == dst:
+                return [src]
+            prev, queue = {src: None}, deque([src])
+            while queue:
+                cur = queue.popleft()
+                for nxt in cmap.neighbors(cur):
+                    if nxt not in prev:
+                        prev[nxt] = cur
+                        if nxt == dst:
+                            path = [dst]
+                            while prev[path[-1]] is not None:
+                                path.append(prev[path[-1]])
+                            return path[::-1]
+                        queue.append(nxt)
+            return None
+
+        lattice = heavy_hex_127()
+        for src in range(127):
+            for dst in range(127):
+                assert lattice.shortest_path(src, dst) == per_call_bfs(lattice, src, dst)
+        split = CouplingMap("split", 5, frozenset({(0, 1), (1, 2), (3, 4)}))
+        assert split.shortest_path(0, 2) == [0, 1, 2]
+        assert split.shortest_path(0, 4) is None and split.shortest_path(4, 0) is None
+        assert split.shortest_path(3, 4) == [3, 4]
 
     def test_bundled_map_round_trips(self, brisbane, tmp_path):
         f = tmp_path / "map.json"

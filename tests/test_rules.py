@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -87,6 +88,11 @@ class TestCountSpace:
         with pytest.raises(CircuitError):
             count_space(0, 1, 4)
 
+    @pytest.mark.parametrize("sizes", [(1.5, 1, 4), (1, 2.0, 4), (1, 1, "4"), (True, 1, 4)])
+    def test_rejects_non_integers(self, sizes):
+        with pytest.raises(CircuitError, match="set sizes must be integers"):
+            count_space(*sizes)
+
     def test_matches_enumeration(self):
         q = SearchQuery(target="0001", theta_set=THETA_KINDS)
         assert sum(1 for _ in iter_specs(q)) == count_space(1, 1, 4)
@@ -153,6 +159,12 @@ class TestSearch:
         with pytest.raises(CircuitError, match="target must be 4 bits"):
             SearchQuery(target=1)
 
+    @pytest.mark.parametrize("symmetric", ["no", 1, 0, None, np.bool_(True)])
+    def test_symmetric_must_be_a_bool(self, symmetric):
+        # "no" is truthy: it ran a symmetric search
+        with pytest.raises(CircuitError, match="symmetric must be True or False"):
+            SearchQuery(target="0001", symmetric=symmetric)
+
     def test_query_from_names(self):
         q = query_from_names("0001", sp=("h",), ax1=("i",), ax2=("i", "z", "-z"),
                              theta=("t", "tdg"), symmetric=True)
@@ -176,11 +188,11 @@ class TestBatchedSearchMatchesReference:
     @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
     def test_blocks_tile_the_space_within_the_bound(self, monkeypatch, block):
         monkeypatch.setattr(rules, "BLOCK_CONFIGS", block)
-        for pairs, cols in [(1, 1), (3, 5), (10, 7), (4, 64), (2, 100)]:
-            blocks = [(pair.tolist(), range(cols)[col]) for pair, col in rules._blocks(pairs, cols)]
-            assert all(len(pair) * len(col) <= block for pair, col in blocks)
-            assert [(p, c) for pair, col in blocks for p in pair for c in col] == \
-                [(p, c) for p in range(pairs) for c in range(cols)]
+        for shape in [(1, 1, 1), (3, 1, 5), (10, 2, 7), (4, 16, 4), (2, 3, 100), (5, 7, 3)]:
+            blocks = [[range(n)[s] for n, s in zip(shape, tile)] for tile in rules._tiles(*shape)]
+            assert all(len(r) * len(t) * len(c) <= block for r, t, c in blocks)
+            assert [cfg for r, t, c in blocks for cfg in itertools.product(r, t, c)] == \
+                list(itertools.product(*map(range, shape)))
 
     def test_symmetric_query(self):
         # the duplicated T makes symmetry a matter of kinds, not of alphabet positions
@@ -264,8 +276,27 @@ class TestBatchedSearchMatchesReference:
             graded = blocks.astype(complex)
             graded[:, flips] *= phase
             monkeypatch.setattr(rules, "_hit_blocks",
-                                lambda query, bits, b=graded: iter([([spec], b)]))
+                                lambda query, bits, b=graded: iter([([spec], np.zeros(1), b)]))
             assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
+
+    def test_factor_tables_hold_every_sp_kind_and_ax_entry(self):
+        assert rules._FIRST.shape == (3, 10, 2, 2) and rules._LAST.shape == (10, 3, 2, 2)
+        for s, sp in enumerate(rules._SP_KINDS):
+            for a, name in enumerate(rules._AX_NAMES):
+                assert np.array_equal(rules._FIRST[s, a], rules._target_matrix((sp, *AX_ENTRIES[name])))
+                assert np.array_equal(rules._LAST[a, s], rules._target_matrix((*AX_ENTRIES[name], sp)))
+        assert set(rules._SP_KINDS) == set(SUPERPOSITION_KINDS) and set(rules._AX_NAMES) == set(AX_ENTRIES)
+        assert not rules._FIRST.flags.writeable and not rules._LAST.flags.writeable
+
+    def test_ranks_follow_sort_key(self):
+        # over the full alphabets every configuration's rank is its sort_key position
+        q = query_from_names("0000", sp=("sxdg", "h", "sx"), ax1=tuple(AX_ENTRIES),
+                             ax2=tuple(AX_ENTRIES), theta=("tdg", "s", "t", "sdg"))
+        hits = [(spec, rank) for specs, ranks, _ in rules._hit_blocks(q, np.zeros(4))
+                for spec, rank in zip(specs, ranks.tolist())]
+        assert len(hits) > 100
+        by_key = sorted(hits, key=lambda h: h[0].sort_key())
+        assert [h[1] for h in by_key] == sorted(h[1] for h in hits)
 
     def test_theta_table_cached_per_distinct_kinds(self):
         rules._theta_table.cache_clear()
@@ -279,8 +310,8 @@ class TestBatchedSearchMatchesReference:
         for thetas, plain, sym in (((K.T, K.TDG), 2 ** 4, 2 ** 2),
                                    ((K.T,) * 4 + (K.TDG,) * 4, 8 ** 4, (2 * 4 ** 2) ** 2)):
             for symmetric, rows in ((False, plain), (True, sym)):
-                tuples, middles = rules._theta_table(thetas, symmetric)
-                assert len(tuples) == rows and middles.shape == (rows, 4, 2, 2)
+                tuples, middles, ranks = rules._theta_table(thetas, symmetric)
+                assert len(tuples) == rows and middles.shape == (rows, 4, 2, 2) and ranks.shape == (rows,)
                 assert not symmetric or all(CoreSpec(theta=th).symmetric for th in tuples)
         assert rules._theta_table.cache_info().currsize == 4
         assert rules._theta_table.cache_info().maxsize == 30
@@ -318,12 +349,15 @@ def small_queries(draw):
 
 
 class TestSearchProperty:
-    @pytest.mark.parametrize("block", ["one configuration", "part of a row", "default"])
+    @pytest.mark.parametrize("block", ["one configuration", "part of a row", "tuples of a row",
+                                       "one row", "one row and one configuration", "default"])
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(small_queries())
     def test_search_equals_reference(self, block, q):
         cols = len(q.ax2_set) * len(q.sp_set)  # configurations per (sp1, ax1, theta) pair
-        size = {"one configuration": 1, "part of a row": cols - 1,
+        row = sum(1 for _ in iter_specs(q)) // (len(q.sp_set) * len(q.ax1_set))  # per (sp1, ax1)
+        size = {"one configuration": 1, "part of a row": cols - 1, "tuples of a row": 2 * cols + 1,
+                "one row": row, "one row and one configuration": row + 1,
                 "default": rules.BLOCK_CONFIGS}[block]
         assume(size >= 1)
         reference = reference_search(q, TARGETS)
