@@ -31,6 +31,7 @@ K = GateKind
 
 SUPERPOSITION_KINDS = (K.H, K.SX, K.SXDG)
 THETA_KINDS = (K.S, K.SDG, K.T, K.TDG)
+_THETA_SET = frozenset(THETA_KINDS)
 
 # auxiliary-slot entries are short gate sequences applied to the target wire;
 # the minus-Z entry uses the conjugation X.Z.X, which equals Z up to a global
@@ -47,6 +48,15 @@ AX_ENTRIES: dict[str, tuple[GateKind, ...]] = {
     "tdg": (K.TDG,),
     "-z": (K.X, K.Z, K.X),
 }
+
+
+def _theta_kinds(theta) -> bool:
+    """Whether every entry is a rotation kind, by set membership; an
+    unhashable entry is none, and answers False rather than TypeError."""
+    try:
+        return _THETA_SET.issuperset(theta)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,11 @@ class CoreSpec:
                                    f"({', '.join(AX_ENTRIES)}), got {name!r}")
         if self.sp1 not in SUPERPOSITION_KINDS or self.sp2 not in SUPERPOSITION_KINDS:
             raise CircuitError("sp1/sp2 must be superposition gates (h, sx, sxdg)")
-        if (not isinstance(self.theta, (tuple, list)) or len(self.theta) != 4
-                or any(t not in THETA_KINDS for t in self.theta)):
+        theta = self.theta
+        if not isinstance(theta, (tuple, list)) or len(theta) != 4 or not _theta_kinds(theta):
             raise CircuitError("theta must be four gates from {s, sdg, t, tdg}")
-        object.__setattr__(self, "theta", tuple(self.theta))
+        if type(theta) is not tuple:
+            object.__setattr__(self, "theta", tuple(theta))
 
     @property
     def symmetric(self) -> bool:

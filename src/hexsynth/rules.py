@@ -24,10 +24,13 @@ while one row fits.  A configuration is a hit when
 p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
 every branch, the rule `truth_table` applies; the target starts in |0>, so
 this needs only column 0 of F and row 1 of L, and one matmul per tile
-gives it for every configuration.  Only a hit's full blocks are formed, and
-each tile's hits are graded from their four 2x2 blocks in one call of the
-package's one grader, `simulator.equivalence_levels`, against the oracle's
-blocks (I or X per target bit).  Hits are returned in `sort_key` order, by
+gives it for every configuration.  Only a hit's full blocks are formed,
+entry by entry: T.F, then L.(T.F), each the sum of two broadcast products
+of a column by a row (the term-wise form of the simulator's ECR), so a
+tile's hits cost a few numpy calls however many there are.  Each tile's
+hits are graded from their four 2x2 blocks in one call of the package's
+one grader, `simulator.equivalence_levels`, against the oracle's blocks
+(I or X per target bit).  Hits are returned in `sort_key` order, by
 integer ranks: an entry's position in its slot's sorted entries.  A
 query's alphabets, of gate kinds and AX names, are checked once, when the
 `SearchQuery` is built.
@@ -158,10 +161,11 @@ class SearchHit:
 
 
 def _alphabets(query: SearchQuery):
-    """The query's gate sets in enumeration order (duplicates kept)."""
-    return (sorted(query.sp_set, key=lambda g: g.value),
+    """The query's gate sets in enumeration order (duplicates kept): kinds
+    by their rank, which follows their value, AX entries by name."""
+    return (sorted(query.sp_set, key=_SP_RANK.__getitem__),
             sorted(query.ax1_set),
-            sorted(query.theta_set, key=lambda g: g.value),
+            sorted(query.theta_set, key=_THETA_RANK.__getitem__),
             sorted(query.ax2_set))
 
 
@@ -269,7 +273,11 @@ def _hit_blocks(query: SearchQuery, bits: np.ndarray):
     times L[j][1, i] F[r][k, 0]: one matmul of those products, per (r, j)
     of a tile, by the flattened middles gives every amplitude of the tile,
     as (r, j, t, c).  A tile's hits come in that (r, j, t) order; `search`
-    sorts them.  Only hits get their full blocks."""
+    sorts them.  Only hits get their full blocks, formed entry by entry:
+    (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k] over all of a tile's
+    hits and branches at once, as a column of T times a row of F plus the
+    next, then L.(T.F) the same way; two broadcast matmuls of such small
+    stacks cost several times more."""
     sp, ax1, thetas, ax2 = _alphabets(query)
     tuples, middles, theta_ranks = _theta_table(tuple(thetas), query.symmetric)
     n_ax, n_sp = len(_AX_NAMES), len(_SP_KINDS)
@@ -294,7 +302,9 @@ def _hit_blocks(query: SearchQuery, bits: np.ndarray):
             specs = [CoreSpec(*row_entries[a], tuples[b], *col_entries[c])
                      for a, b, c in zip(r.tolist(), t.tolist(), j.tolist())]
             ranks = (rows[r] * len(_THETA_KINDS) ** 4 + theta_ranks[t]) * n_ax * n_sp + cols[j]
-            yield specs, ranks, last[j, None] @ middles[t] @ first[r, None]
+            m, f, l = middles[t], first[r, None], last[j, None]
+            mf = m[..., :1] * f[..., :1, :] + m[..., 1:] * f[..., 1:, :]
+            yield specs, ranks, l[..., :1] * mf[..., :1, :] + l[..., 1:] * mf[..., 1:, :]
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
@@ -303,9 +313,11 @@ def search(query: SearchQuery) -> list[SearchHit]:
     One numpy pass, `_hit_blocks`, decides every configuration `iter_specs`
     yields, repeated alphabet entries and the symmetric restriction
     included, by the `truth_table` rule (p(target=1) within ATOL_NORM of
-    the target bit on every branch).  Each tile's hits are graded in one
-    `equivalence_levels` call: the four 2x2 blocks of a hit's block-diagonal
-    unitary, stacked row-wise, against the phase-exact oracle's blocks.
+    the target bit on every branch).  A hit's four branch blocks are
+    formed entry by entry, by multiply-adds over all of a tile's hits.
+    Each tile's hits are graded in one `equivalence_levels` call: the four
+    2x2 blocks of a hit's block-diagonal unitary, stacked row-wise, against
+    the phase-exact oracle's blocks.
     Results are in `sort_key` order, by a stable sort of the hits' integer
     ranks; hits of equal rank are equal (one configuration, repeated by the
     alphabets), so the order is deterministic.

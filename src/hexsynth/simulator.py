@@ -19,7 +19,10 @@ assignment) all call the one sweep over the gates, `_sweep`, which copies
 its input once and then moves between two buffers of its own.  One grader,
 `equivalence_levels`, grades a stack of matrices against one reference:
 `equivalence` grades dense unitaries with it, and the configuration search
-the 2x2 target blocks of its hits.
+the 2x2 target blocks of its hits.  It flattens the stack to one row per
+matrix, so every overlap tr(U^dagger . ref) is one matmul with the
+flattened reference, and it refuses a stack whose matrices do not have the
+reference's shape.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -294,8 +297,8 @@ class EquivalenceLevel(Enum):
         return self.value >= other.value
 
 
-# the levels by value, so a grade maps to its level by tuple lookup
-_LEVELS = tuple(sorted(EquivalenceLevel, key=lambda level: level.value))
+# the levels as module names, strongest first: the grader's loop reads no Enum attribute
+_L1, _L2, _L3, _NONE = EquivalenceLevel
 
 
 def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel]:
@@ -303,14 +306,26 @@ def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel
     one (r, c) unitary `ref`.  The tests read entries only: tr(Ua^dagger . Ub)
     is the sum of conj(Ua) * Ub, and the dimension is the row count r.  So a
     block-diagonal unitary may be passed as its diagonal blocks stacked
-    row-wise; the entries off the blocks are zero on both sides."""
-    overlap = np.abs(np.einsum("nij,ij->n", us.conj(), ref)) / ref.shape[0]
-    mags, ref_mags = np.abs(us), np.abs(ref)
-    l2 = np.max(np.abs(mags - ref_mags), axis=(1, 2)) <= ATOL_EQUIV
+    row-wise; the entries off the blocks are zero on both sides.
+
+    The stack is flattened to (n, r*c): every overlap is one matmul with the
+    flattened `ref`, and the magnitude tests are row maxima of the same flat
+    arrays.  Each matrix must have `ref`'s shape (a transposed stack of the
+    same size would flatten alike), else SimulationError; an empty stack
+    grades as []."""
+    if us.shape[1:] != ref.shape:
+        raise SimulationError(f"stack of {us.shape[1:]} matrices graded against a "
+                              f"{ref.shape} reference")
+    if not len(us):
+        return []
+    flat, ref_flat = us.reshape(len(us), -1), ref.ravel()
+    overlap = (np.abs(flat.conj() @ ref_flat) / ref.shape[0]).tolist()
+    mags, ref_mags = np.abs(flat), np.abs(ref_flat)
+    l2 = (np.abs(mags - ref_mags).max(axis=1) <= ATOL_EQUIV).tolist()
     # column j of |U|^2 is the output distribution for basis input j
-    l3 = np.max(np.abs(mags ** 2 - ref_mags ** 2), axis=(1, 2)) <= ATOL_EQUIV
-    value = np.select([overlap >= 1 - ATOL_EQUIV, l2, l3], [3, 2, 1], 0)
-    return [_LEVELS[v] for v in value.tolist()]
+    l3 = (np.abs(mags ** 2 - ref_mags ** 2).max(axis=1) <= ATOL_EQUIV).tolist()
+    return [_L1 if o >= 1 - ATOL_EQUIV else _L2 if a else _L3 if b else _NONE
+            for o, a, b in zip(overlap, l2, l3)]
 
 
 def equivalence(a: Circuit, b: Circuit) -> EquivalenceLevel:

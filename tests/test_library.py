@@ -36,6 +36,21 @@ class TestCoreSpec:
         with pytest.raises(CircuitError, match="theta must be four gates"):
             CoreSpec(theta=K.T)
 
+    # theta is four rotation kinds in a tuple or list; an unhashable entry
+    # fails the same way as any other non-kind
+    @pytest.mark.parametrize("theta", [([K.T], K.T, K.T, K.T), (K.T, K.T, K.T, {}), "tttt",
+                                       (K.T, K.T, K.T), (K.T,) * 5, [K.T, K.T, K.H, K.T],
+                                       (K.T, K.T, K.T, "t"), ((K.T,), K.T, K.T, K.T), None,
+                                       {K.T: 1, K.S: 2, K.TDG: 3, K.SDG: 4}])
+    def test_rejects_theta_that_is_not_four_rotation_kinds(self, theta):
+        with pytest.raises(CircuitError, match=r"^theta must be four gates from \{s, sdg, t, tdg\}$"):
+            CoreSpec(theta=theta)
+
+    def test_list_theta_is_stored_as_a_tuple(self):
+        spec = CoreSpec(theta=[K.TDG, K.T, K.TDG, K.T])
+        assert type(spec.theta) is tuple and spec == CoreSpec()
+        assert hash(spec) == hash(CoreSpec())
+
     # an AX slot holds an AX_ENTRIES name: not a kind, a kind tuple or list, or another string
     @pytest.mark.parametrize("slots", [dict(ax1=("x",)), dict(ax2=(K.X, "z")),
                                        dict(ax1=K.X), dict(ax2=(K.X,)), dict(ax1=(K.CX,)),

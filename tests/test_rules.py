@@ -298,6 +298,30 @@ class TestBatchedSearchMatchesReference:
         by_key = sorted(hits, key=lambda h: h[0].sort_key())
         assert [h[1] for h in by_key] == sorted(h[1] for h in hits)
 
+    def test_hit_blocks_are_the_factor_products(self):
+        # every hit of the full CLI space, on every target: the entry-wise
+        # blocks equal L . T . F by matmul, with L, T and F read off the
+        # hit's rank (over the full alphabets a theta tuple's table row is
+        # its rank)
+        ax = tuple(AX_ENTRIES)
+        first, last = rules._FIRST.reshape(-1, 2, 2), rules._LAST.reshape(-1, 2, 2)
+        n_cols, n_theta = len(last), len(rules._THETA_KINDS) ** 4
+        _, middles, _ = rules._theta_table(tuple(rules._THETA_KINDS), False)
+        checked = 0
+        for target in TARGETS:
+            q = query_from_names(target, sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
+                                 theta=("s", "sdg", "t", "tdg"))
+            bits = np.array([int(b) for b in target], dtype=float)
+            for specs, ranks, blocks in rules._hit_blocks(q, bits):
+                r, rest = np.divmod(ranks, n_theta * n_cols)
+                t, j = np.divmod(rest, n_cols)
+                expected = last[j][:, None] @ middles[t] @ first[r][:, None]
+                assert blocks.shape == (len(specs), 4, 2, 2)
+                assert np.abs(blocks - expected).max() <= 1e-12
+                assert [rules._SP_KINDS[i] for i in r // len(rules._AX_NAMES)] == [s.sp1 for s in specs]
+                checked += len(specs)
+        assert checked > 1000
+
     def test_theta_table_cached_per_distinct_kinds(self):
         rules._theta_table.cache_clear()
         base = SearchQuery(target="0001", theta_set=(K.T, K.TDG))

@@ -407,6 +407,17 @@ def graded_variants(ref):
             (np.roll(ref, 1, axis=1), EquivalenceLevel.NONE)]
 
 
+def reference_equivalence_levels(us, ref):
+    """The former grader: the overlaps by `einsum` over the unflattened
+    stack, the level by `np.select`."""
+    overlap = np.abs(np.einsum("nij,ij->n", us.conj(), ref)) / ref.shape[0]
+    mags, ref_mags = np.abs(us), np.abs(ref)
+    l2 = np.max(np.abs(mags - ref_mags), axis=(1, 2)) <= simulator.ATOL_EQUIV
+    l3 = np.max(np.abs(mags ** 2 - ref_mags ** 2), axis=(1, 2)) <= simulator.ATOL_EQUIV
+    value = np.select([overlap >= 1 - simulator.ATOL_EQUIV, l2, l3], [3, 2, 1], 0)
+    return [EquivalenceLevel(v) for v in value.tolist()]
+
+
 def block_diagonal(blocks):
     """The 8x8 matrix with four 2x2 blocks on its diagonal."""
     u = np.zeros((8, 8), dtype=complex)
@@ -422,6 +433,7 @@ class TestBatchedGrader:
         assert set(levels) == set(EquivalenceLevel)
         assert [equivalence_levels(u[None], ref)[0] for u in stack] == list(levels)
         assert equivalence_levels(np.array(stack), ref) == list(levels)
+        assert reference_equivalence_levels(np.array(stack), ref) == list(levels)
 
     def test_block_diagonal_pair_grades_as_its_stacked_blocks(self):
         # the AND oracle's blocks: X on branch 3, identity on the others
@@ -438,6 +450,41 @@ class TestBatchedGrader:
         dense = [equivalence_levels(block_diagonal(b)[None], block_diagonal(ref))[0] for b in stack]
         assert dense == list(levels)
         assert equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)) == dense
+        assert reference_equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)) == dense
+        assert [reference_equivalence_levels(block_diagonal(b)[None], block_diagonal(ref))[0]
+                for b in stack] == dense
+
+    def test_equals_the_former_grader_on_every_search_hit(self):
+        # the hit blocks of the full CLI space, for every target, stacked as search grades them
+        ax = tuple(AX_ENTRIES)
+        graded = 0
+        for m in range(16):
+            target = format(m, "04b")
+            bits = [int(b) for b in target]
+            q = rules.query_from_names(target, sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
+                                       theta=("s", "sdg", "t", "tdg"))
+            oracle = rules._FLIP[bits].reshape(8, 2)
+            for _, _, blocks in rules._hit_blocks(q, np.array(bits, dtype=float)):
+                stack = blocks.reshape(-1, 8, 2)
+                assert equivalence_levels(stack, oracle) == reference_equivalence_levels(stack, oracle)
+                graded += len(stack)
+        assert graded > 1000
+
+    def test_rejects_a_stack_of_another_shape(self):
+        ref = np.array([gate_matrix(K.I)] * 3 + [gate_matrix(K.X)]).reshape(8, 2)
+        stack = np.array([ref, -ref])
+        assert equivalence_levels(stack, ref) == [EquivalenceLevel.L1_GLOBAL_PHASE] * 2
+        # the same entry count, transposed: the flat form must not grade it
+        for bad in (stack.transpose(0, 2, 1), stack.reshape(2, 4, 4), ref, stack[None]):
+            with pytest.raises(SimulationError, match="matrices graded against a"):
+                equivalence_levels(bad, ref)
+
+    def test_empty_stack_grades_as_empty(self):
+        ref = toffoli_unitary()
+        assert equivalence_levels(np.zeros((0, 8, 8), dtype=complex), ref) == []
+        assert equivalence_levels(np.zeros((0, 8, 2), dtype=complex), ref[:, :2]) == []
+        with pytest.raises(SimulationError):
+            equivalence_levels(np.zeros((0, 2, 8), dtype=complex), ref[:, :2])
 
 
 class TestTruthTable:
