@@ -15,13 +15,16 @@ Conventions used throughout the package:
     arithmetic, and float angles float arithmetic.
 
 Circuits are immutable values; builders and transforms return new circuits.
+A Gate has slots and no instance dict, and renders its line of circuit
+text once, into a slot of its own, so a shared gate pays for its line once
+and reads its fields at full speed however often it is emitted.
 """
 from __future__ import annotations
 
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -90,6 +93,10 @@ class Angle:
     one of 16 shared instances, and `is_zero_mod_2pi` tests k in {0, 8}.
     An exact sum is then always a Fraction multiple of pi.  Other exact
     angles take Fraction arithmetic; floats take float arithmetic.
+
+    The hash is the one the dataclass would generate, `hash((frac, value))`,
+    taken once by the constructor: `Fraction.__hash__` runs in Python, and
+    the lowering memo hashes an angle on every RZ/RY lookup.
     """
 
     frac: Fraction | None = None
@@ -109,6 +116,7 @@ class Angle:
                 object.__setattr__(self, "frac", frac)
             den = frac.denominator  # on the grid when it divides 4
             object.__setattr__(self, "_k", frac.numerator * (4 // den) % 16 if 4 % den == 0 else None)
+            object.__setattr__(self, "_hash", hash((frac, self.value)))
             return
         object.__setattr__(self, "_k", None)
         if not math.isfinite(self.value):
@@ -119,6 +127,10 @@ class Angle:
         elif r > 2 * math.pi:
             r -= 4 * math.pi
         object.__setattr__(self, "value", r)
+        object.__setattr__(self, "_hash", hash((None, r)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def pi_frac(num: int, den: int = 1) -> "Angle":
@@ -189,9 +201,10 @@ def parse_angle(expr: str) -> Angle:
         return Angle.pi_frac(0)
     m = _ANGLE_RE.match(expr)
     if m:
-        num = int(m.group("num") or 1)
-        den = int(m.group("den") or 1)
-        if m.group("sign"):
+        sign, num, den = m.groups()
+        num = int(num or 1)
+        den = int(den or 1)
+        if sign:
             num = -num
         if den:  # pi/0 is no angle: it falls to the float parse, which rejects it
             return Angle.pi_frac(num, den)
@@ -201,44 +214,62 @@ def parse_angle(expr: str) -> Angle:
         raise CircuitError(f"bad angle expression: {expr!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
-    """One gate instance: a kind, its qubits, and an angle for RZ/RY."""
+    """One gate instance: a kind, its qubits, and an angle for RZ/RY.
+
+    A gate has slots and no instance `__dict__`: its fields and its rendered
+    line (see `text`) are slots, and only the three fields take part in
+    `==`, `hash` and `repr`."""
 
     kind: GateKind
     qubits: tuple[int, ...]
     angle: Angle | None = None
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        kind, qubits = self.kind, self.qubits
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], angle: Angle | None = None):
+        # one hand-written constructor checks, then stores each slot through
+        # its member descriptor, which skips the frozen __setattr__ and is
+        # faster than object.__setattr__
         if type(qubits) is not tuple:
             qubits = _as_tuple(qubits, "gate qubits")
-            object.__setattr__(self, "qubits", qubits)
         if not isinstance(kind, GateKind):
             raise CircuitError(f"gate kind must be a GateKind, got {kind!r}")
-        if len(qubits) != kind.arity:
-            raise CircuitError(f"{kind.value} expects {kind.arity} qubit(s), got {qubits}")
-        if kind.arity == 2 and qubits[0] == qubits[1]:
+        arity = kind.arity
+        if len(qubits) != arity:
+            raise CircuitError(f"{kind.value} expects {arity} qubit(s), got {qubits}")
+        if arity == 2 and qubits[0] == qubits[1]:
             raise CircuitError(f"repeated qubit in {kind.value} {qubits}")
         if kind.takes_angle:
-            if not isinstance(self.angle, Angle):
-                raise CircuitError(f"{kind.value} requires an Angle, got {self.angle!r}")
-        elif self.angle is not None:
+            if not isinstance(angle, Angle):
+                raise CircuitError(f"{kind.value} requires an Angle, got {angle!r}")
+        elif angle is not None:
             raise CircuitError(f"{kind.value} takes no angle")
+        _SET_KIND(self, kind)
+        _SET_QUBITS(self, qubits)
+        _SET_ANGLE(self, angle)
+        _SET_TEXT(self, None)
 
     def text(self) -> str:
         """The gate's line of circuit text.  It is rendered once and kept in
-        the instance `__dict__` (as `functools.cached_property` does), outside
-        the fields that `==`, `hash` and `repr` read."""
-        line = self.__dict__.get("_text")
+        the `_text` slot, which `==`, `hash` and `repr` do not read.  A slot,
+        not the instance `__dict__` that `functools.cached_property` writes:
+        in CPython, reading an object's `__dict__` makes it a real dict, which
+        turns off the inline attribute values that make every later read of
+        `kind`, `qubits` and `angle` fast."""
+        line = self._text
         if line is None:
             args = ", ".join(f"q[{q}]" for q in self.qubits)
             if self.angle is None:
                 line = f"{self.kind.value} {args}"
             else:
                 line = f"{self.kind.value}({self.angle.text()}) {args}"
-            self.__dict__["_text"] = line
+            _SET_TEXT(self, line)
         return line
+
+
+_SET_KIND, _SET_QUBITS, _SET_ANGLE, _SET_TEXT = (
+    Gate.__dict__[name].__set__ for name in ("kind", "qubits", "angle", "_text"))
 
 
 ROLE_CONTROL = "control"
@@ -397,7 +428,7 @@ def parse_text(text: str) -> Circuit:
             if width is not None or gates:
                 raise CircuitError(f"line {lineno}: the qubits header comes once, before any gate")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():  # the digits int() reads
                 raise CircuitError(f"line {lineno}: bad header {line!r}")
             width = int(parts[1])
             if width < 1:
@@ -406,14 +437,22 @@ def parse_text(text: str) -> Circuit:
         m = _LINE_RE.match(line)
         if not m:
             raise CircuitError(f"line {lineno}: cannot parse {line!r}")
-        tag, angle, q0, q1 = m.group("tag", "angle", "q0", "q1")
+        tag, angle, q0, q1 = m.groups()
         kind = _KIND_BY_TAG.get(tag)
         if kind is None:
             raise CircuitError(f"line {lineno}: unknown gate tag {tag!r}")
-        qubits = (int(q0),) if q1 is None else (int(q0), int(q1))
-        if width is not None and max(qubits) >= width:
-            raise CircuitError(f"line {lineno}: qubit index beyond declared width {width}")
-        max_q = max(max_q, *qubits)
+        a = int(q0)
+        if q1 is None:
+            qubits, top = (a,), a
+        else:
+            b = int(q1)
+            qubits, top = (a, b), (b if b > a else a)
+        # the header precedes every gate, so a qubit that raises no maximum
+        # already lies within the declared width
+        if top > max_q:
+            if width is not None and top >= width:
+                raise CircuitError(f"line {lineno}: qubit index beyond declared width {width}")
+            max_q = top
         try:
             gates.append(Gate(kind, qubits, None if angle is None else parse_angle(angle)))
         except CircuitError as e:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -8,11 +9,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexsynth.circuit import (Angle, Circuit, CircuitError, Gate, GateKind,
-                              count_gates, depth, emit_text, parse_angle, parse_text)
+from hexsynth.circuit import (_KIND_BY_TAG, _LINE_RE, Angle, Circuit, CircuitError, Gate,
+                              GateKind, count_gates, depth, emit_text, parse_angle, parse_text)
 from hexsynth.layout import LayoutError, heavy_hex_127
-from hexsynth.library import build_gate
-from hexsynth.transpiler import route_naive
+from hexsynth.library import GATES, build_gate
+from hexsynth.transpiler import NativeBasis, lower, peephole, route_naive
 
 K = GateKind
 
@@ -110,6 +111,15 @@ class TestAngle:
         assert shared is Angle.pi_frac(k, 4) and shared is not fresh
         assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
         assert hash(Gate(K.RZ, (0,), shared)) == hash(Gate(K.RZ, (0,), fresh))
+        # the hash is taken once, by the constructor, for every angle: equal
+        # angles off the grid (exact or float) hash alike, and as the
+        # dataclass's own hash of (frac, value) would
+        pairs = [(Angle.pi_frac(k, 3), Angle(Fraction(k + 12, 3))),
+                 (Angle(Fraction(k, 7)), Angle(Fraction(2 * k, 14))),
+                 (Angle.from_radians(k / 7), Angle(value=k / 7)),
+                 (Angle.from_radians(0.0), Angle(value=-0.0))]
+        for a, b in pairs + [(shared, fresh)]:
+            assert a == b and hash(a) == hash(b) == hash((a.frac, a.value))
 
     def test_two_pi_is_identity_mod_phase(self):
         assert Angle.pi_frac(2).is_zero_mod_2pi()
@@ -239,10 +249,19 @@ class TestGateAndCircuit:
          r"^gate x \(True,\) outside width 2$"),
         (lambda: route_naive(Circuit(2, (G(K.CX, 0, 1),)), heavy_hex_127(), {0: 61, 1: 62.0}),
          LayoutError, r"^placement qubits must be integers: \{0: 61, 1: 62\.0\}$"),
-    ], ids=["float", "bool", "float placement"])
+        (lambda: Circuit(2, (G(K.H, 1), G(K.X, 1.0))), CircuitError,
+         r"^gate x \(1\.0,\) outside width 2$"),
+        (lambda: Circuit(2, (G(K.CX, 0, 1), G(K.X, True))), CircuitError,
+         r"^gate x \(True,\) outside width 2$"),
+        (lambda: Circuit(2, (G(K.CX, 0, 1), G(K.CX, 0, 1.0))), CircuitError,
+         r"^gate cx \(0, 1\.0\) outside width 2$"),
+    ], ids=["float", "bool", "float placement", "float after equal int", "bool after equal int",
+            "float in a tuple equal to an earlier one"])
     def test_qubits_must_be_integers(self, build, error, message):
         # 1.0 and True lie in range(2) yet are no wire: neither emits readable circuit text;
-        # the router checks its placement as a `Placement` before it builds a circuit
+        # the router checks its placement as a `Placement` before it builds a circuit.
+        # (1.0,) and (True,) also equal (1,), so a check that dedups qubit tuples before
+        # it tests their types would miss them after an earlier int
         with pytest.raises(error, match=message):
             build()
 
@@ -282,12 +301,42 @@ class TestGateText:
 
     def test_rendered_gate_is_still_a_plain_value(self):
         g = G(K.RZ, 1, angle=Angle.pi_frac(1, 4))
+        before = hash(g), repr(g)
         text = g.text()
+        assert (hash(g), repr(g)) == before
         fresh = G(K.RZ, 1, angle=Angle.pi_frac(1, 4))
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
         assert fresh.text() == text
         assert repr(g) == "Gate(kind=<GateKind.RZ: 'rz'>, qubits=(1,), angle=Angle(frac=Fraction(1, 4), value=0.0))"
         assert g != G(K.RZ, 1, angle=Angle.pi_frac(1, 2))
+
+    def test_text_is_rendered_once(self):
+        g = G(K.CX, 0, 2)
+        assert g.text() is g.text()
+
+    def test_no_gate_has_an_instance_dict(self):
+        # the line lives in a slot: a gate with a `__dict__` reads its fields
+        # slower.  Cover fresh gates, rendered ones, and every gate the
+        # transpile path builds, shares or renders
+        gates = [Gate(kind, (0,) if kind.arity == 1 else (0, 1),
+                      Angle.pi_frac(1, 4) if kind.takes_angle else None) for kind in K]
+        for g in gates:
+            assert not hasattr(g, "__dict__")
+            g.text()
+            assert not hasattr(g, "__dict__")
+        for circuit in GATES.values():
+            for basis in NativeBasis:
+                for c in (circuit, lower(circuit, basis), peephole(lower(circuit, basis))):
+                    emit_text(c)
+                    assert not any(hasattr(g, "__dict__") for g in c.gates)
+
+    def test_replace_renders_its_own_line(self):
+        g = G(K.RZ, 1, angle=Angle.pi_frac(1, 4))
+        assert g.text() == "rz(pi/4) q[1]"
+        moved = dataclasses.replace(g, qubits=(3,))
+        turned = dataclasses.replace(g, angle=Angle.from_radians(0.5))
+        assert moved.text() == "rz(pi/4) q[3]" and turned.text() == "rz(0.5) q[1]"
+        assert dataclasses.replace(g) == g and dataclasses.replace(g).text() == g.text()
 
 
 class TestDepth:
@@ -387,6 +436,10 @@ class TestTextFormat:
             parse_text("h q[4]\nqubits 2")
         with pytest.raises(CircuitError, match=r"^line 1: bad header 'qubits x'$"):
             parse_text("qubits x\nh q[0]")
+        # digits that str.isdigit accepts and int() cannot read
+        for digit in ("\u00b2", "\u2460"):  # superscript two, circled one
+            with pytest.raises(CircuitError, match=f"^line 1: bad header 'qubits {digit}'$"):
+                parse_text(f"qubits {digit}\nh q[0]")
         with pytest.raises(CircuitError, match=r"^line 1: cannot parse 'h q0'$"):
             parse_text("h q0")
         # Gate states the arity and angle rules; the parser adds the line
@@ -394,6 +447,10 @@ class TestTextFormat:
                               ("h(pi) q[0]", "h takes no angle"), ("rz q[0]", "rz requires an Angle")):
             with pytest.raises(CircuitError, match=f"^line 2: {message}"):
                 parse_text("qubits 2\n" + text)
+
+    def test_header_takes_any_decimal_digits(self):
+        # int() reads every Unicode decimal digit, Arabic-Indic three included
+        assert parse_text("qubits \u0663\nh q[2]").width == 3
 
     def test_comments_and_blanks(self):
         c = parse_text("// a comment\nqubits 2\n\nh q[0] // trailing\ncx q[0], q[1]\n")
@@ -408,3 +465,104 @@ class TestTextFormat:
         assert back.gates == c.gates
         assert emit_text(back) == text
 
+
+def reference_parse_text(text: str) -> Circuit:
+    """The former per-line loop of `parse_text`: four named group lookups,
+    a declared-width test on every gate line, and `str.isdigit` on the
+    header (which lets through digits `int()` cannot read)."""
+    width: int | None = None
+    gates: list[Gate] = []
+    max_q = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("qubits"):
+            if width is not None or gates:
+                raise CircuitError(f"line {lineno}: the qubits header comes once, before any gate")
+            parts = line.split()
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise CircuitError(f"line {lineno}: bad header {line!r}")
+            width = int(parts[1])
+            if width < 1:
+                raise CircuitError(f"line {lineno}: circuit width must be >= 1")
+            continue
+        m = _LINE_RE.match(line)
+        if not m:
+            raise CircuitError(f"line {lineno}: cannot parse {line!r}")
+        tag, angle, q0, q1 = m.group("tag", "angle", "q0", "q1")
+        kind = _KIND_BY_TAG.get(tag)
+        if kind is None:
+            raise CircuitError(f"line {lineno}: unknown gate tag {tag!r}")
+        qubits = (int(q0),) if q1 is None else (int(q0), int(q1))
+        if width is not None and max(qubits) >= width:
+            raise CircuitError(f"line {lineno}: qubit index beyond declared width {width}")
+        max_q = max(max_q, *qubits)
+        try:
+            gates.append(Gate(kind, qubits, None if angle is None else parse_angle(angle)))
+        except CircuitError as e:
+            raise CircuitError(f"line {lineno}: {e}") from None
+    if width is None:
+        width = max_q + 1 if max_q >= 0 else 1
+    return Circuit(width=width, gates=tuple(gates))
+
+
+_HEADER_DIGITS = ("0", "1", "3", "5", "12", "x", "2 3", "\u00b2", "\u2460", "\u0663")
+_ANGLE_TEXTS = ("pi/4", "-3*pi/2", "0", "0.5", "-1e-3", "2*pi/3", "9*pi/4")
+_BAD_ANGLE_TEXTS = ("pi/0", "bad", "")
+_TAGS = tuple(_KIND_BY_TAG) + ("foo", "cnot")
+
+
+@st.composite
+def _text_lines(draw):
+    """One line of circuit text: mostly a well-formed gate, else a header,
+    a comment, a blank, a malformed line or a gate that breaks a rule."""
+    form = draw(st.sampled_from(("gate",) * 6 + ("odd gate", "header", "comment", "blank",
+                                                 "garbage")))
+    if form == "header":
+        line = "qubits " + draw(st.sampled_from(_HEADER_DIGITS))
+    elif form == "comment":
+        line = "// " + draw(st.sampled_from(("a note", "h q[0]", "")))
+    elif form == "blank":
+        line = draw(st.sampled_from(("", "   ", "\t")))
+    elif form == "garbage":
+        line = draw(st.sampled_from(("h q0", "h(pi q[0]", "q[0]", "cx q[0] q[1]", "H q[0]")))
+    else:
+        if form == "gate":
+            kind = draw(st.sampled_from(list(K)))
+            qubits = draw(st.lists(st.integers(0, 9), min_size=kind.arity, max_size=kind.arity,
+                                   unique=True))
+            tag = kind.value
+            if kind.takes_angle:
+                tag += f"({draw(st.sampled_from(_ANGLE_TEXTS))})"
+        else:  # any tag, angle and qubit count
+            tag = draw(st.sampled_from(_TAGS))
+            if draw(st.booleans()):
+                tag += f"({draw(st.sampled_from(_ANGLE_TEXTS + _BAD_ANGLE_TEXTS))})"
+            qubits = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2))
+        sep = draw(st.sampled_from((", ", ",", " , ")))
+        line = f"{tag}{draw(st.sampled_from((' ', '  ')))}" + sep.join(f"q[{q}]" for q in qubits)
+    pad = draw(st.sampled_from(("", " ", "  ")))
+    tail = draw(st.sampled_from(("", "", " // trailing")))
+    return pad + line + tail
+
+
+def _outcome(parse, text):
+    try:
+        c = parse(text)
+    except Exception as e:  # the type is compared too: a bare ValueError is a bug
+        return type(e), str(e)
+    return c.width, c.gates
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.none(), st.sampled_from(("3", "5", "12")), st.sampled_from(_HEADER_DIGITS)),
+       st.lists(_text_lines(), max_size=12), st.sampled_from(("\n", "\r\n")))
+def test_parse_text_equals_reference(header, lines, newline):
+    text = newline.join(lines if header is None else ["qubits " + header] + lines)
+    got, want = _outcome(parse_text, text), _outcome(reference_parse_text, text)
+    if want[0] is ValueError:  # the former header test let through `qubits \u00b2`
+        assert got[0] is CircuitError
+        assert re.fullmatch(r"line \d+: bad header 'qubits [\u00b2\u2460]'", got[1])
+    else:
+        assert got == want

@@ -284,10 +284,13 @@ class TestBadInputFiles:
         assert "not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, error", [("qubits x\nh q[0]\n", "line 1: bad header 'qubits x'"),
-                                             ("h q0\n", "line 1: cannot parse 'h q0'")])
+                                             ("h q0\n", "line 1: cannot parse 'h q0'"),
+                                             # a digit to str.isdigit that int() cannot read
+                                             ("qubits \u00b2\nh q[0]\n",
+                                              "line 1: bad header 'qubits \u00b2'")])
     def test_transpile_unparsable_circuit(self, tmp_path, capsys, text, error):
         src = tmp_path / "bad.txt"
-        src.write_text(text)
+        src.write_text(text, encoding="utf-8")
         assert run("transpile", str(src), "--basis", "cx") == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {error}\n"
