@@ -15,6 +15,13 @@ Conventions used throughout the package:
     arithmetic, and float angles float arithmetic.
 
 Circuits are immutable values; builders and transforms return new circuits.
+A circuit is checked once, where it comes in: `Circuit(...)` checks every
+gate against the width for outside input (registry literals, user code,
+`dataclasses.replace`, `relabeled`).  The four passes that build a circuit
+only from parts already checked (`parse_text`, whose per-line checks are
+complete; `lower` and `peephole`, which emit gates on their input's wires;
+and `route_naive`, on checked placement and map qubits) build it through
+`_unchecked_circuit` and are correct by construction.
 A Gate has slots and no instance dict, and renders its line of circuit
 text once, into a slot of its own, so a shared gate pays for its line once
 and reads its fields at full speed however often it is emitted.
@@ -284,6 +291,11 @@ class Circuit:
     `roles` optionally tags each qubit as control/target/ancilla; ancilla
     qubits are assumed initialized to |0>.  `wire_names` optionally labels
     wires (c1, t, anc, ...) for layout placement and reporting.
+
+    The constructor checks the width, that every gate is a `Gate` on int
+    qubits in range(width), and the lengths of `roles` and `wire_names`.
+    Only `parse_text`, `lower`, `peephole` and `route_naive` skip it, through
+    `_unchecked_circuit`: they guarantee the same by construction.
     """
 
     width: int
@@ -323,9 +335,6 @@ class Circuit:
                 if len(v) != self.width:
                     raise CircuitError(f"{attr} length {len(v)} != width {self.width}")
 
-    def with_gates(self, gates) -> "Circuit":
-        return Circuit(self.width, tuple(gates), self.roles, self.name, self.wire_names)
-
     def relabeled(self, mapping) -> "Circuit":
         """Apply a qubit permutation, a dict: old index i moves to mapping[i]."""
         if sorted(mapping) != list(range(self.width)) or sorted(mapping.values()) != list(range(self.width)):
@@ -351,6 +360,25 @@ class Circuit:
         if self.roles is None:
             return ()
         return tuple(i for i, r in enumerate(self.roles) if r == role)
+
+
+def _unchecked_circuit(width: int, gates: tuple, roles=None, name: str = "",
+                       wire_names=None) -> Circuit:
+    """A Circuit of these five fields, built without `__post_init__`.
+
+    The caller guarantees everything the constructor would check: `width`
+    is an int >= 1; `gates` is a tuple of `Gate`s whose qubits are ints in
+    range(width); `roles` and `wire_names` are None or tuples of length
+    `width`.  The fields are stored as the frozen dataclass's `__init__`
+    stores them, never through the instance `__dict__` (reading it turns
+    off CPython's inline attribute values)."""
+    c = object.__new__(Circuit)
+    object.__setattr__(c, "width", width)
+    object.__setattr__(c, "gates", gates)
+    object.__setattr__(c, "roles", roles)
+    object.__setattr__(c, "name", name)
+    object.__setattr__(c, "wire_names", wire_names)
+    return c
 
 
 @dataclass(frozen=True)
@@ -413,9 +441,12 @@ def parse_text(text: str) -> Circuit:
 
     The `qubits N` header is optional and comes at most once, before any
     gate; without it the width is inferred from the largest qubit index.
-    This reader checks only what needs a line number (the header, the gate
-    tag and the declared width); `Gate` and `parse_angle` check the rest,
-    and every error carries the `line N:` prefix.
+    This reader checks what needs a line number (the header, the gate tag
+    and the declared width); `Gate` and `parse_angle` check the rest, and
+    every error carries the `line N:` prefix.  These are the only checks a
+    parsed circuit gets: every index is `int()` of decimal digits below the
+    declared width (>= 1) or below the inferred width max + 1, so the
+    circuit is built without `Circuit`'s own re-check.
     """
     width: int | None = None
     gates: list[Gate] = []
@@ -428,7 +459,8 @@ def parse_text(text: str) -> Circuit:
             if width is not None or gates:
                 raise CircuitError(f"line {lineno}: the qubits header comes once, before any gate")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdecimal():  # the digits int() reads
+            # the word is `qubits` itself, and isdecimal() takes the digits int() reads
+            if len(parts) != 2 or parts[0] != "qubits" or not parts[1].isdecimal():
                 raise CircuitError(f"line {lineno}: bad header {line!r}")
             width = int(parts[1])
             if width < 1:
@@ -459,4 +491,4 @@ def parse_text(text: str) -> Circuit:
             raise CircuitError(f"line {lineno}: {e}") from None
     if width is None:
         width = max_q + 1 if max_q >= 0 else 1
-    return Circuit(width=width, gates=tuple(gates))
+    return _unchecked_circuit(width, tuple(gates))

@@ -99,6 +99,10 @@ def cmd_verify(args) -> int:
         targets = gate.target_qubits()
         if len(targets) != 1:
             raise CircuitError(f"{args.gate} has no single target wire for a truth check")
+        rows = 2 ** len(controls)
+        if len(args.truth) != rows or not set(args.truth) <= {"0", "1"}:
+            raise CircuitError(f"--truth for {args.gate} is {rows} characters of 0/1, one per "
+                               f"assignment of its {len(controls)} controls, got {args.truth!r}")
         table = truth_table(gate, target=targets[0], controls=controls,
                             ancillas=gate.ancilla_qubits())
         realized = truth_string(table)

@@ -42,7 +42,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import _GRID, Angle, Circuit, CostReport, Gate, GateKind, count_gates, parse_text
+from .circuit import (_GRID, Angle, Circuit, CostReport, Gate, GateKind, _unchecked_circuit,
+                      count_gates, parse_text)
 from .layout import (CouplingMap, LayoutError, Placement, heavy_hex_127, ishape_brisbane, place,
                      verify_no_swap)
 
@@ -103,13 +104,16 @@ class _Lowering:
     angle-free gate, and of each RY whose angle is on the pi/4 grid, is
     memoized per basis, per process; the grid has 16 angles, so the memo is
     bounded by the kinds and grid angles times the wires and wire pairs seen.
-    An RY by any other angle is expanded on every call and never stored."""
+    An RY by any other angle is expanded on every call and never stored.
+    The memo is keyed by (kind, qubits, angle): a tuple hashes and compares
+    in C, where a Gate key runs the dataclass's Python `__hash__`/`__eq__`
+    for every freshly parsed gate."""
 
     def __init__(self, basis: NativeBasis):
         self.allowed = basis.allowed
         self.rules = {kind: parse_text(text).gates
                       for kind, text in _RULES.items() if kind not in self.allowed}
-        self.memo: dict[Gate, tuple[Gate, ...]] = {}
+        self.memo: dict[tuple, tuple[Gate, ...]] = {}
 
     def native(self, g: Gate) -> tuple[Gate, ...]:
         if g.kind in self.allowed:
@@ -117,9 +121,10 @@ class _Lowering:
             return () if identity else (g,)
         if g.angle is not None and not g.angle.on_grid:
             return self._expand(g)
-        native = self.memo.get(g)
+        key = g.kind, g.qubits, g.angle
+        native = self.memo.get(key)
         if native is None:
-            native = self.memo[g] = self._expand(g)
+            native = self.memo[key] = self._expand(g)
         return native
 
     def _expand(self, g: Gate) -> tuple[Gate, ...]:
@@ -146,9 +151,11 @@ def rule_table_text(basis: NativeBasis) -> str:
 
 def lower(circuit: Circuit, basis: NativeBasis) -> Circuit:
     """Rewrite to the native basis in one pass; equivalent to the input up to
-    global phase."""
+    global phase.  Every output qubit is an input gate's qubit, so the
+    output is built without re-checking the input's wires."""
     lowering = _LOWERINGS[basis]
-    return circuit.with_gates(n for g in circuit.gates for n in lowering.native(g))
+    gates = tuple(n for g in circuit.gates for n in lowering.native(g))
+    return _unchecked_circuit(circuit.width, gates, circuit.roles, circuit.name, circuit.wire_names)
 
 
 # --- peephole ------------------------------------------------------------------
@@ -299,7 +306,8 @@ def peephole(circuit: Circuit) -> Circuit:
 
     Adjacent RZ merge with exact arithmetic, adjacent CX/ECR pairs cancel,
     and {SX, X} runs reduce by their value mod 4.  No gate count of any tag
-    rises above the input's.
+    rises above the input's.  Every output gate is an input gate or a gate
+    on an input gate's wire, so the output is built without re-checking.
     """
     # Per-wire state only for the wires that carry a gate.  An RZ, SX or X
     # calls no helper: only a merge through an identity run and a pair
@@ -392,7 +400,8 @@ def peephole(circuit: Circuit) -> Circuit:
             gates.append(item.gate)
         else:
             gates.extend(item.out)
-    return circuit.with_gates(gates)
+    return _unchecked_circuit(circuit.width, tuple(gates), circuit.roles, circuit.name,
+                              circuit.wire_names)
 
 
 # --- the device compile path ----------------------------------------------------
@@ -448,13 +457,15 @@ class RouteResult:
     swaps_added: int
 
 
-def route_naive(circuit: Circuit, cmap, placement: dict) -> RouteResult:
+def route_naive(circuit: Circuit, cmap: CouplingMap, placement: dict) -> RouteResult:
     """Greedy shortest-path SWAP insertion for non-adjacent two-qubit gates.
 
     `placement` maps logical index -> physical index; it is checked as a
     `Placement` of the wires 0..width-1 on `cmap`, so a bad one is a
     LayoutError.  The output circuit is indexed by physical qubits; the
-    final qubit permutation is left in place and reported.
+    final qubit permutation is left in place and reported.  Every output
+    qubit is a placement value or a node on a map path, both in range of
+    the map, so the output is built without re-checking.
     """
     log2phys = dict(placement)
     Placement(log2phys).physical(range(circuit.width), cmap)
@@ -478,5 +489,5 @@ def route_naive(circuit: Circuit, cmap, placement: dict) -> RouteResult:
             if other is not None:
                 log2phys[other], phys2log[p] = p, other
         out.append(Gate(g.kind, (log2phys[g.qubits[0]], log2phys[g.qubits[1]]), g.angle))
-    routed = Circuit(width=cmap.num_qubits, gates=tuple(out), name=circuit.name + "@routed")
+    routed = _unchecked_circuit(cmap.num_qubits, tuple(out), name=circuit.name + "@routed")
     return RouteResult(routed, log2phys, swaps)

@@ -436,6 +436,11 @@ class TestTextFormat:
             parse_text("h q[4]\nqubits 2")
         with pytest.raises(CircuitError, match=r"^line 1: bad header 'qubits x'$"):
             parse_text("qubits x\nh q[0]")
+        # the header word is `qubits` itself, not a word that starts with it
+        for text in ("qubitsfoo 3\nh q[0]", "qubits_ 2\nh q[0]", "qubitss 2"):
+            line = text.split("\n")[0]
+            with pytest.raises(CircuitError, match=f"^line 1: bad header '{line}'$"):
+                parse_text(text)
         # digits that str.isdigit accepts and int() cannot read
         for digit in ("\u00b2", "\u2460"):  # superscript two, circled one
             with pytest.raises(CircuitError, match=f"^line 1: bad header 'qubits {digit}'$"):

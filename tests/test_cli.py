@@ -86,6 +86,11 @@ class TestTranspileAndSimulate:
         assert "error: statevectors support at most 20 qubits" in capsys.readouterr().err
 
 
+def _bad_truth(gate, controls, got):
+    return (f"--truth for {gate} is {2 ** controls} characters of 0/1, one per assignment "
+            f"of its {controls} controls, got {got!r}")
+
+
 class TestVerify:
     def test_and3_l2_passes(self):
         assert run("verify", "and3", "--against", "toffoli", "--level", "L2") == 0
@@ -123,7 +128,13 @@ class TestVerify:
                                "unknown gate: 'nope'"),
                               (("and4", "--truth", "0001", "--against", "toffoli"),
                                "width mismatch: 5 vs 3"),
-                              (("nope",), "verify needs --against or --truth")])
+                              (("nope",), "verify needs --against or --truth"),
+                              (("and3", "--truth", "01"), _bad_truth("and3", 2, "01")),
+                              (("and3", "--truth", "00x1"), _bad_truth("and3", 2, "00x1")),
+                              (("and3", "--truth", "00010"), _bad_truth("and3", 2, "00010")),
+                              (("and4", "--truth", "0001"), _bad_truth("and4", 3, "0001")),
+                              (("and3", "--truth", "01", "--against", "toffoli"),
+                               _bad_truth("and3", 2, "01"))])
     def test_verify_checks_its_inputs_before_printing(self, capsys, argv, error):
         assert run("verify", *argv) == 1
         captured = capsys.readouterr()

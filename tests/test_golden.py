@@ -44,9 +44,11 @@ MAPS = ("<brisbane.json>", "<brisbane-without-62-72.json>")
 DISPLACED = "<and3-target-on-61.json>"
 
 # documented truth strings over ascending assignments; pos5 and sop5 have
-# none, so "0" asks for a mismatch that prints their whole table
+# none, so sixteen 0s (one per assignment of their four controls) ask for a
+# mismatch that prints their whole table
 TRUTH = {"and3": "0001", "nand3": "1110", "or3": "0111", "nor3": "1000", "imp3": "1011",
-         "inh3": "0100", "and4": "0" * 7 + "1", "and5": "0" * 15 + "1", "pos5": "0", "sop5": "0"}
+         "inh3": "0100", "and4": "0" * 7 + "1", "and5": "0" * 15 + "1", "pos5": "0" * 16,
+         "sop5": "0" * 16}
 PAIRS = {"and3": "toffoli", "fredkin3": "fredkin_std", "swap2": "swap2_std", "csx2": "csx2_std",
          "csxdg2": "csxdg2_std"}
 PHASES = "i,x,sx,sxdg,z,s,sdg,t,tdg,-z"

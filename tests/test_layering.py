@@ -55,3 +55,34 @@ def test_upper_layers_read_only_their_inputs(module, layers):
 def test_numpy_free_layers(module):
     assert "numpy" not in imports(SRC / f"{module}.py")
 
+
+
+UNCHECKED = "_unchecked_circuit"
+
+
+def unchecked_users() -> set[tuple[str, str]]:
+    """(module, top-level function) for every use of `circuit._unchecked_circuit`
+    in the package: a call, or any other read of the name, since an alias
+    would hide a call.  A use outside a function is owned by '<module>'."""
+    users = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            if isinstance(top, ast.FunctionDef) and top.name == UNCHECKED:
+                continue  # its definition
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == UNCHECKED
+                        or isinstance(node, ast.Attribute) and node.attr == UNCHECKED):
+                    users.add((path.stem, owner))
+                elif isinstance(node, ast.ImportFrom) and any(
+                        alias.name == UNCHECKED and alias.asname for alias in node.names):
+                    users.add((path.stem, "<renamed import>"))
+    return users
+
+
+def test_only_the_four_passes_build_unchecked_circuits():
+    # they build their output from parts already checked; everything else
+    # goes through Circuit(...) and its check
+    assert unchecked_users() == {("circuit", "parse_text"), ("transpiler", "lower"),
+                                 ("transpiler", "peephole"), ("transpiler", "route_naive")}

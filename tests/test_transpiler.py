@@ -60,7 +60,7 @@ def reference_lower(circuit, basis):
             else:
                 raise CircuitError(f"no rewrite for {g.kind.value} in {basis.value} basis")
         gates = out
-    return circuit.with_gates(gates)
+    return dataclasses.replace(circuit, gates=tuple(gates))
 
 
 def _reference_try_pair(a, b):
@@ -139,7 +139,7 @@ def reference_peephole(circuit):
         gates, changed = _reference_pair_pass(gates)
         if not changed:
             gates, changed = _reference_sx_run_pass(gates)
-    return circuit.with_gates(gates)
+    return dataclasses.replace(circuit, gates=tuple(gates))
 
 
 def reference_depth(circuit):
@@ -503,7 +503,8 @@ class TestSharedLowering:
         # fresh Angle of the same value finds the same entry
         shared = Circuit(2, tuple(G(K.RY, q, angle=Angle.pi_frac(n, 4))
                                   for n in range(-7, 9) for q in (0, 1)))
-        fresh = shared.with_gates(G(K.RY, *g.qubits, angle=Angle(g.angle.frac)) for g in shared.gates)
+        fresh = dataclasses.replace(shared, gates=tuple(G(K.RY, *g.qubits, angle=Angle(g.angle.frac))
+                                                       for g in shared.gates))
         first, second = lower(shared, basis), lower(fresh, basis)
         assert first == second == reference_lower(shared, basis)
         assert all(a is b for a, b in zip(first.gates, second.gates))
@@ -697,7 +698,7 @@ def _digest_corpus():
                 gates.insert(rng.randint(0, len(gates)),
                              G(rng.choice((K.RZ, K.RY)), rng.randrange(c.width),
                                angle=rng.choice(_OFF_GRID)))
-        corpus.append(c.with_gates(gates))
+        corpus.append(dataclasses.replace(c, gates=tuple(gates)))
     return corpus
 
 
@@ -779,3 +780,67 @@ class TestRouteNaive:
         and3_2q = count_gates(lowered_and3).counts.get("cx", 0)
         assert routed.swaps_added >= 1
         assert tof_2q > and3_2q
+
+
+def _rechecked(c):
+    """A pass's output rebuilt by the checked constructor."""
+    return Circuit(c.width, c.gates, c.roles, c.name, c.wire_names)
+
+
+class TestPassOutputsPassTheCheck:
+    """`parse_text`, `lower`, `peephole` and `route_naive` build their output
+    without `Circuit`'s check; the check must accept every such output and
+    rebuild it equal (a list where a tuple belongs would compare unequal)."""
+
+    @staticmethod
+    def assert_checked(c):
+        assert type(c) is Circuit and type(c.gates) is tuple
+        assert _rechecked(c) == c
+
+    @pytest.mark.parametrize("basis", list(NativeBasis))
+    def test_registry_gates(self, basis):
+        assert len(GATES) == 26
+        for gate in GATES.values():
+            self.assert_checked(parse_text(emit_text(gate)))
+            lowered = lower(gate, basis)
+            self.assert_checked(lowered)
+            self.assert_checked(peephole(lowered))
+            self.assert_checked(peephole(gate))
+
+    def test_parsed_random_corpus(self):
+        rng = random.Random(2929)
+        for _ in range(60):
+            c = random_clifford_t_circuit(rng, rng.randint(1, 6), rng.randint(0, 80))
+            text = emit_text(c)
+            # without its header the width is inferred from the largest index
+            headless = parse_text(text.split("\n", 1)[1])
+            self.assert_checked(headless)
+            assert headless.gates == c.gates
+            parsed = parse_text(text)
+            self.assert_checked(parsed)
+            assert parsed.gates == c.gates
+            for basis in NativeBasis:
+                lowered = lower(parsed, basis)
+                self.assert_checked(lowered)
+                self.assert_checked(peephole(lowered))
+
+    def test_routed_family(self):
+        lattice = heavy_hex_127()
+        region = ishape_brisbane(lattice)
+        rng = random.Random(29)
+        swaps = 0
+        for name in FAMILY_GATES:
+            gate = build_gate(name)
+            try:
+                placed = place(gate, region)
+            except LayoutError:
+                placed = place(gate, lattice)
+            wires = [placed.assignment[w] for w in gate.wire_names]
+            placements = [wires, list(range(gate.width)), rng.sample(range(127), gate.width),
+                          rng.sample(range(127), gate.width)]
+            for spots in placements:
+                routed = route_naive(gate, lattice, dict(enumerate(spots)))
+                self.assert_checked(routed.circuit)
+                self.assert_checked(peephole(lower(routed.circuit, NativeBasis.ECR_BASIS)))
+                swaps += routed.swaps_added
+        assert swaps > 0  # the scattered placements did route
