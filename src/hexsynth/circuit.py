@@ -313,20 +313,11 @@ class Circuit:
             raise CircuitError("circuit width must be >= 1")
         # a range tests an int in O(1); 1.0 and True pass it, so the types are checked too
         wires = range(self.width)
-        # an item that is not exactly a Gate (one that only has a `qubits`
-        # attribute, or a Gate subclass) adds a None qubit, which fails the
-        # int test and sends the list to the gate-by-gate check
-        qubits = [q for g in gates for q in (g.qubits if type(g) is Gate else (None,))]
-        try:
-            fits = {*map(type, qubits)} <= {int} and all(q in wires for q in set(qubits))
-        except TypeError:  # unhashable qubits
-            fits = False
-        if not fits:
-            for g in gates:
-                if not isinstance(g, Gate):
-                    raise CircuitError(f"circuit gates must be Gate instances, got {g!r}")
-                if any(type(q) is not int or q not in wires for q in g.qubits):
-                    raise CircuitError(f"gate {g.kind.value} {g.qubits} outside width {self.width}")
+        for g in gates:
+            if not isinstance(g, Gate):
+                raise CircuitError(f"circuit gates must be Gate instances, got {g!r}")
+            if any(type(q) is not int or q not in wires for q in g.qubits):
+                raise CircuitError(f"gate {g.kind.value} {g.qubits} outside width {self.width}")
         for attr in ("roles", "wire_names"):
             v = getattr(self, attr)
             if v is not None:
@@ -336,8 +327,12 @@ class Circuit:
                     raise CircuitError(f"{attr} length {len(v)} != width {self.width}")
 
     def relabeled(self, mapping) -> "Circuit":
-        """Apply a qubit permutation, a dict: old index i moves to mapping[i]."""
-        if sorted(mapping) != list(range(self.width)) or sorted(mapping.values()) != list(range(self.width)):
+        """Apply a qubit permutation, a dict of int wires: old index i moves
+        to mapping[i]."""
+        wires, keys, values = list(range(self.width)), list(mapping), list(mapping.values())
+        # 1.0 and True sort and compare like 1, so the types are checked first
+        if (any(type(w) is not int for w in keys + values)
+                or sorted(keys) != wires or sorted(values) != wires):
             raise CircuitError(f"not a permutation of 0..{self.width - 1}: {mapping}")
         gates = tuple(Gate(g.kind, tuple(mapping[q] for q in g.qubits), g.angle) for g in self.gates)
         roles = wire_names = None

@@ -33,9 +33,9 @@ class LayoutError(CircuitError):
 @dataclass(frozen=True)
 class CouplingMap:
     """Physical-qubit adjacency graph (undirected, no self-loops).  The
-    constructor holds every map rule: a str `name`, an int `num_qubits`,
-    and edges of two distinct int qubits in range, each stored as an
-    ascending pair.  It checks the edges in bulk; the neighbor lists are
+    constructor holds every map rule: a str `name`, an int `num_qubits` of
+    at least 1, and edges of two distinct int qubits in range, each stored
+    as an ascending pair.  It checks the edges in bulk; the neighbor lists are
     built on the first `neighbors` or `qubits` call, since a map that is
     only asked `has_edge` never needs them, and each source qubit's BFS tree
     on the first `shortest_path` from it, so routing walks a stored tree."""
@@ -49,6 +49,8 @@ class CouplingMap:
             raise LayoutError(f"map name must be a string, got {self.name!r}")
         if type(self.num_qubits) is not int:
             raise LayoutError(f"num_qubits must be an integer, got {self.num_qubits!r}")
+        if self.num_qubits < 1:
+            raise LayoutError(f"num_qubits must be >= 1, got {self.num_qubits}")
         try:
             edges = tuple(self.edges)
         except TypeError:

@@ -89,10 +89,6 @@ class CoreSpec:
     def symmetric(self) -> bool:
         return self.theta[0] == self.theta[2] and self.theta[1] == self.theta[3]
 
-    def sort_key(self):
-        return (self.sp1.value, self.ax1, tuple(t.value for t in self.theta),
-                self.ax2, self.sp2.value)
-
     def describe(self) -> dict:
         return {"sp1": self.sp1.value, "ax1": self.ax1,
                 "theta": [t.value for t in self.theta],

@@ -15,12 +15,13 @@ as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1].  F = AX1.SP1 and
 L = SP2.AX2 are module constants, `_FIRST` and `_LAST`, over all three SP
 kinds and ten `AX_ENTRIES`, built at import; the theta/X middle T depends
 only on the rotation tuple and the branch, so one cached table per theta
-alphabet serves every query.  The table lists the theta tuples the query
-enumerates, only the symmetric ones for a symmetric query, so the one pass
-walks exactly the space `iter_specs` yields, repeated alphabet entries
-included: the grid of (sp1, ax1) rows by theta tuples by (ax2, sp2)
-columns, in tiles of at most BLOCK_CONFIGS configurations, whole rows
-while one row fits.  A configuration is a hit when
+alphabet serves every query.
+
+A `SearchQuery` checks its alphabets and stores each as a set in
+enumeration order (distinct entries; kinds by value, AX entries by name),
+so the space is the C-order grid of (sp1, ax1) rows by theta tuples by
+(ax2, sp2) columns, which `iter_specs` yields and the one pass walks, in
+tiles of whole rows.  A configuration is a hit when
 p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
 every branch, the rule `truth_table` applies; the target starts in |0>, so
 this needs only column 0 of F and row 1 of L, and one matmul per tile
@@ -30,10 +31,7 @@ of a column by a row (the term-wise form of the simulator's ECR), so a
 tile's hits cost a few numpy calls however many there are.  Each tile's
 hits are graded from their four 2x2 blocks in one call of the package's
 one grader, `simulator.equivalence_levels`, against the oracle's blocks
-(I or X per target bit).  Hits are returned in `sort_key` order, by
-integer ranks: an entry's position in its slot's sorted entries.  A
-query's alphabets, of gate kinds and AX names, are checked once, when the
-`SearchQuery` is built.
+(I or X per target bit), and come out in the grid's order.
 
 `phase_trace` walks one branch through the same factors, stage by stage:
 `_FIRST`'s column 0, each theta, X for each CX whose control is 1, then
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitError, GateKind
-from .library import AX_ENTRIES, SUPERPOSITION_KINDS, THETA_KINDS, CoreSpec
+from .library import AX_ENTRIES, SUPERPOSITION_KINDS, CoreSpec
 from .simulator import (ATOL_EQUIV, ATOL_NORM, EquivalenceLevel, SimulationError,
                         equivalence_levels, gate_matrix)
 
@@ -61,7 +59,8 @@ SEG_QUADRANTS = "quadrants"
 SEG_OCTANTS = "octants"
 
 SEARCH_SPACE_GUARD = 10 ** 7
-# Configurations per numpy tile of the search grid; bounds its peak memory.
+# Configurations per numpy tile of the search grid, in whole rows and at
+# least one; bounds its peak memory.
 BLOCK_CONFIGS = 1 << 15
 
 
@@ -112,8 +111,10 @@ class SearchQuery:
     assignments 00, 01, 10, 11 (control 1 is the low bit), e.g. and='0001'.
     The SP and theta sets hold gate kinds, the AX sets `AX_ENTRIES` names.
     Every alphabet entry is checked here, once, by building its one-slot
-    CoreSpec, with the CircuitError that CoreSpec raises.  This is the
-    input boundary of `search` and `iter_specs`.
+    CoreSpec, with the CircuitError that CoreSpec raises.  Each alphabet is
+    then stored as a set in enumeration order: its distinct entries, kinds
+    sorted by value and AX entries by name.  This is the input boundary of
+    `search` and `iter_specs`, and the one place the order of hits is set.
     """
 
     target: str
@@ -149,6 +150,9 @@ class SearchQuery:
             CoreSpec(ax2=a)
         for t in self.theta_set:
             CoreSpec(theta=(t,) * 4)
+        for name in ("sp_set", "ax1_set", "ax2_set", "theta_set"):
+            key = None if name.startswith("ax") else (lambda kind: kind.value)
+            object.__setattr__(self, name, tuple(sorted(set(getattr(self, name)), key=key)))
 
 
 @dataclass(frozen=True)
@@ -160,20 +164,12 @@ class SearchHit:
         return {"spec": self.spec.describe(), "level": self.level.name}
 
 
-def _alphabets(query: SearchQuery):
-    """The query's gate sets in enumeration order (duplicates kept): kinds
-    by their rank, which follows their value, AX entries by name."""
-    return (sorted(query.sp_set, key=_SP_RANK.__getitem__),
-            sorted(query.ax1_set),
-            sorted(query.theta_set, key=_THETA_RANK.__getitem__),
-            sorted(query.ax2_set))
-
-
 def iter_specs(query: SearchQuery):
-    """Deterministic (sorted) enumeration of the query's configuration space."""
-    sp, ax1, thetas, ax2 = _alphabets(query)
+    """The query's configuration space in enumeration order: the C order of
+    its alphabets as stored, sp1, ax1, theta1..theta4, ax2, sp2."""
+    sp = query.sp_set
     for sp1, a1, th, a2, sp2 in itertools.product(
-            sp, ax1, itertools.product(thetas, repeat=4), ax2, sp):
+            sp, query.ax1_set, itertools.product(query.theta_set, repeat=4), query.ax2_set, sp):
         spec = CoreSpec(sp1=sp1, ax1=a1, theta=th, ax2=a2, sp2=sp2)
         if query.symmetric and not spec.symmetric:
             continue
@@ -198,141 +194,111 @@ def _target_matrix(kinds) -> np.ndarray:
     return m
 
 
-# Each slot's entries in `sort_key` order (kinds by value, AX entries by
-# name): an entry's position here is its rank in the order of hits.
-_SP_KINDS = tuple(sorted(SUPERPOSITION_KINDS, key=lambda g: g.value))
-_AX_NAMES = tuple(sorted(AX_ENTRIES))
-_THETA_KINDS = tuple(sorted(THETA_KINDS, key=lambda g: g.value))
-_SP_RANK = {k: i for i, k in enumerate(_SP_KINDS)}
-_AX_RANK = {a: i for i, a in enumerate(_AX_NAMES)}
-_THETA_RANK = {k: i for i, k in enumerate(_THETA_KINDS)}
 # F = AX1.SP1 as _FIRST[sp1, ax1] and L = SP2.AX2 as _LAST[ax2, sp2], over
-# every SP kind and AX entry, by rank
-_FIRST = np.array([[_target_matrix((s, *AX_ENTRIES[a])) for a in _AX_NAMES] for s in _SP_KINDS])
-_LAST = np.array([[_target_matrix((*AX_ENTRIES[a], s)) for s in _SP_KINDS] for a in _AX_NAMES])
+# every SP kind and AX entry, at their positions in SUPERPOSITION_KINDS and
+# AX_ENTRIES
+_SP_INDEX = {k: i for i, k in enumerate(SUPERPOSITION_KINDS)}
+_AX_INDEX = {a: i for i, a in enumerate(AX_ENTRIES)}
+_FIRST = np.array([[_target_matrix((s, *AX_ENTRIES[a])) for a in AX_ENTRIES]
+                   for s in SUPERPOSITION_KINDS])
+_LAST = np.array([[_target_matrix((*AX_ENTRIES[a], s)) for s in SUPERPOSITION_KINDS]
+                  for a in AX_ENTRIES])
 _FIRST.setflags(write=False)
 _LAST.setflags(write=False)
 
 
-# bound: the 15 repeat-free alphabets of the four rotation kinds, symmetric or not
+# bound: the 15 alphabets of the four rotation kinds, symmetric or not
 @functools.lru_cache(maxsize=30)
 def _theta_table(thetas: tuple, symmetric: bool):
-    """The theta tuples `iter_specs` enumerates over the alphabet `thetas`,
-    in C order, keeping only those with theta1 = theta3 and theta2 = theta4
-    when `symmetric`, their middles
+    """The theta tuples `iter_specs` enumerates over the stored alphabet
+    `thetas`, in C order, keeping only those with theta1 = theta3 and
+    theta2 = theta4 when `symmetric`, and their middles
     T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 of shape (tuples, 4, 2, 2),
-    branch (c2 << 1) | c1 on axis 1, and each tuple's rank in `sort_key`
-    order among all 4-tuples of rotation kinds.
+    branch (c2 << 1) | c1 on axis 1.
 
     Every rotation is diagonal, so each T[theta, c] is a monomial matrix
     whose two nonzero entries are powers of omega = exp(i pi/4).  Cached and
     read-only.
     """
-    tuples = tuple(th for th in itertools.product(thetas, repeat=4)
-                   if not symmetric or (th[0] == th[2] and th[1] == th[3]))
-    index = np.array([[thetas.index(t) for t in th] for th in tuples]).T
-    mats = np.array([gate_matrix(k) for k in thetas])
-    th1, th2, th3, th4 = mats[index]
+    index = [ix for ix in itertools.product(range(len(thetas)), repeat=4)
+             if not symmetric or (ix[0] == ix[2] and ix[1] == ix[3])]
+    th1, th2, th3, th4 = np.array([gate_matrix(k) for k in thetas])[np.array(index).T]
     middles = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
                         for c2 in (0, 1) for c1 in (0, 1)], axis=1)
-    n = len(_THETA_KINDS)  # a rank's base-n digits: the kinds' ranks, theta1 first
-    ranks = np.array([_THETA_RANK[k] for k in thetas])[index].T @ (n ** 3, n ** 2, n, 1)
-    for table in (middles, ranks):
-        table.setflags(write=False)
-    return tuples, middles, ranks
-
-
-def _tiles(rows: int, tuples: int, cols: int):
-    """Tile the C-order grid of `rows` (sp1, ax1) rows by `tuples` theta
-    tuples by `cols` (ax2, sp2) columns, in C order, with tiles of at most
-    BLOCK_CONFIGS configurations: (row, tuple, column) slices of whole rows
-    while one row fits, else of one row's tuples, else of one tuple's
-    columns."""
-    row_step = max(1, BLOCK_CONFIGS // (tuples * cols))
-    tuple_step = min(tuples, max(1, BLOCK_CONFIGS // cols))
-    col_step = min(cols, BLOCK_CONFIGS)
-    for r, t, c in itertools.product(range(0, rows, row_step), range(0, tuples, tuple_step),
-                                     range(0, cols, col_step)):
-        yield (slice(r, min(r + row_step, rows)), slice(t, min(t + tuple_step, tuples)),
-               slice(c, min(c + col_step, cols)))
+    middles.setflags(write=False)
+    return tuple(tuple(thetas[i] for i in ix) for ix in index), middles
 
 
 def _hit_blocks(query: SearchQuery, bits: np.ndarray):
     """Per tile of the space `iter_specs` yields, tiles in its order, the
     CoreSpecs of the configurations whose p(target=1) lies within ATOL_NORM
-    of the target bit (`bits`, one per branch) on all four branches, their
-    ranks in `sort_key` order and their target blocks of shape (hits, 4, 2, 2).
+    of the target bit (`bits`, one per branch) on all four branches, in
+    `iter_specs` order, and their target blocks of shape (hits, 4, 2, 2).
 
     Each block factors as B_c = L[j] . T[t, c] . F[r]: F = AX1.SP1 is read
     from `_FIRST` for each row r of `product(sp, ax1)`, L = SP2.AX2 from
     `_LAST` for each column j of `product(ax2, sp)`, and T is the cached
-    table of the query's theta tuples.  Configuration
-    (r * len(tuples) + t) * len(cols) + j is the C order of `iter_specs`.
-    The target starts in |0>, so the amplitude of target=1 on branch c is
-    L[j][1] . T[t, c] . F[r][:, 0], the sum over i, k of T[t, c][i, k]
-    times L[j][1, i] F[r][k, 0]: one matmul of those products, per (r, j)
-    of a tile, by the flattened middles gives every amplitude of the tile,
-    as (r, j, t, c).  A tile's hits come in that (r, j, t) order; `search`
-    sorts them.  Only hits get their full blocks, formed entry by entry:
+    table of the query's theta tuples.  A tile is as many whole rows as fit
+    in BLOCK_CONFIGS configurations, and at least one: a row of distinct
+    entries holds at most 4**4 * 10 * 3 = 7,680.  The target starts in |0>,
+    so the amplitude of target=1 on branch c is L[j][1] . T[t, c] . F[r][:, 0],
+    the sum over i, k of T[t, c][i, k] times L[j][1, i] F[r][k, 0]: one
+    matmul of those products, per (r, j) of a tile, by the flattened
+    middles gives every amplitude of the tile, as (r, j, t, c).  The hit
+    mask is read as (r, t, j), the order `iter_specs` yields.  Only hits
+    get their full blocks, formed entry by entry:
     (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k] over all of a tile's
     hits and branches at once, as a column of T times a row of F plus the
     next, then L.(T.F) the same way; two broadcast matmuls of such small
     stacks cost several times more."""
-    sp, ax1, thetas, ax2 = _alphabets(query)
-    tuples, middles, theta_ranks = _theta_table(tuple(thetas), query.symmetric)
-    n_ax, n_sp = len(_AX_NAMES), len(_SP_KINDS)
-    # a row's or column's index into the flattened table is also its rank
-    rows = np.array([_SP_RANK[s] * n_ax + _AX_RANK[a] for s in sp for a in ax1])
-    cols = np.array([_AX_RANK[a] * n_sp + _SP_RANK[s] for a in ax2 for s in sp])
-    first, last = _FIRST.reshape(-1, 2, 2)[rows], _LAST.reshape(-1, 2, 2)[cols]
-    f0, l1 = first[:, :, 0], last[:, 1]
-    row_entries, col_entries = list(itertools.product(sp, ax1)), list(itertools.product(ax2, sp))
-    for rs, ts, cs in _tiles(len(rows), len(tuples), len(cols)):
-        outer = (f0[rs, None, None, :] * l1[None, cs, :, None]).reshape(-1, 4)
-        amp = outer @ middles[ts].reshape(-1, 4).T
+    sp = query.sp_set
+    tuples, middles = _theta_table(query.theta_set, query.symmetric)
+    row_entries = list(itertools.product(sp, query.ax1_set))
+    col_entries = list(itertools.product(query.ax2_set, sp))
+    first = _FIRST[[_SP_INDEX[s] for s, _ in row_entries], [_AX_INDEX[a] for _, a in row_entries]]
+    last = _LAST[[_AX_INDEX[a] for a, _ in col_entries], [_SP_INDEX[s] for _, s in col_entries]]
+    f0, l1, flat = first[:, :, 0], last[:, 1], middles.reshape(-1, 4).T
+    n_t, n_j = len(tuples), len(col_entries)
+    step = max(1, BLOCK_CONFIGS // (n_t * n_j))
+    for start in range(0, len(row_entries), step):
+        f0_tile = f0[start:start + step]
+        amp = (f0_tile[:, None, None, :] * l1[None, :, :, None]).reshape(-1, 4) @ flat
         p = (amp.real ** 2 + amp.imag ** 2).reshape(-1, 4)
         # a configuration's four branch tests are four adjacent bytes: it is
         # a hit where they read, as one uint32, as four 1s
         ok = np.abs(p - bits) <= ATOL_NORM
-        hit = np.flatnonzero(ok.view(np.uint32) == 0x01010101)
-        if len(hit):
-            r, j, t = np.unravel_index(hit, (rs.stop - rs.start, cs.stop - cs.start,
-                                             ts.stop - ts.start))
-            r, t, j = r + rs.start, t + ts.start, j + cs.start
+        hit = (ok.view(np.uint32) == 0x01010101).reshape(len(f0_tile), n_j, n_t)
+        r, t, j = np.nonzero(hit.transpose(0, 2, 1))
+        if len(r):
+            r += start
             specs = [CoreSpec(*row_entries[a], tuples[b], *col_entries[c])
                      for a, b, c in zip(r.tolist(), t.tolist(), j.tolist())]
-            ranks = (rows[r] * len(_THETA_KINDS) ** 4 + theta_ranks[t]) * n_ax * n_sp + cols[j]
             m, f, l = middles[t], first[r, None], last[j, None]
             mf = m[..., :1] * f[..., :1, :] + m[..., 1:] * f[..., 1:, :]
-            yield specs, ranks, l[..., :1] * mf[..., :1, :] + l[..., 1:] * mf[..., 1:, :]
+            yield specs, l[..., :1] * mf[..., :1, :] + l[..., 1:] * mf[..., 1:, :]
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
-    """All configurations in the query space realizing the target function.
+    """All configurations in the query space realizing the target function,
+    in `iter_specs` order.
 
     One numpy pass, `_hit_blocks`, decides every configuration `iter_specs`
-    yields, repeated alphabet entries and the symmetric restriction
-    included, by the `truth_table` rule (p(target=1) within ATOL_NORM of
-    the target bit on every branch).  A hit's four branch blocks are
-    formed entry by entry, by multiply-adds over all of a tile's hits.
-    Each tile's hits are graded in one `equivalence_levels` call: the four
-    2x2 blocks of a hit's block-diagonal unitary, stacked row-wise, against
-    the phase-exact oracle's blocks.
-    Results are in `sort_key` order, by a stable sort of the hits' integer
-    ranks; hits of equal rank are equal (one configuration, repeated by the
-    alphabets), so the order is deterministic.
+    yields, the symmetric restriction included, by the `truth_table` rule
+    (p(target=1) within ATOL_NORM of the target bit on every branch), tile
+    by tile in that order.  A hit's four branch blocks are formed entry by
+    entry, by multiply-adds over all of a tile's hits.  Each tile's hits are
+    graded in one `equivalence_levels` call: the four 2x2 blocks of a hit's
+    block-diagonal unitary, stacked row-wise, against the phase-exact
+    oracle's blocks.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
     bits = [int(ch) for ch in query.target]
     oracle = _FLIP[bits].reshape(8, 2)
-    hits, ranks = [], []
-    for specs, tile_ranks, blocks in _hit_blocks(query, np.array(bits, dtype=float)):
+    hits = []
+    for specs, blocks in _hit_blocks(query, np.array(bits, dtype=float)):
         hits += map(SearchHit, specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle))
-        ranks.append(tile_ranks)
-    if not hits:
-        return hits
-    return [hits[i] for i in np.argsort(np.concatenate(ranks), kind="stable").tolist()]
+    return hits
 
 
 def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) -> SearchQuery:
@@ -380,7 +346,7 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
     if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
         raise SimulationError(f"control_state must be two bits, got {control_state!r}")
     c2, c1 = int(control_state[0]), int(control_state[1])
-    psi = _FIRST[_SP_RANK[core.sp1], _AX_RANK[core.ax1], :, 0]
+    psi = _FIRST[_SP_INDEX[core.sp1], _AX_INDEX[core.ax1], :, 0]
     labels = [_equatorial_label(psi)]
     for theta, control in zip(core.theta, (c2, c1, c2, None)):
         psi = gate_matrix(theta) @ psi
@@ -390,7 +356,7 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
             labels.append(_equatorial_label(psi))
         elif control == 0:
             labels.append(TRACE_SKIP)
-    psi = _LAST[_AX_RANK[core.ax2], _SP_RANK[core.sp2]] @ psi
+    psi = _LAST[_AX_INDEX[core.ax2], _SP_INDEX[core.sp2]] @ psi
     if abs(psi[0]) > 1 - ATOL_EQUIV:
         labels.append("|0>")
     elif abs(psi[1]) > 1 - ATOL_EQUIV:

@@ -168,6 +168,14 @@ class TestGateAndCircuit:
     def test_relabel_needs_a_permutation(self):
         with pytest.raises(CircuitError, match=r"^not a permutation of 0..2: \{0: 0, 1: 0, 2: 2\}$"):
             build_gate("and3").relabeled({0: 0, 1: 0, 2: 2})
+        # 1.0 and True sort and compare like 1, but name no wire; the error
+        # names the mapping, whether or not a gate sits on that wire
+        for circuit in (Circuit(2, (G(K.H, 0),)), build_gate("swap2")):
+            for mapping, text in (({0: 0, 1: 1.0}, r"\{0: 0, 1: 1\.0\}"),
+                                  ({0: 1, True: 0}, r"\{0: 1, True: 0\}"),
+                                  ({0.0: 1, 1: 0}, r"\{0\.0: 1, 1: 0\}")):
+                with pytest.raises(CircuitError, match=rf"^not a permutation of 0..1: {text}$"):
+                    circuit.relabeled(mapping)
 
     def test_distinct_qubits(self):
         with pytest.raises(CircuitError):

@@ -158,6 +158,21 @@ class TestSearchCostTrace:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("target, flags, repeated", [
+        ("0001", ("--theta-set", "t,tdg"), ("--theta-set", "t,tdg,t")),
+        ("0001", ("--ax2-set=i,z,-z",), ("--ax2-set=i,z,-z,z",)),
+        ("1110", ("--ax2-set=i,z,-z",), ("--ax2-set=i,z,-z,z",))])  # hits with ax2 z
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_search_alphabets_are_sets(self, capsys, target, flags, repeated, json_flag):
+        # a repeated entry names the same configurations again: it adds no hit
+        outputs = []
+        for alphabet in (flags, repeated):
+            assert run("search", "--target", target, *alphabet, *json_flag) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        hits = json.loads(outputs[0])["hits"] if json_flag else outputs[0].splitlines()[1:]
+        assert len(hits) == (2 if target == "0001" else 4)
+
     def test_search_help_lists_the_names(self, capsys):
         with pytest.raises(SystemExit):
             run("search", "--help")
@@ -224,6 +239,15 @@ class TestSearchCostTrace:
         mapfile.write_text(text)
         assert run("cost", "and3", "--layout", str(mapfile)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("num_qubits", [0, -5])
+    def test_cost_with_an_empty_layout_is_an_error(self, tmp_path, capsys, num_qubits):
+        mapfile = tmp_path / "m.json"
+        mapfile.write_text(json.dumps({"num_qubits": num_qubits, "edges": []}))
+        assert run("cost", "and3", "--layout", str(mapfile)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: num_qubits must be >= 1, got {num_qubits}\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_cost_lowers_once(self, tmp_path, capsys, monkeypatch):
         # the cost report and the placement check read the same lowered circuit

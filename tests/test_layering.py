@@ -86,3 +86,29 @@ def test_only_the_four_passes_build_unchecked_circuits():
     # goes through Circuit(...) and its check
     assert unchecked_users() == {("circuit", "parse_text"), ("transpiler", "lower"),
                                  ("transpiler", "peephole"), ("transpiler", "route_naive")}
+
+
+ORDERING = {"sorted", "sort", "argsort", "lexsort"}
+
+
+def ordering_calls(path: Path) -> set[tuple[str, str]]:
+    """(top-level owner, callee) for every call in the module that sorts:
+    `sorted(...)`, or a `sort`, `argsort` or `lexsort` attribute
+    (`np.argsort`, `a.sort()`); a call outside a function or class is
+    owned by '<module>'."""
+    calls = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name in ORDERING:
+                    calls.add((owner, name))
+    return calls
+
+
+def test_search_order_is_set_once():
+    # a SearchQuery stores its alphabets in enumeration order, and the search
+    # yields hits in that order: nothing else in rules sorts
+    assert {owner for owner, _ in ordering_calls(SRC / "rules.py")} == {"SearchQuery"}

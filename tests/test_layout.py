@@ -55,13 +55,22 @@ class TestCouplingMap:
                              [(3, (0, 1.7), "two integer qubits"),
                               (3, (0, 1, 2), "two integer qubits"),
                               (3.0, (0, 1), "num_qubits must be an integer"),
-                              (3, 5, "edges must be a collection of qubit pairs, got 5$")])
+                              (3, 5, "edges must be a collection of qubit pairs, got 5$"),
+                              (0, frozenset(), "^num_qubits must be >= 1, got 0$"),
+                              (-5, frozenset(), "^num_qubits must be >= 1, got -5$")])
     def test_constructor_states_the_rules(self, num_qubits, edge, message):
         # a map built in code meets the same rules as one read from JSON; a
         # bare non-tuple stands for the whole edge collection
         edges = frozenset({edge}) if type(edge) is tuple else edge
         with pytest.raises(LayoutError, match=message):
             CouplingMap("m", num_qubits, edges)
+
+    @pytest.mark.parametrize("num_qubits", [0, -5])
+    def test_map_needs_a_qubit(self, tmp_path, num_qubits):
+        # an empty map would only fail later, as a qubit "off the -5-qubit map"
+        with pytest.raises(LayoutError, match=rf"^num_qubits must be >= 1, got {num_qubits}$"):
+            load_map_data(tmp_path, {"num_qubits": num_qubits, "edges": []})
+        assert load_map_data(tmp_path, {"num_qubits": 1, "edges": []}).qubits() == ()
 
     @pytest.mark.parametrize("name", [{"x": 1}, 7, None, ["line"]])
     def test_non_string_name_rejected(self, tmp_path, name):

@@ -27,6 +27,12 @@ def oracle_unitary(target: str):
     return permutation_unitary(3, lambda b: b ^ (int(target[((b >> 2) << 1) | (b & 1)]) << 1))
 
 
+def enumeration_key(spec: CoreSpec):
+    """A configuration's place in enumeration order: kinds by value, AX
+    entries by name, slot by slot."""
+    return (spec.sp1.value, spec.ax1, tuple(t.value for t in spec.theta), spec.ax2, spec.sp2.value)
+
+
 def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchHit]]:
     """The per-configuration loop: build, simulate and grade every
     configuration of the query's space.  Returns the sorted hits for each
@@ -43,7 +49,7 @@ def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchH
             level = equivalence_levels(unitary_of(circuit)[None], oracle_unitary(realized))[0]
             found[realized].append(SearchHit(spec, level))
     for hits in found.values():
-        hits.sort(key=lambda h: h.spec.sort_key())
+        hits.sort(key=lambda h: enumeration_key(h.spec))
     return found
 
 
@@ -144,13 +150,15 @@ class TestSearch:
             table = truth_table(build_core(hit.spec), target=1, controls=(0, 2))
             assert truth_string(table) == "0000"
 
-    def test_guard_rejects_huge_spaces(self):
+    def test_guard_rejects_huge_spaces(self, monkeypatch):
+        # the alphabets are sets, so no query exceeds the full CLI space of
+        # 230,400 configurations; the guard is checked below it
         entries = tuple(AX_ENTRIES)
-        sp = (K.H, K.SX, K.SXDG)
-        # 9 * 100 * 100 * 256 > 10^7 configurations
-        q = SearchQuery(target="0001", sp_set=sp, ax1_set=entries * 10,
+        q = SearchQuery(target="0001", sp_set=SUPERPOSITION_KINDS, ax1_set=entries * 10,
                         ax2_set=entries * 10, theta_set=THETA_KINDS)
-        with pytest.raises(CircuitError, match="exceeds"):
+        assert rules._space_size(q) == 230400
+        monkeypatch.setattr(rules, "SEARCH_SPACE_GUARD", 230399)
+        with pytest.raises(CircuitError, match="exceeds 230399 configurations"):
             search(q)
 
     def test_bad_target_rejected(self):
@@ -169,7 +177,7 @@ class TestSearch:
         q = query_from_names("0001", sp=("h",), ax1=("i",), ax2=("i", "z", "-z"),
                              theta=("t", "tdg"), symmetric=True)
         assert q.sp_set == (K.H,)
-        assert q.ax2_set == ("i", "z", "-z")
+        assert q.ax2_set == ("-z", "i", "z")  # a set, stored in enumeration order
         with pytest.raises(CircuitError):
             query_from_names("0001", **dict(DEFAULT_NAMES, sp=("nope",)))
 
@@ -181,21 +189,41 @@ class TestBatchedSearchMatchesReference:
         assert sum(1 for hits in mixed_reference.values() if hits) >= 4
 
     def test_blocks_smaller_than_the_space(self, mixed_reference, monkeypatch):
-        monkeypatch.setattr(rules, "BLOCK_CONFIGS", 100)  # 864 configurations: 9 blocks
+        monkeypatch.setattr(rules, "BLOCK_CONFIGS", 100)  # 6 rows of 144 configurations: 6 tiles
         for target in TARGETS:
             assert search(dataclasses.replace(MIXED, target=target)) == mixed_reference[target]
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
     def test_blocks_tile_the_space_within_the_bound(self, monkeypatch, block):
+        # a tolerance past every probability makes every configuration a hit,
+        # so each tile's specs are all of its configurations
+        default = rules.BLOCK_CONFIGS
         monkeypatch.setattr(rules, "BLOCK_CONFIGS", block)
-        for shape in [(1, 1, 1), (3, 1, 5), (10, 2, 7), (4, 16, 4), (2, 3, 100), (5, 7, 3)]:
-            blocks = [[range(n)[s] for n, s in zip(shape, tile)] for tile in rules._tiles(*shape)]
-            assert all(len(r) * len(t) * len(c) <= block for r, t, c in blocks)
-            assert [cfg for r, t, c in blocks for cfg in itertools.product(r, t, c)] == \
-                list(itertools.product(*map(range, shape)))
+        monkeypatch.setattr(rules, "ATOL_NORM", 2.0)
+        for q in [SearchQuery(target="0001", theta_set=(K.T,)),
+                  SearchQuery(target="0001", sp_set=(K.H, K.SX), ax1_set=("i", "x", "z"),
+                              ax2_set=("z",), theta_set=(K.T,)),
+                  SearchQuery(target="0110", sp_set=(K.SX,), ax1_set=("i", "x", "s"),
+                              ax2_set=("i", "-z"), theta_set=(K.T, K.S), symmetric=True),
+                  dataclasses.replace(MIXED, theta_set=(K.T,))]:
+            rows = list(itertools.product(q.sp_set, q.ax1_set))
+            specs = list(iter_specs(q))
+            row = len(specs) // len(rows)  # configurations per (sp1, ax1) row
+            per_tile = max(1, block // row) * row  # as many whole rows as fit, at least one
+            tiles = [tile for tile, _ in rules._hit_blocks(q, np.zeros(4))]
+            assert [spec for tile in tiles for spec in tile] == specs
+            assert [len(tile) for tile in tiles] == \
+                [min(per_tile, len(specs) - start) for start in range(0, len(specs), per_tile)]
+        # entries are distinct, so a row of the widest space is 4**4 theta
+        # tuples by 10 AX entries by 3 SP kinds, within the default bound
+        ax = tuple(AX_ENTRIES)
+        q = query_from_names("0001", sp=("h", "sx", "sxdg") * 2, ax1=ax, ax2=ax * 2,
+                             theta=("s", "sdg", "t", "tdg") * 3)
+        assert rules._space_size(q) // (len(q.sp_set) * len(q.ax1_set)) == 4 ** 4 * 10 * 3 == 7680
+        assert 7680 <= default
 
     def test_symmetric_query(self):
-        # the duplicated T makes symmetry a matter of kinds, not of alphabet positions
+        # the repeated T is stored once, so symmetry is a matter of kinds
         q = SearchQuery(target="0001", sp_set=(K.H, K.SX), theta_set=(K.T, K.TDG, K.T),
                         symmetric=True)
         hits = search(q)
@@ -207,7 +235,9 @@ class TestBatchedSearchMatchesReference:
                         theta_set=(K.T, K.TDG, K.T))
         hits = search(q)
         assert hits and hits == reference_search(q)[q.target]
-        assert len(hits) > len(set(h.spec for h in hits))  # duplicates reported, as enumerated
+        # a repeated entry is stored once: the query is the one without it
+        assert q == SearchQuery(target="0111", ax2_set=("i", "z", "-z"), theta_set=(K.T, K.TDG))
+        assert len(hits) == len(set(h.spec for h in hits))
 
     def test_full_space_and(self):
         ax = ("i", "x", "sx", "sxdg", "z", "s", "sdg", "t", "tdg")
@@ -276,67 +306,72 @@ class TestBatchedSearchMatchesReference:
             graded = blocks.astype(complex)
             graded[:, flips] *= phase
             monkeypatch.setattr(rules, "_hit_blocks",
-                                lambda query, bits, b=graded: iter([([spec], np.zeros(1), b)]))
+                                lambda query, bits, b=graded: iter([([spec], b)]))
             assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
 
     def test_factor_tables_hold_every_sp_kind_and_ax_entry(self):
         assert rules._FIRST.shape == (3, 10, 2, 2) and rules._LAST.shape == (10, 3, 2, 2)
-        for s, sp in enumerate(rules._SP_KINDS):
-            for a, name in enumerate(rules._AX_NAMES):
+        for sp in SUPERPOSITION_KINDS:
+            for name in AX_ENTRIES:
+                s, a = rules._SP_INDEX[sp], rules._AX_INDEX[name]
                 assert np.array_equal(rules._FIRST[s, a], rules._target_matrix((sp, *AX_ENTRIES[name])))
                 assert np.array_equal(rules._LAST[a, s], rules._target_matrix((*AX_ENTRIES[name], sp)))
-        assert set(rules._SP_KINDS) == set(SUPERPOSITION_KINDS) and set(rules._AX_NAMES) == set(AX_ENTRIES)
+        assert sorted(rules._SP_INDEX.values()) == list(range(3))
+        assert sorted(rules._AX_INDEX.values()) == list(range(10))
         assert not rules._FIRST.flags.writeable and not rules._LAST.flags.writeable
 
-    def test_ranks_follow_sort_key(self):
-        # over the full alphabets every configuration's rank is its sort_key position
-        q = query_from_names("0000", sp=("sxdg", "h", "sx"), ax1=tuple(AX_ENTRIES),
-                             ax2=tuple(AX_ENTRIES), theta=("tdg", "s", "t", "sdg"))
-        hits = [(spec, rank) for specs, ranks, _ in rules._hit_blocks(q, np.zeros(4))
-                for spec, rank in zip(specs, ranks.tolist())]
-        assert len(hits) > 100
-        by_key = sorted(hits, key=lambda h: h[0].sort_key())
-        assert [h[1] for h in by_key] == sorted(h[1] for h in hits)
+    def test_iter_specs_yields_in_enumeration_order(self):
+        # alphabets given out of order: every configuration once, in ascending
+        # enumeration_key order, and search's hits in the same order
+        q = query_from_names("0000", sp=("sxdg", "h", "sx"), ax1=tuple(AX_ENTRIES)[::-1],
+                             ax2=tuple(AX_ENTRIES), theta=("tdg", "s", "t", "sdg", "t"))
+        keys = [enumeration_key(spec) for spec in iter_specs(q)]
+        assert len(keys) == 230400 and keys == sorted(set(keys))
+        hits = [enumeration_key(h.spec) for h in search(q)]
+        assert len(hits) > 100 and hits == sorted(set(hits))
 
     def test_hit_blocks_are_the_factor_products(self):
         # every hit of the full CLI space, on every target: the entry-wise
         # blocks equal L . T . F by matmul, with L, T and F read off the
-        # hit's rank (over the full alphabets a theta tuple's table row is
-        # its rank)
+        # hit's spec
         ax = tuple(AX_ENTRIES)
-        first, last = rules._FIRST.reshape(-1, 2, 2), rules._LAST.reshape(-1, 2, 2)
-        n_cols, n_theta = len(last), len(rules._THETA_KINDS) ** 4
-        _, middles, _ = rules._theta_table(tuple(rules._THETA_KINDS), False)
+        thetas = tuple(sorted(THETA_KINDS, key=lambda k: k.value))
+        tuples, middles = rules._theta_table(thetas, False)
+        row = {th: i for i, th in enumerate(tuples)}
         checked = 0
         for target in TARGETS:
             q = query_from_names(target, sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
                                  theta=("s", "sdg", "t", "tdg"))
+            assert q.theta_set == thetas
             bits = np.array([int(b) for b in target], dtype=float)
-            for specs, ranks, blocks in rules._hit_blocks(q, bits):
-                r, rest = np.divmod(ranks, n_theta * n_cols)
-                t, j = np.divmod(rest, n_cols)
-                expected = last[j][:, None] @ middles[t] @ first[r][:, None]
+            for specs, blocks in rules._hit_blocks(q, bits):
+                first = rules._FIRST[[rules._SP_INDEX[s.sp1] for s in specs],
+                                     [rules._AX_INDEX[s.ax1] for s in specs]]
+                last = rules._LAST[[rules._AX_INDEX[s.ax2] for s in specs],
+                                   [rules._SP_INDEX[s.sp2] for s in specs]]
+                expected = last[:, None] @ middles[[row[s.theta] for s in specs]] @ first[:, None]
                 assert blocks.shape == (len(specs), 4, 2, 2)
                 assert np.abs(blocks - expected).max() <= 1e-12
-                assert [rules._SP_KINDS[i] for i in r // len(rules._AX_NAMES)] == [s.sp1 for s in specs]
                 checked += len(specs)
         assert checked > 1000
 
     def test_theta_table_cached_per_distinct_kinds(self):
         rules._theta_table.cache_clear()
         base = SearchQuery(target="0001", theta_set=(K.T, K.TDG))
-        doubled = dataclasses.replace(base, theta_set=(K.TDG, K.T) * 4)  # 4,096 theta tuples
-        # every theta tuple over the kinds occurs 4**4 times among the duplicates
-        assert search(doubled) == [h for h in search(base) for _ in range(4 ** 4)]
-        assert rules._theta_table.cache_info().currsize == 2
-        # n**4 rows, n**2 when symmetric over n distinct kinds; symmetry is a
-        # matter of kinds, so 4 copies of each of 2 kinds give (2 * 4**2)**2
+        # a repeated entry is stored once: the query is the one without it
+        doubled = dataclasses.replace(base, theta_set=(K.TDG, K.T) * 4)
+        assert doubled == base and doubled.theta_set == (K.T, K.TDG)
+        assert search(doubled) == search(base)
+        assert rules._theta_table.cache_info().currsize == 1
+        # n**4 rows, n**2 when symmetric, over n distinct kinds
         for thetas, plain, sym in (((K.T, K.TDG), 2 ** 4, 2 ** 2),
-                                   ((K.T,) * 4 + (K.TDG,) * 4, 8 ** 4, (2 * 4 ** 2) ** 2)):
+                                   ((K.S, K.SDG, K.T, K.TDG), 4 ** 4, 4 ** 2)):
             for symmetric, rows in ((False, plain), (True, sym)):
-                tuples, middles, ranks = rules._theta_table(thetas, symmetric)
-                assert len(tuples) == rows and middles.shape == (rows, 4, 2, 2) and ranks.shape == (rows,)
-                assert not symmetric or all(CoreSpec(theta=th).symmetric for th in tuples)
+                tuples, middles = rules._theta_table(thetas, symmetric)
+                assert len(tuples) == rows and middles.shape == (rows, 4, 2, 2)
+                assert not middles.flags.writeable
+                assert list(tuples) == [th for th in itertools.product(thetas, repeat=4)
+                                        if not symmetric or CoreSpec(theta=th).symmetric]
         assert rules._theta_table.cache_info().currsize == 4
         assert rules._theta_table.cache_info().maxsize == 30
 

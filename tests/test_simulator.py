@@ -464,7 +464,7 @@ class TestBatchedGrader:
             q = rules.query_from_names(target, sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
                                        theta=("s", "sdg", "t", "tdg"))
             oracle = rules._FLIP[bits].reshape(8, 2)
-            for _, _, blocks in rules._hit_blocks(q, np.array(bits, dtype=float)):
+            for _, blocks in rules._hit_blocks(q, np.array(bits, dtype=float)):
                 stack = blocks.reshape(-1, 8, 2)
                 assert equivalence_levels(stack, oracle) == reference_equivalence_levels(stack, oracle)
                 graded += len(stack)
