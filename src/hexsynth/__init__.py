@@ -12,8 +12,8 @@ from .library import BOOLEAN_TABLE, BooleanGateKind, CoreSpec, build_core, build
 from .layout import (CouplingMap, Placement, heavy_hex_127, ishape_brisbane, load_map, place,
                      verify_no_swap)
 from .rules import GateSetStage, SearchQuery, apply_rules, count_space, phase_trace, search
-from .simulator import (EquivalenceLevel, QSpherePoint, Statevector, apply, equivalence,
-                        gate_matrix, pauli_conjugate, qsphere, truth_table, unitary_of)
+from .simulator import (EquivalenceLevel, Statevector, apply, equivalence, gate_matrix,
+                        pauli_conjugate, qsphere, truth_table, unitary_of)
 from .transpiler import (Compiled, NativeBasis, RouteResult, compile_gate, lower, peephole,
                          route_naive)
 

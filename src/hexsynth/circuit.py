@@ -207,15 +207,15 @@ def parse_angle(expr: str) -> Angle:
     if expr == "0":
         return Angle.pi_frac(0)
     m = _ANGLE_RE.match(expr)
-    if m:
-        sign, num, den = m.groups()
-        num = int(num or 1)
-        den = int(den or 1)
-        if sign:
-            num = -num
-        if den:  # pi/0 is no angle: it falls to the float parse, which rejects it
-            return Angle.pi_frac(num, den)
     try:
+        if m:
+            sign, num, den = m.groups()
+            num = int(num or 1)  # more digits than int() converts is a ValueError
+            den = int(den or 1)
+            if sign:
+                num = -num
+            if den:  # pi/0 is no angle: it falls to the float parse, which rejects it
+                return Angle.pi_frac(num, den)
         return Angle.from_radians(float(expr))
     except ValueError:
         raise CircuitError(f"bad angle expression: {expr!r}") from None
@@ -329,6 +329,8 @@ class Circuit:
     def relabeled(self, mapping) -> "Circuit":
         """Apply a qubit permutation, a dict of int wires: old index i moves
         to mapping[i]."""
+        if not isinstance(mapping, dict):
+            raise CircuitError(f"a relabel mapping is a dict of wires, got {mapping!r}")
         wires, keys, values = list(range(self.width)), list(mapping), list(mapping.values())
         # 1.0 and True sort and compare like 1, so the types are checked first
         if (any(type(w) is not int for w in keys + values)
@@ -438,10 +440,11 @@ def parse_text(text: str) -> Circuit:
     gate; without it the width is inferred from the largest qubit index.
     This reader checks what needs a line number (the header, the gate tag
     and the declared width); `Gate` and `parse_angle` check the rest, and
-    every error carries the `line N:` prefix.  These are the only checks a
-    parsed circuit gets: every index is `int()` of decimal digits below the
-    declared width (>= 1) or below the inferred width max + 1, so the
-    circuit is built without `Circuit`'s own re-check.
+    one handler per line gives every error, an integer of more digits than
+    `int()` converts included, the `line N:` prefix.  These are the only
+    checks a parsed circuit gets: every index is `int()` of decimal digits
+    below the declared width (>= 1) or below the inferred width max + 1, so
+    the circuit is built without `Circuit`'s own re-check.
     """
     width: int | None = None
     gates: list[Gate] = []
@@ -450,39 +453,39 @@ def parse_text(text: str) -> Circuit:
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("qubits"):
-            if width is not None or gates:
-                raise CircuitError(f"line {lineno}: the qubits header comes once, before any gate")
-            parts = line.split()
-            # the word is `qubits` itself, and isdecimal() takes the digits int() reads
-            if len(parts) != 2 or parts[0] != "qubits" or not parts[1].isdecimal():
-                raise CircuitError(f"line {lineno}: bad header {line!r}")
-            width = int(parts[1])
-            if width < 1:
-                raise CircuitError(f"line {lineno}: circuit width must be >= 1")
-            continue
-        m = _LINE_RE.match(line)
-        if not m:
-            raise CircuitError(f"line {lineno}: cannot parse {line!r}")
-        tag, angle, q0, q1 = m.groups()
-        kind = _KIND_BY_TAG.get(tag)
-        if kind is None:
-            raise CircuitError(f"line {lineno}: unknown gate tag {tag!r}")
-        a = int(q0)
-        if q1 is None:
-            qubits, top = (a,), a
-        else:
-            b = int(q1)
-            qubits, top = (a, b), (b if b > a else a)
-        # the header precedes every gate, so a qubit that raises no maximum
-        # already lies within the declared width
-        if top > max_q:
-            if width is not None and top >= width:
-                raise CircuitError(f"line {lineno}: qubit index beyond declared width {width}")
-            max_q = top
         try:
+            if line.startswith("qubits"):
+                if width is not None or gates:
+                    raise CircuitError("the qubits header comes once, before any gate")
+                parts = line.split()
+                # the word is `qubits` itself, and isdecimal() takes the digits int() reads
+                if len(parts) != 2 or parts[0] != "qubits" or not parts[1].isdecimal():
+                    raise CircuitError(f"bad header {line!r}")
+                width = int(parts[1])
+                if width < 1:
+                    raise CircuitError("circuit width must be >= 1")
+                continue
+            m = _LINE_RE.match(line)
+            if not m:
+                raise CircuitError(f"cannot parse {line!r}")
+            tag, angle, q0, q1 = m.groups()
+            kind = _KIND_BY_TAG.get(tag)
+            if kind is None:
+                raise CircuitError(f"unknown gate tag {tag!r}")
+            a = int(q0)
+            if q1 is None:
+                qubits, top = (a,), a
+            else:
+                b = int(q1)
+                qubits, top = (a, b), (b if b > a else a)
+            # the header precedes every gate, so a qubit that raises no maximum
+            # already lies within the declared width
+            if top > max_q:
+                if width is not None and top >= width:
+                    raise CircuitError(f"qubit index beyond declared width {width}")
+                max_q = top
             gates.append(Gate(kind, qubits, None if angle is None else parse_angle(angle)))
-        except CircuitError as e:
+        except ValueError as e:  # a CircuitError, or int() of more digits than Python converts
             raise CircuitError(f"line {lineno}: {e}") from None
     if width is None:
         width = max_q + 1 if max_q >= 0 else 1

@@ -60,8 +60,7 @@ def cmd_simulate(args) -> int:
         raise CircuitError(f"--input must be {circuit.width} bits (|q_n-1 ... q_0>)")
     start = Statevector.basis(circuit.width, {circuit.width - 1 - i: int(ch)
                                               for i, ch in enumerate(bits)})
-    out = apply(circuit, start)
-    points = [p.as_dict() for p in qsphere(out)]
+    points = qsphere(apply(circuit, start))
     if args.json:
         print(json.dumps({"input": bits, "points": points}, indent=2))
     else:
@@ -146,10 +145,12 @@ def cmd_cost(args) -> int:
     cmap = load_map(args.layout) if args.layout else None
     placement = None
     if args.placement:
+        text = _read_text(args.placement)
         try:
-            placement = Placement.from_dict(json.loads(_read_text(args.placement)))
-        except json.JSONDecodeError as e:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as e:  # not JSON, too deep or too many digits
             raise CircuitError(f"{args.placement}: malformed placement JSON: {e}") from None
+        placement = Placement.from_dict(data)
     compiled = compile_gate(circuit, NativeBasis(args.basis), cmap, placement)
     payload = {"gate": args.gate, "basis": args.basis, **compiled.as_dict()}
     if args.json:

@@ -135,7 +135,7 @@ def load_map(path) -> CouplingMap:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too deep or too many digits
         raise LayoutError(f"unreadable coupling-map JSON: {e}") from None
     try:
         name, num_qubits = data.get("name", "unnamed"), data["num_qubits"]

@@ -3,8 +3,9 @@
 A leaf layer over `circuit`: it knows gates and wires, not the gate
 library.  It gives states, dense unitaries, unitary equivalence at three
 strengths (global phase, relative phase, classical), Boolean truth tables
-with deterministic-target checking, Pauli conjugation by Clifford gates,
-and q-sphere point extraction.  Its errors are `SimulationError`, a
+whose target is checked deterministic after one batched sweep, Pauli
+conjugation by Clifford gates, and q-sphere points as plain {"basis",
+"magnitude", "phase"} records.  Its errors are `SimulationError`, a
 `CircuitError`.
 
 One kernel, `_apply_matrix`, applies every gate: the amplitudes are
@@ -343,9 +344,9 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
 
     `controls` lists control qubits least-significant first, so the key for
     an assignment is the bit string 'c_k ... c_2 c_1' ('' with no controls).
-    Target and ancillas start in |0>; ancillas may end dirty.  Raises if any
-    assignment leaves the target non-deterministic.  Every assignment's
-    basis state is one column of a batch that sweeps the gates once.
+    Target and ancillas start in |0>; ancillas may end dirty.  One batch
+    sweep takes every assignment as a basis column; then the first, ascending,
+    that is not normalized or leaves the target non-deterministic raises.
     """
     controls = tuple(controls)
     wires = (target,) + controls + tuple(ancillas)
@@ -355,32 +356,30 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
     if any(q < 0 or q >= n for q in wires):
         raise SimulationError(f"target, controls, and ancillas must be wires 0..{n - 1}")
     Statevector._check_width(n)
-    table: dict[str, int] = {}
+    norms, p1s = [], []
     # columns per batch: at most 2^MAX_STATEVECTOR_QUBITS amplitudes in all
     step = 2 ** max(0, MAX_STATEVECTOR_QUBITS - n)
     for start in range(0, 2 ** k, step):
         ms = np.arange(start, min(start + step, 2 ** k))
-        index = np.zeros_like(ms)
-        for j, q in enumerate(controls):
-            index |= ((ms >> j) & 1) << q
+        index = sum(((ms >> j) & 1) << q for j, q in enumerate(controls))
         amps = np.zeros((2 ** n, len(ms)), dtype=complex)
         amps[index, np.arange(len(ms))] = 1.0
         amps = _sweep(amps, circuit)
-        norms = np.linalg.norm(amps, axis=0)
+        norms += np.linalg.norm(amps, axis=0).tolist()
         target_one = amps.reshape(2 ** (n - 1 - target), 2, 2 ** target, -1)[:, 1]
-        p1s = np.sum(np.abs(target_one) ** 2, axis=(0, 1))
-        for m, norm, p1 in zip(ms.tolist(), norms.tolist(), p1s.tolist()):
-            key = format(m, f"0{k}b") if k else ""
-            if abs(norm - 1.0) > ATOL_NORM:
-                raise SimulationError("state is not normalized")
-            if p1 >= 1 - ATOL_NORM:
-                bit = 1
-            elif p1 <= ATOL_NORM:
-                bit = 0
-            else:
-                raise SimulationError(f"non-deterministic target for controls {key}: p(1)={p1:.6f}")
-            table[key] = bit
-    return table
+        p1s += np.sum(np.abs(target_one) ** 2, axis=(0, 1)).tolist()
+    keys = [_bits(m, k) for m in range(2 ** k)]
+    for key, norm, p1 in zip(keys, norms, p1s):
+        if abs(norm - 1.0) > ATOL_NORM:
+            raise SimulationError("state is not normalized")
+        if not (p1 >= 1 - ATOL_NORM or p1 <= ATOL_NORM):
+            raise SimulationError(f"non-deterministic target for controls {key}: p(1)={p1:.6f}")
+    return {key: int(p1 >= 1 - ATOL_NORM) for key, p1 in zip(keys, p1s)}
+
+
+def _bits(b: int, n: int) -> str:
+    """b as n bits, most significant first ('' for n = 0)."""
+    return format(b | 1 << n, "b")[1:]  # the leading 1 keeps b's leading zeros
 
 
 def truth_string(table: dict[str, int]) -> str:
@@ -391,29 +390,14 @@ def truth_string(table: dict[str, int]) -> str:
 # ---------------------------------------------------------------------------
 # q-sphere data
 
-@dataclass(frozen=True)
-class QSpherePoint:
-    basis_label: str
-    magnitude: float
-    phase: float  # radians in [0, 2*pi), relative to the first nonzero amplitude
-
-    def as_dict(self) -> dict:
-        return {"basis": self.basis_label, "magnitude": self.magnitude, "phase": self.phase}
-
-
-def qsphere(state: Statevector) -> list[QSpherePoint]:
-    """Nonzero basis amplitudes as (label, magnitude, relative phase) points,
-    each labelled |q_{n-1} ... q_0>."""
-    ref = None
-    points = []
-    for b, amp in enumerate(state.amps):
-        if abs(amp) <= ATOL_QSPHERE:
-            continue
-        if ref is None:
-            ref = cmath.phase(amp)
-        label = "".join(str((b >> q) & 1) for q in reversed(range(state.n)))
-        phase = (cmath.phase(amp) - ref) % (2 * math.pi)
-        if abs(phase - 2 * math.pi) < 1e-12:
-            phase = 0.0
-        points.append(QSpherePoint(label, float(abs(amp)), phase))
-    return points
+def qsphere(state: Statevector) -> list[dict]:
+    """Nonzero basis amplitudes as {"basis", "magnitude", "phase"} records,
+    each labelled |q_{n-1} ... q_0>, its phase in radians in [0, 2*pi)
+    relative to the first record's (a phase within 1e-12 of 2*pi reads 0.0)."""
+    index = np.flatnonzero(np.abs(state.amps) > ATOL_QSPHERE).tolist()
+    # Python scalars keep the printed records: np.abs and np.angle round some last bits apart
+    amps = state.amps[index].tolist()
+    phases = [(cmath.phase(a) - cmath.phase(amps[0])) % (2 * math.pi) for a in amps]
+    return [{"basis": _bits(b, state.n), "magnitude": abs(a),
+             "phase": 0.0 if abs(p - 2 * math.pi) < 1e-12 else p}
+            for b, a, p in zip(index, amps, phases)]

@@ -176,6 +176,10 @@ class TestGateAndCircuit:
                                   ({0.0: 1, 1: 0}, r"\{0\.0: 1, 1: 0\}")):
                 with pytest.raises(CircuitError, match=rf"^not a permutation of 0..1: {text}$"):
                     circuit.relabeled(mapping)
+        # a list reads like a mapping by index, but is not the dict asked for
+        with pytest.raises(CircuitError,
+                           match=r"^a relabel mapping is a dict of wires, got \[0, 1, 2\]$"):
+            build_gate("and3").relabeled([0, 1, 2])
 
     def test_distinct_qubits(self):
         with pytest.raises(CircuitError):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexsynth.cli import main
-from hexsynth.circuit import parse_text
+from hexsynth.circuit import emit_text, parse_text
 from hexsynth.simulator import equivalence, EquivalenceLevel
-from hexsynth.library import build_gate
+from hexsynth.library import GATES, build_gate
 
 from conftest import map_data
 
@@ -36,8 +41,6 @@ class TestBuild:
         assert "unknown gate" in capsys.readouterr().err
 
     def test_help_lists_every_registry_name(self, capsys):
-        from hexsynth.library import GATES
-
         with pytest.raises(SystemExit):
             run("build", "--help")
         listed = capsys.readouterr().out.split("one of:")[1].split("\n\n")[0]
@@ -307,6 +310,21 @@ class TestTables:
         assert code == 1
 
 
+LONG = "9" * 5000  # past the 4,300 digits int() converts from a string
+try:
+    int(LONG)
+except ValueError as e:
+    LONG_INT_ERROR = str(e)
+
+
+BUNDLED_MAP = resources.files("hexsynth.data").joinpath("brisbane.json").read_bytes()
+AND3_PLACEMENT = json.dumps({"assignment": {"c1": 61, "t": 62, "c2": 63}}).encode()
+
+
+def is_one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestBadInputFiles:
     # every unreadable input file is an `error: ...` line and exit 1, not a traceback
     NOT_UTF8 = b'{"num_qubits": \xff\xfe}\n'
@@ -322,7 +340,17 @@ class TestBadInputFiles:
                                              ("h q0\n", "line 1: cannot parse 'h q0'"),
                                              # a digit to str.isdigit that int() cannot read
                                              ("qubits \u00b2\nh q[0]\n",
-                                              "line 1: bad header 'qubits \u00b2'")])
+                                              "line 1: bad header 'qubits \u00b2'"),
+                                             # more digits than int() converts
+                                             pytest.param(f"qubits {LONG}\nh q[0]\n",
+                                                          f"line 1: {LONG_INT_ERROR}",
+                                                          id="long-width"),
+                                             pytest.param(f"qubits 2\nh q[0]\nh q[{LONG}]\n",
+                                                          f"line 3: {LONG_INT_ERROR}",
+                                                          id="long-index"),
+                                             pytest.param(f"rz({LONG}*pi/4) q[0]\n",
+                                                          f"line 1: bad angle expression: "
+                                                          f"'{LONG}*pi/4'", id="long-angle")])
     def test_transpile_unparsable_circuit(self, tmp_path, capsys, text, error):
         src = tmp_path / "bad.txt"
         src.write_text(text, encoding="utf-8")
@@ -337,13 +365,15 @@ class TestBadInputFiles:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("flag", ["--layout", "--placement"])
-    @pytest.mark.parametrize("payload", [NOT_UTF8, TRUNCATED, b"[1, 2]"],
-                             ids=["not-utf8", "truncated", "not-an-object"])
+    @pytest.mark.parametrize("payload", [NOT_UTF8, TRUNCATED, b"[1, 2]", b"[" * 1000 + b"]" * 1000,
+                                         b'{"num_qubits": %s, "edges": []}' % LONG.encode()],
+                             ids=["not-utf8", "truncated", "not-an-object", "too-deep", "long-int"])
     def test_cost_bad_json(self, tmp_path, capsys, flag, payload):
         bad = tmp_path / "bad.json"
         bad.write_bytes(payload)
         assert run("cost", "and3", "--basis", "ecr", flag, str(bad)) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.out == "" and is_one_error_line(captured.err)
 
     def test_cost_placement_qubit_not_an_integer(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
@@ -377,6 +407,42 @@ class TestBadInputFiles:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "physical qubit 999, off the 127-qubit map" in captured.err
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_a_mangled_valid_file_never_raises(self, tmp_path_factory, data):
+        # a valid input of one file reader, mangled once: the run succeeds, or
+        # fails as one `error:` line, or (cost only) reports a placement that
+        # is not swap-free; it never raises
+        gate = build_gate(data.draw(st.sampled_from(sorted(GATES))))
+        argv, raw = data.draw(st.sampled_from([
+            (["transpile", "{}", "--basis", "cx"], emit_text(gate).encode()),
+            (["simulate", "{}", "--input", "0" * gate.width], emit_text(gate).encode()),
+            (["cost", "and3", "--layout", "{}"], BUNDLED_MAP),
+            (["cost", "and3", "--placement", "{}"], AND3_PLACEMENT)]))
+        how = data.draw(st.sampled_from(["long digits", "brackets", "truncated", "one byte"]))
+        if how == "long digits":
+            digits = data.draw(st.sampled_from(list(re.finditer(rb"\d+", raw))))
+            long = b"9" * data.draw(st.integers(4301, 6000))
+            raw = raw[:digits.start()] + long + raw[digits.end():]
+        elif how == "brackets":
+            k = data.draw(st.integers(1000, 3000))
+            raw = b"[" * k + raw + b"]" * k
+        elif how == "truncated":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i + 1:]
+        path = tmp_path_factory.getbasetemp() / "mangled"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(path) if a == "{}" else a for a in argv])
+        out, err = out.getvalue(), err.getvalue()
+        if err:
+            assert code == 1 and out == "" and is_one_error_line(err)
+        else:
+            assert code == 0 or (code == 1 and "swap-free: False" in out)
 
 
 class TestRepeatedCalls:

@@ -53,6 +53,22 @@ def reference_truth_table(circuit, target, controls):
     return table
 
 
+def reference_qsphere(state):
+    """The former q-sphere reader: one Python step per amplitude, as records."""
+    ref, points = None, []
+    for b, amp in enumerate(state.amps):
+        if abs(amp) <= simulator.ATOL_QSPHERE:
+            continue
+        if ref is None:
+            ref = cmath.phase(amp)
+        label = "".join(str((b >> q) & 1) for q in reversed(range(state.n)))
+        phase = (cmath.phase(amp) - ref) % (2 * math.pi)
+        if abs(phase - 2 * math.pi) < 1e-12:
+            phase = 0.0
+        points.append({"basis": label, "magnitude": float(abs(amp)), "phase": phase})
+    return points
+
+
 def reference_phase_trace(core, control_state):
     """The former trace: a 3-qubit statevector through every stage."""
     if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
@@ -561,6 +577,22 @@ class TestBatchedTruthTable:
         with pytest.raises(SimulationError, match="not normalized"):
             truth_table(Circuit(2, (G(K.X, 0),)), target=1, controls=(0,))
 
+    @pytest.mark.parametrize("max_qubits", [20, 2], ids=["one-batch", "a-batch-per-assignment"])
+    def test_first_failing_assignment_raises_normalization_first(self, monkeypatch, max_qubits):
+        # control 1 maps the target's |0> to 0.6|0> + 0.5|1>: neither normalized
+        # nor deterministic; control 0 leaves the target alone
+        bad_cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.6, 0], [0, 0, 0.5, 0]],
+                          dtype=complex)
+        monkeypatch.setitem(simulator._FIXED_2Q, K.CX, bad_cx)
+        monkeypatch.setattr(simulator, "MAX_STATEVECTOR_QUBITS", max_qubits)
+        # H first: assignment 0 is non-deterministic, before assignment 1 is not normalized
+        with pytest.raises(SimulationError, match=r"^non-deterministic target for controls 0: "
+                                                  r"p\(1\)=0\.500000$"):
+            truth_table(Circuit(2, (G(K.H, 1), G(K.CX, 0, 1))), target=1, controls=(0,))
+        # assignment 0 is fine; assignment 1 fails both checks, normalization first
+        with pytest.raises(SimulationError, match="^state is not normalized$"):
+            truth_table(Circuit(2, (G(K.CX, 0, 1),)), target=1, controls=(0,))
+
     def test_wires_outside_the_circuit_rejected(self):
         with pytest.raises(SimulationError, match="wires 0..2"):
             truth_table(build_gate("and3"), target=3, controls=(0, 2))
@@ -627,16 +659,16 @@ class TestQSphere:
     def test_basis_state(self):
         pts = qsphere(Statevector.basis(3, {}))
         assert len(pts) == 1
-        assert pts[0].basis_label == "000"
-        assert pts[0].magnitude == pytest.approx(1.0)
-        assert pts[0].phase == 0.0
+        assert pts[0]["basis"] == "000"
+        assert pts[0]["magnitude"] == pytest.approx(1.0)
+        assert pts[0]["phase"] == 0.0
 
     def test_uniform_plus_state(self):
         amps = np.full(4, 0.5, dtype=complex)
         pts = qsphere(Statevector(2, amps))
         assert len(pts) == 4
-        assert all(p.phase == pytest.approx(0.0) for p in pts)
-        assert sum(p.magnitude ** 2 for p in pts) == pytest.approx(1.0)
+        assert all(p["phase"] == pytest.approx(0.0) for p in pts)
+        assert sum(p["magnitude"] ** 2 for p in pts) == pytest.approx(1.0)
 
     def test_and_core_on_superposed_controls(self):
         # controls in |+>, target |0>: four equal points; relative phases fall
@@ -648,8 +680,8 @@ class TestQSphere:
         out = apply(build_gate("and3"), Statevector(3, amps))
         pts = qsphere(out)  # |c2 t c1>
         assert len(pts) == 4
-        assert all(p.magnitude == pytest.approx(0.5) for p in pts)
-        phases = {p.basis_label: p.phase for p in pts}
+        assert all(p["magnitude"] == pytest.approx(0.5) for p in pts)
+        phases = {p["basis"]: p["phase"] for p in pts}
         assert phases["000"] == pytest.approx(0.0)
         assert phases["001"] == pytest.approx(0.0)
         assert phases["100"] == pytest.approx(0.0)
@@ -660,7 +692,19 @@ class TestQSphere:
         # further below is kept
         for eps, want in ((1e-13, 0.0), (1e-11, 2 * math.pi - 1e-11)):
             amps = np.array([1, cmath.exp(-1j * eps)]) / math.sqrt(2)
-            assert [p.phase for p in qsphere(Statevector(1, amps))] == [0.0, pytest.approx(want)]
+            assert [p["phase"] for p in qsphere(Statevector(1, amps))] == [0.0, pytest.approx(want)]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_the_per_amplitude_loop(self, n):
+        # equal to the last bit on states no registry gate reaches; numpy's
+        # vector abs and angle round some of these differently
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            amps[rng.random(2 ** n) < 0.3] = 0
+            if amps.any():
+                state = Statevector(n, amps / np.linalg.norm(amps))
+                assert qsphere(state) == reference_qsphere(state)
 
     def test_oracle_alignment(self):
         # per-assignment agreement with the exact permutation (magnitudes)
