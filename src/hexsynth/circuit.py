@@ -441,10 +441,11 @@ def parse_text(text: str) -> Circuit:
     This reader checks what needs a line number (the header, the gate tag
     and the declared width); `Gate` and `parse_angle` check the rest, and
     one handler per line gives every error, an integer of more digits than
-    `int()` converts included, the `line N:` prefix.  These are the only
-    checks a parsed circuit gets: every index is `int()` of decimal digits
-    below the declared width (>= 1) or below the inferred width max + 1, so
-    the circuit is built without `Circuit`'s own re-check.
+    `int()` converts included, the `line N:` prefix; so does an index whose
+    inferred width max + 1 has more digits than `str()` converts.  These
+    are the only checks a parsed circuit gets: every index is `int()` of
+    decimal digits below the declared width (>= 1) or below the inferred
+    width max + 1, so the circuit is built without `Circuit`'s own re-check.
     """
     width: int | None = None
     gates: list[Gate] = []
@@ -481,7 +482,11 @@ def parse_text(text: str) -> Circuit:
             # the header precedes every gate, so a qubit that raises no maximum
             # already lies within the declared width
             if top > max_q:
-                if width is not None and top >= width:
+                if width is None:
+                    # emit_text writes the inferred width, max + 1, in its header:
+                    # str() raises here if that has more digits than it converts
+                    str(top + 1)
+                elif top >= width:
                     raise CircuitError(f"qubit index beyond declared width {width}")
                 max_q = top
             gates.append(Gate(kind, qubits, None if angle is None else parse_angle(angle)))

@@ -59,10 +59,15 @@ def _theta_kinds(theta) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+def _not_an_entry(slot: str, name) -> CircuitError:
+    return CircuitError(f"{slot} must name an auxiliary entry ({', '.join(AX_ENTRIES)}), got {name!r}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CoreSpec:
     """Configuration of the symmetric 3-bit core, every slot checked here:
-    superposition kinds, auxiliary `AX_ENTRIES` names, four rotation kinds."""
+    superposition kinds, auxiliary `AX_ENTRIES` names, four rotation kinds.
+    Like `Gate`, it has slots and one hand-written constructor."""
 
     sp1: GateKind = K.H
     ax1: str = "i"
@@ -70,20 +75,27 @@ class CoreSpec:
     ax2: str = "i"
     sp2: GateKind = K.H
 
-    def __post_init__(self):
-        for slot in ("ax1", "ax2"):
-            name = getattr(self, slot)
-            # str first: an unhashable entry must not reach the dict lookup
-            if not isinstance(name, str) or name not in AX_ENTRIES:
-                raise CircuitError(f"{slot} must name an auxiliary entry "
-                                   f"({', '.join(AX_ENTRIES)}), got {name!r}")
-        if self.sp1 not in SUPERPOSITION_KINDS or self.sp2 not in SUPERPOSITION_KINDS:
+    def __init__(self, sp1: GateKind = K.H, ax1: str = "i",
+                 theta: tuple[GateKind, GateKind, GateKind, GateKind] = (K.TDG, K.T, K.TDG, K.T),
+                 ax2: str = "i", sp2: GateKind = K.H):
+        # the checks, then each slot stored through its member descriptor,
+        # which skips the frozen __setattr__; an AX slot is tested as a str
+        # first, so an unhashable entry never reaches the dict lookup
+        if not isinstance(ax1, str) or ax1 not in AX_ENTRIES:
+            raise _not_an_entry("ax1", ax1)
+        if not isinstance(ax2, str) or ax2 not in AX_ENTRIES:
+            raise _not_an_entry("ax2", ax2)
+        if sp1 not in SUPERPOSITION_KINDS or sp2 not in SUPERPOSITION_KINDS:
             raise CircuitError("sp1/sp2 must be superposition gates (h, sx, sxdg)")
-        theta = self.theta
         if not isinstance(theta, (tuple, list)) or len(theta) != 4 or not _theta_kinds(theta):
             raise CircuitError("theta must be four gates from {s, sdg, t, tdg}")
         if type(theta) is not tuple:
-            object.__setattr__(self, "theta", tuple(theta))
+            theta = tuple(theta)
+        _SET_SP1(self, sp1)
+        _SET_AX1(self, ax1)
+        _SET_THETA(self, theta)
+        _SET_AX2(self, ax2)
+        _SET_SP2(self, sp2)
 
     @property
     def symmetric(self) -> bool:
@@ -93,6 +105,10 @@ class CoreSpec:
         return {"sp1": self.sp1.value, "ax1": self.ax1,
                 "theta": [t.value for t in self.theta],
                 "ax2": self.ax2, "sp2": self.sp2.value}
+
+
+_SET_SP1, _SET_AX1, _SET_THETA, _SET_AX2, _SET_SP2 = (
+    CoreSpec.__dict__[name].__set__ for name in ("sp1", "ax1", "theta", "ax2", "sp2"))
 
 
 class BooleanGateKind(Enum):

@@ -14,24 +14,32 @@ unitary is block-diagonal over the branches.  The search factors each block
 as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1].  F = AX1.SP1 and
 L = SP2.AX2 are module constants, `_FIRST` and `_LAST`, over all three SP
 kinds and ten `AX_ENTRIES`, built at import; the theta/X middle T depends
-only on the rotation tuple and the branch, so one cached table per theta
-alphabet serves every query.
+only on the rotation tuple and the branch, and one table, `_middles`,
+built on first use, holds it for all 256 tuples of the four rotation kinds.
+
+So the whole space is 30 (sp1, ax1) rows of 256 theta tuples by 30
+(ax2, sp2) columns, 7,680 configurations a row.  `_row_table` decides and
+grades a row the first time a query reads it and keeps it for the
+process, one byte per configuration: the function it realizes and its
+equivalence level, or a byte that matches no function.  All 30 rows are
+230,400 bytes.  A configuration is deterministic when
+p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of 0 or 1 on every
+branch, the rule `truth_table` applies; the target starts in |0>, so this
+needs only column 0 of F and row 1 of L, and a matmul gives it for a
+whole row.  Only the deterministic configurations get their full blocks,
+formed entry by entry: T.F, then L.(T.F), each the sum of two broadcast
+products of a column by a row (the term-wise form of the simulator's ECR).
+They are graded with one call of the package's one grader,
+`simulator.equivalence_levels`, per function present, against that
+function's oracle blocks (I or X per target bit).
 
 A `SearchQuery` checks its alphabets and stores each as a set in
 enumeration order (distinct entries; kinds by value, AX entries by name),
-so the space is the C-order grid of (sp1, ax1) rows by theta tuples by
-(ax2, sp2) columns, which `iter_specs` yields and the one pass walks, in
-tiles of whole rows.  A configuration is a hit when
-p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of the target bit on
-every branch, the rule `truth_table` applies; the target starts in |0>, so
-this needs only column 0 of F and row 1 of L, and one matmul per tile
-gives it for every configuration.  Only a hit's full blocks are formed,
-entry by entry: T.F, then L.(T.F), each the sum of two broadcast products
-of a column by a row (the term-wise form of the simulator's ECR), so a
-tile's hits cost a few numpy calls however many there are.  Each tile's
-hits are graded from their four 2x2 blocks in one call of the package's
-one grader, `simulator.equivalence_levels`, against the oracle's blocks
-(I or X per target bit), and come out in the grid's order.
+so its space is the C-order grid of its (sp1, ax1) rows by its theta
+tuples by its (ax2, sp2) columns, which `iter_specs` yields.  `search`
+gathers that grid's bytes from the row tables, row after row, and each
+byte that holds the target's function is a hit, at the level the byte
+holds, in the grid's order.
 
 `phase_trace` walks one branch through the same factors, stage by stage:
 `_FIRST`'s column 0, each theta, X for each CX whose control is 1, then
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitError, GateKind
-from .library import AX_ENTRIES, SUPERPOSITION_KINDS, CoreSpec
+from .library import AX_ENTRIES, SUPERPOSITION_KINDS, THETA_KINDS, CoreSpec
 from .simulator import (ATOL_EQUIV, ATOL_NORM, EquivalenceLevel, SimulationError,
                         equivalence_levels, gate_matrix)
 
@@ -59,9 +67,6 @@ SEG_QUADRANTS = "quadrants"
 SEG_OCTANTS = "octants"
 
 SEARCH_SPACE_GUARD = 10 ** 7
-# Configurations per numpy tile of the search grid, in whole rows and at
-# least one; bounds its peak memory.
-BLOCK_CONFIGS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -207,98 +212,150 @@ _FIRST.setflags(write=False)
 _LAST.setflags(write=False)
 
 
-# bound: the 15 alphabets of the four rotation kinds, symmetric or not
-@functools.lru_cache(maxsize=30)
-def _theta_table(thetas: tuple, symmetric: bool):
-    """The theta tuples `iter_specs` enumerates over the stored alphabet
-    `thetas`, in C order, keeping only those with theta1 = theta3 and
-    theta2 = theta4 when `symmetric`, and their middles
-    T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 of shape (tuples, 4, 2, 2),
-    branch (c2 << 1) | c1 on axis 1.
+# a row table's byte is (function << 2) | level, the function the target's
+# four bits in branch order, read as a binary number like the query's
+# target, and the level `EquivalenceLevel` value; or one byte that no
+# function code matches, for a configuration that realizes no function
+_UNDECIDED = 0xFF
+_LEVEL_OF = tuple(EquivalenceLevel(value) for value in range(4))  # by value
 
-    Every rotation is diagonal, so each T[theta, c] is a monomial matrix
-    whose two nonzero entries are powers of omega = exp(i pi/4).  Cached and
-    read-only.
-    """
-    index = [ix for ix in itertools.product(range(len(thetas)), repeat=4)
-             if not symmetric or (ix[0] == ix[2] and ix[1] == ix[3])]
-    th1, th2, th3, th4 = np.array([gate_matrix(k) for k in thetas])[np.array(index).T]
+
+@functools.cache
+def _middles() -> np.ndarray:
+    """T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 for all 256 theta
+    tuples over THETA_KINDS in C order, shape (256, 4, 2, 2), branch
+    (c2 << 1) | c1 on axis 1.  Every rotation is diagonal, so each T is a
+    monomial matrix whose two nonzero entries are powers of
+    omega = exp(i pi/4).  Built on first use; read-only."""
+    index = np.array(list(itertools.product(range(4), repeat=4)))
+    th1, th2, th3, th4 = np.array([gate_matrix(k) for k in THETA_KINDS])[index.T]
     middles = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
                         for c2 in (0, 1) for c1 in (0, 1)], axis=1)
     middles.setflags(write=False)
-    return tuple(tuple(thetas[i] for i in ix) for ix in index), middles
+    return middles
 
 
-def _hit_blocks(query: SearchQuery, bits: np.ndarray):
-    """Per tile of the space `iter_specs` yields, tiles in its order, the
-    CoreSpecs of the configurations whose p(target=1) lies within ATOL_NORM
-    of the target bit (`bits`, one per branch) on all four branches, in
-    `iter_specs` order, and their target blocks of shape (hits, 4, 2, 2).
+# bound: the 15 alphabets of the four rotation kinds, symmetric or not
+@functools.lru_cache(maxsize=30)
+def _theta_index(thetas: tuple, symmetric: bool):
+    """The theta tuples `iter_specs` enumerates over the stored alphabet
+    `thetas`, in C order, keeping only those with theta1 = theta3 and
+    theta2 = theta4 when `symmetric`, and their rows in `_middles` and in
+    every row table, as a read-only index array.  Cached."""
+    tuples = tuple(th for th in itertools.product(thetas, repeat=4)
+                   if not symmetric or (th[0] == th[2] and th[1] == th[3]))
+    digit = {k: i for i, k in enumerate(THETA_KINDS)}
+    index = np.array([((digit[a] * 4 + digit[b]) * 4 + digit[c]) * 4 + digit[d]
+                      for a, b, c, d in tuples], dtype=np.intp)
+    index.setflags(write=False)
+    return tuples, index
 
-    Each block factors as B_c = L[j] . T[t, c] . F[r]: F = AX1.SP1 is read
-    from `_FIRST` for each row r of `product(sp, ax1)`, L = SP2.AX2 from
-    `_LAST` for each column j of `product(ax2, sp)`, and T is the cached
-    table of the query's theta tuples.  A tile is as many whole rows as fit
-    in BLOCK_CONFIGS configurations, and at least one: a row of distinct
-    entries holds at most 4**4 * 10 * 3 = 7,680.  The target starts in |0>,
-    so the amplitude of target=1 on branch c is L[j][1] . T[t, c] . F[r][:, 0],
-    the sum over i, k of T[t, c][i, k] times L[j][1, i] F[r][k, 0]: one
-    matmul of those products, per (r, j) of a tile, by the flattened
-    middles gives every amplitude of the tile, as (r, j, t, c).  The hit
-    mask is read as (r, t, j), the order `iter_specs` yields.  Only hits
-    get their full blocks, formed entry by entry:
-    (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k] over all of a tile's
-    hits and branches at once, as a column of T times a row of F plus the
-    next, then L.(T.F) the same way; two broadcast matmuls of such small
-    stacks cost several times more."""
-    sp = query.sp_set
-    tuples, middles = _theta_table(query.theta_set, query.symmetric)
-    row_entries = list(itertools.product(sp, query.ax1_set))
-    col_entries = list(itertools.product(query.ax2_set, sp))
-    first = _FIRST[[_SP_INDEX[s] for s, _ in row_entries], [_AX_INDEX[a] for _, a in row_entries]]
-    last = _LAST[[_AX_INDEX[a] for a, _ in col_entries], [_SP_INDEX[s] for _, s in col_entries]]
-    f0, l1, flat = first[:, :, 0], last[:, 1], middles.reshape(-1, 4).T
-    n_t, n_j = len(tuples), len(col_entries)
-    step = max(1, BLOCK_CONFIGS // (n_t * n_j))
-    for start in range(0, len(row_entries), step):
-        f0_tile = f0[start:start + step]
-        amp = (f0_tile[:, None, None, :] * l1[None, :, :, None]).reshape(-1, 4) @ flat
-        p = (amp.real ** 2 + amp.imag ** 2).reshape(-1, 4)
-        # a configuration's four branch tests are four adjacent bytes: it is
-        # a hit where they read, as one uint32, as four 1s
-        ok = np.abs(p - bits) <= ATOL_NORM
-        hit = (ok.view(np.uint32) == 0x01010101).reshape(len(f0_tile), n_j, n_t)
-        r, t, j = np.nonzero(hit.transpose(0, 2, 1))
-        if len(r):
-            r += start
-            specs = [CoreSpec(*row_entries[a], tuples[b], *col_entries[c])
-                     for a, b, c in zip(r.tolist(), t.tolist(), j.tolist())]
-            m, f, l = middles[t], first[r, None], last[j, None]
-            mf = m[..., :1] * f[..., :1, :] + m[..., 1:] * f[..., 1:, :]
-            yield specs, l[..., :1] * mf[..., :1, :] + l[..., 1:] * mf[..., 1:, :]
+
+def _deterministic(f: np.ndarray):
+    """The deterministic configurations of the row whose F = AX1.SP1 is
+    `f`, as their theta rows t and (ax2, sp2) columns j (j = 3 ax2 + sp2 at
+    their `AX_ENTRIES` and `SUPERPOSITION_KINDS` positions), and the
+    function each realizes, as its code.
+
+    The target starts in |0>, so the amplitude of target=1 on branch c is
+    L[j][1] . T[t, c] . F[:, 0], the sum over i, k of T[t, c][i, k] times
+    L[j][1, i] F[k, 0]: a matmul of those 30 x 4 products by the
+    flattened middles gives every amplitude of the row, as (j, t, c).  A
+    configuration is deterministic where p(target=1) lies within ATOL_NORM
+    of its rounded value on all four branches, the rule `truth_table`
+    applies; the rounded values are the function's bits."""
+    coef, flat = (_LAST[..., 1, :, None] * f[:, 0]).reshape(30, 4), _middles().reshape(-1, 4).T
+    amp = np.empty((30, 1024), dtype=complex)
+    # in pieces of 64 theta tuples, each small enough that BLAS runs it on
+    # the calling thread: the whole row's product woke BLAS's thread pool,
+    # which took 16 ms a call on a 2-core VM, against 0.06 ms for the pieces
+    for s in range(0, 1024, 256):
+        np.matmul(coef, flat[:, s:s + 256], out=amp[:, s:s + 256])
+    # p is formed in amp's own buffer, the one large array of the row; it
+    # is freed on return, before the row's blocks are formed
+    squares = amp.view(float).reshape(30, 256, 4, 2)
+    squares **= 2
+    p = np.add(squares[..., 0], squares[..., 1], out=squares[..., 0])
+    bits = p > 0.5
+    p -= bits
+    # a configuration's four branch tests are four adjacent bytes: it is
+    # deterministic where they read, as one uint32, as four 1s
+    ok = np.abs(p, out=p) <= ATOL_NORM
+    j, t = np.nonzero(ok.view(np.uint32)[..., 0] == 0x01010101)
+    return t, j, bits[j, t] @ np.array([8, 4, 2, 1])
+
+
+def _row_blocks(sp1: GateKind, ax1: str):
+    """The deterministic configurations of the (sp1, ax1) row, as their
+    `_deterministic` theta rows t, columns j and function codes, and their
+    target blocks B_c = L[j] . T[t, c] . F, shape (n, 4, 2, 2).
+
+    Only these get blocks, formed entry by entry:
+    (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k], as a column of T times
+    a row of F plus the next, then L.(T.F) the same way; stacked
+    small-matrix matmuls cost several times more.  The entries sit on the
+    first axes and the configurations on the last, so each product runs
+    along a long axis: T.F for every theta tuple as (c, i, k, t), then
+    L.(T.F) for each configuration as (c, r, k, n)."""
+    f = _FIRST[_SP_INDEX[sp1], _AX_INDEX[ax1]]
+    t, j, codes = _deterministic(f)
+    m, l = _middles().transpose(1, 2, 3, 0), _LAST.reshape(30, 2, 2)[j].transpose(1, 2, 0)
+    mf = (m[:, :, :1] * f[0, :, None] + m[:, :, 1:] * f[1, :, None])[..., t]
+    blocks = l[None, :, 0, None] * mf[:, None, 0]
+    blocks += l[None, :, 1, None] * mf[:, None, 1]
+    return t, j, codes, np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
+
+
+# bound: the 3 SP kinds by the 10 AX entries, the whole space
+@functools.lru_cache(maxsize=30)
+def _row_table(sp1: GateKind, ax1: str) -> np.ndarray:
+    """The (sp1, ax1) row of the core space, decided and graded once: a
+    read-only uint8 array of shape (256 theta tuples over THETA_KINDS,
+    10 AX2 entries, 3 SP2 kinds), in `_middles` and `AX_ENTRIES` and
+    `SUPERPOSITION_KINDS` order, of 7,680 bytes.  Each byte is
+    (function << 2) | level for a deterministic configuration, else
+    _UNDECIDED.  The blocks of `_row_blocks` are graded with one
+    `equivalence_levels` call per function present, against that
+    function's oracle blocks (I or X per target bit).  Filled by the first
+    query that reads the row and kept for the process: 30 rows of the
+    whole space are 230,400 bytes."""
+    t, j, codes, blocks = _row_blocks(sp1, ax1)
+    stack = blocks.reshape(-1, 8, 2)
+    levels = np.empty(len(codes), dtype=np.uint8)
+    for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
+        sel = codes == code
+        oracle = _FLIP[[code >> 3, code >> 2 & 1, code >> 1 & 1, code & 1]].reshape(8, 2)
+        levels[sel] = list(map(_LEVEL_OF.index, equivalence_levels(stack[sel], oracle)))
+    table = np.full((256, 10, 3), _UNDECIDED, dtype=np.uint8)
+    table.reshape(256, 30)[t, j] = codes << 2 | levels
+    table.setflags(write=False)
+    return table
 
 
 def search(query: SearchQuery) -> list[SearchHit]:
     """All configurations in the query space realizing the target function,
     in `iter_specs` order.
 
-    One numpy pass, `_hit_blocks`, decides every configuration `iter_specs`
-    yields, the symmetric restriction included, by the `truth_table` rule
-    (p(target=1) within ATOL_NORM of the target bit on every branch), tile
-    by tile in that order.  A hit's four branch blocks are formed entry by
-    entry, by multiply-adds over all of a tile's hits.  Each tile's hits are
-    graded in one `equivalence_levels` call: the four 2x2 blocks of a hit's
-    block-diagonal unitary, stacked row-wise, against the phase-exact
-    oracle's blocks.
+    From the `_row_table` of each (sp1, ax1) row of the query, in stored
+    order, the bytes of the query's theta tuples (`_theta_index`, the
+    symmetric restriction included) by its (ax2, sp2) columns are
+    gathered: row after row, they are in the order `iter_specs` yields.
+    Each byte that holds the target's code is a hit, at the level the byte
+    holds.
     """
     if _space_size(query) > SEARCH_SPACE_GUARD:
         raise CircuitError(f"search space exceeds {SEARCH_SPACE_GUARD} configurations")
-    bits = [int(ch) for ch in query.target]
-    oracle = _FLIP[bits].reshape(8, 2)
-    hits = []
-    for specs, blocks in _hit_blocks(query, np.array(bits, dtype=float)):
-        hits += map(SearchHit, specs, equivalence_levels(blocks.reshape(-1, 8, 2), oracle))
-    return hits
+    code = int(query.target, 2)
+    tuples, theta_rows = _theta_index(query.theta_set, query.symmetric)
+    cols = list(itertools.product(query.ax2_set, query.sp_set))
+    cells = (theta_rows[:, None] * 30 + [_AX_INDEX[a] * 3 + _SP_INDEX[s] for a, s in cols]).ravel()
+    rows = list(itertools.product(query.sp_set, query.ax1_set))
+    found = np.concatenate([_row_table(sp1, ax1).take(cells) for sp1, ax1 in rows])
+    at, = (found >> 2 == code).nonzero()
+    n_j, n_row = len(cols), len(cells)
+    return [SearchHit(CoreSpec(*rows[k // n_row], tuples[k % n_row // n_j], *cols[k % n_j]),
+                      _LEVEL_OF[b & 3])
+            for k, b in zip(at.tolist(), found[at].tolist())]
 
 
 def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) -> SearchQuery:

@@ -88,6 +88,14 @@ class TestTranspileAndSimulate:
         assert run("simulate", str(src), "--input", "0" * 40) == 1
         assert "error: statevectors support at most 20 qubits" in capsys.readouterr().err
 
+    def test_simulate_inferred_width_past_str_is_an_error(self, tmp_path, capsys):
+        # no header: the width is the index + 1, which has more digits than str() writes
+        src = tmp_path / "widest.txt"
+        src.write_text(f"h q[{WIDEST}]\n")
+        assert run("simulate", str(src), "--input", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: line 1: {WIDE_STR_ERROR}\n"
+
 
 def _bad_truth(gate, controls, got):
     return (f"--truth for {gate} is {2 ** controls} characters of 0/1, one per assignment "
@@ -315,6 +323,13 @@ try:
     int(LONG)
 except ValueError as e:
     LONG_INT_ERROR = str(e)
+# the most digits int() converts: an index it reads, whose width + 1 has one
+# digit more than str() writes
+WIDEST = "9" * 4300
+try:
+    str(int(WIDEST) + 1)
+except ValueError as e:
+    WIDE_STR_ERROR = str(e)
 
 
 BUNDLED_MAP = resources.files("hexsynth.data").joinpath("brisbane.json").read_bytes()
@@ -348,6 +363,10 @@ class TestBadInputFiles:
                                              pytest.param(f"qubits 2\nh q[0]\nh q[{LONG}]\n",
                                                           f"line 3: {LONG_INT_ERROR}",
                                                           id="long-index"),
+                                             # an inferred width that str() cannot write
+                                             pytest.param(f"h q[{WIDEST}]\n",
+                                                          f"line 1: {WIDE_STR_ERROR}",
+                                                          id="widest-inferred-index"),
                                              pytest.param(f"rz({LONG}*pi/4) q[0]\n",
                                                           f"line 1: bad angle expression: "
                                                           f"'{LONG}*pi/4'", id="long-angle")])

@@ -88,14 +88,14 @@ def test_only_the_four_passes_build_unchecked_circuits():
                                  ("transpiler", "peephole"), ("transpiler", "route_naive")}
 
 
-ORDERING = {"sorted", "sort", "argsort", "lexsort"}
+ORDERING = {"sorted", "sort", "argsort", "lexsort", "unique"}
 
 
 def ordering_calls(path: Path) -> set[tuple[str, str]]:
     """(top-level owner, callee) for every call in the module that sorts:
-    `sorted(...)`, or a `sort`, `argsort` or `lexsort` attribute
-    (`np.argsort`, `a.sort()`); a call outside a function or class is
-    owned by '<module>'."""
+    `sorted(...)`, or a `sort`, `argsort`, `lexsort` or `unique` attribute
+    (`np.argsort`, `a.sort()`, `np.unique`, which sorts its input); a call
+    outside a function or class is owned by '<module>'."""
     calls = set()
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"

@@ -46,6 +46,18 @@ class TestCoreSpec:
         with pytest.raises(CircuitError, match=r"^theta must be four gates from \{s, sdg, t, tdg\}$"):
             CoreSpec(theta=theta)
 
+    def test_fields_are_slots_of_a_frozen_spec(self):
+        # no instance dict: the constructor stores each field in its slot
+        spec = CoreSpec(sp1=K.SX, ax1="z", theta=[K.T, K.S, K.T, K.S], ax2="-z", sp2=K.SXDG)
+        assert not hasattr(spec, "__dict__")
+        assert (spec.sp1, spec.ax1, spec.theta, spec.ax2, spec.sp2) == \
+            (K.SX, "z", (K.T, K.S, K.T, K.S), "-z", K.SXDG)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.ax1 = "i"
+        assert dataclasses.replace(spec, ax1="i") == CoreSpec(K.SX, "i", (K.T, K.S, K.T, K.S), "-z", K.SXDG)
+        with pytest.raises(CircuitError, match="^ax2 must name an auxiliary entry"):
+            dataclasses.replace(spec, ax2="cx")
+
     def test_list_theta_is_stored_as_a_tuple(self):
         spec = CoreSpec(theta=[K.TDG, K.T, K.TDG, K.T])
         assert type(spec.theta) is tuple and spec == CoreSpec()

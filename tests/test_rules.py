@@ -1,11 +1,18 @@
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import permutation_unitary
+import hexsynth
 from hexsynth import rules
 from hexsynth.circuit import CircuitError, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
@@ -13,7 +20,7 @@ from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, TH
 from hexsynth.rules import (SearchHit, SearchQuery, apply_rules, count_space, iter_specs,
                             query_from_names, search)
 from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_levels,
-                                truth_string, truth_table, unitary_of)
+                                gate_matrix, truth_string, truth_table, unitary_of)
 
 K = GateKind
 TARGETS = tuple(format(m, "04b") for m in range(16))
@@ -61,6 +68,15 @@ MIXED = SearchQuery(target="0000", sp_set=(K.H, K.SX, K.SXDG), ax1_set=("i", "x"
 @pytest.fixture(scope="module")
 def mixed_reference():
     return reference_search(MIXED, TARGETS)
+
+
+@pytest.fixture
+def cold_rows():
+    """No row of the table is filled when the test starts, and none that
+    it filled, under a patched tolerance or grader, outlives it."""
+    rules._row_table.cache_clear()
+    yield
+    rules._row_table.cache_clear()
 
 
 class TestRuleStages:
@@ -188,39 +204,51 @@ class TestBatchedSearchMatchesReference:
             assert search(dataclasses.replace(MIXED, target=target)) == mixed_reference[target]
         assert sum(1 for hits in mixed_reference.values() if hits) >= 4
 
-    def test_blocks_smaller_than_the_space(self, mixed_reference, monkeypatch):
-        monkeypatch.setattr(rules, "BLOCK_CONFIGS", 100)  # 6 rows of 144 configurations: 6 tiles
+    def test_blocks_smaller_than_the_space(self, mixed_reference, cold_rows):
+        # MIXED spans 6 rows; each is filled by a one-row query first, in
+        # reverse order, and the query reads them in its own order
+        for sp1, ax1 in reversed(list(itertools.product(MIXED.sp_set, MIXED.ax1_set))):
+            search(dataclasses.replace(MIXED, sp_set=(sp1,), ax1_set=(ax1,)))
+        assert rules._row_table.cache_info().currsize == 6
         for target in TARGETS:
             assert search(dataclasses.replace(MIXED, target=target)) == mixed_reference[target]
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
-    def test_blocks_tile_the_space_within_the_bound(self, monkeypatch, block):
-        # a tolerance past every probability makes every configuration a hit,
-        # so each tile's specs are all of its configurations
-        default = rules.BLOCK_CONFIGS
-        monkeypatch.setattr(rules, "BLOCK_CONFIGS", block)
-        monkeypatch.setattr(rules, "ATOL_NORM", 2.0)
+    def test_blocks_tile_the_space_within_the_bound(self, monkeypatch, cold_rows, block):
+        # the table's blocks are its (sp1, ax1) rows: the first `block` rows
+        # of the space (all 30 when it has fewer) are filled before the
+        # queries.  A tolerance of one half decides every configuration as
+        # some function, so each query's hits over the 16 targets are its
+        # whole space, each configuration once, and it fills only those of
+        # its own rows not filled yet, each of 7,680 bytes
+        monkeypatch.setattr(rules, "ATOL_NORM", 0.5)
+        space = list(itertools.product(SUPERPOSITION_KINDS, AX_ENTRIES))
+        for sp1, ax1 in space[:block]:
+            rules._row_table(sp1, ax1)
+        filled = set(space[:block])
+        assert rules._row_table.cache_info().currsize == len(filled)
         for q in [SearchQuery(target="0001", theta_set=(K.T,)),
                   SearchQuery(target="0001", sp_set=(K.H, K.SX), ax1_set=("i", "x", "z"),
                               ax2_set=("z",), theta_set=(K.T,)),
                   SearchQuery(target="0110", sp_set=(K.SX,), ax1_set=("i", "x", "s"),
                               ax2_set=("i", "-z"), theta_set=(K.T, K.S), symmetric=True),
                   dataclasses.replace(MIXED, theta_set=(K.T,))]:
+            hits = [h.spec for target in TARGETS
+                    for h in search(dataclasses.replace(q, target=target))]
+            assert sorted(hits, key=enumeration_key) == list(iter_specs(q))
             rows = list(itertools.product(q.sp_set, q.ax1_set))
-            specs = list(iter_specs(q))
-            row = len(specs) // len(rows)  # configurations per (sp1, ax1) row
-            per_tile = max(1, block // row) * row  # as many whole rows as fit, at least one
-            tiles = [tile for tile, _ in rules._hit_blocks(q, np.zeros(4))]
-            assert [spec for tile in tiles for spec in tile] == specs
-            assert [len(tile) for tile in tiles] == \
-                [min(per_tile, len(specs) - start) for start in range(0, len(specs), per_tile)]
-        # entries are distinct, so a row of the widest space is 4**4 theta
-        # tuples by 10 AX entries by 3 SP kinds, within the default bound
+            filled.update(rows)
+            assert rules._row_table.cache_info().currsize == len(filled)
+            assert all(rules._row_table(sp1, ax1).shape == (4 ** 4, 10, 3) for sp1, ax1 in rows)
+        info = rules._row_table.cache_info()
+        assert info.maxsize == 30 and info.currsize <= info.maxsize
+        # entries are distinct, so no query has more configurations per
+        # (sp1, ax1) row than the 4**4 theta tuples by 10 AX entries by 3
+        # SP kinds of a row of the table
         ax = tuple(AX_ENTRIES)
-        q = query_from_names("0001", sp=("h", "sx", "sxdg") * 2, ax1=ax, ax2=ax * 2,
-                             theta=("s", "sdg", "t", "tdg") * 3)
-        assert rules._space_size(q) // (len(q.sp_set) * len(q.ax1_set)) == 4 ** 4 * 10 * 3 == 7680
-        assert 7680 <= default
+        widest = query_from_names("0001", sp=("h", "sx", "sxdg") * 2, ax1=ax, ax2=ax * 2,
+                                  theta=("s", "sdg", "t", "tdg") * 3)
+        assert rules._space_size(widest) // (len(widest.sp_set) * len(widest.ax1_set)) == 7680
 
     def test_symmetric_query(self):
         # the repeated T is stored once, so symmetry is a matter of kinds
@@ -291,22 +319,27 @@ class TestBatchedSearchMatchesReference:
             with pytest.raises(CircuitError, match=match):
                 query_from_names("0001", **dict(DEFAULT_NAMES, **bad))
 
-    def test_grades_hand_made_blocks(self, monkeypatch):
-        # No query space holds an L1 hit, so the grading of search's oracle
-        # blocks is checked on blocks cut from the oracle itself: they grade
-        # L1, and with a factor i on the branches that flip the target, L2.
-        # The target has both bit values, else the factor is a global phase.
+    def test_grades_hand_made_blocks(self, monkeypatch, cold_rows):
+        # No query space holds an L1 hit, so the grading of the table's
+        # oracle blocks is checked on blocks cut from the oracle itself:
+        # they grade L1, and with a factor i on the branches that flip the
+        # target, L2.  The target has both bit values, else the factor is a
+        # global phase.
         target, spec = "0001", CoreSpec()
         u = oracle_unitary(target)
         wires = [[c & 1 | t << 1 | (c >> 1) << 2 for t in (0, 1)] for c in range(4)]
         blocks = np.array([[u[np.ix_(w, w)] for w in wires]])
         flips = np.array([int(b) for b in target]) == 1
+        _, theta_rows = rules._theta_index(THETA_KINDS, False)
+        t = theta_rows[list(itertools.product(THETA_KINDS, repeat=4)).index(spec.theta)]
+        j = rules._AX_INDEX[spec.ax2] * 3 + rules._SP_INDEX[spec.sp2]
         for phase, level in ((1, EquivalenceLevel.L1_GLOBAL_PHASE),
                              (1j, EquivalenceLevel.L2_RELATIVE_PHASE)):
             graded = blocks.astype(complex)
             graded[:, flips] *= phase
-            monkeypatch.setattr(rules, "_hit_blocks",
-                                lambda query, bits, b=graded: iter([([spec], b)]))
+            monkeypatch.setattr(rules, "_row_blocks", lambda sp1, ax1, b=graded:
+                                (np.array([t]), np.array([j]), np.array([int(target, 2)]), b))
+            rules._row_table.cache_clear()
             assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
 
     def test_factor_tables_hold_every_sp_kind_and_ax_entry(self):
@@ -331,51 +364,60 @@ class TestBatchedSearchMatchesReference:
         assert len(hits) > 100 and hits == sorted(set(hits))
 
     def test_hit_blocks_are_the_factor_products(self):
-        # every hit of the full CLI space, on every target: the entry-wise
-        # blocks equal L . T . F by matmul, with L, T and F read off the
-        # hit's spec
-        ax = tuple(AX_ENTRIES)
-        thetas = tuple(sorted(THETA_KINDS, key=lambda k: k.value))
-        tuples, middles = rules._theta_table(thetas, False)
-        row = {th: i for i, th in enumerate(tuples)}
+        # every row of the space: the configurations given blocks are
+        # exactly those whose p(target=1), from L . T . F by matmul, lies
+        # within ATOL_NORM of 0 or 1 on every branch; their function codes
+        # are those bits, and their entry-wise blocks equal the products
+        middles, last = rules._middles(), rules._LAST.reshape(30, 2, 2)
         checked = 0
-        for target in TARGETS:
-            q = query_from_names(target, sp=("h", "sx", "sxdg"), ax1=ax, ax2=ax,
-                                 theta=("s", "sdg", "t", "tdg"))
-            assert q.theta_set == thetas
-            bits = np.array([int(b) for b in target], dtype=float)
-            for specs, blocks in rules._hit_blocks(q, bits):
-                first = rules._FIRST[[rules._SP_INDEX[s.sp1] for s in specs],
-                                     [rules._AX_INDEX[s.ax1] for s in specs]]
-                last = rules._LAST[[rules._AX_INDEX[s.ax2] for s in specs],
-                                   [rules._SP_INDEX[s.sp2] for s in specs]]
-                expected = last[:, None] @ middles[[row[s.theta] for s in specs]] @ first[:, None]
-                assert blocks.shape == (len(specs), 4, 2, 2)
-                assert np.abs(blocks - expected).max() <= 1e-12
-                checked += len(specs)
-        assert checked > 1000
+        for sp1, ax1 in itertools.product(SUPERPOSITION_KINDS, AX_ENTRIES):
+            first = rules._FIRST[rules._SP_INDEX[sp1], rules._AX_INDEX[ax1]]
+            dense = last[:, None, None] @ middles[None] @ first  # (j, t, c, 2, 2)
+            p = np.abs(dense[..., 1, 0]) ** 2
+            deterministic = (np.minimum(p, np.abs(1 - p)) <= rules.ATOL_NORM).all(axis=2)
+            t, j, codes, blocks = rules._row_blocks(sp1, ax1)
+            assert sorted(zip(j.tolist(), t.tolist())) == list(zip(*np.nonzero(deterministic)))
+            assert codes.tolist() == [int("".join(str(round(x)) for x in p[a, b]), 2)
+                                      for a, b in zip(j, t)]
+            assert blocks.shape == (len(t), 4, 2, 2)
+            assert np.abs(blocks - dense[j, t]).max() <= 1e-12
+            checked += len(t)
+        assert checked == 14912
 
     def test_theta_table_cached_per_distinct_kinds(self):
-        rules._theta_table.cache_clear()
+        rules._theta_index.cache_clear()
         base = SearchQuery(target="0001", theta_set=(K.T, K.TDG))
         # a repeated entry is stored once: the query is the one without it
         doubled = dataclasses.replace(base, theta_set=(K.TDG, K.T) * 4)
         assert doubled == base and doubled.theta_set == (K.T, K.TDG)
         assert search(doubled) == search(base)
-        assert rules._theta_table.cache_info().currsize == 1
-        # n**4 rows, n**2 when symmetric, over n distinct kinds
+        assert rules._theta_index.cache_info().currsize == 1
+        # the one full table: each theta tuple's middles by matmul, at its
+        # C-order place over THETA_KINDS
+        middles = rules._middles()
+        assert middles.shape == (256, 4, 2, 2) and not middles.flags.writeable
+        flip = [gate_matrix(K.I), gate_matrix(K.X)]
+        for row, th in enumerate(itertools.product(THETA_KINDS, repeat=4)):
+            th1, th2, th3, th4 = (gate_matrix(k) for k in th)
+            for c2, c1 in itertools.product((0, 1), repeat=2):
+                expected = th4 @ flip[c2] @ th3 @ flip[c1] @ th2 @ flip[c2] @ th1
+                assert np.abs(middles[row, c2 << 1 | c1] - expected).max() <= 1e-15
+        # n**4 tuples, n**2 when symmetric, over n distinct kinds, each
+        # indexing its own row of the full table
+        full = list(itertools.product(THETA_KINDS, repeat=4))
         for thetas, plain, sym in (((K.T, K.TDG), 2 ** 4, 2 ** 2),
                                    ((K.S, K.SDG, K.T, K.TDG), 4 ** 4, 4 ** 2)):
             for symmetric, rows in ((False, plain), (True, sym)):
-                tuples, middles = rules._theta_table(thetas, symmetric)
-                assert len(tuples) == rows and middles.shape == (rows, 4, 2, 2)
-                assert not middles.flags.writeable
+                tuples, index = rules._theta_index(thetas, symmetric)
+                assert len(tuples) == rows and index.shape == (rows,)
+                assert not index.flags.writeable
                 assert list(tuples) == [th for th in itertools.product(thetas, repeat=4)
                                         if not symmetric or CoreSpec(theta=th).symmetric]
-        assert rules._theta_table.cache_info().currsize == 4
-        assert rules._theta_table.cache_info().maxsize == 30
+                assert [full[k] for k in index.tolist()] == list(tuples)
+        assert rules._theta_index.cache_info().currsize == 4
+        assert rules._theta_index.cache_info().maxsize == 30
 
-    def test_symmetric_query_grades_only_symmetric_rows(self, monkeypatch):
+    def test_a_row_is_graded_once_per_process(self, monkeypatch, cold_rows):
         graded = []
 
         def counting(blocks, oracle):
@@ -383,12 +425,63 @@ class TestBatchedSearchMatchesReference:
             return equivalence_levels(blocks, oracle)
 
         monkeypatch.setattr(rules, "equivalence_levels", counting)
-        q = query_from_names("0001", sp=("h", "sx", "sxdg"), ax1=tuple(AX_ENTRIES),
-                             ax2=tuple(AX_ENTRIES), theta=("s", "sdg", "t", "tdg"),
+        ax = tuple(AX_ENTRIES)
+        q = query_from_names("0001", sp=("h", "sx"), ax1=ax[:4], ax2=ax, theta=("s", "sdg", "t", "tdg"),
                              symmetric=True)
         hits = search(q)
         assert hits and all(h.spec.symmetric for h in hits)
-        assert sum(graded) == len(hits)
+        # every deterministic configuration of the query's 8 rows, once
+        assert sum(graded) == sum(len(rules._row_blocks(sp1, ax1)[0])
+                                  for sp1, ax1 in itertools.product(q.sp_set, q.ax1_set))
+        graded.clear()
+        # the same rows again, for every target and not only symmetric
+        # tuples: read from the table, graded by no call
+        for target in TARGETS:
+            search(dataclasses.replace(q, target=target, symmetric=False))
+        assert graded == []
+        assert rules._row_table.cache_info().currsize == 8
+
+    def test_table_is_lazy_and_bounded(self):
+        # a fresh interpreter: the imports, a cost report and the tables
+        # report fill no row; a search fills exactly the rows of its
+        # (sp1, ax1) pairs, and its repeat none
+        script = textwrap.dedent("""
+            import contextlib, io, json
+            import hexsynth, hexsynth.cli
+            from hexsynth import cli, reports, rules
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["cost", "and3", "--json"])
+            reports.generate()
+            seen = [rules._row_table.cache_info().currsize, rules._middles.cache_info().currsize]
+            q = rules.query_from_names("0001", sp=["sxdg", "sx"], ax1=["z", "t", "-z"], ax2=["i"],
+                                       theta=["t", "tdg"])
+            rules.search(q)
+            seen.append(rules._row_table.cache_info().currsize)
+            rules.search(q)
+            info = rules._row_table.cache_info()
+            rows = [rules._row_table(sp1, ax1) for sp1 in q.sp_set for ax1 in q.ax1_set]
+            print(json.dumps(dict(seen=seen, misses=info.misses, maxsize=info.maxsize,
+                                  rows=[[str(r.dtype), r.size, r.flags.writeable] for r in rows])))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(hexsynth.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        assert out["seen"] == [0, 0, 6] and out["misses"] == 6 and out["maxsize"] == 30
+        assert out["rows"] == [["uint8", 7680, False]] * 6
+
+    def test_every_row_equals_the_dense_path(self, cold_rows):
+        # a small theta alphabet over each AX1 entry: all three SP kinds,
+        # so every (sp1, ax1) row of the space, against every column
+        for k, ax1 in enumerate(AX_ENTRIES):
+            q = SearchQuery(target="0000", sp_set=SUPERPOSITION_KINDS, ax1_set=(ax1,),
+                            ax2_set=tuple(AX_ENTRIES),
+                            theta_set=(THETA_KINDS[k % 4], THETA_KINDS[(k + 1) % 4]), symmetric=True)
+            reference = reference_search(q, TARGETS)
+            for target in TARGETS:
+                assert search(dataclasses.replace(q, target=target)) == reference[target]
+        assert rules._row_table.cache_info().currsize == 30
 
 
 @st.composite
@@ -408,19 +501,36 @@ def small_queries(draw):
 
 
 class TestSearchProperty:
-    @pytest.mark.parametrize("block", ["one configuration", "part of a row", "tuples of a row",
-                                       "one row", "one row and one configuration", "default"])
+    @pytest.mark.parametrize("table", ["cold", "one configuration", "part of a row",
+                                       "tuples of a row", "one row",
+                                       "one row and one configuration", "warm"])
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(small_queries())
-    def test_search_equals_reference(self, block, q):
-        cols = len(q.ax2_set) * len(q.sp_set)  # configurations per (sp1, ax1, theta) pair
-        row = sum(1 for _ in iter_specs(q)) // (len(q.sp_set) * len(q.ax1_set))  # per (sp1, ax1)
-        size = {"one configuration": 1, "part of a row": cols - 1, "tuples of a row": 2 * cols + 1,
-                "one row": row, "one row and one configuration": row + 1,
-                "default": rules.BLOCK_CONFIGS}[block]
-        assume(size >= 1)
+    def test_search_equals_reference(self, table, q):
+        # cold: every search fills the rows it reads; warm: every row of the
+        # space is filled before the first.  The other cases start every
+        # search from a table filled only by smaller queries cut from q,
+        # named for the part of its space they cover: a row is filled whole,
+        # whatever part of it its first query reads, and then serves all of q
         reference = reference_search(q, TARGETS)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rules, "BLOCK_CONFIGS", size)
-            for target in TARGETS:
-                assert search(dataclasses.replace(q, target=target)) == reference[target]
+        row = SearchQuery(target=q.target, sp_set=q.sp_set[:1], ax1_set=q.ax1_set[:1],
+                          ax2_set=q.ax2_set, theta_set=q.theta_set, symmetric=q.symmetric)
+        one = dataclasses.replace(row, ax2_set=q.ax2_set[:1], theta_set=q.theta_set[:1])
+        last_one = dataclasses.replace(one, sp_set=q.sp_set[-1:], ax1_set=q.ax1_set[-1:])
+        before = {"cold": [], "one configuration": [one],
+                  "part of a row": [dataclasses.replace(row, theta_set=q.theta_set[:1])],
+                  "tuples of a row": [dataclasses.replace(row, ax2_set=q.ax2_set[:1])],
+                  "one row": [row], "one row and one configuration": [row, last_one]}
+        if table == "warm":
+            for sp1, ax1 in itertools.product(SUPERPOSITION_KINDS, AX_ENTRIES):
+                rules._row_table(sp1, ax1)
+        for target in TARGETS:
+            if table != "warm":
+                rules._row_table.cache_clear()
+                for part in before[table]:
+                    # each part reads its own configurations of the reference
+                    specs = set(iter_specs(part))
+                    assert search(part) == [h for h in reference[q.target] if h.spec in specs]
+                assert rules._row_table.cache_info().currsize == \
+                    len({(p.sp_set, p.ax1_set) for p in before[table]})
+            assert search(dataclasses.replace(q, target=target)) == reference[target]
