@@ -22,16 +22,17 @@ So the whole space is 30 (sp1, ax1) rows of 256 theta tuples by 30
 grades a row the first time a query reads it and keeps it for the
 process, one byte per configuration: the function it realizes and its
 equivalence level, or a byte that matches no function.  All 30 rows are
-230,400 bytes.  A configuration is deterministic when
-p(target=1) = |B_c[1, 0]|^2 lies within ATOL_NORM of 0 or 1 on every
-branch, the rule `truth_table` applies; the target starts in |0>, so this
-needs only column 0 of F and row 1 of L, and a matmul gives it for a
-whole row.  Only the deterministic configurations get their full blocks,
-formed entry by entry: T.F, then L.(T.F), each the sum of two broadcast
-products of a column by a row (the term-wise form of the simulator's ECR).
-They are graded with one call of the package's one grader,
-`simulator.equivalence_levels`, per function present, against that
-function's oracle blocks (I or X per target bit).
+230,400 bytes.  A row is filled from one product: T.F, for all 256 theta
+tuples and four branches.  The target starts in |0>, so row 1 of each L
+times column 0 of T.F is the amplitude of target=1, and `target_bits`,
+the simulator's rule that `truth_table` applies too, decides each
+configuration from p(target=1) on its four branches.  Only the
+deterministic configurations get their full blocks L.(T.F).  Every
+product is formed entry by entry, as the sum of two broadcast products of
+a column by a row (the term-wise form of the simulator's ECR), and no
+step of the fill calls BLAS.  The blocks are graded with one call of the
+package's one grader, `simulator.equivalence_levels`, per function
+present, against that function's oracle blocks (I or X per target bit).
 
 A `SearchQuery` checks its alphabets and stores each as a set in
 enumeration order (distinct entries; kinds by value, AX entries by name),
@@ -57,8 +58,8 @@ import numpy as np
 
 from .circuit import CircuitError, GateKind
 from .library import AX_ENTRIES, SUPERPOSITION_KINDS, THETA_KINDS, CoreSpec
-from .simulator import (ATOL_EQUIV, ATOL_NORM, EquivalenceLevel, SimulationError,
-                        equivalence_levels, gate_matrix)
+from .simulator import (ATOL_EQUIV, EquivalenceLevel, SimulationError, equivalence_levels,
+                        gate_matrix, target_bits)
 
 K = GateKind
 
@@ -226,11 +227,15 @@ def _middles() -> np.ndarray:
     tuples over THETA_KINDS in C order, shape (256, 4, 2, 2), branch
     (c2 << 1) | c1 on axis 1.  Every rotation is diagonal, so each T is a
     monomial matrix whose two nonzero entries are powers of
-    omega = exp(i pi/4).  Built on first use; read-only."""
+    omega = exp(i pi/4): column k of T is |k ^ c1> times th1's diagonal
+    entry at k, th2's at k ^ c2, th3's at k ^ c2 ^ c1 and th4's at k ^ c1.
+    Built on first use; read-only."""
     index = np.array(list(itertools.product(range(4), repeat=4)))
-    th1, th2, th3, th4 = np.array([gate_matrix(k) for k in THETA_KINDS])[index.T]
-    middles = np.stack([th4 @ _FLIP[c2] @ th3 @ _FLIP[c1] @ th2 @ _FLIP[c2] @ th1
-                        for c2 in (0, 1) for c1 in (0, 1)], axis=1)
+    d1, d2, d3, d4 = np.array([gate_matrix(k).diagonal() for k in THETA_KINDS])[index.T]
+    middles = np.zeros((256, 4, 2, 2), dtype=complex)
+    for c2, c1, k in itertools.product((0, 1), repeat=3):
+        middles[:, c2 << 1 | c1, k ^ c1, k] = (d4[:, k ^ c1] * d3[:, k ^ c2 ^ c1]
+                                               * d2[:, k ^ c2] * d1[:, k])
     middles.setflags(write=False)
     return middles
 
@@ -251,59 +256,18 @@ def _theta_index(thetas: tuple, symmetric: bool):
     return tuples, index
 
 
-def _deterministic(f: np.ndarray):
-    """The deterministic configurations of the row whose F = AX1.SP1 is
-    `f`, as their theta rows t and (ax2, sp2) columns j (j = 3 ax2 + sp2 at
-    their `AX_ENTRIES` and `SUPERPOSITION_KINDS` positions), and the
-    function each realizes, as its code.
-
-    The target starts in |0>, so the amplitude of target=1 on branch c is
-    L[j][1] . T[t, c] . F[:, 0], the sum over i, k of T[t, c][i, k] times
-    L[j][1, i] F[k, 0]: a matmul of those 30 x 4 products by the
-    flattened middles gives every amplitude of the row, as (j, t, c).  A
-    configuration is deterministic where p(target=1) lies within ATOL_NORM
-    of its rounded value on all four branches, the rule `truth_table`
-    applies; the rounded values are the function's bits."""
-    coef, flat = (_LAST[..., 1, :, None] * f[:, 0]).reshape(30, 4), _middles().reshape(-1, 4).T
-    amp = np.empty((30, 1024), dtype=complex)
-    # in pieces of 64 theta tuples, each small enough that BLAS runs it on
-    # the calling thread: the whole row's product woke BLAS's thread pool,
-    # which took 16 ms a call on a 2-core VM, against 0.06 ms for the pieces
-    for s in range(0, 1024, 256):
-        np.matmul(coef, flat[:, s:s + 256], out=amp[:, s:s + 256])
-    # p is formed in amp's own buffer, the one large array of the row; it
-    # is freed on return, before the row's blocks are formed
-    squares = amp.view(float).reshape(30, 256, 4, 2)
-    squares **= 2
-    p = np.add(squares[..., 0], squares[..., 1], out=squares[..., 0])
-    bits = p > 0.5
-    p -= bits
-    # a configuration's four branch tests are four adjacent bytes: it is
-    # deterministic where they read, as one uint32, as four 1s
-    ok = np.abs(p, out=p) <= ATOL_NORM
-    j, t = np.nonzero(ok.view(np.uint32)[..., 0] == 0x01010101)
-    return t, j, bits[j, t] @ np.array([8, 4, 2, 1])
-
-
-def _row_blocks(sp1: GateKind, ax1: str):
-    """The deterministic configurations of the (sp1, ax1) row, as their
-    `_deterministic` theta rows t, columns j and function codes, and their
-    target blocks B_c = L[j] . T[t, c] . F, shape (n, 4, 2, 2).
-
-    Only these get blocks, formed entry by entry:
-    (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k], as a column of T times
-    a row of F plus the next, then L.(T.F) the same way; stacked
-    small-matrix matmuls cost several times more.  The entries sit on the
-    first axes and the configurations on the last, so each product runs
-    along a long axis: T.F for every theta tuple as (c, i, k, t), then
-    L.(T.F) for each configuration as (c, r, k, n)."""
-    f = _FIRST[_SP_INDEX[sp1], _AX_INDEX[ax1]]
-    t, j, codes = _deterministic(f)
-    m, l = _middles().transpose(1, 2, 3, 0), _LAST.reshape(30, 2, 2)[j].transpose(1, 2, 0)
-    mf = (m[:, :, :1] * f[0, :, None] + m[:, :, 1:] * f[1, :, None])[..., t]
-    blocks = l[None, :, 0, None] * mf[:, None, 0]
-    blocks += l[None, :, 1, None] * mf[:, None, 1]
-    return t, j, codes, np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
+def _grade(codes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Level values of configurations that realize the functions `codes`,
+    from their target blocks, shape (n, 4, 2, 2): one `equivalence_levels`
+    call per function present, against that function's oracle blocks (I
+    or X per target bit)."""
+    stack = blocks.reshape(-1, 8, 2)
+    levels = np.empty(len(codes), dtype=np.uint8)
+    for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
+        sel = codes == code
+        oracle = _FLIP[[code >> 3, code >> 2 & 1, code >> 1 & 1, code & 1]].reshape(8, 2)
+        levels[sel] = list(map(_LEVEL_OF.index, equivalence_levels(stack[sel], oracle)))
+    return levels
 
 
 # bound: the 3 SP kinds by the 10 AX entries, the whole space
@@ -314,20 +278,30 @@ def _row_table(sp1: GateKind, ax1: str) -> np.ndarray:
     10 AX2 entries, 3 SP2 kinds), in `_middles` and `AX_ENTRIES` and
     `SUPERPOSITION_KINDS` order, of 7,680 bytes.  Each byte is
     (function << 2) | level for a deterministic configuration, else
-    _UNDECIDED.  The blocks of `_row_blocks` are graded with one
-    `equivalence_levels` call per function present, against that
-    function's oracle blocks (I or X per target bit).  Filled by the first
-    query that reads the row and kept for the process: 30 rows of the
-    whole space are 230,400 bytes."""
-    t, j, codes, blocks = _row_blocks(sp1, ax1)
-    stack = blocks.reshape(-1, 8, 2)
-    levels = np.empty(len(codes), dtype=np.uint8)
-    for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
-        sel = codes == code
-        oracle = _FLIP[[code >> 3, code >> 2 & 1, code >> 1 & 1, code & 1]].reshape(8, 2)
-        levels[sel] = list(map(_LEVEL_OF.index, equivalence_levels(stack[sel], oracle)))
+    _UNDECIDED.  Filled by the first query that reads the row and kept for
+    the process: 30 rows of the whole space are 230,400 bytes.
+
+    T.F is formed once, for all 256 theta tuples, as (c, i, k, t); row 1
+    of each L times its column 0 gives the amplitudes of target=1, as
+    (c, j, t), which `target_bits` decides; and the deterministic
+    configurations alone get their blocks L[j].(T.F), as (c, r, k, n),
+    which `_grade` grades.  Each product is the sum of two broadcast
+    products of a column by a row, e.g.
+    (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k], along the long last
+    axis of configurations; stacked 2x2 matmuls cost several times more."""
+    f, l = _FIRST[_SP_INDEX[sp1], _AX_INDEX[ax1]], _LAST.reshape(30, 2, 2)
+    m = _middles().transpose(1, 2, 3, 0)
+    mf = m[:, :, :1] * f[0, :, None] + m[:, :, 1:] * f[1, :, None]
+    amp = mf[:, None, 0, 0] * l[:, 1, 0, None]
+    amp += mf[:, None, 1, 0] * l[:, 1, 1, None]
+    bits, ok = target_bits(amp.real ** 2 + amp.imag ** 2)
+    j, t = np.nonzero(ok[0] & ok[1] & ok[2] & ok[3])
+    codes = (bits[:, j, t] * [[8], [4], [2], [1]]).sum(axis=0)
+    mf, l = mf[..., t], l[j].transpose(1, 2, 0)
+    blocks = l[None, :, 0, None] * mf[:, None, 0]
+    blocks += l[None, :, 1, None] * mf[:, None, 1]
     table = np.full((256, 10, 3), _UNDECIDED, dtype=np.uint8)
-    table.reshape(256, 30)[t, j] = codes << 2 | levels
+    table.reshape(256, 30)[t, j] = codes << 2 | _grade(codes, blocks.transpose(3, 0, 1, 2))
     table.setflags(write=False)
     return table
 

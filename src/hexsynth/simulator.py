@@ -20,10 +20,13 @@ assignment) all call the one sweep over the gates, `_sweep`, which copies
 its input once and then moves between two buffers of its own.  One grader,
 `equivalence_levels`, grades a stack of matrices against one reference:
 `equivalence` grades dense unitaries with it, and the configuration search
-the 2x2 target blocks of its hits.  It flattens the stack to one row per
-matrix, so every overlap tr(U^dagger . ref) is one matmul with the
-flattened reference, and it refuses a stack whose matrices do not have the
-reference's shape.
+the 2x2 target blocks of its row tables.  It flattens the stack to one
+row per matrix, so every overlap tr(U^dagger . ref) is one einsum with the
+flattened reference (no BLAS call, so no BLAS thread pool to wake), and
+it refuses a stack whose matrices do not have the reference's shape.  One
+rule, `target_bits`, decides a measured target: `truth_table` applies it
+to its control assignments, and the search to the branches of its core
+configurations.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -309,7 +312,7 @@ def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel
     block-diagonal unitary may be passed as its diagonal blocks stacked
     row-wise; the entries off the blocks are zero on both sides.
 
-    The stack is flattened to (n, r*c): every overlap is one matmul with the
+    The stack is flattened to (n, r*c): every overlap is one einsum with the
     flattened `ref`, and the magnitude tests are row maxima of the same flat
     arrays.  Each matrix must have `ref`'s shape (a transposed stack of the
     same size would flatten alike), else SimulationError; an empty stack
@@ -320,7 +323,7 @@ def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel
     if not len(us):
         return []
     flat, ref_flat = us.reshape(len(us), -1), ref.ravel()
-    overlap = (np.abs(flat.conj() @ ref_flat) / ref.shape[0]).tolist()
+    overlap = (np.abs(np.einsum("ij,j->i", flat.conj(), ref_flat)) / ref.shape[0]).tolist()
     mags, ref_mags = np.abs(flat), np.abs(ref_flat)
     l2 = (np.abs(mags - ref_mags).max(axis=1) <= ATOL_EQUIV).tolist()
     # column j of |U|^2 is the output distribution for basis input j
@@ -369,12 +372,22 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
         target_one = amps.reshape(2 ** (n - 1 - target), 2, 2 ** target, -1)[:, 1]
         p1s += np.sum(np.abs(target_one) ** 2, axis=(0, 1)).tolist()
     keys = [_bits(m, k) for m in range(2 ** k)]
-    for key, norm, p1 in zip(keys, norms, p1s):
+    bits, deterministic = target_bits(np.array(p1s))
+    for key, norm, p1, ok in zip(keys, norms, p1s, deterministic.tolist()):
         if abs(norm - 1.0) > ATOL_NORM:
             raise SimulationError("state is not normalized")
-        if not (p1 >= 1 - ATOL_NORM or p1 <= ATOL_NORM):
+        if not ok:
             raise SimulationError(f"non-deterministic target for controls {key}: p(1)={p1:.6f}")
-    return {key: int(p1 >= 1 - ATOL_NORM) for key, p1 in zip(keys, p1s)}
+    return dict(zip(keys, bits.astype(int).tolist()))
+
+
+def target_bits(p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The determinism rule of a measured target, entry by entry over an
+    array of p(target=1): the target is deterministic where p lies within
+    ATOL_NORM of 0 or 1, and its bit is 1 where p lies within ATOL_NORM of
+    1.  Returns (bits, deterministic), two bool arrays of p1's shape."""
+    one = p1 >= 1 - ATOL_NORM
+    return one, one | (p1 <= ATOL_NORM)
 
 
 def _bits(b: int, n: int) -> str:

@@ -112,3 +112,50 @@ def test_search_order_is_set_once():
     # a SearchQuery stores its alphabets in enumeration order, and the search
     # yields hits in that order: nothing else in rules sorts
     assert {owner for owner, _ in ordering_calls(SRC / "rules.py")} == {"SearchQuery"}
+
+
+BLAS = {"matmul", "dot", "vdot", "inner", "tensordot"}
+
+
+def blas_calls(func: ast.FunctionDef) -> list[str]:
+    """What in the function's body may call BLAS: each `@` (also `@=`),
+    each call of a BLAS-backed name (`np.matmul`, `np.dot`, `a.dot(b)`, …),
+    and each `einsum` given `optimize`, which hands its pairs to
+    `tensordot`; a plain `np.einsum` loops in C."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in BLAS or name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                found.append(name)
+    return found
+
+
+def reached(path: Path, root: str) -> dict[str, ast.FunctionDef]:
+    """`root` and every top-level function of the module that it names
+    (calls, or passes on), directly or through another such function."""
+    funcs = {top.name: top for top in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(top, ast.FunctionDef)}
+    seen, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in seen:
+            seen[name] = funcs[name]
+            todo += [node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)]
+    return seen
+
+
+def test_the_search_path_calls_no_blas():
+    # a BLAS call on a few hundred rows woke OpenBLAS's thread pool, which
+    # cost milliseconds a call with BLAS threads unpinned; the row fill, the
+    # rule and the grader it calls take every product term by term or by
+    # einsum
+    fill = reached(SRC / "rules.py", "search")
+    assert {"_row_table", "_middles", "_theta_index", "_grade"} <= set(fill)
+    simulator = {**reached(SRC / "simulator.py", "equivalence_levels"),
+                 **reached(SRC / "simulator.py", "target_bits")}
+    assert {name: blas_calls(func) for name, func in {**fill, **simulator}.items()
+            if blas_calls(func)} == {}

@@ -57,7 +57,9 @@ class TestCouplingMap:
                               (3.0, (0, 1), "num_qubits must be an integer"),
                               (3, 5, "edges must be a collection of qubit pairs, got 5$"),
                               (0, frozenset(), "^num_qubits must be >= 1, got 0$"),
-                              (-5, frozenset(), "^num_qubits must be >= 1, got -5$")])
+                              (-5, frozenset(), "^num_qubits must be >= 1, got -5$"),
+                              (3, (1, 1), "self-loop edge"),
+                              (3, (0, 3), r"outside 0\.\.2")])
     def test_constructor_states_the_rules(self, num_qubits, edge, message):
         # a map built in code meets the same rules as one read from JSON; a
         # bare non-tuple stands for the whole edge collection

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import permutation_unitary
 import hexsynth
-from hexsynth import rules
+from hexsynth import rules, simulator
 from hexsynth.circuit import CircuitError, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
                               BooleanGateKind, CoreSpec, build_core)
@@ -220,8 +220,9 @@ class TestBatchedSearchMatchesReference:
         # queries.  A tolerance of one half decides every configuration as
         # some function, so each query's hits over the 16 targets are its
         # whole space, each configuration once, and it fills only those of
-        # its own rows not filled yet, each of 7,680 bytes
-        monkeypatch.setattr(rules, "ATOL_NORM", 0.5)
+        # its own rows not filled yet, each of 7,680 bytes.  The rule reads
+        # the tolerance where it is stated, in the simulator
+        monkeypatch.setattr(simulator, "ATOL_NORM", 0.5)
         space = list(itertools.product(SUPERPOSITION_KINDS, AX_ENTRIES))
         for sp1, ax1 in space[:block]:
             rules._row_table(sp1, ax1)
@@ -321,26 +322,30 @@ class TestBatchedSearchMatchesReference:
 
     def test_grades_hand_made_blocks(self, monkeypatch, cold_rows):
         # No query space holds an L1 hit, so the grading of the table's
-        # oracle blocks is checked on blocks cut from the oracle itself:
-        # they grade L1, and with a factor i on the branches that flip the
-        # target, L2.  The target has both bit values, else the factor is a
-        # global phase.
-        target, spec = "0001", CoreSpec()
-        u = oracle_unitary(target)
+        # oracle blocks is checked on blocks cut from each function's oracle
+        # itself: they grade L1, and with a factor i on the branches that
+        # flip the target, L2.  The target has both bit values, else the
+        # factor is a global phase.  Then each configuration of a row is
+        # graded on those blocks of its function in place of its own, and
+        # the search reads back the level they were given.
+        grade, target = rules._grade, "0001"
         wires = [[c & 1 | t << 1 | (c >> 1) << 2 for t in (0, 1)] for c in range(4)]
-        blocks = np.array([[u[np.ix_(w, w)] for w in wires]])
-        flips = np.array([int(b) for b in target]) == 1
-        _, theta_rows = rules._theta_index(THETA_KINDS, False)
-        t = theta_rows[list(itertools.product(THETA_KINDS, repeat=4)).index(spec.theta)]
-        j = rules._AX_INDEX[spec.ax2] * 3 + rules._SP_INDEX[spec.sp2]
+
+        def oracle_blocks(code, phase):
+            bits = format(code, "04b")
+            u = oracle_unitary(bits).astype(complex)
+            return np.array([u[np.ix_(w, w)] * (phase if b == "1" else 1)
+                             for w, b in zip(wires, bits)])
+
+        hits, code = search(SearchQuery(target=target)), int(target, 2)
+        assert hits
         for phase, level in ((1, EquivalenceLevel.L1_GLOBAL_PHASE),
                              (1j, EquivalenceLevel.L2_RELATIVE_PHASE)):
-            graded = blocks.astype(complex)
-            graded[:, flips] *= phase
-            monkeypatch.setattr(rules, "_row_blocks", lambda sp1, ax1, b=graded:
-                                (np.array([t]), np.array([j]), np.array([int(target, 2)]), b))
+            assert grade(np.array([code]), oracle_blocks(code, phase)[None]).tolist() == [level.value]
+            monkeypatch.setattr(rules, "_grade", lambda codes, blocks, p=phase: grade(
+                codes, np.array([oracle_blocks(c, p) for c in codes.tolist()])))
             rules._row_table.cache_clear()
-            assert search(SearchQuery(target=target)) == [SearchHit(spec, level)]
+            assert search(SearchQuery(target=target)) == [SearchHit(h.spec, level) for h in hits]
 
     def test_factor_tables_hold_every_sp_kind_and_ax_entry(self):
         assert rules._FIRST.shape == (3, 10, 2, 2) and rules._LAST.shape == (10, 3, 2, 2)
@@ -364,23 +369,22 @@ class TestBatchedSearchMatchesReference:
         assert len(hits) > 100 and hits == sorted(set(hits))
 
     def test_hit_blocks_are_the_factor_products(self):
-        # every row of the space: the configurations given blocks are
+        # every row of the space: the configurations its table decides are
         # exactly those whose p(target=1), from L . T . F by matmul, lies
-        # within ATOL_NORM of 0 or 1 on every branch; their function codes
-        # are those bits, and their entry-wise blocks equal the products
+        # within ATOL_NORM of 0 or 1 on every branch, and each decided
+        # byte's function is those bits
         middles, last = rules._middles(), rules._LAST.reshape(30, 2, 2)
         checked = 0
         for sp1, ax1 in itertools.product(SUPERPOSITION_KINDS, AX_ENTRIES):
             first = rules._FIRST[rules._SP_INDEX[sp1], rules._AX_INDEX[ax1]]
             dense = last[:, None, None] @ middles[None] @ first  # (j, t, c, 2, 2)
             p = np.abs(dense[..., 1, 0]) ** 2
-            deterministic = (np.minimum(p, np.abs(1 - p)) <= rules.ATOL_NORM).all(axis=2)
-            t, j, codes, blocks = rules._row_blocks(sp1, ax1)
+            deterministic = (np.minimum(p, np.abs(1 - p)) <= simulator.ATOL_NORM).all(axis=2)
+            table = rules._row_table(sp1, ax1).reshape(256, 30)
+            t, j = np.nonzero(table != rules._UNDECIDED)
             assert sorted(zip(j.tolist(), t.tolist())) == list(zip(*np.nonzero(deterministic)))
-            assert codes.tolist() == [int("".join(str(round(x)) for x in p[a, b]), 2)
-                                      for a, b in zip(j, t)]
-            assert blocks.shape == (len(t), 4, 2, 2)
-            assert np.abs(blocks - dense[j, t]).max() <= 1e-12
+            assert (table[t, j] >> 2).tolist() == [int("".join(str(round(x)) for x in p[b, a]), 2)
+                                                   for a, b in zip(t, j)]
             checked += len(t)
         assert checked == 14912
 
@@ -431,7 +435,7 @@ class TestBatchedSearchMatchesReference:
         hits = search(q)
         assert hits and all(h.spec.symmetric for h in hits)
         # every deterministic configuration of the query's 8 rows, once
-        assert sum(graded) == sum(len(rules._row_blocks(sp1, ax1)[0])
+        assert sum(graded) == sum(int((rules._row_table(sp1, ax1) != rules._UNDECIDED).sum())
                                   for sp1, ax1 in itertools.product(q.sp_set, q.ax1_set))
         graded.clear()
         # the same rows again, for every target and not only symmetric

@@ -473,16 +473,22 @@ class TestBatchedGrader:
 
     def test_equals_the_former_grader_on_every_search_hit(self):
         # every configuration of the space that is a hit of some target:
-        # its row's blocks, stacked per function, graded as the row table
-        # grades them
+        # the level its row table holds is the former grader's on its dense
+        # blocks L . T . F, stacked per function against that function's
+        # oracle blocks
+        middles, last = rules._middles(), rules._LAST.reshape(30, 2, 2)
         graded = 0
         for sp1, ax1 in itertools.product(SUPERPOSITION_KINDS, AX_ENTRIES):
-            _, _, codes, blocks = rules._row_blocks(sp1, ax1)
-            for code in set(codes.tolist()):
+            first = rules._FIRST[rules._SP_INDEX[sp1], rules._AX_INDEX[ax1]]
+            table = rules._row_table(sp1, ax1).reshape(256, 30)
+            t, j = np.nonzero(table != rules._UNDECIDED)
+            found, blocks = table[t, j], last[j, None] @ middles[t] @ first
+            for code in set((found >> 2).tolist()):
+                sel = found >> 2 == code
                 oracle = rules._FLIP[[int(b) for b in format(code, "04b")]].reshape(8, 2)
-                stack = blocks[codes == code].reshape(-1, 8, 2)
-                assert equivalence_levels(stack, oracle) == reference_equivalence_levels(stack, oracle)
-                graded += len(stack)
+                levels = reference_equivalence_levels(blocks[sel].reshape(-1, 8, 2), oracle)
+                assert [level.value for level in levels] == (found[sel] & 3).tolist()
+                graded += len(levels)
         assert graded == 14912
 
     def test_rejects_a_stack_of_another_shape(self):
