@@ -7,7 +7,8 @@ of its four control branches a core acts on the target alone, as one 2x2
 block.  Each block factors into the superposition/auxiliary ends and a
 rotation middle shared by every configuration with the same four rotations;
 the search reads p(target=1) for every configuration off these factors in
-one numpy pass, and forms and grades the full blocks of the hits alone.
+one numpy pass, and forms and grades the full blocks of the deterministic
+configurations alone, once per process.
 """
 from hexsynth.library import THETA_KINDS
 from hexsynth.rules import SearchQuery, apply_rules, count_space, search

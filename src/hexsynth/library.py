@@ -1,8 +1,9 @@
 """The gate registry: the layout-aware Clifford+T family and standard oracles.
 
 The centerpiece is the symmetric 3-qubit core: on the target wire
-SP1, AX1, th1, CX(c2->t), th2, CX(c1->t), th3, CX(c2->t), th4, AX2, SP2,
-with no gate ever connecting the two controls.  Six Boolean gates arise
+SP1, AX1, th1, CX, th2, CX, th3, CX, th4, AX2, SP2, each CX from the
+control that `CORE_CX` names, with no gate ever connecting the two
+controls.  Six Boolean gates arise
 from fixed core configurations; larger gates chain cores through ancilla
 wires that are left dirty (no uncompute).  Standard textbook circuits
 (Toffoli, Fredkin, exact controlled-sqrt(X), ...) are provided as
@@ -31,6 +32,9 @@ K = GateKind
 
 SUPERPOSITION_KINDS = (K.H, K.SX, K.SXDG)
 THETA_KINDS = (K.S, K.SDG, K.T, K.TDG)
+# the control wire of each of the core's three CX gates onto the target, in
+# order, the i-th between rotations i and i + 1
+CORE_CX = ("c2", "c1", "c2")
 _THETA_SET = frozenset(THETA_KINDS)
 
 # auxiliary-slot entries are short gate sequences applied to the target wire;
@@ -136,9 +140,11 @@ BOOLEAN_BY_NAME: dict[str, BooleanGateKind] = {kind.gate: kind for kind in Boole
 
 def core_gates(spec: CoreSpec, c1: int, t: int, c2: int) -> list[Gate]:
     """Core gate sequence instantiated on arbitrary wires (ax slots of I emit nothing)."""
-    th1, th2, th3, th4 = (Gate(k, (t,)) for k in spec.theta)
-    return ([Gate(k, (t,)) for k in (spec.sp1, *AX_ENTRIES[spec.ax1])]
-            + [th1, Gate(K.CX, (c2, t)), th2, Gate(K.CX, (c1, t)), th3, Gate(K.CX, (c2, t)), th4]
+    wire = {"c1": c1, "c2": c2}
+    middle = [Gate(spec.theta[0], (t,))]
+    for control, theta in zip(CORE_CX, spec.theta[1:]):
+        middle += [Gate(K.CX, (wire[control], t)), Gate(theta, (t,))]
+    return ([Gate(k, (t,)) for k in (spec.sp1, *AX_ENTRIES[spec.ax1])] + middle
             + [Gate(k, (t,)) for k in (*AX_ENTRIES[spec.ax2], spec.sp2)])
 
 

@@ -9,7 +9,8 @@ exhaustive search over the remaining configuration space.
 
 No core gate touches a control wire except as the control of a CX, so on
 each control branch c = (c2 << 1) | c1 the core acts on the target alone, as
-the 2x2 block B_c = SP2.AX2.th4.X^c2.th3.X^c1.th2.X^c2.th1.AX1.SP1, and its
+the 2x2 block B_c = SP2.AX2.th4.X^b3.th3.X^b2.th2.X^b1.th1.AX1.SP1, b_i the
+branch's bit of the control `library.CORE_CX` names for the i-th CX, and its
 unitary is block-diagonal over the branches.  The search factors each block
 as B_c = L[ax2, sp2] . T[theta, c] . F[sp1, ax1].  F = AX1.SP1 and
 L = SP2.AX2 are module constants, `_FIRST` and `_LAST`, over all three SP
@@ -31,8 +32,8 @@ deterministic configurations get their full blocks L.(T.F).  Every
 product is formed entry by entry, as the sum of two broadcast products of
 a column by a row (the term-wise form of the simulator's ECR), and no
 step of the fill calls BLAS.  The blocks are graded with one call of the
-package's one grader, `simulator.equivalence_levels`, per function
-present, against that function's oracle blocks (I or X per target bit).
+package's one grader, `simulator.equivalence_levels`, each against the
+oracle blocks of its own function (I or X per target bit).
 
 A `SearchQuery` checks its alphabets and stores each as a set in
 enumeration order (distinct entries; kinds by value, AX entries by name),
@@ -44,7 +45,8 @@ holds, in the grid's order.
 
 `phase_trace` walks one branch through the same factors, stage by stage:
 `_FIRST`'s column 0, each theta, X for each CX whose control is 1, then
-`_LAST`, naming the target's equatorial octant after every stage.
+`_LAST`, naming the target's equatorial octant after every stage, and the
+last stage's |0> or |1> by `target_bits`.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitError, GateKind
-from .library import AX_ENTRIES, SUPERPOSITION_KINDS, THETA_KINDS, CoreSpec
+from .library import AX_ENTRIES, CORE_CX, SUPERPOSITION_KINDS, THETA_KINDS, CoreSpec
 from .simulator import (ATOL_EQUIV, EquivalenceLevel, SimulationError, equivalence_levels,
                         gate_matrix, target_bits)
 
@@ -223,19 +225,24 @@ _LEVEL_OF = tuple(EquivalenceLevel(value) for value in range(4))  # by value
 
 @functools.cache
 def _middles() -> np.ndarray:
-    """T[theta, c] = th4.X^c2.th3.X^c1.th2.X^c2.th1 for all 256 theta
+    """T[theta, c] = th4.X^b3.th3.X^b2.th2.X^b1.th1 for all 256 theta
     tuples over THETA_KINDS in C order, shape (256, 4, 2, 2), branch
-    (c2 << 1) | c1 on axis 1.  Every rotation is diagonal, so each T is a
-    monomial matrix whose two nonzero entries are powers of
-    omega = exp(i pi/4): column k of T is |k ^ c1> times th1's diagonal
-    entry at k, th2's at k ^ c2, th3's at k ^ c2 ^ c1 and th4's at k ^ c1.
-    Built on first use; read-only."""
+    (c2 << 1) | c1 on axis 1, b_i the branch's bit of the control that
+    `CORE_CX` names for the i-th CX.  Every rotation is diagonal, so each T
+    is a monomial matrix whose two nonzero entries are powers of
+    omega = exp(i pi/4): column k of T is a walk from row k over the
+    rotations, taking each one's diagonal entry at the current row, and
+    over `CORE_CX` between them, flipping the row where the CX's control
+    is 1.  Built on first use; read-only."""
     index = np.array(list(itertools.product(range(4), repeat=4)))
-    d1, d2, d3, d4 = np.array([gate_matrix(k).diagonal() for k in THETA_KINDS])[index.T]
+    first, *rest = np.array([gate_matrix(k).diagonal() for k in THETA_KINDS])[index.T]
     middles = np.zeros((256, 4, 2, 2), dtype=complex)
     for c2, c1, k in itertools.product((0, 1), repeat=3):
-        middles[:, c2 << 1 | c1, k ^ c1, k] = (d4[:, k ^ c1] * d3[:, k ^ c2 ^ c1]
-                                               * d2[:, k ^ c2] * d1[:, k])
+        bit, row, entry = {"c1": c1, "c2": c2}, k, first[:, k]
+        for control, diagonal in zip(CORE_CX, rest):
+            row ^= bit[control]
+            entry = diagonal[:, row] * entry
+        middles[:, c2 << 1 | c1, row, k] = entry
     middles.setflags(write=False)
     return middles
 
@@ -244,30 +251,16 @@ def _middles() -> np.ndarray:
 @functools.lru_cache(maxsize=30)
 def _theta_index(thetas: tuple, symmetric: bool):
     """The theta tuples `iter_specs` enumerates over the stored alphabet
-    `thetas`, in C order, keeping only those with theta1 = theta3 and
-    theta2 = theta4 when `symmetric`, and their rows in `_middles` and in
-    every row table, as a read-only index array.  Cached."""
+    `thetas`, in C order, only the `CoreSpec.symmetric` ones when
+    `symmetric`, and their rows in `_middles` and in every row table, as a
+    read-only index array.  Cached."""
     tuples = tuple(th for th in itertools.product(thetas, repeat=4)
-                   if not symmetric or (th[0] == th[2] and th[1] == th[3]))
+                   if not symmetric or CoreSpec(theta=th).symmetric)
     digit = {k: i for i, k in enumerate(THETA_KINDS)}
     index = np.array([((digit[a] * 4 + digit[b]) * 4 + digit[c]) * 4 + digit[d]
                       for a, b, c, d in tuples], dtype=np.intp)
     index.setflags(write=False)
     return tuples, index
-
-
-def _grade(codes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Level values of configurations that realize the functions `codes`,
-    from their target blocks, shape (n, 4, 2, 2): one `equivalence_levels`
-    call per function present, against that function's oracle blocks (I
-    or X per target bit)."""
-    stack = blocks.reshape(-1, 8, 2)
-    levels = np.empty(len(codes), dtype=np.uint8)
-    for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
-        sel = codes == code
-        oracle = _FLIP[[code >> 3, code >> 2 & 1, code >> 1 & 1, code & 1]].reshape(8, 2)
-        levels[sel] = list(map(_LEVEL_OF.index, equivalence_levels(stack[sel], oracle)))
-    return levels
 
 
 # bound: the 3 SP kinds by the 10 AX entries, the whole space
@@ -285,8 +278,9 @@ def _row_table(sp1: GateKind, ax1: str) -> np.ndarray:
     of each L times its column 0 gives the amplitudes of target=1, as
     (c, j, t), which `target_bits` decides; and the deterministic
     configurations alone get their blocks L[j].(T.F), as (c, r, k, n),
-    which `_grade` grades.  Each product is the sum of two broadcast
-    products of a column by a row, e.g.
+    which one `equivalence_levels` call grades, each against the oracle
+    blocks `_FLIP[bits]` of its own target bits.  Each product is the sum
+    of two broadcast products of a column by a row, e.g.
     (T.F)[i, k] = T[i, 0] F[0, k] + T[i, 1] F[1, k], along the long last
     axis of configurations; stacked 2x2 matmuls cost several times more."""
     f, l = _FIRST[_SP_INDEX[sp1], _AX_INDEX[ax1]], _LAST.reshape(30, 2, 2)
@@ -296,12 +290,14 @@ def _row_table(sp1: GateKind, ax1: str) -> np.ndarray:
     amp += mf[:, None, 1, 0] * l[:, 1, 1, None]
     bits, ok = target_bits(amp.real ** 2 + amp.imag ** 2)
     j, t = np.nonzero(ok[0] & ok[1] & ok[2] & ok[3])
-    codes = (bits[:, j, t] * [[8], [4], [2], [1]]).sum(axis=0)
+    bits = bits[:, j, t]
     mf, l = mf[..., t], l[j].transpose(1, 2, 0)
     blocks = l[None, :, 0, None] * mf[:, None, 0]
     blocks += l[None, :, 1, None] * mf[:, None, 1]
+    levels = equivalence_levels(blocks.transpose(3, 0, 1, 2).reshape(-1, 8, 2),
+                                _FLIP[bits.T.astype(np.intp)].reshape(-1, 8, 2))
     table = np.full((256, 10, 3), _UNDECIDED, dtype=np.uint8)
-    table.reshape(256, 30)[t, j] = codes << 2 | _grade(codes, blocks.transpose(3, 0, 1, 2))
+    table.reshape(256, 30)[t, j] = (bits * [[8], [4], [2], [1]]).sum(axis=0) << 2 | levels
     table.setflags(write=False)
     return table
 
@@ -346,7 +342,8 @@ def query_from_names(target: str, sp, ax1, ax2, theta, symmetric: bool = False) 
 # ---------------------------------------------------------------------------
 # phase trace of the symmetric 3-bit core
 
-STAGE_NAMES = ("SP1", "theta1", "CX_c2", "theta2", "CX_c1", "theta3", "CX_c2", "theta4", "SP2")
+STAGE_NAMES = ("SP1", "theta1", *itertools.chain.from_iterable(
+    (f"CX_{control}", f"theta{i}") for i, control in enumerate(CORE_CX, 2)), "SP2")
 PHASE_STEP_LABELS = {0: "|+>", 1: "pi/4", 2: "|+i>", 3: "3pi/4",
                      4: "|->", 5: "5pi/4", 6: "|-i>", 7: "7pi/4"}
 TRACE_SKIP = "-"
@@ -374,24 +371,19 @@ def phase_trace(core: CoreSpec, control_state: str) -> list[str]:
     '-', and L = SP2.AX2 ends the branch, at |0> or |1> when the branch is
     deterministic.
     """
-    if len(control_state) != 2 or any(ch not in "01" for ch in control_state):
+    if (not isinstance(control_state, str) or len(control_state) != 2
+            or any(ch not in "01" for ch in control_state)):
         raise SimulationError(f"control_state must be two bits, got {control_state!r}")
-    c2, c1 = int(control_state[0]), int(control_state[1])
+    bit = {"c2": int(control_state[0]), "c1": int(control_state[1])}
     psi = _FIRST[_SP_INDEX[core.sp1], _AX_INDEX[core.ax1], :, 0]
     labels = [_equatorial_label(psi)]
-    for theta, control in zip(core.theta, (c2, c1, c2, None)):
+    for control, theta in zip((None, *CORE_CX), core.theta):
+        if control is not None:
+            psi = psi[::-1] if bit[control] else psi
+            labels.append(_equatorial_label(psi) if bit[control] else TRACE_SKIP)
         psi = gate_matrix(theta) @ psi
         labels.append(_equatorial_label(psi))
-        if control == 1:
-            psi = psi[::-1]
-            labels.append(_equatorial_label(psi))
-        elif control == 0:
-            labels.append(TRACE_SKIP)
     psi = _LAST[_AX_INDEX[core.ax2], _SP_INDEX[core.sp2]] @ psi
-    if abs(psi[0]) > 1 - ATOL_EQUIV:
-        labels.append("|0>")
-    elif abs(psi[1]) > 1 - ATOL_EQUIV:
-        labels.append("|1>")
-    else:
-        labels.append(_equatorial_label(psi))
+    one, deterministic = target_bits(abs(psi[1]) ** 2)
+    labels.append(("|1>" if one else "|0>") if deterministic else _equatorial_label(psi))
     return labels

@@ -18,15 +18,16 @@ trailing batch columns, so `apply` (one state), `unitary_of` (the
 identity's 2^n columns) and `truth_table` (one basis column per control
 assignment) all call the one sweep over the gates, `_sweep`, which copies
 its input once and then moves between two buffers of its own.  One grader,
-`equivalence_levels`, grades a stack of matrices against one reference:
-`equivalence` grades dense unitaries with it, and the configuration search
-the 2x2 target blocks of its row tables.  It flattens the stack to one
-row per matrix, so every overlap tr(U^dagger . ref) is one einsum with the
-flattened reference (no BLAS call, so no BLAS thread pool to wake), and
-it refuses a stack whose matrices do not have the reference's shape.  One
-rule, `target_bits`, decides a measured target: `truth_table` applies it
-to its control assignments, and the search to the branches of its core
-configurations.
+`equivalence_levels`, grades a stack of matrices against one reference or
+against one reference each, and returns level values: `equivalence` grades
+a dense unitary with it, and the configuration search all the 2x2 target
+blocks of a row table in one call, each against its own oracle blocks.  It
+flattens every matrix to one row, so every overlap tr(U^dagger . ref) is
+one einsum of two flat stacks (no BLAS call, so no BLAS thread pool to
+wake), and it refuses references whose shape or count does not fit the
+stack.  One rule, `target_bits`, decides a measured target: `truth_table`
+applies it to its control assignments, the search to the branches of its
+core configurations, and the phase trace to its last stage.
 
 Matrix conventions:
   - basis index bit i corresponds to qubit i (qubit 0 least significant);
@@ -301,42 +302,40 @@ class EquivalenceLevel(Enum):
         return self.value >= other.value
 
 
-# the levels as module names, strongest first: the grader's loop reads no Enum attribute
-_L1, _L2, _L3, _NONE = EquivalenceLevel
-
-
-def equivalence_levels(us: np.ndarray, ref: np.ndarray) -> list[EquivalenceLevel]:
-    """Strongest equivalence level of each matrix of a stack (n, r, c) against
-    one (r, c) unitary `ref`.  The tests read entries only: tr(Ua^dagger . Ub)
-    is the sum of conj(Ua) * Ub, and the dimension is the row count r.  So a
+def equivalence_levels(us: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """`EquivalenceLevel` values, as uint8, of each matrix of a stack
+    (n, r, c) against one (r, c) reference or its own of a stack (n, r, c).
+    The tests read entries only: tr(Ua^dagger . Ub) is the sum of
+    conj(Ua) * Ub, and the dimension is the row count r.  So a
     block-diagonal unitary may be passed as its diagonal blocks stacked
     row-wise; the entries off the blocks are zero on both sides.
 
-    The stack is flattened to (n, r*c): every overlap is one einsum with the
-    flattened `ref`, and the magnitude tests are row maxima of the same flat
-    arrays.  Each matrix must have `ref`'s shape (a transposed stack of the
-    same size would flatten alike), else SimulationError; an empty stack
-    grades as []."""
-    if us.shape[1:] != ref.shape:
+    Every matrix is flattened to one row: the overlaps are one einsum, the
+    magnitude tests row maxima, and a level holds where its test or a
+    stronger one does, so the value is the sum of three cumulative masks.
+    References whose shape is not the matrices' (a transposed stack would
+    flatten alike) or whose count is not the stack's raise SimulationError;
+    an empty stack grades as an empty array."""
+    if (us.shape[1:] != refs.shape[-2:] or refs.ndim not in (2, 3)
+            or refs.ndim == 3 and len(refs) != len(us)):
         raise SimulationError(f"stack of {us.shape[1:]} matrices graded against a "
-                              f"{ref.shape} reference")
-    if not len(us):
-        return []
-    flat, ref_flat = us.reshape(len(us), -1), ref.ravel()
-    overlap = (np.abs(np.einsum("ij,j->i", flat.conj(), ref_flat)) / ref.shape[0]).tolist()
+                              f"{refs.shape} reference")
+    size = refs.shape[-2] * refs.shape[-1]
+    flat, ref_flat = us.reshape(-1, size), refs.reshape(-1, size)
+    overlap = np.abs(np.einsum("...j,...j->...", flat.conj(), ref_flat))
     mags, ref_mags = np.abs(flat), np.abs(ref_flat)
-    l2 = (np.abs(mags - ref_mags).max(axis=1) <= ATOL_EQUIV).tolist()
+    l1 = overlap / refs.shape[-2] >= 1 - ATOL_EQUIV
+    l2 = l1 | (np.abs(mags - ref_mags).max(axis=1) <= ATOL_EQUIV)
     # column j of |U|^2 is the output distribution for basis input j
-    l3 = (np.abs(mags ** 2 - ref_mags ** 2).max(axis=1) <= ATOL_EQUIV).tolist()
-    return [_L1 if o >= 1 - ATOL_EQUIV else _L2 if a else _L3 if b else _NONE
-            for o, a, b in zip(overlap, l2, l3)]
+    l3 = l2 | (np.abs(mags ** 2 - ref_mags ** 2).max(axis=1) <= ATOL_EQUIV)
+    return l1.astype(np.uint8) + l2 + l3
 
 
 def equivalence(a: Circuit, b: Circuit) -> EquivalenceLevel:
     """Strongest equivalence level of two circuits of one width."""
     if a.width != b.width:
         raise SimulationError(f"width mismatch: {a.width} vs {b.width}")
-    return equivalence_levels(unitary_of(a)[None], unitary_of(b))[0]
+    return EquivalenceLevel(int(equivalence_levels(unitary_of(a)[None], unitary_of(b))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +352,8 @@ def truth_table(circuit: Circuit, target: int, controls, ancillas=()) -> dict[st
     """
     controls = tuple(controls)
     wires = (target,) + controls + tuple(ancillas)
+    if any(type(q) is not int for q in wires):
+        raise SimulationError(f"target, controls, and ancillas must be int wires, got {wires}")
     if len(set(wires)) != len(wires):
         raise SimulationError("target, controls, and ancillas must be distinct wires")
     n, k = circuit.width, len(controls)

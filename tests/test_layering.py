@@ -154,8 +154,30 @@ def test_the_search_path_calls_no_blas():
     # rule and the grader it calls take every product term by term or by
     # einsum
     fill = reached(SRC / "rules.py", "search")
-    assert {"_row_table", "_middles", "_theta_index", "_grade"} <= set(fill)
+    assert {"_row_table", "_middles", "_theta_index"} <= set(fill)
     simulator = {**reached(SRC / "simulator.py", "equivalence_levels"),
                  **reached(SRC / "simulator.py", "target_bits")}
     assert {name: blas_calls(func) for name, func in {**fill, **simulator}.items()
             if blas_calls(func)} == {}
+
+
+def tolerance_readers(path: Path) -> set[str]:
+    """The top-level owner of every read of an `ATOL_*` name in the module,
+    by name or attribute; a read outside a function or class is owned by
+    '<module>'.  An import names the constant without reading it."""
+    owners = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(
+                node, ast.Attribute) else ""
+            if name.startswith("ATOL_"):
+                owners.add(owner)
+    return owners
+
+
+def test_rules_decides_no_bit_or_level_by_its_own_tolerance():
+    # a target bit is decided by `simulator.target_bits` and a level by
+    # `simulator.equivalence_levels`; rules reads a tolerance only to name
+    # an equatorial octant
+    assert tolerance_readers(SRC / "rules.py") <= {"_equatorial_label"}

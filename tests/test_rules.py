@@ -16,7 +16,7 @@ import hexsynth
 from hexsynth import rules, simulator
 from hexsynth.circuit import CircuitError, GateKind
 from hexsynth.library import (AX_ENTRIES, BOOLEAN_TABLE, SUPERPOSITION_KINDS, THETA_KINDS,
-                              BooleanGateKind, CoreSpec, build_core)
+                              BooleanGateKind, CoreSpec, build_core, core_gates)
 from hexsynth.rules import (SearchHit, SearchQuery, apply_rules, count_space, iter_specs,
                             query_from_names, search)
 from hexsynth.simulator import (EquivalenceLevel, SimulationError, equivalence_levels,
@@ -53,7 +53,8 @@ def reference_search(query: SearchQuery, targets=None) -> dict[str, list[SearchH
             continue
         realized = truth_string(table)
         if realized in found:
-            level = equivalence_levels(unitary_of(circuit)[None], oracle_unitary(realized))[0]
+            level = EquivalenceLevel(int(
+                equivalence_levels(unitary_of(circuit)[None], oracle_unitary(realized))[0]))
             found[realized].append(SearchHit(spec, level))
     for hits in found.values():
         hits.sort(key=lambda h: enumeration_key(h.spec))
@@ -326,24 +327,31 @@ class TestBatchedSearchMatchesReference:
         # itself: they grade L1, and with a factor i on the branches that
         # flip the target, L2.  The target has both bit values, else the
         # factor is a global phase.  Then each configuration of a row is
-        # graded on those blocks of its function in place of its own, and
-        # the search reads back the level they were given.
-        grade, target = rules._grade, "0001"
+        # graded on those blocks of the function its own blocks realize,
+        # against the oracle blocks the row fill passes, and the search
+        # reads back the level they were given.
+        grade, target = equivalence_levels, "0001"
         wires = [[c & 1 | t << 1 | (c >> 1) << 2 for t in (0, 1)] for c in range(4)]
 
-        def oracle_blocks(code, phase):
-            bits = format(code, "04b")
+        def oracle_blocks(bits, phase):
             u = oracle_unitary(bits).astype(complex)
             return np.array([u[np.ix_(w, w)] * (phase if b == "1" else 1)
-                             for w, b in zip(wires, bits)])
+                             for w, b in zip(wires, bits)]).reshape(8, 2)
 
-        hits, code = search(SearchQuery(target=target)), int(target, 2)
+        def hand_made(us, phase):
+            # a block's target bit is 1 where it takes |0> to |1>
+            flips = np.abs(us.reshape(-1, 4, 2, 2)[:, :, 1, 0]) > 0.5
+            return np.array([oracle_blocks("".join("01"[f] for f in row), phase)
+                             for row in flips.tolist()])
+
+        hits = search(SearchQuery(target=target))
         assert hits
+        own = rules._FLIP[[int(b) for b in target]].reshape(8, 2)
         for phase, level in ((1, EquivalenceLevel.L1_GLOBAL_PHASE),
                              (1j, EquivalenceLevel.L2_RELATIVE_PHASE)):
-            assert grade(np.array([code]), oracle_blocks(code, phase)[None]).tolist() == [level.value]
-            monkeypatch.setattr(rules, "_grade", lambda codes, blocks, p=phase: grade(
-                codes, np.array([oracle_blocks(c, p) for c in codes.tolist()])))
+            assert grade(oracle_blocks(target, phase)[None], own).tolist() == [level.value]
+            monkeypatch.setattr(rules, "equivalence_levels",
+                                lambda us, refs, p=phase: grade(hand_made(us, p), refs))
             rules._row_table.cache_clear()
             assert search(SearchQuery(target=target)) == [SearchHit(h.spec, level) for h in hits]
 
@@ -396,15 +404,22 @@ class TestBatchedSearchMatchesReference:
         assert doubled == base and doubled.theta_set == (K.T, K.TDG)
         assert search(doubled) == search(base)
         assert rules._theta_index.cache_info().currsize == 1
-        # the one full table: each theta tuple's middles by matmul, at its
-        # C-order place over THETA_KINDS
+        # the one full table: each theta tuple's middles by matmul over the
+        # core's own gate list between its SP gates, at its C-order place
+        # over THETA_KINDS: each rotation's matrix, and X for a CX on the
+        # branches where its control wire is 1
         middles = rules._middles()
         assert middles.shape == (256, 4, 2, 2) and not middles.flags.writeable
         flip = [gate_matrix(K.I), gate_matrix(K.X)]
         for row, th in enumerate(itertools.product(THETA_KINDS, repeat=4)):
-            th1, th2, th3, th4 = (gate_matrix(k) for k in th)
+            gates = core_gates(CoreSpec(theta=th), c1=0, t=1, c2=2)[1:-1]
+            assert [g.kind for g in gates if g.kind is not K.CX] == list(th)
             for c2, c1 in itertools.product((0, 1), repeat=2):
-                expected = th4 @ flip[c2] @ th3 @ flip[c1] @ th2 @ flip[c2] @ th1
+                expected = flip[0]
+                control = {0: c1, 2: c2}
+                for g in gates:
+                    m = flip[control[g.qubits[0]]] if g.kind is K.CX else gate_matrix(g.kind)
+                    expected = m @ expected
                 assert np.abs(middles[row, c2 << 1 | c1] - expected).max() <= 1e-15
         # n**4 tuples, n**2 when symmetric, over n distinct kinds, each
         # indexing its own row of the full table
@@ -434,8 +449,9 @@ class TestBatchedSearchMatchesReference:
                              symmetric=True)
         hits = search(q)
         assert hits and all(h.spec.symmetric for h in hits)
-        # every deterministic configuration of the query's 8 rows, once
-        assert sum(graded) == sum(int((rules._row_table(sp1, ax1) != rules._UNDECIDED).sum())
+        # every deterministic configuration of the query's 8 rows, once, in
+        # one call a row
+        assert len(graded) == 8 and sum(graded) == sum(int((rules._row_table(sp1, ax1) != rules._UNDECIDED).sum())
                                   for sp1, ax1 in itertools.product(q.sp_set, q.ax1_set))
         graded.clear()
         # the same rows again, for every target and not only symmetric

@@ -426,13 +426,16 @@ def graded_variants(ref):
 
 def reference_equivalence_levels(us, ref):
     """The former grader: the overlaps by `einsum` over the unflattened
-    stack, the level by `np.select`."""
+    stack against one reference, the level values by `np.select`."""
     overlap = np.abs(np.einsum("nij,ij->n", us.conj(), ref)) / ref.shape[0]
     mags, ref_mags = np.abs(us), np.abs(ref)
     l2 = np.max(np.abs(mags - ref_mags), axis=(1, 2)) <= simulator.ATOL_EQUIV
     l3 = np.max(np.abs(mags ** 2 - ref_mags ** 2), axis=(1, 2)) <= simulator.ATOL_EQUIV
-    value = np.select([overlap >= 1 - simulator.ATOL_EQUIV, l2, l3], [3, 2, 1], 0)
-    return [EquivalenceLevel(v) for v in value.tolist()]
+    return np.select([overlap >= 1 - simulator.ATOL_EQUIV, l2, l3], [3, 2, 1], 0).tolist()
+
+
+def values(levels):
+    return [level.value for level in levels]
 
 
 def block_diagonal(blocks):
@@ -448,9 +451,20 @@ class TestBatchedGrader:
         ref = toffoli_unitary()
         stack, levels = zip(*graded_variants(ref))
         assert set(levels) == set(EquivalenceLevel)
-        assert [equivalence_levels(u[None], ref)[0] for u in stack] == list(levels)
-        assert equivalence_levels(np.array(stack), ref) == list(levels)
-        assert reference_equivalence_levels(np.array(stack), ref) == list(levels)
+        graded = equivalence_levels(np.array(stack), ref)
+        assert graded.dtype == np.uint8 and graded.tolist() == values(levels)
+        assert [equivalence_levels(u[None], ref).tolist() for u in stack] == [[v] for v in values(levels)]
+        assert reference_equivalence_levels(np.array(stack), ref) == values(levels)
+
+    def test_one_reference_per_matrix(self):
+        # the variants of two different references in one call, each with
+        # its own reference: the levels of each pair graded alone
+        refs = (toffoli_unitary(), unitary_of(build_gate("and3")))
+        pairs = [(u, ref, level) for ref in refs for u, level in graded_variants(ref)]
+        stack, own, levels = (np.array(x) for x in zip(*pairs))
+        assert not np.allclose(np.abs(refs[0]), np.abs(refs[1]))
+        alone = [equivalence_levels(u[None], ref)[0] for u, ref, _ in pairs]
+        assert equivalence_levels(stack, own).tolist() == alone == values(levels)
 
     def test_block_diagonal_pair_grades_as_its_stacked_blocks(self):
         # the AND oracle's blocks: X on branch 3, identity on the others
@@ -465,8 +479,8 @@ class TestBatchedGrader:
                      for v, level in graded_variants(ref.reshape(8, 2))]
         stack, levels = zip(*variants)
         dense = [equivalence_levels(block_diagonal(b)[None], block_diagonal(ref))[0] for b in stack]
-        assert dense == list(levels)
-        assert equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)) == dense
+        assert dense == values(levels)
+        assert equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)).tolist() == dense
         assert reference_equivalence_levels(np.array(stack).reshape(-1, 8, 2), ref.reshape(8, 2)) == dense
         assert [reference_equivalence_levels(block_diagonal(b)[None], block_diagonal(ref))[0]
                 for b in stack] == dense
@@ -487,25 +501,37 @@ class TestBatchedGrader:
                 sel = found >> 2 == code
                 oracle = rules._FLIP[[int(b) for b in format(code, "04b")]].reshape(8, 2)
                 levels = reference_equivalence_levels(blocks[sel].reshape(-1, 8, 2), oracle)
-                assert [level.value for level in levels] == (found[sel] & 3).tolist()
+                assert levels == (found[sel] & 3).tolist()
                 graded += len(levels)
         assert graded == 14912
 
     def test_rejects_a_stack_of_another_shape(self):
         ref = np.array([gate_matrix(K.I)] * 3 + [gate_matrix(K.X)]).reshape(8, 2)
         stack = np.array([ref, -ref])
-        assert equivalence_levels(stack, ref) == [EquivalenceLevel.L1_GLOBAL_PHASE] * 2
+        assert equivalence_levels(stack, ref).tolist() == [EquivalenceLevel.L1_GLOBAL_PHASE.value] * 2
         # the same entry count, transposed: the flat form must not grade it
         for bad in (stack.transpose(0, 2, 1), stack.reshape(2, 4, 4), ref, stack[None]):
             with pytest.raises(SimulationError, match="matrices graded against a"):
                 equivalence_levels(bad, ref)
 
+    def test_rejects_references_of_another_shape_or_count(self):
+        ref = np.array([gate_matrix(K.I)] * 3 + [gate_matrix(K.X)]).reshape(8, 2)
+        stack = np.array([ref, -ref])
+        for bad in (ref.T, ref.reshape(4, 4), stack.transpose(0, 2, 1),  # shape
+                    stack[:1], np.array([ref] * 3), stack[None]):         # count, or rank
+            with pytest.raises(SimulationError, match="matrices graded against a"):
+                equivalence_levels(stack, bad)
+
     def test_empty_stack_grades_as_empty(self):
         ref = toffoli_unitary()
-        assert equivalence_levels(np.zeros((0, 8, 8), dtype=complex), ref) == []
-        assert equivalence_levels(np.zeros((0, 8, 2), dtype=complex), ref[:, :2]) == []
-        with pytest.raises(SimulationError):
-            equivalence_levels(np.zeros((0, 2, 8), dtype=complex), ref[:, :2])
+        for stack, refs in ((np.zeros((0, 8, 8), dtype=complex), ref),
+                            (np.zeros((0, 8, 2), dtype=complex), ref[:, :2]),
+                            (np.zeros((0, 8, 8), dtype=complex), np.zeros((0, 8, 8), dtype=complex))):
+            graded = equivalence_levels(stack, refs)
+            assert graded.dtype == np.uint8 and graded.shape == (0,)
+        for refs in (ref[:, :2], np.zeros((1, 8, 2), dtype=complex)):
+            with pytest.raises(SimulationError):
+                equivalence_levels(np.zeros((0, 2, 8), dtype=complex), refs)
 
 
 class TestTruthTable:
@@ -568,6 +594,17 @@ class TestBatchedTruthTable:
         with pytest.raises(SimulationError) as got:
             truth_table(c, target=1, controls=(0, 2))
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("wires", [dict(target=1.0), dict(target=1.5), dict(target=True),
+                                       dict(controls=(0, 2.0)), dict(controls=(np.int64(0), 2)),
+                                       dict(ancillas=(False,)), dict(target="1")],
+                             ids=["float", "fraction", "bool", "float_control", "numpy_control",
+                                  "bool_ancilla", "str"])
+    def test_wires_must_be_ints(self, wires):
+        # the rule `Circuit` applies to its gates' wires: True is not wire 1
+        args = dict(dict(target=1, controls=(0, 2)), **wires)
+        with pytest.raises(SimulationError, match="must be int wires"):
+            truth_table(build_gate("and3"), **args)
 
     def test_width_guard_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -652,9 +689,15 @@ class TestErrorRoot:
 
     @pytest.mark.parametrize("call", [
         lambda: phase_trace(BOOLEAN_TABLE[BooleanGateKind.AND], "2"),
+        # a control_state that is not a two-character str, never a TypeError
+        # and never traced
+        *(lambda state=state: phase_trace(BOOLEAN_TABLE[BooleanGateKind.AND], state)
+          for state in (11, None, b"11", ["1", "1"], ("1", "1"))),
         lambda: truth_table(build_gate("and3"), target=1, controls=(0, 0)),
         lambda: Statevector.basis(21, {}),
-    ], ids=["phase_trace", "truth_table_repeated_wires", "basis_too_wide"])
+    ], ids=["phase_trace", "phase_trace_int", "phase_trace_none", "phase_trace_bytes",
+            "phase_trace_list", "phase_trace_tuple", "truth_table_repeated_wires",
+            "basis_too_wide"])
     def test_caught_as_circuit_error(self, call):
         with pytest.raises(CircuitError):
             call()
